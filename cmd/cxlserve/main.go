@@ -77,7 +77,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "expire cached results this long after computation (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (bypasses admission control; trusted networks only)")
-	traceCap := flag.Int("trace-cap", 4096, "events retained in the discrete-event trace ring served by /v1/trace")
+	traceCap := flag.Int("trace-cap", 4096, "events retained in the discrete-event trace ring served by /v1/trace (each in-flight event-driven run also buffers up to this many, 64 bytes each)")
 	peers := flag.String("peers", "", "comma-separated replica URLs forming the cache-sharding ring; compute requests proxy one hop to the key's owner")
 	selfAddr := flag.String("self", "", "this replica's advertised URL in the -peers ring (default: derived from -addr on 127.0.0.1)")
 	snapshotLoad := flag.String("snapshot-load", "", "warm-start: restore the dataset cache from this snapshot file at boot (a missing file starts cold)")

@@ -1,8 +1,10 @@
 // The /v1/trace endpoint: cxlserve's window into the discrete-event engine
-// (DESIGN.md §13). Event-driven workload runs tap their scheduler into the
-// process-wide telemetry.Sim ring; this endpoint snapshots that ring as
-// JSON, so a client can run `/v1/run?id=tpp-timeline` and immediately read
-// back the event stream that produced the dataset.
+// (DESIGN.md §13). Each event-driven run records its scheduler's events into
+// a private ring and publishes that tail, in one piece, to the process-wide
+// telemetry.Sim sink when it completes; this endpoint snapshots the sink as
+// JSON, so once `/v1/run?id=tpp-timeline` has answered, a client can read
+// back the event stream that produced the dataset. A run still in progress
+// is not visible yet.
 package serve
 
 import (

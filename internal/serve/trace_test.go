@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"cxlmem/internal/sim"
 	"cxlmem/internal/telemetry"
+	"cxlmem/internal/topo"
+	"cxlmem/internal/workloads/tpptimeline"
 )
 
 // traceBody decodes one /v1/trace response.
@@ -21,6 +24,16 @@ func traceBody(t *testing.T, body string) traceResponse {
 	return resp
 }
 
+// lastSeed is the last seed freshSeed handed out.
+var lastSeed = 4000
+
+// freshSeed returns a seed no earlier request in this test process used, so
+// a tpp-timeline run with it is never a memo hit, even under -count.
+func freshSeed() int {
+	lastSeed++
+	return lastSeed
+}
+
 // TestTraceEndpoint runs the event-driven tpp-timeline experiment through
 // /v1/run and then reads the scheduler's event stream back through /v1/trace:
 // the ring must be non-empty, phase-consistent, ordered, and — because the
@@ -29,7 +42,7 @@ func traceBody(t *testing.T, body string) traceResponse {
 func TestTraceEndpoint(t *testing.T) {
 	telemetry.Sim.Reset()
 	ts := testServer(t)
-	if status, _, body := get(t, ts, "/v1/run?id=tpp-timeline"); status != http.StatusOK {
+	if status, _, body := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", freshSeed())); status != http.StatusOK {
 		t.Fatalf("priming run = %d: %s", status, body)
 	}
 
@@ -77,6 +90,42 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceIsTheRunTail: after one tpp-timeline run, /v1/trace serves exactly
+// the tail a same-capacity ring attached directly to tpptimeline.Run records
+// for the same config and seed, and its totals are the run's event counts.
+// The config is the quick one the workload adapter builds: Quick's pages,
+// but the adapter's 200 epochs (1 s), not Quick's 30.
+func TestTraceIsTheRunTail(t *testing.T) {
+	seed := freshSeed()
+	telemetry.Sim.Reset()
+	ts := testServer(t)
+	if status, _, body := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", seed)); status != http.StatusOK {
+		t.Fatalf("run = %d: %s", status, body)
+	}
+	_, _, body := get(t, ts, "/v1/trace")
+	resp := traceBody(t, body)
+
+	cfg := tpptimeline.DefaultConfig().Quick()
+	cfg.Epochs, cfg.Seed = 200, uint64(seed)
+	ring := sim.NewTraceRing(telemetry.Sim.Cap())
+	sys := topo.NewSystem(topo.DefaultConfig())
+	res := tpptimeline.Run(sys, cfg, "CXL-A", ring)
+
+	want := ring.Snapshot()
+	if len(resp.Events) != len(want) || resp.Buffered != len(want) {
+		t.Fatalf("/v1/trace has %d events (buffered %d), the run's ring %d", len(resp.Events), resp.Buffered, len(want))
+	}
+	for i, te := range want {
+		w := traceEventJSON{Phase: te.Phase.String(), Seq: te.Seq, AtPS: int64(te.At), NowPS: int64(te.Now), Actor: te.Actor, Kind: te.Kind}
+		if resp.Events[i] != w {
+			t.Fatalf("event %d = %+v, the run's ring has %+v", i, resp.Events[i], w)
+		}
+	}
+	if ev := res.Events; resp.Enqueued != ev.Enqueued || resp.Dispatched != ev.Dispatched || resp.Completed != ev.Completed {
+		t.Fatalf("totals %d/%d/%d, the run's event counts %+v", resp.Enqueued, resp.Dispatched, resp.Completed, ev)
+	}
+}
+
 // TestTraceEndpointErrors pins the failure modes: malformed limit and wrong
 // method.
 func TestTraceEndpointErrors(t *testing.T) {
@@ -101,7 +150,7 @@ func TestTraceEndpointErrors(t *testing.T) {
 func TestTraceMetrics(t *testing.T) {
 	telemetry.Sim.Reset()
 	ts := testServer(t)
-	if status, _, body := get(t, ts, "/v1/run?id=tpp-timeline&seed=5"); status != http.StatusOK {
+	if status, _, body := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", freshSeed())); status != http.StatusOK {
 		t.Fatalf("priming run = %d: %s", status, body)
 	}
 	status, _, body := get(t, ts, "/metrics")
@@ -129,7 +178,7 @@ func TestTraceMetrics(t *testing.T) {
 }
 
 // TestTraceConcurrentWithRuns is the race exercise from the acceptance
-// criteria: /v1/trace snapshots race event-driven /v1/run compute (distinct
+// criteria: /v1/trace snapshots race event-driven /v1/run compute (fresh
 // seeds defeat the memo cache so the scheduler really runs) plus /metrics
 // scrapes. Run under -race in CI; everything must return 200 and every trace
 // body must decode.
@@ -139,7 +188,7 @@ func TestTraceConcurrentWithRuns(t *testing.T) {
 	paths := make([]string, 0, 16)
 	for i := 0; i < 4; i++ {
 		paths = append(paths,
-			fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", 100+i),
+			fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", freshSeed()),
 			"/v1/trace",
 			"/v1/trace?limit=10",
 			"/metrics",

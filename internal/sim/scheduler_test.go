@@ -247,6 +247,30 @@ func TestTraceRing(t *testing.T) {
 	}
 }
 
+// TestTraceRingGrowsLazily: a ring's storage starts empty, grows with the
+// events it is fed, and never exceeds its capacity.
+func TestTraceRingGrowsLazily(t *testing.T) {
+	r := NewTraceRing(100)
+	if cap(r.buf) != 0 {
+		t.Fatalf("a fresh ring holds storage for %d events", cap(r.buf))
+	}
+	for i := 0; i < 3; i++ {
+		r.Observe(TraceEvent{Seq: uint64(i)})
+	}
+	if c := cap(r.buf); c == 0 || c >= 100 {
+		t.Fatalf("after 3 events the ring holds storage for %d", c)
+	}
+	for i := 3; i < 1000; i++ {
+		r.Observe(TraceEvent{Seq: uint64(i)})
+	}
+	if c := cap(r.buf); c != 100 {
+		t.Fatalf("a full ring holds storage for %d events, want its capacity 100", c)
+	}
+	if snap := r.Snapshot(); len(snap) != 100 || snap[0].Seq != 900 || snap[99].Seq != 999 {
+		t.Fatalf("snapshot holds %d events from %d", len(snap), snap[0].Seq)
+	}
+}
+
 // TestTraceRingAsTap: a ring attached as a tap captures the scheduler's
 // stream with matching totals.
 func TestTraceRingAsTap(t *testing.T) {

@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // Phase classifies a trace event within an event's lifecycle.
 type Phase uint8
 
@@ -49,8 +47,8 @@ type TraceEvent struct {
 }
 
 // Tap observes scheduler trace events. Observe is called synchronously on
-// the simulation goroutine; implementations that share state with other
-// goroutines (like TraceRing) must do their own locking.
+// the simulation goroutine, one event at a time; a tap whose state other
+// goroutines read must do its own locking.
 type Tap interface {
 	// Observe receives one trace event.
 	Observe(TraceEvent)
@@ -72,39 +70,29 @@ type TraceCounts struct {
 	Completed uint64
 }
 
-// TraceRing is a fixed-capacity, mutex-protected ring buffer of trace
-// events plus cumulative per-phase totals. It retains the most recent Cap
-// events; older ones are overwritten. It is safe for concurrent use, so a
-// single ring can absorb a simulation's tap stream while HTTP handlers
-// snapshot it (the /v1/trace + /metrics path in cxlserve).
+// TraceRing is a bounded ring buffer of trace events plus cumulative
+// per-phase totals. It retains the most recent Cap events; older ones are
+// overwritten. Its storage grows on demand up to Cap, so a short run pays
+// only for the events it produced. A TraceRing is not safe for concurrent
+// use: a run records into its own ring, and a ring other goroutines read
+// (telemetry.SimTrace) is guarded by its owner.
 type TraceRing struct {
-	mu     sync.Mutex
 	buf    []TraceEvent
-	next   int
-	filled bool
+	max    int
+	next   int // once the ring is full, the oldest event's index
 	counts TraceCounts
 }
 
 // NewTraceRing returns a ring retaining the most recent capacity events.
 // Capacity is clamped to at least 1.
 func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]TraceEvent, capacity)}
+	return &TraceRing{max: max(capacity, 1)}
 }
 
 // Observe implements Tap: the event is appended, overwriting the oldest
 // retained event once the ring is full.
 func (r *TraceRing) Observe(te TraceEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = te
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.filled = true
-	}
+	r.put(te)
 	switch te.Phase {
 	case PhaseEnqueue:
 		r.counts.Enqueued++
@@ -115,53 +103,54 @@ func (r *TraceRing) Observe(te TraceEvent) {
 	}
 }
 
-// Cap returns the ring's capacity.
-func (r *TraceRing) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
+// put retains te without counting it.
+func (r *TraceRing) put(te TraceEvent) {
+	if len(r.buf) < r.max {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]TraceEvent, len(r.buf), min(max(2*len(r.buf), 64), r.max))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, te)
+		return
+	}
+	r.buf[r.next] = te
+	if r.next++; r.next == r.max {
+		r.next = 0
+	}
 }
+
+// Absorb appends src's retained events oldest-first, as if r had observed
+// them (so r keeps the newest when they outnumber its capacity), and adds
+// src's cumulative totals to r's. A run's ring absorbed into a shared one
+// thus lands as a single contiguous tail.
+func (r *TraceRing) Absorb(src *TraceRing) {
+	for i := range src.buf {
+		r.put(src.buf[(src.next+i)%len(src.buf)])
+	}
+	r.counts.Enqueued += src.counts.Enqueued
+	r.counts.Dispatched += src.counts.Dispatched
+	r.counts.Completed += src.counts.Completed
+}
+
+// Cap returns the ring's capacity.
+func (r *TraceRing) Cap() int { return r.max }
 
 // Len returns the number of events currently retained.
-func (r *TraceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		return len(r.buf)
-	}
-	return r.next
-}
+func (r *TraceRing) Len() int { return len(r.buf) }
 
 // Totals returns cumulative per-phase counts (not bounded by capacity).
-func (r *TraceRing) Totals() TraceCounts {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts
-}
+func (r *TraceRing) Totals() TraceCounts { return r.counts }
 
 // Snapshot returns the retained events oldest-first as a fresh slice.
 func (r *TraceRing) Snapshot() []TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.filled {
-		out := make([]TraceEvent, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
 	out := make([]TraceEvent, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return append(out, r.buf[:r.next]...)
 }
 
-// Reset discards retained events and zeroes the totals.
+// Reset discards retained events and zeroes the totals, keeping the
+// capacity.
 func (r *TraceRing) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next = 0
-	r.filled = false
-	r.counts = TraceCounts{}
-	for i := range r.buf {
-		r.buf[i] = TraceEvent{}
-	}
+	*r = TraceRing{max: r.max}
 }

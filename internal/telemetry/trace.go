@@ -6,17 +6,18 @@ import (
 	"cxlmem/internal/sim"
 )
 
-// SimTrace is a process-wide sink for discrete-event scheduler traces: a
-// swappable sim.TraceRing every event-driven workload taps into, so cxlserve
-// can expose the most recent simulation activity over /v1/trace and count
-// event traffic in /metrics without plumbing a ring through every layer.
+// SimTrace is a process-wide sink for discrete-event scheduler traces: the
+// most recent simulation activity, so cxlserve can expose it over /v1/trace
+// and count event traffic in /metrics without plumbing a ring through every
+// layer.
 //
-// Multiple simulations may feed the ring concurrently (sweep workers run
-// cells in parallel); the ring itself is mutex-protected, and per-run
-// determinism is untouched because each run's own dataset never reads the
-// shared ring back.
+// A run never records into the sink directly. It records into its own
+// sim.TraceRing, sized by Cap, and hands it to Publish when it completes;
+// the sink's mutex is taken once per run, not once per event, and runs that
+// overlap in time land as separate contiguous tails. Per-run determinism is
+// untouched because no run reads the sink back.
 type SimTrace struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
 	ring *sim.TraceRing
 }
 
@@ -25,46 +26,44 @@ func NewSimTrace(capacity int) *SimTrace {
 	return &SimTrace{ring: sim.NewTraceRing(capacity)}
 }
 
-// Sim is the process-wide trace sink. Event-driven experiment drivers attach
-// Sim.Tap() to their schedulers; cxlserve reads it.
+// Sim is the process-wide trace sink. Event-driven experiment drivers
+// publish each run's trace tail to it; cxlserve reads it.
 var Sim = NewSimTrace(4096)
 
-// Tap returns the tap to attach to a scheduler. The tap stays valid across
-// Configure: it resolves the current ring on every observation.
-func (t *SimTrace) Tap() sim.Tap {
-	return sim.TapFunc(func(te sim.TraceEvent) {
-		t.mu.RLock()
-		ring := t.ring
-		t.mu.RUnlock()
-		ring.Observe(te)
-	})
+// Publish appends a completed run's retained events (its tail) and adds the
+// run's totals. If the sink shrank since the run's ring was sized, the
+// newest events are kept.
+func (t *SimTrace) Publish(run *sim.TraceRing) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ring.Absorb(run)
 }
 
 // Snapshot returns the retained events oldest-first.
 func (t *SimTrace) Snapshot() []sim.TraceEvent {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ring.Snapshot()
 }
 
 // Totals returns cumulative per-phase counts since the last Configure/Reset.
 func (t *SimTrace) Totals() sim.TraceCounts {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ring.Totals()
 }
 
 // Len returns the number of retained events.
 func (t *SimTrace) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ring.Len()
 }
 
 // Cap returns the ring capacity.
 func (t *SimTrace) Cap() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ring.Cap()
 }
 

@@ -14,7 +14,6 @@ package tpp
 
 import (
 	"fmt"
-	"sort"
 
 	"cxlmem/internal/numa"
 	"cxlmem/internal/sim"
@@ -114,9 +113,12 @@ type Engine struct {
 	space *numa.Space
 	heat  []uint32
 
-	// cxlBuf and ddrBuf are scratch page lists reused across scans so the
-	// steady-state scan loop stays allocation-free.
-	cxlBuf, ddrBuf []int
+	// Scratch reused across scans so the steady-state scan loop stays
+	// allocation-free: the page list copied out of the space, the two
+	// bounded candidate selections, and the migrations Scan returns.
+	pages      []int
+	hot, cold  []uint64
+	migrations []Migration
 
 	// Promotions and Demotions count migrations performed so far.
 	Promotions, Demotions int64
@@ -153,62 +155,42 @@ func (e *Engine) ensure(page int) {
 // DDR pages — the swap churn behind TPP's ping-pong behaviour. Demotion then
 // trims DDR back to the target using only cold pages. Heat decays after each
 // scan. The returned migrations have already been applied to the space;
-// promotions appear before demotions in the slice.
+// promotions appear before demotions in the slice. The slice is reused: it
+// is valid only until the next Scan.
 func (e *Engine) Scan() []Migration {
-	e.ensure(e.space.Pages() - 1)
-	var migrations []Migration
-
-	// Promotion candidates: hottest CXL pages over threshold. Equal heat is
-	// ordered by page index so candidate choice never depends on the
-	// space's internal index order.
-	e.cxlBuf = e.space.AppendPagesOnNode(e.cxlBuf[:0], e.cfg.CXLNode)
-	cxlPages := e.cxlBuf
-	sort.Slice(cxlPages, func(a, b int) bool {
-		ha, hb := e.heat[cxlPages[a]], e.heat[cxlPages[b]]
-		if ha != hb {
-			return ha > hb
-		}
-		return cxlPages[a] < cxlPages[b]
-	})
-	var hot []int
-	for _, p := range cxlPages {
-		if len(hot) == e.cfg.PromoteBatch || e.heat[p] < e.cfg.HotThreshold {
-			break
-		}
-		hot = append(hot, p)
+	n := e.space.Pages()
+	e.ensure(n - 1)
+	if cap(e.pages) < n {
+		// Sized for the whole space once, so no later scan reallocates
+		// however the pages shift between the nodes.
+		e.pages = make([]int, 0, n)
+		e.hot = make([]uint64, 0, min(e.cfg.PromoteBatch, n))
+		e.cold = make([]uint64, 0, min(e.cfg.DemoteBatch, n))
+		e.migrations = make([]Migration, 0, cap(e.hot)+cap(e.cold))
 	}
+	migrations := e.migrations[:0]
 
-	// Demotion candidates: coldest DDR pages, same deterministic tie rule.
-	e.ddrBuf = e.space.AppendPagesOnNode(e.ddrBuf[:0], e.cfg.DDRNode)
-	ddrPages := e.ddrBuf
-	sort.Slice(ddrPages, func(a, b int) bool {
-		ha, hb := e.heat[ddrPages[a]], e.heat[ddrPages[b]]
-		if ha != hb {
-			return ha < hb
-		}
-		return ddrPages[a] < ddrPages[b]
-	})
-	var cold []int
-	for _, p := range ddrPages {
-		if len(cold) == e.cfg.DemoteBatch || e.heat[p] > e.cfg.ColdThreshold {
-			break
-		}
-		cold = append(cold, p)
-	}
+	// Promotion candidates: the hottest CXL pages over threshold. Demotion
+	// candidates: the coldest DDR pages at or under threshold. Equal heat is
+	// ordered by page index in both, so candidate choice never depends on
+	// the space's internal index order.
+	e.hot = e.selectPages(e.hot, e.cfg.CXLNode, e.cfg.PromoteBatch, ^uint32(0), ^e.cfg.HotThreshold)
+	e.cold = e.selectPages(e.cold, e.cfg.DDRNode, e.cfg.DemoteBatch, 0, e.cfg.ColdThreshold)
 
 	// Room for promotions: the deficit to the DDR target plus whatever cold
 	// pages can be swapped out. Without cold pages, promotion never pushes
 	// DDR beyond the target.
-	need := int(e.cfg.TargetDDRFraction*float64(e.space.Pages())) -
+	need := int(e.cfg.TargetDDRFraction*float64(n)) -
 		int(e.space.PagesOn(e.cfg.DDRNode))
 	if need < 0 {
 		need = 0
 	}
-	promote := len(hot)
-	if room := need + len(cold); promote > room {
+	promote := len(e.hot)
+	if room := need + len(e.cold); promote > room {
 		promote = room
 	}
-	for _, p := range hot[:promote] {
+	for _, key := range e.hot[:promote] {
+		p := keyPage(key)
 		e.space.Move(p, e.cfg.DDRNode)
 		migrations = append(migrations, Migration{Page: p, From: e.cfg.CXLNode, To: e.cfg.DDRNode})
 		e.Promotions++
@@ -219,18 +201,15 @@ func (e *Engine) Scan() []Migration {
 
 	// Demotion: trim back to the target with cold pages only.
 	over := int(float64(e.space.PagesOn(e.cfg.DDRNode)) -
-		e.cfg.TargetDDRFraction*float64(e.space.Pages()))
-	if over > len(cold) {
-		over = len(cold)
+		e.cfg.TargetDDRFraction*float64(n))
+	if over > len(e.cold) {
+		over = len(e.cold)
 	}
-	for _, p := range cold {
-		if over <= 0 {
-			break
-		}
+	for _, key := range e.cold[:max(over, 0)] {
+		p := keyPage(key)
 		e.space.Move(p, e.cfg.CXLNode)
 		migrations = append(migrations, Migration{Page: p, From: e.cfg.DDRNode, To: e.cfg.CXLNode})
 		e.Demotions++
-		over--
 		if e.cfg.PingPongDamper {
 			e.heat[p] /= 2
 		}
@@ -240,7 +219,74 @@ func (e *Engine) Scan() []Migration {
 	for i := range e.heat {
 		e.heat[i] /= 2
 	}
+	e.migrations = migrations
 	return migrations
+}
+
+// selectPages returns in dst (reused) the k pages on node that rank first,
+// in rank order, among those whose flipped heat heat^flip is at most limit.
+// A page ranks by its key, (heat^flip)<<32 | page: flip = ^0 ranks hottest
+// first and 0 coldest first, ties by ascending page either way. Keys are
+// unique, so the order is strict and total, and the selection is exactly
+// the first k of a full sort — at O(pages·log k) instead of O(pages·log
+// pages).
+func (e *Engine) selectPages(dst []uint64, node, k int, flip, limit uint32) []uint64 {
+	e.pages = e.space.AppendPagesOnNode(e.pages[:0], node)
+	h := dst[:0]
+	for _, p := range e.pages {
+		rank := e.heat[p] ^ flip
+		if rank > limit {
+			continue
+		}
+		key := uint64(rank)<<32 | uint64(p)
+		switch {
+		case len(h) < k:
+			h = append(h, key)
+			siftUp(h, len(h)-1)
+		case key < h[0]:
+			h[0] = key
+			siftDown(h, 0, len(h))
+		}
+	}
+	// Heapsort's second phase: the max-heap becomes ascending in place.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h, 0, end)
+	}
+	return h
+}
+
+// keyPage recovers the page from a selectPages key.
+func keyPage(key uint64) int { return int(uint32(key)) }
+
+// siftUp restores the max-heap order of h after h[i] was appended.
+func siftUp(h []uint64, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] > h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the max-heap order of h[:n] after h[i] shrank.
+func siftDown(h []uint64, i, n int) {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] > h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Heat exposes a page's current heat (diagnostics and tests).

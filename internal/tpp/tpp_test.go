@@ -1,6 +1,9 @@
 package tpp
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"cxlmem/internal/numa"
@@ -212,4 +215,264 @@ func TestNewEnginePanicsOnBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PromoteBatch = -1
 	NewEngine(cfg, newSpace(50, 10))
+}
+
+// refEngine is the original policy, kept as the reference the bounded
+// selection in Engine.Scan is checked against: it sorts every CXL page and
+// every DDR page on each scan and keeps the first batch of each.
+type refEngine struct {
+	cfg                   Config
+	space                 *numa.Space
+	heat                  []uint32
+	Promotions, Demotions int64
+}
+
+func (e *refEngine) RecordAccess(addr uint64) {
+	page := int(addr / numa.PageBytes)
+	for len(e.heat) <= page {
+		e.heat = append(e.heat, 0)
+	}
+	if e.heat[page] < 1<<31 {
+		e.heat[page]++
+	}
+}
+
+func (e *refEngine) Scan() []Migration {
+	for len(e.heat) < e.space.Pages() {
+		e.heat = append(e.heat, 0)
+	}
+	var migrations []Migration
+
+	cxlPages := e.space.PagesOnNode(e.cfg.CXLNode)
+	sort.Slice(cxlPages, func(a, b int) bool {
+		ha, hb := e.heat[cxlPages[a]], e.heat[cxlPages[b]]
+		if ha != hb {
+			return ha > hb
+		}
+		return cxlPages[a] < cxlPages[b]
+	})
+	var hot []int
+	for _, p := range cxlPages {
+		if len(hot) == e.cfg.PromoteBatch || e.heat[p] < e.cfg.HotThreshold {
+			break
+		}
+		hot = append(hot, p)
+	}
+
+	ddrPages := e.space.PagesOnNode(e.cfg.DDRNode)
+	sort.Slice(ddrPages, func(a, b int) bool {
+		ha, hb := e.heat[ddrPages[a]], e.heat[ddrPages[b]]
+		if ha != hb {
+			return ha < hb
+		}
+		return ddrPages[a] < ddrPages[b]
+	})
+	var cold []int
+	for _, p := range ddrPages {
+		if len(cold) == e.cfg.DemoteBatch || e.heat[p] > e.cfg.ColdThreshold {
+			break
+		}
+		cold = append(cold, p)
+	}
+
+	need := int(e.cfg.TargetDDRFraction*float64(e.space.Pages())) -
+		int(e.space.PagesOn(e.cfg.DDRNode))
+	if need < 0 {
+		need = 0
+	}
+	promote := len(hot)
+	if room := need + len(cold); promote > room {
+		promote = room
+	}
+	for _, p := range hot[:promote] {
+		e.space.Move(p, e.cfg.DDRNode)
+		migrations = append(migrations, Migration{Page: p, From: e.cfg.CXLNode, To: e.cfg.DDRNode})
+		e.Promotions++
+		if e.cfg.PingPongDamper {
+			e.heat[p] /= 2
+		}
+	}
+
+	over := int(float64(e.space.PagesOn(e.cfg.DDRNode)) -
+		e.cfg.TargetDDRFraction*float64(e.space.Pages()))
+	if over > len(cold) {
+		over = len(cold)
+	}
+	for _, p := range cold {
+		if over <= 0 {
+			break
+		}
+		e.space.Move(p, e.cfg.CXLNode)
+		migrations = append(migrations, Migration{Page: p, From: e.cfg.DDRNode, To: e.cfg.CXLNode})
+		e.Demotions++
+		over--
+		if e.cfg.PingPongDamper {
+			e.heat[p] /= 2
+		}
+	}
+
+	for i := range e.heat {
+		e.heat[i] /= 2
+	}
+	return migrations
+}
+
+// scanCase is one randomized comparison of Engine against refEngine.
+type scanCase struct {
+	pages, promote, demote int
+	hot, cold              uint32
+	target                 float64
+	damper                 bool
+	// equal gives every touched page the same heat, so ties decide the
+	// candidate order.
+	equal bool
+	seed  int64
+}
+
+func (c scanCase) String() string {
+	return fmt.Sprintf("pages=%d promote=%d demote=%d hot=%d cold=%d target=%v damper=%v equal=%v seed=%d",
+		c.pages, c.promote, c.demote, c.hot, c.cold, c.target, c.damper, c.equal, c.seed)
+}
+
+// checkScanMatchesReference drives Engine and refEngine over identical
+// spaces with identical random traffic and compares, after every scan, the
+// migrations, every page's heat and node, and the counters.
+func checkScanMatchesReference(t *testing.T, c scanCase) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(c.seed))
+	cfg := DefaultConfig()
+	cfg.PromoteBatch, cfg.DemoteBatch = c.promote, c.demote
+	cfg.HotThreshold, cfg.ColdThreshold = c.hot, c.cold
+	cfg.TargetDDRFraction, cfg.PingPongDamper = c.target, c.damper
+	cxlPercent := float64(rng.Intn(3) * 50)
+	fast := NewEngine(cfg, newSpace(cxlPercent, c.pages))
+	ref := &refEngine{cfg: cfg, space: newSpace(cxlPercent, c.pages)}
+	for scan := 0; scan < 6; scan++ {
+		hotSet := 1 + rng.Intn(c.pages)
+		for i := rng.Intn(4 * c.pages); i > 0; i-- {
+			page := rng.Intn(hotSet)
+			if !c.equal && rng.Intn(4) == 0 {
+				page = rng.Intn(c.pages)
+			}
+			reps := 1
+			if c.equal {
+				page, reps = i%hotSet, 1+scan%3
+			}
+			for ; reps > 0; reps-- {
+				fast.RecordAccess(uint64(page) * numa.PageBytes)
+				ref.RecordAccess(uint64(page) * numa.PageBytes)
+			}
+		}
+		got, want := fast.Scan(), ref.Scan()
+		if len(got) != len(want) {
+			t.Fatalf("%v scan %d: %d migrations, reference %d", c, scan, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v scan %d: migration %d = %+v, reference %+v", c, scan, i, got[i], want[i])
+			}
+		}
+		for p := 0; p < c.pages; p++ {
+			if fast.Heat(p) != ref.heat[p] || fast.space.NodeOfPage(p) != ref.space.NodeOfPage(p) {
+				t.Fatalf("%v scan %d: page %d heat/node %d/%d, reference %d/%d", c, scan, p,
+					fast.Heat(p), fast.space.NodeOfPage(p), ref.heat[p], ref.space.NodeOfPage(p))
+			}
+		}
+		if fast.Promotions != ref.Promotions || fast.Demotions != ref.Demotions {
+			t.Fatalf("%v scan %d: counters %d/%d, reference %d/%d", c, scan,
+				fast.Promotions, fast.Demotions, ref.Promotions, ref.Demotions)
+		}
+	}
+}
+
+// scanCases enumerates page counts 1..4096, targets 0/0.75/1 and the damper
+// both ways; each combination draws batches (1 up to beyond the candidate
+// count) and thresholds 0..4, and alternates random and all-equal heat.
+func scanCases() []scanCase {
+	rng := rand.New(rand.NewSource(7))
+	var cases []scanCase
+	for _, pages := range []int{1, 2, 3, 17, 64, 65, 200, 1000, 4096} {
+		for _, target := range []float64{0, 0.75, 1} {
+			for _, damper := range []bool{false, true} {
+				batches := []int{1, 2, 64, pages, pages + 1, 3*pages + 5}
+				for i := 0; i < 4; i++ {
+					cases = append(cases, scanCase{
+						pages:   pages,
+						promote: batches[rng.Intn(len(batches))],
+						demote:  batches[rng.Intn(len(batches))],
+						hot:     uint32(rng.Intn(5)),
+						cold:    uint32(rng.Intn(5)),
+						target:  target,
+						damper:  damper,
+						equal:   i%2 == 1,
+						seed:    rng.Int63(),
+					})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// TestScanMatchesReference holds the bounded top-k selection equal to the
+// full-sort reference on randomized traffic.
+func TestScanMatchesReference(t *testing.T) {
+	for _, c := range scanCases() {
+		checkScanMatchesReference(t, c)
+	}
+}
+
+// FuzzScanMatchesReference is the native fuzz form of
+// TestScanMatchesReference, seeded with the same cases.
+func FuzzScanMatchesReference(f *testing.F) {
+	for _, c := range scanCases() {
+		f.Add(uint16(c.pages), uint16(c.promote), uint16(c.demote), uint8(c.hot), uint8(c.cold),
+			uint8(c.target*4), c.damper, c.equal, c.seed)
+	}
+	f.Fuzz(func(t *testing.T, pages, promote, demote uint16, hot, cold, target uint8, damper, equal bool, seed int64) {
+		c := scanCase{
+			pages:   1 + int(pages)%4096,
+			promote: 1 + int(promote),
+			demote:  1 + int(demote),
+			hot:     uint32(hot % 5),
+			cold:    uint32(cold % 5),
+			target:  float64(target%5) / 4,
+			damper:  damper,
+			equal:   equal,
+			seed:    seed,
+		}
+		checkScanMatchesReference(t, c)
+	})
+}
+
+// TestScanAllocationFree pins the steady-state contract: after the first
+// scan, scans and access recording allocate nothing. A hot set that slides
+// through a half-CXL space keeps both promotions and demotions flowing.
+func TestScanAllocationFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TargetDDRFraction = 0.5
+	e := NewEngine(cfg, newSpace(50, 4096))
+	next := 0
+	touch := func() {
+		for i := 0; i < 1024; i++ {
+			addr := uint64((next+i)%4096) * numa.PageBytes
+			e.RecordAccess(addr)
+			e.RecordAccess(addr)
+		}
+		next += 512
+	}
+	touch()
+	e.Scan()
+	promotions, demotions := e.Promotions, e.Demotions
+	allocs := testing.AllocsPerRun(20, func() {
+		touch()
+		e.Scan()
+	})
+	if allocs != 0 {
+		t.Fatalf("Scan allocates %v times per call after the first scan", allocs)
+	}
+	if e.Promotions == promotions || e.Demotions == demotions {
+		t.Fatalf("steady-state scans did not migrate both ways: %d promotions, %d demotions",
+			e.Promotions-promotions, e.Demotions-demotions)
+	}
 }

@@ -56,7 +56,11 @@ func (timelineWorkload) Variants() []string { return []string{"bursty", "steady"
 
 // DefaultConfig implements Workload. CXLPercent is the *initial* far-tier
 // share (the Fig. 7 cold start puts everything far), TargetQPS the base
-// rate, and Ops the epoch count on the 5 ms sampling grid.
+// rate, and Ops the epoch count on the 5 ms sampling grid. Ops=200 holds in
+// quick mode too: it overrides the 30 epochs of tpptimeline.Config.Quick,
+// so a quick run (the tpp-timeline experiment, cxlbench -quick, cxlserve
+// -quick) keeps Quick's 2048 pages but simulates the full 1 s horizon, about
+// 150k arrivals, not 150 ms.
 func (timelineWorkload) DefaultConfig() Config {
 	return Config{Variant: "bursty", Device: "CXL-A", CXLPercent: 100, TargetQPS: 50_000, Ops: 200}
 }
@@ -67,6 +71,8 @@ func (timelineWorkload) EventDriven() {}
 // timelineConfigFor maps the generic knobs onto tpptimeline.Config: size
 // resizes the page space, qps sets the base rate (bursts run at 6x base),
 // ops is the epoch count, and the policy percent is the initial placement.
+// A positive ops replaces the epoch count Quick chose, capped at 200 in
+// quick mode.
 func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 	tc := tpptimeline.DefaultConfig()
 	if env != nil && env.Quick {
@@ -110,12 +116,12 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 }
 
 // RunTimeline executes the tpp-timeline model under env with cfg's knob
-// overrides, returning the full time series. The process-wide telemetry
-// trace sink observes the run (feeding cxlserve's /v1/trace and /metrics);
-// extra taps are attached after it. The experiments driver calls this
-// directly for the timeline dataset; the Workload adapter reduces the same
-// result to summary metrics.
-func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, error) {
+// overrides, returning the full time series. The run records its trace into
+// a private ring of the process-wide sink's capacity and publishes that
+// tail when it completes (feeding cxlserve's /v1/trace and /metrics). The
+// experiments driver calls this directly for the timeline dataset; the
+// Workload adapter reduces the same result to summary metrics.
+func RunTimeline(env *Env, cfg Config) (tpptimeline.Result, error) {
 	tc, err := timelineConfigFor(env, cfg)
 	if err != nil {
 		return tpptimeline.Result{}, err
@@ -126,8 +132,10 @@ func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, err
 	if err := tc.Validate(); err != nil {
 		return tpptimeline.Result{}, err
 	}
-	all := append([]sim.Tap{telemetry.Sim.Tap()}, taps...)
-	return tpptimeline.Run(env.Sys, tc, cfg.Device, all...), nil
+	tail := sim.NewTraceRing(telemetry.Sim.Cap())
+	res := tpptimeline.Run(env.Sys, tc, cfg.Device, tail)
+	telemetry.Sim.Publish(tail)
+	return res, nil
 }
 
 // Run implements Workload: the timeline reduced to steady-state summary

@@ -84,8 +84,11 @@ func DefaultConfig() Config {
 }
 
 // Quick returns a shrunken copy for quick mode: a quarter of the pages over
-// a 150 ms horizon, enough for the promotion ramp to be visible while
-// keeping the golden corpus cheap.
+// a 150 ms horizon, enough for the promotion ramp to be visible. Callers
+// that set Epochs afterwards keep only the smaller page space: the
+// tpp-timeline workload adapter's default of 200 epochs overrides the 30
+// set here, so its quick runs, and the golden they pin, simulate 1 s and
+// about 150k arrivals.
 func (c Config) Quick() Config {
 	c.Pages = 2048
 	c.Epochs = 30
