@@ -92,23 +92,6 @@ func BenchmarkAccessMemoryMiss(b *testing.B) {
 	benchHierarchy(b, Home{Kind: HomeLocalDDR}, 1<<19) // 32 MB buffer
 }
 
-// BenchmarkReadStreamFused pins the monomorphized stream kernel on the fig5
-// shape (DDR-homed 32 MB working set, SNC-confined route): the kernel must
-// exist and dispatch, so a silently dead fused path fails the benchmark
-// instead of quietly regressing to the generic loop. CI runs this as a smoke
-// test.
-func BenchmarkReadStreamFused(b *testing.B) {
-	h := NewHierarchy(SPRHierConfig(4))
-	h.materializeAll()
-	if h.kern == nil {
-		b.Fatal("SPR hierarchy did not build a stream kernel")
-	}
-	if rt := h.routeFor(Home{Kind: HomeLocalDDR}); rt.mask == 0 {
-		b.Fatal("confined SPR route is not a power of two — fused dispatch dead")
-	}
-	benchHierarchy(b, Home{Kind: HomeLocalDDR}, 1<<19)
-}
-
 // BenchmarkAccessScalar pins the scalar Access entry point on the miss-heavy
 // shape, to keep the ReadStream fast path honest.
 func BenchmarkAccessScalar(b *testing.B) {

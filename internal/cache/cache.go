@@ -14,7 +14,11 @@
 // Because the mlc measurement loops funnel millions of simulated accesses
 // through this package, the tag stores are built for throughput: one packed
 // 64-bit word per line, recency-ordered within each set (see engine.go for
-// the layout and the equivalence argument with stamp-based LRU).
+// the layout and the equivalence argument with stamp-based LRU). A
+// hierarchy carves every cache's slab from one arena on first use. Accesses
+// enter through scalar Access, the reference, or through ReadStream and
+// ReadStreamSharded, which share one fused stream loop (kernel.go) that
+// shape-randomized tests hold equal to Access.
 //
 // It also provides Che's approximation for LRU hit rates under zipfian
 // popularity, used by the analytic application models where simulating every
@@ -87,8 +91,10 @@ type Home struct {
 // Cache is a single set-associative, LRU write-back cache.
 // It stores tags only — the simulation tracks placement, not data.
 //
-// The tag store is allocated lazily on the first fill: building a System is
-// cheap for the many analytic experiments that never simulate an access.
+// The tag store is allocated lazily, so building a System stays cheap for
+// the many analytic experiments that never simulate an access: a
+// hierarchy's caches are carved from its arena on the hierarchy's first
+// access, a standalone cache allocates its own slab on its first fill.
 // Storage is a single flat slab of packed tag words; engine.go holds the
 // layout and the access operations.
 type Cache struct {

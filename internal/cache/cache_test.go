@@ -161,15 +161,24 @@ func TestSPRHierConfig(t *testing.T) {
 }
 
 func TestHierConfigValidate(t *testing.T) {
-	cfg := SPRHierConfig(4)
-	cfg.SNCNodes = 5 // 32 % 5 != 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("non-dividing SNC nodes should fail")
-	}
-	cfg = SPRHierConfig(4)
-	cfg.Cores = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("zero cores should fail")
+	for _, tc := range []struct {
+		name      string
+		cores, sn int
+		ok        bool
+	}{
+		{"SNC does not divide", 32, 5, false},
+		{"zero cores", 0, 1, false},
+		{"non-pow2 slices", 24, 1, false},
+		{"non-pow2 slices per node", 48, 2, false},
+		{"SNC past the packed home limit", 32, 2 * (MaxHomeNode + 1), false},
+		{"SNC at the packed home limit", 32, MaxHomeNode + 1, true},
+		{"single core", 1, 1, true},
+	} {
+		cfg := SPRHierConfig(tc.sn)
+		cfg.Cores = tc.cores
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s (%d cores, %d SNC nodes): Validate() = %v, want ok=%t", tc.name, tc.cores, tc.sn, err, tc.ok)
+		}
 	}
 }
 

@@ -174,8 +174,10 @@ func ordRemove(ord uint64, p int, lruShift uint) uint64 {
 	return (ord&low|ord>>4&^low)&^(15<<lruShift) | uint64(p)<<lruShift
 }
 
-// materialize allocates the tag slab and sidecars on first fill. Zero words
-// are empty slots, so only the order words need an initialization pass.
+// materialize allocates a standalone cache's tag slab and sidecars on first
+// fill (a hierarchy carves its caches' slabs before any fill, so for them it
+// is a no-op). Zero words are empty slots, so only the order words need an
+// initialization pass.
 func (c *Cache) materialize() {
 	if c.words == nil {
 		c.words = make([]uint64, c.setCount*c.ways)

@@ -43,13 +43,24 @@ func SPRHierConfig(sncNodes int) HierConfig {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Beyond dividing the cores evenly,
+// the SNC node count must fit the packed home field (MaxHomeNode), and the
+// slice count (one per core) must be a power of two: the stream loop routes
+// a line to its slice with a mask over the hash's low bits. A node's slice
+// count Cores/SNCNodes divides Cores, so it is then a power of two as well.
 func (c HierConfig) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("cache: %d cores", c.Cores)
 	}
 	if c.SNCNodes <= 0 || c.Cores%c.SNCNodes != 0 {
 		return fmt.Errorf("cache: %d cores do not divide into %d SNC nodes", c.Cores, c.SNCNodes)
+	}
+	if c.SNCNodes-1 > MaxHomeNode {
+		return fmt.Errorf("cache: %d SNC nodes exceed the packed cache-line home limit (max node %d)",
+			c.SNCNodes, MaxHomeNode)
+	}
+	if c.Cores&(c.Cores-1) != 0 {
+		return fmt.Errorf("cache: %d cores (LLC slices) is not a power of two", c.Cores)
 	}
 	return nil
 }
@@ -64,71 +75,50 @@ type Hierarchy struct {
 	// LLCHits/LLCMisses aggregate slice-level statistics.
 	LLCHits, LLCMisses uint64
 
-	arena []uint64 // slab arena shared by every cache; see materializeAll
-	// fresh records that every cache was carved from the arena (no cache had
-	// materialized standalone first), so the arena alone is the hierarchy's
-	// complete line state. Capture/Restore (snapshot.go) require it.
-	fresh bool
+	arena []uint64 // slab arena backing every cache; see materializeAll
 
-	// kern is the monomorphized LLC view for the fused stream loop, built by
-	// materializeAll when the slab layout allows it (kernel.go); nil means
-	// streamInto uses the generic per-slice loop. Read-only once built.
-	kern *streamKernel
+	// kern is the flat LLC view the stream loop runs on (kernel.go), built
+	// with the arena and read-only afterwards.
+	kern streamKernel
 
 	// Reusable counting-sort scratch for ReadStreamSharded (stream.go).
 	shardBuf []uint64
 	shardOff []int32
 }
 
-// materializeAll backs every not-yet-materialized cache with a slab carved
-// from one contiguous arena, madvised toward 2 MB pages. A simulated access
-// touches two or three random sets across megabytes of slab; on 4 KB pages
-// each touch costs a dTLB miss whose page walk serializes the whole stream,
-// so pooling the slabs into a huge-page arena is worth more than any
-// micro-optimization of the probe loops. Caches that already materialized
-// standalone (via Cache.Insert) keep their slabs and their state.
+// materializeAll backs every cache with a slab carved from one contiguous
+// arena, madvised toward 2 MB pages. A simulated access touches two or three
+// random sets across megabytes of slab; on 4 KB pages each touch costs a
+// dTLB miss whose page walk serializes the whole stream, so pooling the
+// slabs into a huge-page arena is worth more than any micro-optimization of
+// the probe loops. Every entry point (Access, the stream drivers, Capture,
+// Restore) calls it first, so a hierarchy's caches never materialize on
+// their own and the arena is always the hierarchy's complete line state.
 func (h *Hierarchy) materializeAll() {
 	if h.arena != nil {
 		return
 	}
-	fresh := true // every cache carved from this arena (kernel + snapshot precondition)
-	total := 0
-	for _, c := range h.all() {
-		if c.words == nil {
-			total += c.setCount*c.ways + 2*c.setCount // words + fingerprints + orders
-		} else {
-			fresh = false
-		}
+	all := h.all()
+	nWords, nMeta := 0, 0
+	for _, c := range all {
+		nWords += c.setCount * c.ways
+		nMeta += 2 * c.setCount // fingerprint + order word per set
 	}
-	h.fresh = fresh
-	h.arena = make([]uint64, total)
+	h.arena = make([]uint64, nWords+nMeta)
 	adviseHugePages(h.arena)
-	off := 0
-	carve := func(n int) []uint64 {
-		s := h.arena[off : off+n : off+n]
-		off += n
-		return s
-	}
-	// Carve in two passes — all words, then all sidecars, each in all()
-	// order — so that each slice-level array is contiguous across slices.
-	// buildKernel relies on that slice-major layout for its flat LLC views.
-	for _, c := range h.all() {
-		if c.words != nil {
-			continue
-		}
-		c.words = carve(c.setCount * c.ways)
-	}
-	for _, c := range h.all() {
-		if c.meta == nil {
-			c.meta = carve(2 * c.setCount)
-			for i := 1; i < len(c.meta); i += 2 {
-				c.meta[i] = identityOrder
-			}
+	// All words, then all sidecars, each in all() order: every slice-level
+	// array is contiguous across slices, the layout buildKernel views.
+	words, meta := h.arena[:nWords], h.arena[nWords:]
+	for _, c := range all {
+		n := c.setCount * c.ways
+		c.words, words = words[:n:n], words[n:]
+		n = 2 * c.setCount
+		c.meta, meta = meta[:n:n], meta[n:]
+		for i := 1; i < n; i += 2 {
+			c.meta[i] = identityOrder
 		}
 	}
-	if fresh {
-		h.buildKernel()
-	}
+	h.buildKernel(nWords)
 }
 
 // all yields every cache in the hierarchy, LLC slices first (they are the
@@ -166,12 +156,11 @@ func (h *Hierarchy) NodeOf(core int) int {
 
 // sliceRoute is the hoisted slice-routing decision for one Home: the probe
 // loops resolve it once per stream instead of once per access. slice() maps
-// a line's hash into [base, base+count) — with a mask when count is a power
-// of two (it always is on the modeled SPR part), a modulo otherwise.
+// a line's hash into [base, base+mask]; Validate guarantees every route
+// spans a power-of-two slice count, so a mask suffices.
 type sliceRoute struct {
-	base  int
-	count uint64
-	mask  uint64 // count-1 when count is a power of two, else 0
+	base int
+	mask uint64 // slice count - 1
 }
 
 // routeFor resolves the SNC isolation rules of §4.3 for the given home.
@@ -185,30 +174,16 @@ func (h *Hierarchy) routeFor(home Home) sliceRoute {
 			confined = !h.cfg.CXLBreaksIsolation
 		}
 	}
-	r := sliceRoute{count: uint64(h.cfg.Cores)}
-	if confined {
-		perNode := h.cfg.Cores / h.cfg.SNCNodes
-		r.base = home.Node * perNode
-		r.count = uint64(perNode)
+	if !confined {
+		return sliceRoute{mask: uint64(h.cfg.Cores - 1)}
 	}
-	if r.count&(r.count-1) == 0 {
-		r.mask = r.count - 1
-	}
-	return r
+	perNode := h.cfg.Cores / h.cfg.SNCNodes
+	return sliceRoute{base: home.Node * perNode, mask: uint64(perNode - 1)}
 }
 
 // slice routes a line (addr/LineBytes) to its LLC slice index.
 func (r sliceRoute) slice(line uint64) int {
-	return r.sliceHash(line * 0x9e3779b97f4a7c15)
-}
-
-// sliceHash routes an already-hashed line, so callers that share the hash
-// with the set-index computation multiply only once.
-func (r sliceRoute) sliceHash(hash uint64) int {
-	if r.mask != 0 {
-		return r.base + int(hash&r.mask)
-	}
-	return r.base + int(hash%r.count)
+	return r.base + int(line*fibMul&r.mask)
 }
 
 // sliceFor routes an address with the given home to its LLC slice.
@@ -267,6 +242,7 @@ func (h *Hierarchy) Access(core int, addr uint64, home Home, write bool) Level {
 	if core < 0 || core >= h.cfg.Cores {
 		panic(fmt.Sprintf("cache: core %d out of range", core))
 	}
+	h.materializeAll()
 	if h.l1[core].Lookup(addr, write) {
 		return L1
 	}
@@ -286,15 +262,15 @@ func (h *Hierarchy) Access(core int, addr uint64, home Home, write bool) Level {
 	return Memory
 }
 
-// homeBitsMask selects a word's home (kind + node) bits.
-const homeBitsMask = remoteFlag | uint64(MaxHomeNode)<<nodeShift
-
 // ReadStream performs one read access per address in addrs, all issued by
 // core against pages homed the same way, and accumulates into counts the
 // level that satisfied each access. It is behaviorally identical to calling
-// Access(core, addr, home, false) per address (TestReadStreamMatchesAccess
-// pins this), but the whole L1→L2→LLC probe/fill/spill chain is fused into
-// one loop body working directly on the packed slabs:
+// Access(core, addr, home, false) per address — Access is the scalar
+// reference, and TestReadStreamMatchesAccess and FuzzStreamMatchesAccess
+// hold the two equal on randomized shapes — but it runs the package's one
+// stream loop (streamFused, kernel.go), which fuses the whole L1→L2→LLC
+// probe/fill/spill chain into one loop body working directly on the packed
+// slabs:
 //
 //   - the line hash is computed once and shared by the set indices, the
 //     slice route and the fingerprint nibble (they consume different bit
@@ -309,7 +285,7 @@ func (h *Hierarchy) ReadStream(core int, addrs []uint64, home Home, counts *Leve
 	}
 	h.materializeAll()
 	st := newStreamCounters(len(h.slices))
-	h.streamInto(core, addrs, h.routeFor(home), packWord(0, home, false), st)
+	h.streamFused(core, addrs, h.routeFor(home), packWord(0, home, false), st)
 	h.flushStream(core, st, counts)
 }
 

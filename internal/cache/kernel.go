@@ -2,23 +2,19 @@ package cache
 
 // Monomorphized stream kernel (DESIGN.md §15).
 //
-// The generic streamInto loop re-resolves LLC slice geometry per access: it
-// loads slices[si], then that Cache's words/fps/orders slice headers, shift,
-// ways and lruShift — six dependent loads through a pointer that the
-// compiler cannot hoist because si changes every iteration. But on every
-// hierarchy the package actually builds, all slices share one geometry and
-// materializeAll carves their slabs slice-major from one arena. buildKernel
-// verifies those preconditions once, at materialize time, and captures flat
-// slice-major views of the LLC slabs; streamFused is the specialization of
-// the loop over those views — slice geometry lives in registers and an LLC
-// set resolves with one multiply-add instead of the pointer chase.
+// Every LLC slice of a hierarchy shares one geometry (NewHierarchy builds
+// them all from one config), and materializeAll carves their slabs
+// slice-major from one arena. buildKernel captures flat views of those
+// slabs, so streamFused — the one stream loop, shared by ReadStream and the
+// sharded driver — keeps slice geometry in registers and resolves an LLC set
+// with one multiply-add instead of a per-slice pointer chase. Every route is
+// a power-of-two mask (HierConfig.Validate), so the loop has no other case.
 //
-// The kernel is built once, before any shard worker can observe it, and is
-// read-only thereafter (the views alias the same arena the Cache structs
-// mutate, so there is no state to keep coherent). Hierarchies that do not
-// meet the preconditions — mixed standalone/arena materialization, nonuniform
-// slice geometry, or a modulo slice route — simply keep kern == nil and run
-// the generic loop; behaviour is identical either way.
+// The kernel is built with the arena, before any shard worker can observe
+// it, and is read-only thereafter (the views alias the same arena the Cache
+// structs mutate, so there is no state to keep coherent). Scalar Access is
+// the independent reference the loop is tested against
+// (TestReadStreamMatchesAccess, FuzzStreamMatchesAccess).
 
 // streamKernel is the flat, slice-major view of every LLC slice's slabs plus
 // their (uniform) geometry. Slice si's set s lives at flat set index
@@ -32,52 +28,31 @@ type streamKernel struct {
 	lru   uint // 4*(ways-1)
 }
 
-// buildKernel installs the monomorphized kernel when the slab layout allows:
-// every slice shares one geometry and the arena was carved fresh (slice
-// slabs contiguous and slice-major, which materializeAll's three-pass carve
-// guarantees). Called only from materializeAll on a fresh carve.
-func (h *Hierarchy) buildKernel() {
-	if len(h.slices) == 0 {
-		return
-	}
-	s0 := h.slices[0]
-	for _, sc := range h.slices {
-		if sc.setCount != s0.setCount || sc.ways != s0.ways {
-			return
-		}
-	}
-	nS := len(h.slices)
-	wordsTotal := 0
-	for _, c := range h.all() {
-		wordsTotal += c.setCount * c.ways
-	}
-	k := &streamKernel{
-		words: h.arena[0 : nS*s0.setCount*s0.ways],
-		meta:  h.arena[wordsTotal : wordsTotal+nS*2*s0.setCount],
+// buildKernel captures the slices' flat views. The slices lead all(), so
+// their words start the arena and their sidecars start at nWords, the end
+// of every cache's words.
+func (h *Hierarchy) buildKernel(nWords int) {
+	s0, n := h.slices[0], len(h.slices)
+	h.kern = streamKernel{
+		words: h.arena[:n*s0.setCount*s0.ways],
+		meta:  h.arena[nWords : nWords+n*2*s0.setCount],
 		sets:  s0.setCount,
 		ways:  s0.ways,
 		shift: s0.shift,
 		lru:   s0.lruShift,
 	}
-	// Cross-check the derived views against the per-slice slabs: the flat
-	// layout assumption must match what the carve actually produced, or the
-	// kernel would silently read the wrong sets. Any mismatch falls back to
-	// the generic loop.
-	for i, sc := range h.slices {
-		if &k.words[i*k.sets*k.ways] != &sc.words[0] || &k.meta[i*2*k.sets] != &sc.meta[0] {
-			return
-		}
-	}
-	h.kern = k
 }
 
-// streamFused is streamInto specialized for the kernel's flat LLC views and
-// a power-of-two (mask) slice route. The L1/L2 halves are identical to the
-// generic loop; only the LLC set resolution differs. Keep the two loops in
-// lockstep — TestStreamFusedMatchesGeneric holds them access-for-access
-// equal.
+// homeBitsMask selects a word's home (kind + node) bits.
+const homeBitsMask = remoteFlag | uint64(MaxHomeNode)<<nodeShift
+
+// streamFused is the fused L1→L2→LLC probe/fill/spill loop shared by
+// ReadStream and the sharded driver. All statistics go to st; cache state
+// (slabs, fingerprints, order words) is mutated directly. Callers guarantee
+// the hierarchy is materialized and that concurrent calls touch disjoint
+// sets.
 func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBits uint64, st *streamCounters) {
-	k := h.kern
+	k := &h.kern
 	l1, l2 := h.l1[core], h.l2[core]
 	l1w, l1m, l1ways, l1shift, l1lru := l1.words, l1.meta, l1.ways, l1.shift, l1.lruShift
 	l2w, l2m, l2ways, l2shift, l2lru := l2.words, l2.meta, l2.ways, l2.shift, l2.lruShift
@@ -93,7 +68,8 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		nib := nibbleOf(hash)
 		rep := nib * swarLow
 
-		// L1 probe.
+		// L1 probe (hash>>64 is 0 in Go, so a single-set cache needs no
+		// special case).
 		s1 := int(hash >> l1shift)
 		b1 := s1 * l1ways
 		set1 := l1w[b1 : b1+l1ways]
@@ -112,6 +88,7 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		if i := findIn(set2, l2m[2*s2], rep, ptag); i >= 0 {
 			l2m[2*s2+1] = ordPromote(l2m[2*s2+1], i)
 			l2Hit++
+			// Fill L1; its victims drop silently (L2 is inclusive of L1).
 			if fillSlot(set1, l1m, s1, ptag|homeBits, nib, l1lru) != 0 {
 				l1Evict++
 			}
@@ -120,8 +97,11 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		}
 		l2Miss++
 
-		// LLC probe against the flat slice-major slabs: one multiply-add
-		// resolves the global set, no per-slice pointer chase.
+		// LLC probe: the combined probe-promote-evict step against the flat
+		// slice-major slabs, where one multiply-add resolves the global set.
+		// A victim-cache hit removes the line (it is promoted into L1/L2
+		// below, carrying its dirty bit); a miss fills from memory and never
+		// reads the slice's tag words.
 		si := base + int(hash&mask)
 		g3 := si*llcSets + int(hash>>llcShift)
 		b3 := g3 * llcWays
@@ -153,6 +133,8 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		vrep := vnib * swarLow
 		var vi int
 		if victim&homeBitsMask == homeBits {
+			// The common mlc case: the victim shares the stream's home, so
+			// its routing is already resolved.
 			vi = base + int(vhash&mask)
 		} else {
 			vi = h.sliceFor(vline*LineBytes, unpackHome(victim))
@@ -160,6 +142,9 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		vg := vi*llcSets + int(vhash>>llcShift)
 		vb := vg * llcWays
 		vset := llcW[vb : vb+llcWays]
+		// Spill with full Insert semantics: another core's copy of the line
+		// may already sit in the slice, in which case it is refreshed with
+		// the dirty bits merged and the resident home preserved.
 		if vp := findIn(vset, llcM[2*vg], vrep, vline+1); vp >= 0 {
 			llcM[2*vg+1] = ordPromote(llcM[2*vg+1], vp)
 			vset[vp] |= victim & dirtyFlag

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"cxlmem/internal/sim"
@@ -17,6 +18,44 @@ func shrunkConfig(snc int) HierConfig {
 	return cfg
 }
 
+// hierDiff compares two hierarchies' complete state: every cache's packed
+// words, fingerprint sidecars, recency order words and statistic counters,
+// plus the aggregate LLC counters. Byte-identity, not tolerance. It
+// describes the first divergence, or returns "" when there is none.
+func hierDiff(want, got *Hierarchy) string {
+	if want.LLCHits != got.LLCHits || want.LLCMisses != got.LLCMisses {
+		return fmt.Sprintf("LLC counters diverge: %d/%d, want %d/%d",
+			got.LLCHits, got.LLCMisses, want.LLCHits, want.LLCMisses)
+	}
+	wa, ga := want.all(), got.all()
+	for ci := range wa {
+		w, g := wa[ci], ga[ci]
+		if w.Hits != g.Hits || w.Misses != g.Misses || w.Evictions != g.Evictions {
+			return fmt.Sprintf("cache %d counters diverge: %d/%d/%d, want %d/%d/%d",
+				ci, g.Hits, g.Misses, g.Evictions, w.Hits, w.Misses, w.Evictions)
+		}
+		for i := range w.words {
+			if w.words[i] != g.words[i] {
+				return fmt.Sprintf("cache %d word %d diverges: %#x, want %#x", ci, i, g.words[i], w.words[i])
+			}
+		}
+		for i := range w.meta {
+			if w.meta[i] != g.meta[i] {
+				return fmt.Sprintf("cache %d sidecar word %d diverges: %#x, want %#x", ci, i, g.meta[i], w.meta[i])
+			}
+		}
+	}
+	return ""
+}
+
+// requireHierEqual fails the test at the first divergence hierDiff finds.
+func requireHierEqual(t *testing.T, want, got *Hierarchy) {
+	t.Helper()
+	if d := hierDiff(want, got); d != "" {
+		t.Fatal(d)
+	}
+}
+
 // seedHierarchy replays identical cross-core traffic — writes (dirty lines)
 // and a foreign home included — into a hierarchy through the scalar path.
 func seedHierarchy(h *Hierarchy) {
@@ -29,39 +68,11 @@ func seedHierarchy(h *Hierarchy) {
 	}
 }
 
-// requireHierEqual compares two hierarchies' complete state: every cache's
-// packed words, fingerprint sidecars, recency order words and statistic
-// counters, plus the aggregate LLC counters. Byte-identity, not tolerance.
-func requireHierEqual(t *testing.T, want, got *Hierarchy) {
-	t.Helper()
-	if want.LLCHits != got.LLCHits || want.LLCMisses != got.LLCMisses {
-		t.Fatalf("LLC counters diverge: %d/%d, want %d/%d",
-			got.LLCHits, got.LLCMisses, want.LLCHits, want.LLCMisses)
-	}
-	wa, ga := want.all(), got.all()
-	for ci := range wa {
-		w, g := wa[ci], ga[ci]
-		if w.Hits != g.Hits || w.Misses != g.Misses || w.Evictions != g.Evictions {
-			t.Fatalf("cache %d counters diverge: %d/%d/%d, want %d/%d/%d",
-				ci, g.Hits, g.Misses, g.Evictions, w.Hits, w.Misses, w.Evictions)
-		}
-		for i := range w.words {
-			if w.words[i] != g.words[i] {
-				t.Fatalf("cache %d word %d diverges: %#x, want %#x", ci, i, g.words[i], w.words[i])
-			}
-		}
-		for i := range w.meta {
-			if w.meta[i] != g.meta[i] {
-				t.Fatalf("cache %d sidecar word %d diverges: %#x, want %#x", ci, i, g.meta[i], w.meta[i])
-			}
-		}
-	}
-}
-
-// TestReadStreamShardedMatchesSerial pins the sharded driver's contract: for
-// any stream, home and worker count, ReadStreamSharded leaves the hierarchy
-// bit-identical to the serial ReadStream and reports the same histogram —
-// the determinism the exact-fidelity golden corpus rides on.
+// TestReadStreamShardedMatchesSerial pins the sharded driver's contract on
+// the SPR slice layout: for long streams, either home and worker counts up
+// to 8, ReadStreamSharded leaves the hierarchy bit-identical to the serial
+// ReadStream and reports the same histogram — the determinism the
+// exact-fidelity golden corpus rides on.
 func TestReadStreamShardedMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string

@@ -3,8 +3,8 @@ package cache
 // Hierarchy state snapshots (DESIGN.md §15).
 //
 // A warmed hierarchy is expensive to produce — the buffer-latency warmup
-// streams millions of simulated accesses — and cheap to describe: once every
-// cache is carved from the shared arena, the arena's words plus the
+// streams millions of simulated accesses — and cheap to describe: every
+// cache is carved from the shared arena, so the arena's words plus the
 // per-cache statistic counters ARE the complete simulated state. Capture
 // copies them out; Restore copies them back into any hierarchy of the same
 // configuration, leaving it byte-identical to the captured one (the
@@ -32,30 +32,14 @@ func (s *Snapshot) Bytes() int64 {
 }
 
 // Pristine reports whether the hierarchy has never simulated an access: no
-// cache has a materialized tag store. A pristine hierarchy is guaranteed to
-// Capture and Restore successfully, and restoring into one is equivalent to
-// replaying the captured hierarchy's whole history into it.
-func (h *Hierarchy) Pristine() bool {
-	if h.arena != nil {
-		return false
-	}
-	for _, c := range h.all() {
-		if c.words != nil {
-			return false
-		}
-	}
-	return true
-}
+// slab arena is carved yet. Restoring into a pristine hierarchy is
+// equivalent to replaying the captured hierarchy's whole history into it.
+func (h *Hierarchy) Pristine() bool { return h.arena == nil }
 
-// Capture deep-copies the hierarchy's simulated state. It reports false —
-// and copies nothing — when the state is not arena-complete (some cache
-// materialized standalone before the hierarchy first streamed, so its slab
-// lives outside the arena); callers fall back to recomputing.
-func (h *Hierarchy) Capture() (*Snapshot, bool) {
+// Capture deep-copies the hierarchy's simulated state: its arena plus every
+// cache's statistic counters.
+func (h *Hierarchy) Capture() *Snapshot {
 	h.materializeAll()
-	if !h.fresh {
-		return nil, false
-	}
 	all := h.all()
 	s := &Snapshot{
 		cfg:       h.cfg,
@@ -68,23 +52,19 @@ func (h *Hierarchy) Capture() (*Snapshot, bool) {
 	for _, c := range all {
 		s.counters = append(s.counters, c.Hits, c.Misses, c.Evictions)
 	}
-	return s, true
+	return s
 }
 
 // Restore overwrites the hierarchy's simulated state with the snapshot's,
 // leaving it byte-identical to the hierarchy Capture saw. It reports false —
-// and changes nothing — when the hierarchy cannot accept the snapshot: its
-// configuration differs, or its slabs are not arena-complete. The arena
-// carve is deterministic per configuration, so two fresh carves of equal
+// and changes nothing — when the hierarchy's configuration differs from the
+// snapshot's. The arena carve is deterministic per configuration, so equal
 // configurations always have identical layouts.
 func (h *Hierarchy) Restore(s *Snapshot) bool {
 	if h.cfg != s.cfg {
 		return false
 	}
 	h.materializeAll()
-	if !h.fresh || len(h.arena) != len(s.arena) {
-		return false
-	}
 	copy(h.arena, s.arena)
 	h.LLCHits, h.LLCMisses = s.llcHits, s.llcMisses
 	for i, c := range h.all() {

@@ -60,131 +60,6 @@ func newStreamCounters(slices int) *streamCounters {
 	}
 }
 
-// streamInto is the fused L1→L2→LLC probe/fill/spill loop shared by
-// ReadStream and the sharded driver. All statistics go to st; cache state
-// (slabs, fingerprints, order words) is mutated directly. Callers guarantee
-// the hierarchy is materialized and that concurrent calls touch disjoint
-// sets. When the hierarchy carries a monomorphized kernel and the route is
-// mask-based, the specialized loop (kernel.go) runs instead; the two are
-// access-for-access identical (TestStreamFusedMatchesGeneric pins it).
-func (h *Hierarchy) streamInto(core int, addrs []uint64, rt sliceRoute, homeBits uint64, st *streamCounters) {
-	if h.kern != nil && rt.mask != 0 {
-		h.streamFused(core, addrs, rt, homeBits, st)
-		return
-	}
-	l1, l2 := h.l1[core], h.l2[core]
-	slices := h.slices
-	l1w, l1m, l1ways, l1shift, l1lru := l1.words, l1.meta, l1.ways, l1.shift, l1.lruShift
-	l2w, l2m, l2ways, l2shift, l2lru := l2.words, l2.meta, l2.ways, l2.shift, l2.lruShift
-	var l1Hit, l1Miss, l1Evict, l2Hit, l2Miss, l2Evict uint64
-	var nL1, nL2, nLLC, nMem uint64
-	for _, addr := range addrs {
-		line := addr / LineBytes
-		ptag := line + 1
-		hash := line * fibMul
-		nib := nibbleOf(hash)
-		rep := nib * swarLow
-
-		// L1 probe (hash>>64 is 0 in Go, so a single-set cache needs no
-		// special case).
-		s1 := int(hash >> l1shift)
-		b1 := s1 * l1ways
-		set1 := l1w[b1 : b1+l1ways]
-		if i := findIn(set1, l1m[2*s1], rep, ptag); i >= 0 {
-			l1m[2*s1+1] = ordPromote(l1m[2*s1+1], i)
-			l1Hit++
-			nL1++
-			continue
-		}
-		l1Miss++
-
-		// L2 probe.
-		s2 := int(hash >> l2shift)
-		b2 := s2 * l2ways
-		set2 := l2w[b2 : b2+l2ways]
-		if i := findIn(set2, l2m[2*s2], rep, ptag); i >= 0 {
-			l2m[2*s2+1] = ordPromote(l2m[2*s2+1], i)
-			l2Hit++
-			// Fill L1; its victims drop silently (L2 is inclusive of L1).
-			if fillSlot(set1, l1m, s1, ptag|homeBits, nib, l1lru) != 0 {
-				l1Evict++
-			}
-			nL2++
-			continue
-		}
-		l2Miss++
-
-		// LLC probe: the combined probe-promote-evict step. A victim-cache
-		// hit removes the line (it is promoted into L1/L2 below, carrying
-		// its dirty bit); a miss fills from memory and never reads the
-		// slice's tag words.
-		si := rt.sliceHash(hash)
-		sc := slices[si]
-		s3 := int(hash >> sc.shift)
-		b3 := s3 * sc.ways
-		set3 := sc.words[b3 : b3+sc.ways]
-		var dirtyBit uint64
-		if i := findIn(set3, sc.meta[2*s3], rep, ptag); i >= 0 {
-			dirtyBit = set3[i] & dirtyFlag
-			clearSlot(set3, sc.meta, s3, i, sc.lruShift)
-			st.sliceHits[si]++
-			nLLC++
-		} else {
-			st.sliceMisses[si]++
-			nMem++
-		}
-
-		// Fill the private levels; spill the L2 victim to its routed slice.
-		fill := ptag | homeBits | dirtyBit
-		if fillSlot(set1, l1m, s1, fill, nib, l1lru) != 0 {
-			l1Evict++
-		}
-		victim := fillSlot(set2, l2m, s2, fill, nib, l2lru)
-		if victim == 0 {
-			continue
-		}
-		l2Evict++
-		vline := victim&ptagMask - 1
-		vhash := vline * fibMul
-		vnib := nibbleOf(vhash)
-		vrep := vnib * swarLow
-		var vi int
-		if victim&homeBitsMask == homeBits {
-			// The common mlc case: the victim shares the stream's home, so
-			// its routing is already resolved.
-			vi = rt.sliceHash(vhash)
-		} else {
-			vi = h.sliceFor(vline*LineBytes, unpackHome(victim))
-		}
-		vc := slices[vi]
-		vs := int(vhash >> vc.shift)
-		vb := vs * vc.ways
-		vset := vc.words[vb : vb+vc.ways]
-		// Spill with full Insert semantics: another core's copy of the line
-		// may already sit in the slice, in which case it is refreshed with
-		// the dirty bits merged and the resident home preserved.
-		if vp := findIn(vset, vc.meta[2*vs], vrep, vline+1); vp >= 0 {
-			vc.meta[2*vs+1] = ordPromote(vc.meta[2*vs+1], vp)
-			vset[vp] |= victim & dirtyFlag
-			continue
-		}
-		if fillSlot(vset, vc.meta, vs, victim, vnib, vc.lruShift) != 0 {
-			st.sliceEvicts[vi]++
-		}
-	}
-
-	st.l1Hit += l1Hit
-	st.l1Miss += l1Miss
-	st.l1Evict += l1Evict
-	st.l2Hit += l2Hit
-	st.l2Miss += l2Miss
-	st.l2Evict += l2Evict
-	st.counts[L1] += nL1
-	st.counts[L2] += nL2
-	st.counts[LLC] += nLLC
-	st.counts[Memory] += nMem
-}
-
 // flushStream folds one worker's counters into the hierarchy's per-cache
 // statistics and the caller's histogram. Pure addition, so the merge order
 // across workers cannot change the totals.
@@ -245,7 +120,7 @@ func (h *Hierarchy) shardBits(core int) int {
 // in original order), each shard is replayed through the fused loop, and the
 // shard-local counters merge serially afterwards. Results — cache state,
 // statistics, the histogram — are byte-identical to ReadStream for every
-// workers value (TestReadStreamShardedMatchesSerial pins it); workers only
+// workers value (TestReadStreamMatchesAccess pins it); workers only
 // selects the concurrent fan-out (0 = GOMAXPROCS). Even at workers=1 the
 // shard-ordered replay wins: each shard's tag state is a contiguous slab
 // region that stays resident in the host cache.
@@ -311,7 +186,7 @@ func (h *Hierarchy) ReadStreamSharded(core int, addrs []uint64, home Home, count
 				hi = int(off[s+1])
 			}
 			if lo < hi {
-				h.streamInto(core, buf[lo:hi], rt, homeBits, st)
+				h.streamFused(core, buf[lo:hi], rt, homeBits, st)
 			}
 		}
 	}

@@ -21,29 +21,6 @@ func quickOpts() Options {
 	return o
 }
 
-// TestTextEmitterMatchesLegacyRender is the emitter-equivalence property
-// test: for every registered experiment ID in quick mode, the text emitter's
-// rendering of the typed dataset is byte-identical to the legacy
-// Table.Render over the same formatted cells. Together with TestGoldenTables
-// this proves the structured-results refactor changed no rendered byte.
-func TestTextEmitterMatchesLegacyRender(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			d := e.Run(quickOpts())
-			emitted, err := results.Emit(d, "text")
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy := LegacyTable(d).Render()
-			if emitted != legacy {
-				t.Errorf("text emitter diverges from legacy render:\n--- legacy ---\n%s\n--- emitter ---\n%s", legacy, emitted)
-			}
-		})
-	}
-}
-
 // TestDatasetJSONRoundTripAllExperiments asserts losslessness end to end:
 // every registered experiment's dataset survives Dataset -> json -> Dataset
 // with deep equality of the re-rendered text.

@@ -99,63 +99,6 @@ func (o Options) fingerprint() string {
 		o.Quick, o.FastWarmup, o.Seed, o.Platform, o.fidelity())
 }
 
-// Table is the legacy pre-formatted rendering path: rows of already
-// formatted strings. Drivers no longer build Tables — they return typed
-// results.Datasets — but the type and its Render stay as the reference
-// implementation the emitter-equivalence property test compares the text
-// emitter against (and as a conversion target via LegacyTable).
-type Table struct {
-	// ID is the experiment identifier ("fig3", "table1", ...).
-	ID string
-	// Title describes the experiment.
-	Title string
-	// Headers labels the columns.
-	Headers []string
-	// Rows holds the data, already formatted.
-	Rows [][]string
-	// Notes carries qualitative checks and paper references.
-	Notes []string
-}
-
-// LegacyTable formats a dataset down to the legacy pre-formatted Table —
-// the lossy direction: cells become display strings.
-func LegacyTable(d *results.Dataset) *Table {
-	return &Table{ID: d.ID, Title: d.Title, Headers: d.Headers(), Rows: d.TextRows(), Notes: d.Notes}
-}
-
-// Render returns an aligned text rendering. The column-width pass is the
-// shared results.ColumnWidths helper — the same one the text emitter uses —
-// so the two renderers cannot drift.
-func (t *Table) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := results.ColumnWidths(t.Headers, t.Rows)
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
 // Experiment is a registered driver.
 type Experiment struct {
 	// ID is the registry key.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cxlmem/internal/mem"
 	"cxlmem/internal/topo"
 )
 
@@ -27,41 +26,6 @@ func TestBufferLatencyWorkersInvariant(t *testing.T) {
 		if got := measure(workers); got != want {
 			t.Errorf("workers=%d: latencies %v, want %v", workers, got, want)
 		}
-	}
-}
-
-// TestIdleLatencyChainsOneMatchesSerial pins the chain-partition scheme's
-// compatibility contract: at Chains <= 1 the permutation build consumes the
-// base RNG stream exactly as the historical single-chain chase did, so the
-// measurement is bit-identical regardless of worker count.
-func TestIdleLatencyChainsOneMatchesSerial(t *testing.T) {
-	measure := func(o StreamOptions) int64 {
-		sys := topo.NewSystem(topo.MicrobenchConfig())
-		return int64(IdleLatencyOpt(sys, sys.Path("CXL-A"), 20000, 1, o))
-	}
-	want := measure(StreamOptions{})
-	for _, o := range []StreamOptions{{Chains: 1}, {Workers: 4}, {Chains: 1, Workers: 3}} {
-		if got := measure(o); got != want {
-			t.Errorf("options %+v: latency %d, want %d", o, got, want)
-		}
-	}
-}
-
-// TestIdleLatencyMultiChain checks the concurrent-chain chase: chains touch
-// disjoint line ranges of a buffer twice the LLC with fewer steps than
-// lines, so — exactly like the single chain — every access is a compulsory
-// miss and the measured latency equals the serial path latency. It is also
-// deterministic run to run.
-func TestIdleLatencyMultiChain(t *testing.T) {
-	sys := topo.NewSystem(topo.MicrobenchConfig())
-	p := sys.Path("CXL-A")
-	got := IdleLatencyOpt(sys, p, 20000, 1, StreamOptions{Chains: 4})
-	if want := p.SerialLatency(mem.Load); got != want {
-		t.Errorf("4-chain chase idle latency %v, want exactly serial %v", got, want)
-	}
-	sys2 := topo.NewSystem(topo.MicrobenchConfig())
-	if again := IdleLatencyOpt(sys2, sys2.Path("CXL-A"), 20000, 1, StreamOptions{Chains: 4}); again != got {
-		t.Errorf("4-chain chase not deterministic: %v then %v", got, again)
 	}
 }
 

@@ -11,9 +11,11 @@
 //     a chosen size, which exposes the SNC/LLC interaction of §4.3 (Fig. 5).
 //
 // The measurement loops are streamed: addresses are generated in large
-// chunks and driven through cache.Hierarchy.ReadStreamSharded, which
-// partitions each chunk by set-index prefix, replays the shards (optionally
-// across StreamOptions.Workers goroutines), and accumulates a per-level hit
+// chunks — the idle-latency chase is one precomputed Sattolo cycle, so its
+// addresses are known ahead too — and driven through
+// cache.Hierarchy.ReadStreamSharded, which partitions each chunk by
+// set-index prefix, replays the shards (across StreamOptions.Workers
+// goroutines; every CPU for IdleLatency), and accumulates a per-level hit
 // histogram; the average latency is computed once per level at the end.
 // Sharding is byte-identical to the serial stream for every worker count
 // (see internal/cache/stream.go), and because every access at a level
@@ -42,19 +44,17 @@ import (
 const chunkLines = 512 << 10
 
 // StreamOptions tunes how the measurement loops drive the cache hierarchy.
-// The zero value reproduces the historical defaults. Every knob is
-// throughput-only: measured values are byte-identical for any setting.
+// The zero value reproduces the historical defaults. Workers only changes
+// throughput and Ctx only bounds the run: a measurement that completes is
+// byte-identical for any setting of either. Warm is different: it picks the
+// warmup policy, which can shift the last digit of a measurement, and it is
+// part of the warm-state key.
 type StreamOptions struct {
 	// Warm selects BufferLatency's warmup policy (WarmupExact default).
 	Warm Warmup
 	// Workers bounds the sharded stream engine's concurrent shard workers;
 	// 0 uses every available CPU.
 	Workers int
-	// Chains is IdleLatency's independent pointer-chase chain count: the
-	// buffer splits into Chains disjoint Sattolo cycles chased round-robin,
-	// the loaded-latency shape real MLC measures with. 0 or 1 keeps the
-	// single fully-dependent chase (the idle-latency contract).
-	Chains int
 	// Ctx bounds BufferLatency's warmup: it is checked between address
 	// chunks, and a cancellation unwinds as a panic carrying Ctx's error
 	// (the sweep engine's convention — experiments.recoverAsErr restores
@@ -87,19 +87,9 @@ func streamTotal(path *topo.Path, counts *cache.LevelCounts) sim.Time {
 // (Sattolo's algorithm, deterministic from seed) over a buffer twice the
 // LLC: each load's address is the pointer the previous load returned —
 // MLC's shuffled-pointer buffer — so in steady state essentially every
-// access misses the hierarchy and pays the full serial path latency.
+// access misses the hierarchy and pays the full serial path latency. The
+// chase is computed ahead in chunks and streamed through the sharded engine.
 func IdleLatency(sys *topo.System, path *topo.Path, steps int, seed uint64) sim.Time {
-	return IdleLatencyOpt(sys, path, steps, seed, StreamOptions{})
-}
-
-// IdleLatencyOpt is IdleLatency with explicit StreamOptions. With Chains > 1
-// the buffer splits into Chains contiguous ranges, each shuffled into its own
-// Sattolo cycle and chased round-robin — the concurrent-chain loaded-latency
-// shape real MLC measures with. The chains touch disjoint lines, so the
-// steady-state miss behaviour (every access past the LLC) is unchanged; what
-// changes is that the address stream is known Chains steps ahead, which is
-// what lets the sharded engine batch it.
-func IdleLatencyOpt(sys *topo.System, path *topo.Path, steps int, seed uint64, o StreamOptions) sim.Time {
 	if steps <= 0 {
 		panic("mlc: non-positive step count")
 	}
@@ -107,54 +97,31 @@ func IdleLatencyOpt(sys *topo.System, path *topo.Path, steps int, seed uint64, o
 	home := sys.HomeFor(path, 0)
 	bufBytes := int64(2) * int64(hier.Config().Cores) * hier.Config().LLCSliceBytes
 	lines := int(bufBytes / cache.LineBytes)
-	chains := o.Chains
-	if chains <= 0 {
-		chains = 1
-	}
-	if chains > lines {
-		chains = lines
-	}
 
-	// Build the chase: next[i] is the line the load of line i points at.
-	// Each chain owns one contiguous range of the buffer shuffled into a
-	// single cycle (Sattolo), so no chain can trap itself in a short
-	// cache-resident loop. Chain 0 shuffles with the base RNG stream
-	// directly: at Chains <= 1 the permutation — and so the measurement —
-	// is bit-identical to the historical single-chain chase
-	// (TestIdleLatencyChainsOneMatchesSerial).
+	// Build the chase: next[i] is the line the load of line i points at,
+	// one cycle through the whole buffer (Sattolo), so the chase can never
+	// trap itself in a short cache-resident loop.
 	rng := sim.NewRng(seed)
 	next := make([]uint32, lines)
 	for i := range next {
 		next[i] = uint32(i)
 	}
-	cursors := make([]uint32, chains)
-	for c := 0; c < chains; c++ {
-		base, end := c*lines/chains, (c+1)*lines/chains
-		cr := rng
-		if c > 0 {
-			cr = rng.Split()
-		}
-		for i := end - base - 1; i > 0; i-- {
-			j := cr.Intn(i)
-			next[base+i], next[base+j] = next[base+j], next[base+i]
-		}
-		cursors[c] = uint32(base)
+	for i := lines - 1; i > 0; i-- {
+		j := rng.Intn(i)
+		next[i], next[j] = next[j], next[i]
 	}
 
 	var counts cache.LevelCounts
 	chunk := make([]uint64, min(steps, chunkLines))
-	t := 0
+	idx := uint32(0)
 	for remaining := steps; remaining > 0; {
 		n := min(remaining, chunkLines)
 		b := chunk[:n]
 		for i := range b {
-			c := t % chains
-			idx := cursors[c]
 			b[i] = uint64(idx) * cache.LineBytes
-			cursors[c] = next[idx]
-			t++
+			idx = next[idx]
 		}
-		hier.ReadStreamSharded(0, b, home, &counts, o.Workers)
+		hier.ReadStreamSharded(0, b, home, &counts, 0)
 		remaining -= n
 	}
 	return streamTotal(path, &counts) / sim.Time(steps)
@@ -251,10 +218,10 @@ func runWarmup(ctx context.Context, hier *cache.Hierarchy, home cache.Home, line
 // BufferLatencyOpt is BufferLatency with explicit StreamOptions. Random
 // accesses are already independent of each other, so the whole warmup and
 // measurement stream is generated ahead of the simulation in large chunks
-// and driven through the sharded engine; Chains has no effect here. The
-// warmup goes through the warm-state snapshot cache (warmstate.go) when the
-// hierarchy is pristine: repeated operating points restore the memoized
-// warmed state instead of re-simulating millions of warmup accesses.
+// and driven through the sharded engine. The warmup goes through the
+// warm-state snapshot cache (warmstate.go) when the hierarchy is pristine:
+// repeated operating points restore the memoized warmed state instead of
+// re-simulating millions of warmup accesses.
 func BufferLatencyOpt(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64, o StreamOptions) sim.Time {
 	if samples <= 0 || bufBytes < cache.LineBytes {
 		panic("mlc: invalid buffer latency parameters")

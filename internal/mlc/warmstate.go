@@ -27,11 +27,11 @@ import (
 // would have after a cold warmup — byte-identical results, pinned by
 // TestWarmStateByteIdentical and the golden corpus.
 //
-// Keying deliberately excludes sample counts, worker counts and chain
-// counts: none of them shape the warmup stream. Canceled warmups are never
-// retained (memo drops context-canceled results), and the cache only
-// engages for hierarchies that have never simulated an access — anything
-// else warms inline, exactly as before.
+// Keying deliberately excludes sample and worker counts: neither shapes the
+// warmup stream. Canceled warmups are never retained (memo drops
+// context-canceled results), and the cache only engages for hierarchies that
+// have never simulated an access — anything else warms inline, exactly as
+// before.
 
 // DefaultWarmStateEntries is the warm-state cache's default entry budget.
 // Each entry holds a full hierarchy snapshot (~19 MB for the SPR model), so
@@ -41,10 +41,6 @@ const DefaultWarmStateEntries = 4
 var (
 	warmStates    = memo.NewCacheWith(memo.CacheConfig{MaxEntries: DefaultWarmStateEntries})
 	warmStatesOff atomic.Bool
-
-	// errWarmStateUnavailable marks a warmup whose hierarchy could not be
-	// snapshotted (slabs not arena-complete); callers warm inline instead.
-	errWarmStateUnavailable = errors.New("mlc: hierarchy state is not snapshotable")
 )
 
 // ConfigureWarmStates resizes the warm-state cache's entry budget: positive
@@ -111,33 +107,22 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			if err := runWarmup(cctx, h, home, lines, r, warm, o.Workers); err != nil {
 				return nil, err
 			}
-			snap, ok := h.Capture()
-			if !ok {
-				return nil, errWarmStateUnavailable
-			}
-			return &warmState{snap: snap, rng: r.State()}, nil
+			return &warmState{snap: h.Capture(), rng: r.State()}, nil
 		})
 		if err == nil {
-			if ws, ok := v.(*warmState); ok {
-				if warmedHere {
-					// The warmup above ran on this very hierarchy: it is
-					// already in the snapshot's state.
-					return sim.NewRng(ws.rng)
-				}
-				if hier.Restore(ws.snap) {
-					return sim.NewRng(ws.rng)
-				}
+			// A warmup that ran on this very hierarchy left it in the
+			// snapshot's state already.
+			ws := v.(*warmState)
+			if warmedHere || hier.Restore(ws.snap) {
+				return sim.NewRng(ws.rng)
 			}
 		}
 		if canceled(err) || warmedHere {
 			// A cancellation unwinds as a panic (the sweep convention). A
 			// hierarchy the closure already warmed must never fall through
 			// to a second inline warmup — unreachable in practice (the
-			// closure only fails on cancellation), but fail loudly rather
-			// than corrupt the measurement.
-			if err == nil {
-				err = errWarmStateUnavailable
-			}
+			// closure only fails on cancellation, so err is set), but fail
+			// loudly rather than corrupt the measurement.
 			panic(err)
 		}
 		// This hierarchy was never touched (the closure ran elsewhere or not

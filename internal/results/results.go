@@ -202,8 +202,8 @@ func (d *Dataset) Headers() []string {
 	return out
 }
 
-// TextRows renders every cell through Cell.Text — the legacy [][]string
-// form, used by the text emitter and the emitter-equivalence property test.
+// TextRows renders every cell through Cell.Text — the display strings the
+// text emitter aligns into columns.
 func (d *Dataset) TextRows() [][]string {
 	out := make([][]string, len(d.Rows))
 	for i, row := range d.Rows {
@@ -217,7 +217,7 @@ func (d *Dataset) TextRows() [][]string {
 }
 
 // Render returns the aligned text rendering — the text emitter's output,
-// byte-identical to the legacy Table.Render.
+// which the golden corpus pins byte for byte.
 func (d *Dataset) Render() string {
 	var b strings.Builder
 	if err := (textEmitter{}).Emit(&b, d); err != nil {
@@ -229,9 +229,8 @@ func (d *Dataset) Render() string {
 }
 
 // ColumnWidths computes the per-column display width of a header row plus
-// data rows: the maximum cell width per column index. It is the one shared
-// width pass used by both the text emitter and the legacy Table.Render
-// (historically each walked the rows with its own near-identical loop).
+// data rows: the maximum cell width per column index. It is the text
+// emitter's width pass.
 func ColumnWidths(headers []string, rows [][]string) []int {
 	widths := make([]int, len(headers))
 	for i, h := range headers {

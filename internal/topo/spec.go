@@ -68,7 +68,8 @@ type Spec struct {
 	// second socket's DRAM, so they require Sockets == 2.
 	Sockets int
 	// Cores is the per-socket core count visible to the cache hierarchy;
-	// 0 uses the evaluated Xeon 6430's 32 cores.
+	// 0 uses the evaluated Xeon 6430's 32 cores. It must be a power of two
+	// (one LLC slice per core; see cache.HierConfig.Validate).
 	Cores int
 	// SNCNodes is the sub-NUMA cluster count (1 = SNC off). Cores must
 	// divide evenly among nodes and the node index must fit the packed
@@ -104,6 +105,18 @@ func (sp Spec) config() Config {
 	}
 }
 
+// hierConfig derives the cache hierarchy the spec builds: the evaluated
+// Xeon 6430's caches with the spec's core count, SNC mode and isolation
+// behaviour.
+func (sp Spec) hierConfig() cache.HierConfig {
+	hcfg := cache.SPRHierConfig(sp.SNCNodes)
+	if sp.Cores != 0 {
+		hcfg.Cores = sp.Cores
+	}
+	hcfg.CXLBreaksIsolation = sp.CXLBreaksSNCIsolation
+	return hcfg
+}
+
 // defaultFar resolves the spec's default far device name. Validate has
 // already established that Devices is non-empty and an explicit name exists.
 func (sp Spec) defaultFar() string {
@@ -119,28 +132,16 @@ func (sp Spec) defaultFar() string {
 }
 
 // Validate reports the first problem that would make the spec unbuildable,
-// with enough context to fix the offending field. It is the home of every
-// constraint the old hand-written constructor enforced by panicking (or, for
-// the packed home-node limit, by a panic deep inside cache.packWord on the
-// first routed access).
+// with enough context to fix the offending field. The cache hierarchy's
+// shape rules (core and SNC node counts) belong to cache.HierConfig.Validate,
+// which checks the exact config Build will construct, so a spec Validate
+// accepts never makes Build panic.
 func (sp Spec) Validate() error {
 	if sp.Sockets != 1 && sp.Sockets != 2 {
 		return fmt.Errorf("topo: platform %q: %d sockets (want 1 or 2)", sp.Name, sp.Sockets)
 	}
-	cores := sp.Cores
-	if cores == 0 {
-		cores = cache.SPRHierConfig(1).Cores
-	}
-	if cores <= 0 {
-		return fmt.Errorf("topo: platform %q: %d cores", sp.Name, sp.Cores)
-	}
-	if sp.SNCNodes <= 0 || cores%sp.SNCNodes != 0 {
-		return fmt.Errorf("topo: platform %q: %d cores do not divide into %d SNC nodes",
-			sp.Name, cores, sp.SNCNodes)
-	}
-	if sp.SNCNodes-1 > cache.MaxHomeNode {
-		return fmt.Errorf("topo: platform %q: %d SNC nodes exceed the packed cache-line home limit (max node %d)",
-			sp.Name, sp.SNCNodes, cache.MaxHomeNode)
+	if err := sp.hierConfig().Validate(); err != nil {
+		return fmt.Errorf("topo: platform %q: %w", sp.Name, err)
 	}
 	if sp.LocalDDRChannels <= 0 {
 		return fmt.Errorf("topo: platform %q: non-positive local DDR channel count %d",
@@ -198,17 +199,11 @@ func (b *Builder) Build() (*System, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	hcfg := cache.SPRHierConfig(sp.SNCNodes)
-	if sp.Cores != 0 {
-		hcfg.Cores = sp.Cores
-	}
-	hcfg.CXLBreaksIsolation = sp.CXLBreaksSNCIsolation
-
 	s := &System{
 		cfg:        sp.config(),
 		spec:       sp,
 		defaultFar: sp.defaultFar(),
-		Hier:       cache.NewHierarchy(hcfg),
+		Hier:       cache.NewHierarchy(sp.hierConfig()),
 		DDRLocal: &Path{
 			Name:   "DDR5-L",
 			Device: mem.DDR5Local(sp.LocalDDRChannels),

@@ -108,6 +108,8 @@ func TestBuilderValidation(t *testing.T) {
 		{"zero snc", mutate(func(s *Spec) { s.SNCNodes = 0 }), "divide"},
 		{"snc beyond packed home limit", mutate(func(s *Spec) { s.SNCNodes = 16 }), "packed cache-line home limit"},
 		{"negative cores", mutate(func(s *Spec) { s.Cores = -4 }), "cores"},
+		{"non-pow2 cores", mutate(func(s *Spec) { s.Cores = 24 }), "power of two"},
+		{"non-pow2 cores per node", mutate(func(s *Spec) { s.Cores, s.SNCNodes = 48, 2 }), "power of two"},
 		{"zero channels", mutate(func(s *Spec) { s.LocalDDRChannels = 0 }), "channel"},
 		{"no devices", mutate(func(s *Spec) { s.Devices, s.DefaultFarDevice = nil, "" }), "no far-memory devices"},
 		{"unnamed device", mutate(func(s *Spec) { s.Devices[1].Name = "" }), "no name"},
