@@ -65,7 +65,13 @@ func decodeDataset(key string, data []byte) (any, error) {
 // schema-versioned snapshot JSON cxlserve's /v1/snapshot serves and its
 // -snapshot-save flag writes.
 func ExportDatasetCache() ([]byte, error) {
-	entries, err := datasetCache.Snapshot(encodeDataset)
+	return exportDatasetCache(datasetCache)
+}
+
+// exportDatasetCache is ExportDatasetCache against an explicit cache, the
+// inverse of ImportDatasetCacheInto.
+func exportDatasetCache(c *memo.Cache) ([]byte, error) {
+	entries, err := c.Snapshot(encodeDataset)
 	if err != nil {
 		return nil, err
 	}

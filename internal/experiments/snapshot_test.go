@@ -6,6 +6,7 @@ package experiments
 // process-restart story cxlserve's -snapshot-load flag implements.
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
@@ -109,6 +110,77 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 			t.Errorf("%s snapshot left %d entries resident", tc.name, fresh.Len())
 		}
 	}
+}
+
+// FuzzImportDatasetCache feeds the snapshot restore path arbitrary bytes,
+// seeded with a real export of a few quick datasets and truncated and
+// garbled copies of it. A snapshot comes from outside the process, so it
+// must fail closed: an error or a count, never a panic. Whatever it does
+// restore must re-export to the same dataset bytes on a second pass, so a
+// restored entry serves one stable answer.
+func FuzzImportDatasetCache(f *testing.F) {
+	donor := memo.NewCache()
+	o := quickOpts()
+	for _, id := range []string{"table1", "table2", "fig4a"} {
+		d, err := RunDataset(id, o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		key, err := DatasetKey(id, o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := donor.Do(key, func() (any, error) { return d, nil }); err != nil {
+			f.Fatal(err)
+		}
+	}
+	export, err := exportDatasetCache(donor)
+	if err != nil {
+		f.Fatal(err)
+	}
+	restored := memo.NewCache()
+	if _, err := ImportDatasetCacheInto(restored, export); err != nil {
+		f.Fatal(err)
+	}
+	if again, err := exportDatasetCache(restored); err != nil || !bytes.Equal(again, export) {
+		f.Fatalf("a restored export re-exports differently (%v):\n%s\nvs\n%s", err, export, again)
+	}
+	f.Add(export)
+	f.Add(export[:len(export)/2])
+	f.Add(export[:len(export)-3])
+	garbled := append([]byte(nil), export...)
+	for i := 7; i < len(garbled); i += len(garbled) / 13 {
+		garbled[i] ^= 0x20
+	}
+	f.Add(garbled)
+	f.Add(bytes.Replace(export, []byte(`"f": `), []byte(`"f": -`), 1))
+	f.Add(bytes.Replace(export, []byte(`"s": `), []byte(`"i": 1, "s": `), 1))
+	f.Add([]byte(`{"schema": 1, "cache": "dataset", "entries": [{"key": "k", "value": {"schema": 1, "rows": null, "notes": null}}]}`))
+	f.Add([]byte(`{"schema": 1, "cache": "dataset", "entries": [{"key": "k", "value": {"schema": 1, "rows": [[{"f": 1e400}]]}}]}`))
+	f.Add([]byte(`{"schema": 1, "cache": "dataset", "entries": null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh := memo.NewCache()
+		// A fresh cache has no budget and no resident keys, so everything
+		// restored before any error stays resident.
+		if n, _ := ImportDatasetCacheInto(fresh, data); n != fresh.Len() {
+			t.Fatalf("restored %d entries, %d resident", n, fresh.Len())
+		}
+		again, err := exportDatasetCache(fresh)
+		if err != nil {
+			t.Fatalf("restored entries do not re-export: %v", err)
+		}
+		second := memo.NewCache()
+		if _, err := ImportDatasetCacheInto(second, again); err != nil {
+			t.Fatalf("re-exported snapshot does not import: %v", err)
+		}
+		third, err := exportDatasetCache(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(third, again) {
+			t.Fatalf("restored entries re-export differently on a second pass:\n%s\nvs\n%s", again, third)
+		}
+	})
 }
 
 // TestDatasetKeyMatchesCacheBehavior pins the routing contract: DatasetKey

@@ -8,8 +8,8 @@
 package results
 
 import (
+	"bytes"
 	"encoding/csv"
-	"io"
 )
 
 // csvEmitter writes the dataset's rows as RFC-4180 CSV.
@@ -21,11 +21,12 @@ func (csvEmitter) Name() string { return "csv" }
 // ContentType implements Emitter.
 func (csvEmitter) ContentType() string { return "text/csv; charset=utf-8" }
 
-// Emit implements Emitter.
-func (csvEmitter) Emit(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
+// Append implements Emitter.
+func (csvEmitter) Append(dst []byte, d *Dataset) ([]byte, error) {
+	b := bytes.NewBuffer(dst)
+	cw := csv.NewWriter(b)
 	if err := cw.Write(d.Headers()); err != nil {
-		return err
+		return nil, err
 	}
 	for _, row := range d.Rows {
 		rec := make([]string, len(row))
@@ -33,9 +34,9 @@ func (csvEmitter) Emit(w io.Writer, d *Dataset) error {
 			rec[i] = c.Raw()
 		}
 		if err := cw.Write(rec); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	cw.Flush()
-	return cw.Error()
+	return b.Bytes(), cw.Error()
 }

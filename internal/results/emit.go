@@ -5,20 +5,22 @@
 package results
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"strings"
 )
 
-// Emitter renders a Dataset onto a writer in one output format.
+// Emitter renders a Dataset in one output format.
 type Emitter interface {
 	// Name is the format key accepted by Lookup/Emit ("text", "json", "csv").
 	Name() string
 	// ContentType is the HTTP media type of the emitted bytes.
 	ContentType() string
-	// Emit writes the dataset's rendering. Emit must not mutate d — cached
-	// datasets are emitted concurrently.
-	Emit(w io.Writer, d *Dataset) error
+	// Append appends the dataset's rendering to dst and returns the
+	// extended buffer. On error the returned buffer's contents are
+	// unspecified. Append must not mutate d — cached datasets are emitted
+	// concurrently.
+	Append(dst []byte, d *Dataset) ([]byte, error)
 }
 
 // emitters is the fixed registry in presentation order: the default format
@@ -54,11 +56,11 @@ func Emit(d *Dataset, format string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	if err := e.Emit(&b, d); err != nil {
+	out, err := e.Append(nil, d)
+	if err != nil {
 		return "", err
 	}
-	return b.String(), nil
+	return string(out), nil
 }
 
 // textEmitter reproduces the legacy aligned-table rendering byte-for-byte:
@@ -71,10 +73,10 @@ func (textEmitter) Name() string { return "text" }
 // ContentType implements Emitter.
 func (textEmitter) ContentType() string { return "text/plain; charset=utf-8" }
 
-// Emit implements Emitter.
-func (textEmitter) Emit(w io.Writer, d *Dataset) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", d.ID, d.Title)
+// Append implements Emitter; it never fails.
+func (textEmitter) Append(dst []byte, d *Dataset) ([]byte, error) {
+	b := bytes.NewBuffer(dst)
+	fmt.Fprintf(b, "== %s: %s ==\n", d.ID, d.Title)
 	headers := d.Headers()
 	rows := d.TextRows()
 	widths := ColumnWidths(headers, rows)
@@ -83,7 +85,7 @@ func (textEmitter) Emit(w io.Writer, d *Dataset) error {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			fmt.Fprintf(b, "%-*s", widths[i], c)
 		}
 		b.WriteByte('\n')
 	}
@@ -99,8 +101,7 @@ func (textEmitter) Emit(w io.Writer, d *Dataset) error {
 		writeRow(row)
 	}
 	for _, n := range d.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		fmt.Fprintf(b, "note: %s\n", n)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b.Bytes(), nil
 }

@@ -1,7 +1,13 @@
-// JSON wire form: the lossless emitter. Field order is pinned by struct
-// declaration order (encoding/json emits struct fields in order, never
-// map-sorted), so the emitted bytes are stable across runs and Go versions —
-// the golden files under internal/experiments/testdata pin them. ParseJSON
+// JSON wire form: the lossless emitter. jsonEmitter.Append writes the
+// pinned form straight into the caller's buffer — two-space indent, fields
+// in a fixed order, a trailing newline — with no reflection, and with no
+// allocation once the buffer is large enough. Byte stability comes from
+// that write order alone. The bytes are the ones encoding/json's
+// MarshalIndent produced for the wire structs below; json_test.go keeps that
+// reference, TestJSONMatchesReference and FuzzJSONMatchesReference pin the
+// encoder to it on generated datasets, TestJSONMatchesReferenceOnEveryDataset
+// on every served one, and the golden files under
+// internal/experiments/testdata pin three of them outright. ParseJSON
 // inverts the emitter exactly; the round-trip property test asserts
 // Dataset -> json -> Dataset -> text equals the original text for every
 // registered experiment.
@@ -10,16 +16,18 @@ package results
 import (
 	"encoding/json"
 	"fmt"
-	"io"
+	"math"
+	"strconv"
+	"unicode/utf8"
 )
 
-// wireColumn is the pinned JSON form of a Column.
+// wireColumn is the JSON form of a Column, as ParseJSON decodes it.
 type wireColumn struct {
 	Name string `json:"name"`
 	Unit string `json:"unit"`
 }
 
-// wireProvenance is the pinned JSON form of a Provenance.
+// wireProvenance is the JSON form of a Provenance, as ParseJSON decodes it.
 type wireProvenance struct {
 	Experiment string `json:"experiment"`
 	Platform   string `json:"platform"`
@@ -32,7 +40,8 @@ type wireProvenance struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// wireDataset is the pinned top-level JSON form of a Dataset.
+// wireDataset is the top-level JSON form of a Dataset, as ParseJSON decodes
+// it, with its fields in the order jsonEmitter.Append writes them.
 type wireDataset struct {
 	Schema     int            `json:"schema"`
 	ID         string         `json:"id"`
@@ -50,6 +59,8 @@ const jsonSchemaVersion = 1
 // {"i":…} for ints, {"f":…,"prec":…} for floats, {"pct":…,"prec":…} for
 // percents (value in percent points). Numbers keep Go's shortest
 // round-trippable float encoding, so nothing is lost to display precision.
+// The json emitter does not call it; it serves callers that json.Marshal a
+// Dataset's cells themselves.
 func (c Cell) MarshalJSON() ([]byte, error) {
 	switch c.Kind {
 	case KindInt:
@@ -107,38 +118,6 @@ func (c *Cell) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// wire converts the dataset to its pinned JSON shape, normalizing nil slices
-// to empty ones so the emitted bytes never flip between null and [].
-func (d *Dataset) wire() wireDataset {
-	w := wireDataset{
-		Schema:  jsonSchemaVersion,
-		ID:      d.ID,
-		Title:   d.Title,
-		Columns: make([]wireColumn, len(d.Columns)),
-		Rows:    d.Rows,
-		Notes:   d.Notes,
-		Provenance: wireProvenance{
-			Experiment: d.Prov.ExperimentID,
-			Platform:   d.Prov.Platform,
-			Scenario:   d.Prov.Scenario,
-			Quick:      d.Prov.Quick,
-			FastWarmup: d.Prov.FastWarmup,
-			Seed:       d.Prov.Seed,
-			Fidelity:   d.Prov.Fidelity,
-		},
-	}
-	for i, c := range d.Columns {
-		w.Columns[i] = wireColumn{Name: c.Name, Unit: c.Unit}
-	}
-	if w.Rows == nil {
-		w.Rows = [][]Cell{}
-	}
-	if w.Notes == nil {
-		w.Notes = []string{}
-	}
-	return w
-}
-
 // jsonEmitter writes the dataset's pinned, indented JSON wire form.
 type jsonEmitter struct{}
 
@@ -148,15 +127,195 @@ func (jsonEmitter) Name() string { return "json" }
 // ContentType implements Emitter.
 func (jsonEmitter) ContentType() string { return "application/json" }
 
-// Emit implements Emitter.
-func (jsonEmitter) Emit(w io.Writer, d *Dataset) error {
-	out, err := json.MarshalIndent(d.wire(), "", "  ")
-	if err != nil {
-		return err
+// Append implements Emitter. Columns, rows and notes are written as [] when
+// empty, a nil row as null. A NaN or infinite cell has no JSON form: Append
+// then returns dst unchanged with an error.
+func (jsonEmitter) Append(dst []byte, d *Dataset) ([]byte, error) {
+	b := append(dst, "{\n  \"schema\": "...)
+	b = strconv.AppendInt(b, jsonSchemaVersion, 10)
+	b = append(b, ",\n  \"id\": "...)
+	b = appendJSONString(b, d.ID)
+	b = append(b, ",\n  \"title\": "...)
+	b = appendJSONString(b, d.Title)
+
+	b = append(b, ",\n  \"columns\": ["...)
+	for i, c := range d.Columns {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"name\": "...)
+		b = appendJSONString(b, c.Name)
+		b = append(b, ",\n      \"unit\": "...)
+		b = appendJSONString(b, c.Unit)
+		b = append(b, "\n    }"...)
 	}
-	out = append(out, '\n')
-	_, err = w.Write(out)
-	return err
+	b = closeJSONArray(b, len(d.Columns))
+
+	b = append(b, ",\n  \"rows\": ["...)
+	for i, row := range d.Rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if row == nil {
+			b = append(b, "\n    null"...)
+			continue
+		}
+		b = append(b, "\n    ["...)
+		for j, c := range row {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			var ok bool
+			if b, ok = appendJSONCell(b, c); !ok {
+				return dst, fmt.Errorf("results: %s row %d column %d: unsupported JSON value %v", d.ID, i, j, c.Float)
+			}
+		}
+		if len(row) > 0 {
+			b = append(b, "\n    "...)
+		}
+		b = append(b, ']')
+	}
+	b = closeJSONArray(b, len(d.Rows))
+
+	b = append(b, ",\n  \"notes\": ["...)
+	for i, n := range d.Notes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    "...)
+		b = appendJSONString(b, n)
+	}
+	b = closeJSONArray(b, len(d.Notes))
+
+	p := &d.Prov
+	b = append(b, ",\n  \"provenance\": {\n    \"experiment\": "...)
+	b = appendJSONString(b, p.ExperimentID)
+	b = append(b, ",\n    \"platform\": "...)
+	b = appendJSONString(b, p.Platform)
+	b = append(b, ",\n    \"scenario\": "...)
+	b = appendJSONString(b, p.Scenario)
+	b = append(b, ",\n    \"quick\": "...)
+	b = strconv.AppendBool(b, p.Quick)
+	b = append(b, ",\n    \"fastwarmup\": "...)
+	b = strconv.AppendBool(b, p.FastWarmup)
+	b = append(b, ",\n    \"seed\": "...)
+	b = strconv.AppendUint(b, p.Seed, 10)
+	if p.Fidelity != "" {
+		b = append(b, ",\n    \"fidelity\": "...)
+		b = appendJSONString(b, p.Fidelity)
+	}
+	return append(b, "\n  }\n}\n"...), nil
+}
+
+// closeJSONArray ends a top-level array of n elements opened with "[":
+// "[]" when empty, otherwise the closing bracket on its own line.
+func closeJSONArray(b []byte, n int) []byte {
+	if n == 0 {
+		return append(b, ']')
+	}
+	return append(b, "\n  ]"...)
+}
+
+// appendJSONCell appends one cell object at row-element indentation, keyed
+// by its kind as MarshalJSON keys it; ok is false for a non-finite number.
+func appendJSONCell(b []byte, c Cell) (_ []byte, ok bool) {
+	b = append(b, "\n      {\n        "...)
+	switch c.Kind {
+	case KindInt:
+		b = append(b, "\"i\": "...)
+		b = strconv.AppendInt(b, c.Int, 10)
+	case KindFloat, KindPercent:
+		if math.IsNaN(c.Float) || math.IsInf(c.Float, 0) {
+			return b, false
+		}
+		if c.Kind == KindFloat {
+			b = append(b, "\"f\": "...)
+		} else {
+			b = append(b, "\"pct\": "...)
+		}
+		b = appendJSONFloat(b, c.Float)
+		b = append(b, ",\n        \"prec\": "...)
+		b = strconv.AppendInt(b, int64(c.Prec), 10)
+	default:
+		b = append(b, "\"s\": "...)
+		b = appendJSONString(b, c.Str)
+	}
+	return append(b, "\n      }"...), true
+}
+
+// appendJSONFloat appends a finite float the way encoding/json does (the
+// ES6 number-to-string rule): the shortest round-tripping decimal, in
+// exponent form only below 1e-6 or from 1e21 up, with a one-digit negative
+// exponent unpadded (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// hexDigits are the lowercase digits of encoding/json's \u00XX escapes.
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a quoted JSON string escaped exactly as
+// encoding/json escapes it: \" \\ \b \f \n \r \t, other control bytes as
+// \u00XX, the HTML-sensitive < > & as \u003c \u003e \u0026, U+2028 and
+// U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8 as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // ParseJSON decodes a dataset from its JSON wire form — the inverse of the

@@ -14,7 +14,6 @@ package results
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind discriminates the value a Cell carries.
@@ -219,13 +218,9 @@ func (d *Dataset) TextRows() [][]string {
 // Render returns the aligned text rendering — the text emitter's output,
 // which the golden corpus pins byte for byte.
 func (d *Dataset) Render() string {
-	var b strings.Builder
-	if err := (textEmitter{}).Emit(&b, d); err != nil {
-		// The text emitter only fails on writer errors, and Builder never
-		// errors.
-		panic(err)
-	}
-	return b.String()
+	// The text emitter never fails.
+	out, _ := textEmitter{}.Append(nil, d)
+	return string(out)
 }
 
 // ColumnWidths computes the per-column display width of a header row plus

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -327,14 +328,14 @@ func (failingEmitter) Name() string { return "failing" }
 // ContentType implements results.Emitter.
 func (failingEmitter) ContentType() string { return "application/x-fail" }
 
-// Emit implements results.Emitter by writing half a body, then failing.
-func (failingEmitter) Emit(w io.Writer, d *results.Dataset) error {
-	fmt.Fprint(w, "partial")
-	return errors.New("emitter exploded")
+// Append implements results.Emitter by appending half a body, then failing.
+func (failingEmitter) Append(dst []byte, d *results.Dataset) ([]byte, error) {
+	return append(dst, "partial"...), errors.New("emitter exploded")
 }
 
-// TestEmitFailure checks the buffered-emit contract: an emitter error
-// becomes a clean 500 with no partial body and no emitter content type.
+// TestEmitFailure checks the buffered-emit contract: an emitter error after
+// a partial append becomes a clean 500 with no partial body, no emitter
+// content type and no Content-Length of the discarded bytes.
 func TestEmitFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
 	emit(rec, failingEmitter{}, &results.Dataset{ID: "x"})
@@ -346,6 +347,9 @@ func TestEmitFailure(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "application/x-fail") {
 		t.Errorf("failed emit set the emitter content type %q", ct)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != "" && cl != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("failed emit sent Content-Length %s for a %d-byte body", cl, rec.Body.Len())
 	}
 }
 

@@ -6,7 +6,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -107,34 +106,34 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	if !methodGet(w, r) {
 		return
 	}
-	writeBuffered(w, "text/plain; version=0.0.4; charset=utf-8", func(wr io.Writer) error {
+	writeBuffered(w, "text/plain; version=0.0.4; charset=utf-8", func(b []byte) ([]byte, error) {
 		dataset, cell := experiments.CacheStats()
 		for _, c := range []struct {
 			name string
 			st   memo.CacheStats
 		}{{"dataset", dataset}, {"cell", cell}, {"warmstate", mlc.WarmStateStats()}} {
-			fmt.Fprintf(wr, "cxlserve_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
-			fmt.Fprintf(wr, "cxlserve_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
-			fmt.Fprintf(wr, "cxlserve_cache_evictions_total{cache=%q} %d\n", c.name, c.st.Evictions)
-			fmt.Fprintf(wr, "cxlserve_cache_expirations_total{cache=%q} %d\n", c.name, c.st.Expirations)
-			fmt.Fprintf(wr, "cxlserve_cache_invalidations_total{cache=%q} %d\n", c.name, c.st.Invalidations)
-			fmt.Fprintf(wr, "cxlserve_cache_entries{cache=%q} %d\n", c.name, c.st.Size)
-			fmt.Fprintf(wr, "cxlserve_cache_inflight{cache=%q} %d\n", c.name, c.st.InFlight)
+			b = fmt.Appendf(b, "cxlserve_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
+			b = fmt.Appendf(b, "cxlserve_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
+			b = fmt.Appendf(b, "cxlserve_cache_evictions_total{cache=%q} %d\n", c.name, c.st.Evictions)
+			b = fmt.Appendf(b, "cxlserve_cache_expirations_total{cache=%q} %d\n", c.name, c.st.Expirations)
+			b = fmt.Appendf(b, "cxlserve_cache_invalidations_total{cache=%q} %d\n", c.name, c.st.Invalidations)
+			b = fmt.Appendf(b, "cxlserve_cache_entries{cache=%q} %d\n", c.name, c.st.Size)
+			b = fmt.Appendf(b, "cxlserve_cache_inflight{cache=%q} %d\n", c.name, c.st.InFlight)
 		}
 		counts, buffered := simTraceCounts()
-		fmt.Fprintf(wr, "cxlserve_sim_events_total{phase=\"enqueue\"} %d\n", counts.Enqueued)
-		fmt.Fprintf(wr, "cxlserve_sim_events_total{phase=\"dispatch\"} %d\n", counts.Dispatched)
-		fmt.Fprintf(wr, "cxlserve_sim_events_total{phase=\"complete\"} %d\n", counts.Completed)
-		fmt.Fprintf(wr, "cxlserve_sim_trace_buffered %d\n", buffered)
-		fmt.Fprintf(wr, "cxlserve_inflight %d\n", s.metrics.inflight.Load())
-		fmt.Fprintf(wr, "cxlserve_queued %d\n", s.metrics.queued.Load())
-		fmt.Fprintf(wr, "cxlserve_shed_total %d\n", s.metrics.shed.Load())
-		fmt.Fprintf(wr, "cxlserve_draining %d\n", boolGauge(s.metrics.draining.Load()))
+		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"enqueue\"} %d\n", counts.Enqueued)
+		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"dispatch\"} %d\n", counts.Dispatched)
+		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"complete\"} %d\n", counts.Completed)
+		b = fmt.Appendf(b, "cxlserve_sim_trace_buffered %d\n", buffered)
+		b = fmt.Appendf(b, "cxlserve_inflight %d\n", s.metrics.inflight.Load())
+		b = fmt.Appendf(b, "cxlserve_queued %d\n", s.metrics.queued.Load())
+		b = fmt.Appendf(b, "cxlserve_shed_total %d\n", s.metrics.shed.Load())
+		b = fmt.Appendf(b, "cxlserve_draining %d\n", boolGauge(s.metrics.draining.Load()))
 		// Sorted by result label, matching the deterministic-order contract.
-		fmt.Fprintf(wr, "cxlserve_proxy_requests_total{result=\"error\"} %d\n", s.metrics.proxyErrors.Load())
-		fmt.Fprintf(wr, "cxlserve_proxy_requests_total{result=\"forwarded\"} %d\n", s.metrics.proxyForwarded.Load())
-		fmt.Fprintf(wr, "cxlserve_proxy_requests_total{result=\"received\"} %d\n", s.metrics.proxyReceived.Load())
-		fmt.Fprintf(wr, "cxlserve_snapshot_restored_entries %d\n", s.cfg.SnapshotRestored)
+		b = fmt.Appendf(b, "cxlserve_proxy_requests_total{result=\"error\"} %d\n", s.metrics.proxyErrors.Load())
+		b = fmt.Appendf(b, "cxlserve_proxy_requests_total{result=\"forwarded\"} %d\n", s.metrics.proxyForwarded.Load())
+		b = fmt.Appendf(b, "cxlserve_proxy_requests_total{result=\"received\"} %d\n", s.metrics.proxyReceived.Load())
+		b = fmt.Appendf(b, "cxlserve_snapshot_restored_entries %d\n", s.cfg.SnapshotRestored)
 
 		s.metrics.mu.Lock()
 		defer s.metrics.mu.Unlock()
@@ -151,16 +150,16 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			}
 			sort.Ints(codes)
 			for _, code := range codes {
-				fmt.Fprintf(wr, "cxlserve_requests_total{endpoint=%q,code=\"%d\"} %d\n", name, code, ep.statuses[code])
+				b = fmt.Appendf(b, "cxlserve_requests_total{endpoint=%q,code=\"%d\"} %d\n", name, code, ep.statuses[code])
 			}
 			for _, q := range metricsQuantiles {
-				fmt.Fprintf(wr, "cxlserve_request_latency_seconds{endpoint=%q,quantile=\"%g\"} %g\n",
+				b = fmt.Appendf(b, "cxlserve_request_latency_seconds{endpoint=%q,quantile=\"%g\"} %g\n",
 					name, q, ep.latency.Quantile(q))
 			}
-			fmt.Fprintf(wr, "cxlserve_request_latency_seconds_count{endpoint=%q} %d\n", name, ep.latency.Count())
-			fmt.Fprintf(wr, "cxlserve_request_latency_seconds_sum{endpoint=%q} %g\n", name, ep.latency.Sum())
+			b = fmt.Appendf(b, "cxlserve_request_latency_seconds_count{endpoint=%q} %d\n", name, ep.latency.Count())
+			b = fmt.Appendf(b, "cxlserve_request_latency_seconds_sum{endpoint=%q} %g\n", name, ep.latency.Sum())
 		}
-		return nil
+		return b, nil
 	})
 }
 

@@ -38,16 +38,15 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cxlmem/internal/cluster"
@@ -269,10 +268,8 @@ func (s *Server) experiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range experiments.All() {
 		c.Experiments = append(c.Experiments, experimentInfo{ID: e.ID, Desc: e.Desc})
 	}
-	writeBuffered(w, "application/json", func(wr io.Writer) error {
-		enc := json.NewEncoder(wr)
-		enc.SetIndent("", "  ")
-		return enc.Encode(c)
+	writeBuffered(w, "application/json", func(dst []byte) ([]byte, error) {
+		return appendIndentedJSON(dst, c)
 	})
 }
 
@@ -440,17 +437,48 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 	return opts, em, true
 }
 
-// writeBuffered renders through render into a buffer first, so a rendering
-// failure becomes a 500 instead of a silent 200 with a partial body, and
-// the Content-Type is only set once the bytes exist.
-func writeBuffered(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
-	var b bytes.Buffer
-	if err := render(&b); err != nil {
+// maxPooledBuffer caps the capacity of a response buffer returned to
+// bufferPool, so one unusually large response does not pin its memory for
+// the life of the pool.
+const maxPooledBuffer = 1 << 20
+
+// bufferPool recycles response buffers across requests; it holds *[]byte so
+// Put does not allocate.
+var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeBuffered renders the whole response body into a pooled buffer
+// before writing anything, so a rendering failure becomes a 500 instead of
+// a silent 200 with a partial body, and the Content-Type is only set once
+// the bytes exist. The body goes out in one Write with its Content-Length,
+// never chunked. render appends to the buffer it is given; the buffer
+// returns to the pool once the write has copied it out.
+func writeBuffered(w http.ResponseWriter, contentType string, render func(dst []byte) ([]byte, error)) {
+	bp := bufferPool.Get().(*[]byte)
+	out, err := render((*bp)[:0])
+	if err != nil {
+		bufferPool.Put(bp)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(b.Bytes())
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	_, _ = w.Write(out)
+	if cap(out) <= maxPooledBuffer {
+		*bp = out
+		bufferPool.Put(bp)
+	}
+}
+
+// appendIndentedJSON appends v as two-space-indented JSON plus a newline —
+// the bytes json.Encoder with SetIndent("", "  ") writes — for the
+// reflective endpoints (/v1/experiments, /v1/trace).
+func appendIndentedJSON(dst []byte, v any) ([]byte, error) {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, out...), '\n'), nil
 }
 
 // emit renders the dataset through the chosen emitter and writes it with
@@ -458,7 +486,7 @@ func writeBuffered(w http.ResponseWriter, contentType string, render func(io.Wri
 // rejects must 500, not 200-empty).
 func emit(w http.ResponseWriter, em results.Emitter, d *results.Dataset) {
 	// The dataset is shared with the memo cache; emitters never mutate it.
-	writeBuffered(w, em.ContentType(), func(wr io.Writer) error { return em.Emit(wr, d) })
+	writeBuffered(w, em.ContentType(), func(dst []byte) ([]byte, error) { return em.Append(dst, d) })
 }
 
 // methodGet rejects non-GET requests with 405.

@@ -8,8 +8,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -81,10 +79,8 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 			Kind:  te.Kind,
 		}
 	}
-	writeBuffered(w, "application/json", func(wr io.Writer) error {
-		enc := json.NewEncoder(wr)
-		enc.SetIndent("", "  ")
-		return enc.Encode(resp)
+	writeBuffered(w, "application/json", func(dst []byte) ([]byte, error) {
+		return appendIndentedJSON(dst, resp)
 	})
 }
 
