@@ -95,8 +95,8 @@ func runFig7(o Options) *results.Dataset {
 		col("Percentile", ""), col("TPP (us)", "us"), col("Static 25% (us)", "us"))
 	for _, p := range []float64{50, 90, 99} {
 		d.AddRow(results.Str(fmt.Sprintf("p%.0f", p)),
-			results.Num(stats.Percentile(res.TPP.Latencies, p)/1000, 1),
-			results.Num(stats.Percentile(res.Static.Latencies, p)/1000, 1))
+			results.Num(stats.PercentileSorted(res.TPP.Latencies, p)/1000, 1),
+			results.Num(stats.PercentileSorted(res.Static.Latencies, p)/1000, 1))
 	}
 	d.AddRow(results.Str("migrations"), results.Int(int64(res.Migrations)), results.Int(0))
 	ratio := float64(res.TPP.P99) / float64(res.Static.P99)

@@ -5,15 +5,21 @@
 // the owning replica. The single-hop guarantee comes from the loop-guard
 // header: a forwarded request is always served where it lands, even if ring
 // views disagree mid-rollout, so misconfigured peer sets degrade to extra
-// computation, never to a forwarding loop. A transport failure on the hop
-// falls back to local computation — any replica can compute any key with
-// byte-identical results, so the fleet keeps its zero-5xx envelope while a
-// peer is down.
+// computation, never to a forwarding loop. The hop falls back, never
+// forwards a failure: a transport error, a timeout, an owner's 5xx or 429,
+// and a reply that ends early or runs past maxProxyBody all fall back to
+// local computation — any replica can compute any key with byte-identical
+// results, so the fleet keeps its zero-5xx envelope while a peer is down or
+// sick.
 package serve
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -29,6 +35,14 @@ const proxyHeader = "X-Cxlserve-Proxy"
 // matching the coordinator's cell-fetch budget.
 const defaultProxyTimeout = 5 * time.Minute
 
+// maxProxyBody bounds the owner's reply the hop reads before answering. The
+// largest response a replica renders, a tpp-timeline spec at its epoch cap as
+// JSON, is a few MiB; a longer reply counts as a failed hop.
+const maxProxyBody = 64 << 20
+
+// errProxyBodyTooLarge reports an owner's reply past the size bound.
+var errProxyBodyTooLarge = errors.New("serve: proxied reply exceeds the size bound")
+
 // proxyClient resolves the HTTP client for the proxy hop.
 func (s *Server) proxyClient() *http.Client {
 	if s.cfg.ProxyClient != nil {
@@ -38,10 +52,11 @@ func (s *Server) proxyClient() *http.Client {
 }
 
 // proxy routes one compute request by its canonical key. It returns true if
-// the response was fully written (the request was forwarded to the owning
-// replica); false means the caller must serve locally — because sharding is
-// off, this replica owns the key, a peer already forwarded the request here
-// (loop guard), or the hop failed and local computation is the fallback.
+// the response was fully written (the owning replica answered, and its
+// complete reply was passed on); false means the caller must serve locally —
+// because sharding is off, this replica owns the key, a peer already
+// forwarded the request here (loop guard), or the hop failed and local
+// computation is the fallback.
 func (s *Server) proxy(w http.ResponseWriter, r *http.Request, key string) bool {
 	if s.cfg.Ring == nil {
 		return false
@@ -76,16 +91,60 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request, key string) bool 
 		s.metrics.proxyErrors.Add(1)
 		return false
 	}
-	defer resp.Body.Close()
-	s.metrics.proxyForwarded.Add(1)
-	for _, h := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
+	bp := bufferPool.Get().(*[]byte)
+	body, err := readReply((*bp)[:0], resp, maxProxyBody)
+	resp.Body.Close()
+	if err != nil || !forwardable(resp.StatusCode) {
+		// The owner failed, shed the request, or did not finish its reply:
+		// nothing has been written yet, so the local path answers instead.
+		putBuffer(bp, body)
+		s.metrics.proxyErrors.Add(1)
+		return false
 	}
+	s.metrics.proxyForwarded.Add(1)
+	h := w.Header()
+	if v := resp.Header.Get("Content-Type"); v != "" {
+		h.Set("Content-Type", v)
+	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = w.Write(body)
+	putBuffer(bp, body)
 	return true
+}
+
+// forwardable reports whether an owner's status may be passed to the
+// client: a success, or a client error the local path would answer the same
+// way. 429 is the owner's overload, not the request's fault, and 1xx, 3xx
+// and 5xx are never passed on.
+func forwardable(status int) bool {
+	return status >= 200 && status < 300 || status >= 400 && status < 500 && status != http.StatusTooManyRequests
+}
+
+// readReply appends resp's whole body to dst. It fails if the body is
+// longer than limit bytes, if reading it fails (a timeout, a connection
+// closed mid-body), or if it is shorter than its declared Content-Length.
+// A declared length sizes dst up front (plus the spare bytes.Buffer needs
+// to see EOF), so a reply costs at most one allocation.
+func readReply(dst []byte, resp *http.Response, limit int) ([]byte, error) {
+	if resp.ContentLength > int64(limit) {
+		return dst, errProxyBodyTooLarge
+	}
+	if resp.ContentLength > 0 {
+		dst = slices.Grow(dst, int(resp.ContentLength)+bytes.MinRead)
+	}
+	buf := bytes.NewBuffer(dst)
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, int64(limit)+1))
+	body := buf.Bytes()
+	switch {
+	case err != nil:
+		return body, err
+	case n > int64(limit):
+		return body, errProxyBodyTooLarge
+	case resp.ContentLength >= 0 && n != resp.ContentLength:
+		return body, io.ErrUnexpectedEOF
+	}
+	return body, nil
 }
 
 // snapshot serves GET /v1/snapshot: the dataset cache's warm-start snapshot

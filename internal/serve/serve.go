@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"net/http"
 	httppprof "net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -387,8 +388,19 @@ func (s *Server) requestContext(w http.ResponseWriter, r *http.Request) (context
 // requestOptions resolves the request's option overrides and emitter on top
 // of the server base; on failure it writes a 400 and returns ok=false.
 func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experiments.Options, results.Emitter, bool) {
-	opts := s.cfg.Base
-	q := r.URL.Query()
+	opts, em, err := parseQuery(r.URL.Query(), s.cfg.Base)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return opts, nil, false
+	}
+	return opts, em, true
+}
+
+// parseQuery applies a request's option overrides to base and resolves its
+// emitter: platform, fidelity, quick, fastwarm, seed and format. Where a key
+// repeats, its first value counts. Every error is the client's (a 400).
+func parseQuery(q url.Values, base experiments.Options) (experiments.Options, results.Emitter, error) {
+	opts := base
 	if q.Has("platform") {
 		// Platform names are lowercase in the registry; accept the same
 		// spellings the -platform flag does. Presence (not non-emptiness)
@@ -400,28 +412,28 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 	if v := q.Get("fidelity"); v != "" {
 		f, err := experiments.ParseFidelity(v)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return opts, nil, false
+			return opts, nil, err
 		}
 		opts.Fidelity = f
 	}
-	for name, dst := range map[string]*bool{"quick": &opts.Quick, "fastwarm": &opts.FastWarmup} {
-		v := q.Get(name)
+	for _, b := range []struct {
+		name string
+		dst  *bool
+	}{{"quick", &opts.Quick}, {"fastwarm", &opts.FastWarmup}} {
+		v := q.Get(b.name)
 		if v == "" {
 			continue
 		}
-		b, err := strconv.ParseBool(v)
+		on, err := strconv.ParseBool(v)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad %s parameter %q", name, v), http.StatusBadRequest)
-			return opts, nil, false
+			return opts, nil, fmt.Errorf("bad %s parameter %q", b.name, v)
 		}
-		*dst = b
+		*b.dst = on
 	}
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad seed parameter %q", v), http.StatusBadRequest)
-			return opts, nil, false
+			return opts, nil, fmt.Errorf("bad seed parameter %q", v)
 		}
 		opts.Seed = seed
 	}
@@ -431,10 +443,9 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 	}
 	em, err := results.Lookup(format)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return opts, nil, false
+		return opts, nil, err
 	}
-	return opts, em, true
+	return opts, em, nil
 }
 
 // maxPooledBuffer caps the capacity of a response buffer returned to
@@ -456,7 +467,7 @@ func writeBuffered(w http.ResponseWriter, contentType string, render func(dst []
 	bp := bufferPool.Get().(*[]byte)
 	out, err := render((*bp)[:0])
 	if err != nil {
-		bufferPool.Put(bp)
+		putBuffer(bp, *bp)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -464,6 +475,13 @@ func writeBuffered(w http.ResponseWriter, contentType string, render func(dst []
 	h.Set("Content-Type", contentType)
 	h.Set("Content-Length", strconv.Itoa(len(out)))
 	_, _ = w.Write(out)
+	putBuffer(bp, out)
+}
+
+// putBuffer returns a response buffer to bufferPool as out, its latest
+// contents, unless it outgrew maxPooledBuffer. Call it only once the bytes
+// have been written.
+func putBuffer(bp *[]byte, out []byte) {
 	if cap(out) <= maxPooledBuffer {
 		*bp = out
 		bufferPool.Put(bp)

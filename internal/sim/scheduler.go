@@ -29,8 +29,15 @@ type Scheduler struct {
 	queue eventQueue
 	seq   uint64
 	rng   *Rng
-	taps  []Tap
+	taps  []tap
 	stats SchedulerStats
+}
+
+// tap is one registered tap. A *TraceRing is kept as a concrete pointer so
+// emit calls it without an interface hop; any other Tap goes in other.
+type tap struct {
+	ring  *TraceRing
+	other Tap
 }
 
 // NewScheduler returns a scheduler at time zero whose Rng is seeded with
@@ -47,7 +54,7 @@ func (s *Scheduler) Now() Time { return s.clock.Now() }
 func (s *Scheduler) Rng() *Rng { return s.rng }
 
 // Pending returns the number of queued, not-yet-dispatched events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return s.queue.Len() }
 
 // Stats returns cumulative event counters.
 func (s *Scheduler) Stats() SchedulerStats { return s.stats }
@@ -55,15 +62,21 @@ func (s *Scheduler) Stats() SchedulerStats { return s.stats }
 // Tap registers a tracing tap. Taps observe every enqueue, dispatch and
 // completion in execution order; registration order is preserved.
 func (s *Scheduler) Tap(t Tap) {
-	if t != nil {
-		s.taps = append(s.taps, t)
+	switch t := t.(type) {
+	case nil:
+	case *TraceRing:
+		s.taps = append(s.taps, tap{ring: t})
+	default:
+		s.taps = append(s.taps, tap{other: t})
 	}
 }
 
 // Schedule enqueues ev for actor at absolute time at. Scheduling into the
 // past panics — simulated time never flows backwards. Scheduling at the
 // current instant is allowed and dispatches after all earlier-enqueued
-// events for that instant (FIFO tie-break).
+// events for that instant (FIFO tie-break). With a tap attached, the
+// actor's Name and the event's Kind are read here, once for the
+// occurrence's three trace records.
 func (s *Scheduler) Schedule(at Time, actor Actor, ev Event) {
 	if at < s.clock.Now() {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v, before now %v", ev.Kind(), at, s.clock.Now()))
@@ -71,11 +84,17 @@ func (s *Scheduler) Schedule(at Time, actor Actor, ev Event) {
 	if actor == nil {
 		panic("sim: event scheduled with nil actor")
 	}
-	it := scheduled{at: at, seq: s.seq, actor: actor, ev: ev}
+	seq := s.seq
 	s.seq++
-	s.queue.push(it)
 	s.stats.Enqueued++
-	s.emit(PhaseEnqueue, it)
+	p := payload{actor: actor, ev: ev}
+	if len(s.taps) > 0 {
+		p.label()
+	}
+	s.queue.push(at, seq, p)
+	if p.labeled {
+		s.emit(PhaseEnqueue, at, seq, p.name, p.kind)
+	}
 }
 
 // After enqueues ev for actor d past the current time. Negative d panics.
@@ -90,16 +109,33 @@ func (s *Scheduler) After(d Time, actor Actor, ev Event) {
 // timestamp, the actor's Handle runs to completion, and taps observe the
 // dispatch and completion. Step reports false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		return false
 	}
-	it := s.queue.pop()
-	s.clock.AdvanceTo(it.at)
+	k := s.queue.pop()
+	p := &s.queue.slots[k.slot]
+	actor, ev := p.actor, p.ev
+	s.clock.AdvanceTo(k.at)
 	s.stats.Dispatched++
-	s.emit(PhaseDispatch, it)
-	it.actor.Handle(s, it.ev)
+	var name, kind string
+	traced := len(s.taps) > 0
+	if traced {
+		p.label()
+		name, kind = p.name, p.kind
+		s.emit(PhaseDispatch, k.at, k.seq, name, kind)
+	}
+	// Handle may grow the slot table, so p is not used past this point; the
+	// slot itself stays reserved until the completion is traced.
+	actor.Handle(s, ev)
 	s.stats.Completed++
-	s.emit(PhaseComplete, it)
+	if len(s.taps) > 0 {
+		if !traced {
+			// Handle attached the first tap.
+			name, kind = actor.Name(), ev.Kind()
+		}
+		s.emit(PhaseComplete, k.at, k.seq, name, kind)
+	}
+	s.queue.release(k.slot)
 	return true
 }
 
@@ -107,7 +143,7 @@ func (s *Scheduler) Step() bool {
 // advances the clock to deadline. Events an actor schedules during the run
 // are honored if they also fall within the deadline.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for s.queue.Len() > 0 && s.queue.heap[0].at <= deadline {
 		s.Step()
 	}
 	s.clock.AdvanceTo(deadline)
@@ -121,20 +157,15 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// emit fans one trace event out to every registered tap.
-func (s *Scheduler) emit(phase Phase, it scheduled) {
-	if len(s.taps) == 0 {
-		return
-	}
-	te := TraceEvent{
-		Phase: phase,
-		Seq:   it.seq,
-		At:    it.at,
-		Now:   s.clock.Now(),
-		Actor: it.actor.Name(),
-		Kind:  it.ev.Kind(),
-	}
-	for _, t := range s.taps {
-		t.Observe(te)
+// emit fans one trace record out to every registered tap, in registration
+// order.
+func (s *Scheduler) emit(phase Phase, at Time, seq uint64, name, kind string) {
+	now := s.clock.Now()
+	for i := range s.taps {
+		if r := s.taps[i].ring; r != nil {
+			r.record(phase, seq, at, now, name, kind)
+		} else {
+			s.taps[i].other.Observe(TraceEvent{Phase: phase, Seq: seq, At: at, Now: now, Actor: name, Kind: kind})
+		}
 	}
 }

@@ -30,12 +30,13 @@ func TestQueuePopsInTimeOrder(t *testing.T) {
 		for i := 0; i < count; i++ {
 			// Coarse times force plenty of exact ties.
 			at := Time(rng.Intn(16)) * Millisecond
-			q.push(scheduled{at: at, seq: uint64(i)})
+			q.push(at, uint64(i), payload{})
 		}
 		prevAt := Time(-1)
 		prevSeq := uint64(0)
-		for len(q) > 0 {
+		for q.Len() > 0 {
 			it := q.pop()
+			q.release(it.slot)
 			if it.at < prevAt {
 				return false
 			}
@@ -50,6 +51,188 @@ func TestQueuePopsInTimeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refScheduled and refQueue are the event heap before its keys lost their
+// pointers, kept verbatim as the reference: each entry carries its actor
+// and event.
+type refScheduled struct {
+	at    Time
+	seq   uint64
+	actor Actor
+	ev    Event
+}
+
+type refQueue []refScheduled
+
+func (q refQueue) less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q *refQueue) push(it refScheduled) {
+	*q = append(*q, it)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *refQueue) pop() refScheduled {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = refScheduled{}
+	*q = h[:last]
+	h = *q
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(h) && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < len(h) && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
+	return top
+}
+
+// compareQueues drives the queue and the reference through the same random
+// pushes and pops, with coarse times for ties, and requires every pop to
+// return the same time, sequence, actor and event. ops encodes the script:
+// each byte pushes when it is even, pops otherwise.
+func compareQueues(t *testing.T, seed uint64, ops []byte) {
+	t.Helper()
+	rng := NewRng(seed)
+	actors := []Actor{&nopActor{name: "a"}, &nopActor{name: "b"}, &nopActor{name: "c"}}
+	var q eventQueue
+	var ref refQueue
+	var seq uint64
+	now := Time(0)
+	popOne := func() {
+		want := ref.pop()
+		k := q.pop()
+		got := q.slots[k.slot]
+		q.release(k.slot)
+		if k.at != want.at || k.seq != want.seq || got.actor != want.actor || got.ev != want.ev {
+			t.Fatalf("seed %d: popped (%v, %d, %v, %v), want (%v, %d, %v, %v)",
+				seed, k.at, k.seq, got.actor, got.ev, want.at, want.seq, want.actor, want.ev)
+		}
+		now = k.at
+	}
+	for _, op := range ops {
+		if op%2 == 1 && len(ref) > 0 {
+			popOne()
+			continue
+		}
+		at := now + Time(op>>5)*Microsecond
+		actor := actors[rng.Intn(len(actors))]
+		ev := EventFunc(fmt.Sprintf("e%d", rng.Intn(4)))
+		q.push(at, seq, payload{actor: actor, ev: ev})
+		ref.push(refScheduled{at: at, seq: seq, actor: actor, ev: ev})
+		seq++
+		if q.Len() != len(ref) {
+			t.Fatalf("seed %d: queue holds %d, reference %d", seed, q.Len(), len(ref))
+		}
+	}
+	for len(ref) > 0 {
+		popOne()
+	}
+	if q.Len() != 0 || len(q.free) != len(q.slots) {
+		t.Fatalf("seed %d: drained queue holds %d keys, %d of %d slots free", seed, q.Len(), len(q.free), len(q.slots))
+	}
+}
+
+// TestQueueMatchesReference compares the queue with the reference heap on
+// random interleavings of pushes and pops, with many equal times.
+func TestQueueMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := NewRng(seed)
+		ops := make([]byte, 1+rng.Intn(600))
+		for i := range ops {
+			ops[i] = byte(rng.Uint64())
+			if seed%3 == 0 {
+				ops[i] &^= 1 // push-only prefix runs, then drain
+			}
+		}
+		compareQueues(t, seed, ops)
+	}
+}
+
+// FuzzQueueMatchesReference runs fuzzer-chosen push/pop scripts against the
+// reference heap.
+func FuzzQueueMatchesReference(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 0, 0, 1, 1, 1})
+	f.Add(uint64(2), []byte{0x20, 0, 0x40, 1, 0, 0x60, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		compareQueues(t, seed, ops)
+	})
+}
+
+// TestTapFuncAndTraceRingAgree: a TapFunc and a TraceRing on one scheduler
+// see identical sequences, whichever is registered first.
+func TestTapFuncAndTraceRingAgree(t *testing.T) {
+	for _, ringFirst := range []bool{false, true} {
+		s := NewScheduler(9)
+		ring := NewTraceRing(1 << 16)
+		var seen []TraceEvent
+		fn := TapFunc(func(te TraceEvent) { seen = append(seen, te) })
+		if ringFirst {
+			s.Tap(ring)
+			s.Tap(fn)
+		} else {
+			s.Tap(fn)
+			s.Tap(ring)
+		}
+		s.Schedule(0, &chainActor{name: "chain", budget: 200}, EventFunc("start"))
+		s.Run()
+		if len(seen) == 0 || !reflect.DeepEqual(ring.Snapshot(), seen) {
+			t.Fatalf("ringFirst=%v: ring holds %d events, the TapFunc saw %d, or they differ",
+				ringFirst, ring.Len(), len(seen))
+		}
+	}
+}
+
+// TestTapAttachedMidRun: a tap attached by a handler sees that event's
+// completion and everything after, with the labels of the actors and events
+// scheduled before it existed.
+func TestTapAttachedMidRun(t *testing.T) {
+	s := NewScheduler(1)
+	rec := &recorder{}
+	a := &nopActor{name: "a"}
+	s.Schedule(2*Microsecond, a, EventFunc("later"))
+	s.Schedule(Microsecond, &attachActor{tap: rec}, EventFunc("attach"))
+	s.Run()
+	want := []TraceEvent{
+		{Phase: PhaseComplete, Seq: 1, At: Microsecond, Now: Microsecond, Actor: "attach", Kind: "attach"},
+		{Phase: PhaseDispatch, Seq: 0, At: 2 * Microsecond, Now: 2 * Microsecond, Actor: "a", Kind: "later"},
+		{Phase: PhaseComplete, Seq: 0, At: 2 * Microsecond, Now: 2 * Microsecond, Actor: "a", Kind: "later"},
+	}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Fatalf("trace %+v, want %+v", rec.events, want)
+	}
+}
+
+// attachActor registers its tap when it handles an event.
+type attachActor struct{ tap Tap }
+
+func (a *attachActor) Name() string                 { return "attach" }
+func (a *attachActor) Handle(s *Scheduler, _ Event) { s.Tap(a.tap) }
 
 // chainActor schedules follow-up events with random gaps until a budget of
 // dispatches is exhausted, exercising enqueue-during-dispatch.
@@ -287,5 +470,41 @@ func TestTraceRingAsTap(t *testing.T) {
 	}
 	if ring.Len() == 0 {
 		t.Fatal("ring captured no events")
+	}
+}
+
+// tickActor reschedules itself every microsecond, forever.
+type tickActor struct{}
+
+func (tickActor) Name() string { return "tick" }
+func (a tickActor) Handle(s *Scheduler, _ Event) {
+	s.After(Microsecond, a, EventFunc("tick"))
+}
+
+// BenchmarkSchedulerStep times one dispatch of a self-rescheduling actor
+// with four events pending: untraced, into a TraceRing, and into a
+// counting TapFunc.
+func BenchmarkSchedulerStep(b *testing.B) {
+	var seen int
+	for _, c := range []struct {
+		name string
+		tap  Tap
+	}{
+		{"untraced", nil},
+		{"ring", NewTraceRing(4096)},
+		{"tapfunc", TapFunc(func(TraceEvent) { seen++ })},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewScheduler(1)
+			s.Tap(c.tap)
+			for i := 0; i < 4; i++ {
+				s.Schedule(Time(i), tickActor{}, EventFunc("tick"))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
 	}
 }

@@ -92,8 +92,15 @@ func NewTraceRing(capacity int) *TraceRing {
 // Observe implements Tap: the event is appended, overwriting the oldest
 // retained event once the ring is full.
 func (r *TraceRing) Observe(te TraceEvent) {
-	r.put(te)
-	switch te.Phase {
+	r.record(te.Phase, te.Seq, te.At, te.Now, te.Actor, te.Kind)
+}
+
+// record is Observe with the event's fields passed separately, so a
+// scheduler writes them straight into the ring's slot.
+func (r *TraceRing) record(phase Phase, seq uint64, at, now Time, actor, kind string) {
+	e := r.slot()
+	e.Phase, e.Seq, e.At, e.Now, e.Actor, e.Kind = phase, seq, at, now, actor, kind
+	switch phase {
 	case PhaseEnqueue:
 		r.counts.Enqueued++
 	case PhaseDispatch:
@@ -103,21 +110,23 @@ func (r *TraceRing) Observe(te TraceEvent) {
 	}
 }
 
-// put retains te without counting it.
-func (r *TraceRing) put(te TraceEvent) {
+// slot returns where the next retained event goes: a new element while the
+// ring is below capacity, else the oldest one, which it overwrites.
+func (r *TraceRing) slot() *TraceEvent {
 	if len(r.buf) < r.max {
 		if len(r.buf) == cap(r.buf) {
 			grown := make([]TraceEvent, len(r.buf), min(max(2*len(r.buf), 64), r.max))
 			copy(grown, r.buf)
 			r.buf = grown
 		}
-		r.buf = append(r.buf, te)
-		return
+		r.buf = r.buf[:len(r.buf)+1]
+		return &r.buf[len(r.buf)-1]
 	}
-	r.buf[r.next] = te
+	e := &r.buf[r.next]
 	if r.next++; r.next == r.max {
 		r.next = 0
 	}
+	return e
 }
 
 // Absorb appends src's retained events oldest-first, as if r had observed
@@ -126,7 +135,7 @@ func (r *TraceRing) put(te TraceEvent) {
 // thus lands as a single contiguous tail.
 func (r *TraceRing) Absorb(src *TraceRing) {
 	for i := range src.buf {
-		r.put(src.buf[(src.next+i)%len(src.buf)])
+		*r.slot() = src.buf[(src.next+i)%len(src.buf)]
 	}
 	r.counts.Enqueued += src.counts.Enqueued
 	r.counts.Dispatched += src.counts.Dispatched

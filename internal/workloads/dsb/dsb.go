@@ -15,7 +15,6 @@ package dsb
 
 import (
 	"fmt"
-	"sort"
 
 	"cxlmem/internal/mem"
 	"cxlmem/internal/sim"
@@ -202,22 +201,21 @@ func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, target
 	for t := range free {
 		free[t] = make([]sim.Time, spec[t].Servers)
 	}
+	// pickServer returns the tier's first earliest-free server and when the
+	// request starts on it.
 	pickServer := func(t Tier, ready sim.Time) (int, sim.Time) {
-		best := 0
-		for i, f := range free[t] {
-			if f < free[t][best] {
-				best = i
+		fs := free[t]
+		best, bestFree := 0, fs[0]
+		for i, f := range fs {
+			if f < bestFree {
+				best, bestFree = i, f
 			}
 		}
-		start := ready
-		if free[t][best] > start {
-			start = free[t][best]
-		}
-		return best, start
+		return best, max(ready, bestFree)
 	}
 	interarrival := 1e9 / targetQPS
 	arrival := sim.Time(0)
-	lats := make([]float64, 0, requests)
+	lats := make([]sim.Time, 0, requests)
 	saturated := false
 	for i := 0; i < requests; i++ {
 		arrival += sim.FromNanoseconds(rng.Exp(interarrival))
@@ -230,17 +228,17 @@ func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, target
 			free[t][srv] = done
 			ready = done
 		}
-		lat := (ready - arrival).Nanoseconds()
+		lat := ready - arrival
 		lats = append(lats, lat)
-		if lat > 200*float64(sim.Millisecond)/float64(sim.Nanosecond) {
+		if lat > 200*sim.Millisecond {
 			saturated = true
 		}
 	}
-	sort.Float64s(lats)
+	ns := sim.SortedNanoseconds(nil, lats)
 	return Result{
 		TargetQPS: targetQPS,
-		P99:       sim.FromNanoseconds(stats.PercentileSorted(lats, 99)),
-		P50:       sim.FromNanoseconds(stats.PercentileSorted(lats, 50)),
+		P99:       sim.FromNanoseconds(stats.PercentileSorted(ns, 99)),
+		P50:       sim.FromNanoseconds(stats.PercentileSorted(ns, 50)),
 		Saturated: saturated,
 	}
 }

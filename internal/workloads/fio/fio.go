@@ -19,7 +19,6 @@ package fio
 
 import (
 	"fmt"
-	"sort"
 
 	"cxlmem/internal/mem"
 	"cxlmem/internal/sim"
@@ -136,7 +135,7 @@ func Run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int
 	kernel := cfg.KernelBase + sim.Time(pages)*cfg.KernelPerPage +
 		sim.Time(cfg.KernelMemAccesses)*cachePath.SerialLatency(mem.Load)
 
-	lats := make([]float64, 0, ios)
+	lats := make([]sim.Time, 0, ios)
 	for i := 0; i < ios; i++ {
 		var t sim.Time
 		// Kernel cost with modest variability.
@@ -152,12 +151,12 @@ func Run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int
 				t += sim.FromNanoseconds(float64(blockBytes) / fillGBs)
 			}
 		}
-		lats = append(lats, t.Nanoseconds())
+		lats = append(lats, t)
 	}
-	sort.Float64s(lats)
+	ns := sim.SortedNanoseconds(nil, lats)
 	return Result{
 		BlockBytes: blockBytes,
-		P99:        sim.FromNanoseconds(stats.PercentileSorted(lats, 99)),
+		P99:        sim.FromNanoseconds(stats.PercentileSorted(ns, 99)),
 		HitRate:    h,
 	}
 }

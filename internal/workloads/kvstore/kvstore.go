@@ -17,7 +17,6 @@ package kvstore
 
 import (
 	"fmt"
-	"sort"
 
 	"cxlmem/internal/mem"
 	"cxlmem/internal/numa"
@@ -174,7 +173,8 @@ type LatencyResult struct {
 	Mean sim.Time
 	// Utilization is the service thread's busy fraction.
 	Utilization float64
-	// Latencies holds the raw per-op latencies in nanoseconds (for CDFs).
+	// Latencies holds the raw per-op latencies in nanoseconds, ascending
+	// (for CDFs; stats.PercentileSorted reads it directly).
 	Latencies []float64
 }
 
@@ -190,7 +190,7 @@ func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS f
 	var clock sim.Clock
 	var serverFree sim.Time
 	var busy sim.Time
-	lats := make([]float64, 0, ops)
+	lats := make([]sim.Time, 0, ops)
 	arrival := sim.Time(0)
 	for i := 0; i < ops; i++ {
 		arrival += sim.FromNanoseconds(s.rng.Exp(interarrival))
@@ -204,13 +204,15 @@ func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS f
 		serverFree = done
 		busy += svc
 		clock.AdvanceTo(done)
-		lats = append(lats, (done - arrival).Nanoseconds())
+		lats = append(lats, done-arrival)
 	}
 	return s.summarize(targetQPS, lats, busy, clock.Now())
 }
 
-func (s *Store) summarize(qps float64, lats []float64, busy, elapsed sim.Time) LatencyResult {
-	sort.Float64s(lats)
+// summarize sorts lats (in place) into the result's ascending nanosecond
+// latencies and reduces them to percentiles, mean and utilization.
+func (s *Store) summarize(qps float64, lats []sim.Time, busy, elapsed sim.Time) LatencyResult {
+	ns := sim.SortedNanoseconds(nil, lats)
 	util := 0.0
 	if elapsed > 0 {
 		util = float64(busy) / float64(elapsed)
@@ -220,11 +222,11 @@ func (s *Store) summarize(qps float64, lats []float64, busy, elapsed sim.Time) L
 	}
 	return LatencyResult{
 		TargetQPS:   qps,
-		P50:         sim.FromNanoseconds(stats.PercentileSorted(lats, 50)),
-		P99:         sim.FromNanoseconds(stats.PercentileSorted(lats, 99)),
-		Mean:        sim.FromNanoseconds(stats.Mean(lats)),
+		P50:         sim.FromNanoseconds(stats.PercentileSorted(ns, 50)),
+		P99:         sim.FromNanoseconds(stats.PercentileSorted(ns, 99)),
+		Mean:        sim.FromNanoseconds(stats.Mean(ns)),
 		Utilization: util,
-		Latencies:   lats,
+		Latencies:   ns,
 	}
 }
 
@@ -290,7 +292,7 @@ func RunWithTPP(sys *topo.System, cfg Config, cxlName string, targetQPS float64,
 	var penalty sim.Time
 	var pendingSync int
 	var migrations int64
-	lats := make([]float64, 0, ops)
+	lats := make([]sim.Time, 0, ops)
 	for i := 0; i < ops; i++ {
 		arrival += sim.FromNanoseconds(store.rng.Exp(interarrival))
 		for arrival >= nextScan {
@@ -321,7 +323,7 @@ func RunWithTPP(sys *topo.System, cfg Config, cxlName string, targetQPS float64,
 		serverFree = done
 		busy += svc
 		clock.AdvanceTo(done)
-		lats = append(lats, (done - arrival).Nanoseconds())
+		lats = append(lats, done-arrival)
 	}
 	return TPPResult{
 		TPP:        store.summarize(targetQPS, lats, busy, clock.Now()),

@@ -20,7 +20,6 @@ package tpptimeline
 
 import (
 	"fmt"
-	"sort"
 
 	"cxlmem/internal/mem"
 	"cxlmem/internal/numa"
@@ -171,8 +170,10 @@ type state struct {
 	pendingSync int
 	penalty     sim.Time
 
-	// Per-epoch accumulators, reset at each boundary.
-	epochLats               []float64
+	// Per-epoch accumulators, reset at each boundary. epochNs is the
+	// epoch's latencies sorted and in nanoseconds, reused across epochs.
+	epochLats               []sim.Time
+	epochNs                 []float64
 	epochPromos, epochDemos int64
 	epochAccesses           int64
 
@@ -213,7 +214,7 @@ func (a *loadActor) Handle(s *sim.Scheduler, _ sim.Event) {
 	}
 	done := start + svc
 	st.serverFree = done
-	st.epochLats = append(st.epochLats, (done - arrival).Nanoseconds())
+	st.epochLats = append(st.epochLats, done-arrival)
 	st.epochAccesses++
 	st.totalAccesses++
 	s.After(sim.FromNanoseconds(s.Rng().Exp(1e9/st.rate())), a, evArrival)
@@ -285,9 +286,9 @@ func (a *epochActor) Handle(s *sim.Scheduler, _ sim.Event) {
 			st.cfg.Epoch.Seconds(),
 	}
 	if len(st.epochLats) > 0 {
-		sort.Float64s(st.epochLats)
-		es.P99 = stats.PercentileSorted(st.epochLats, 99) / 1e3
-		es.Mean = stats.Mean(st.epochLats) / 1e3
+		st.epochNs = sim.SortedNanoseconds(st.epochNs[:0], st.epochLats)
+		es.P99 = stats.PercentileSorted(st.epochNs, 99) / 1e3
+		es.Mean = stats.Mean(st.epochNs) / 1e3
 	}
 	st.timeline = append(st.timeline, es)
 	st.epochLats = st.epochLats[:0]
