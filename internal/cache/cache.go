@@ -99,10 +99,12 @@ type Home struct {
 // layout and the access operations.
 type Cache struct {
 	words []uint64 // packed tag words; nil until first fill
-	// meta is the per-set sidecar: meta[2s] is set s's fingerprint word (one
-	// 4-bit nibble per slot), meta[2s+1] its recency order word (nibble j =
-	// slot at recency position j). The pair is interleaved so a probe and its
-	// recency update touch one cache line, not two.
+	// meta is the per-set sidecar, sideWords words per set: meta[3s] and
+	// meta[3s+1] are set s's fingerprint planes A and B (one 4-bit nibble per
+	// slot each, together an 8-bit fingerprint), meta[3s+2] its recency
+	// order word (nibble j = slot at recency position j). The three are
+	// interleaved so a probe and its recency update touch one 24-byte run,
+	// not scattered words.
 	meta     []uint64
 	setCount int
 	ways     int
@@ -118,7 +120,7 @@ type Cache struct {
 // NewCache builds a cache of sizeBytes capacity and the given associativity.
 // sizeBytes must be a positive multiple of ways*LineBytes; the set count is
 // rounded to a power of two (downward) for fast indexing. Associativity is
-// capped at MaxWays by the packed engine's per-set fingerprint word.
+// capped at MaxWays by the packed engine's per-set fingerprint planes.
 func NewCache(sizeBytes int64, ways int) *Cache {
 	if ways <= 0 {
 		panic("cache: non-positive associativity")

@@ -45,14 +45,23 @@ import (
 // start above every live slot index and promotion scans take the lowest
 // match, so stale values shifted into them can never shadow a live slot.
 //
-// Probing never scans the ways. Each set carries a sidecar fingerprint word
-// holding a 4-bit hash nibble per physical slot (slot i at bits 4i..4i+3).
-// A probe XORs the whole fingerprint word against the probed nibble
-// replicated 16 times and extracts zero-nibble positions with the classic
-// SWAR trick, so a definite miss costs one 8-byte sidecar load and a
-// handful of ALU ops — the megabytes of tag words are read only to verify
-// the (almost always correct) candidates. Because hits no longer move
-// words, a hit writes nothing but the order word.
+// Probing never scans the ways. Each set carries two sidecar fingerprint
+// planes, one 64-bit word each, holding a 4-bit hash nibble per physical
+// slot (slot i at bits 4i..4i+3): plane A takes the line hash's bits 28–31,
+// plane B its bits 32–35, so together they are an 8-bit fingerprint. A probe
+// XORs each plane against its probed nibble replicated 16 times, extracts
+// each plane's zero-nibble positions with the classic SWAR trick and ANDs
+// the two masks, so a definite miss costs two sidecar loads and a handful of
+// ALU ops. A full 16-way set yields about 1/16 of a false candidate per
+// probe, where one plane alone would yield about one, each a tag load and
+// a mispredicted loop exit. The megabytes of tag words are read only to
+// verify the (almost always correct) candidates. Because hits no
+// longer move words, a hit writes nothing but the order word.
+//
+// A set's sidecar is three consecutive words of its cache's meta array:
+// meta[3s] is plane A, meta[3s+1] plane B and meta[3s+2] the order word.
+// The helpers below take the three as one slice (side), so a probe, its
+// recency update and a fill touch one 24-byte run, not scattered words.
 
 const (
 	tagBits    = 59
@@ -63,17 +72,20 @@ const (
 	// MaxHomeNode is the largest Home.Node the packed word can route.
 	MaxHomeNode = 7
 
-	// MaxWays is the largest associativity the engine supports: the per-set
-	// fingerprint sidecar and the recency order word each hold one 4-bit
-	// nibble per slot in a single 64-bit word. NewCache rejects anything
-	// larger.
+	// MaxWays is the largest associativity the engine supports: each
+	// fingerprint plane and the recency order word hold one 4-bit nibble per
+	// slot in a single 64-bit word. NewCache rejects anything larger.
 	MaxWays = 16
 
+	// sideWords is the length of a set's sidecar: fingerprint planes A and
+	// B, then the order word.
+	sideWords = 3
+
 	// fibMul is the multiplicative hash shared by set indexing (high bits),
-	// slice routing (low bits) and the fingerprint nibble (middle bits).
+	// slice routing (low bits) and the fingerprint (middle bits).
 	fibMul = 0x9e3779b97f4a7c15
 
-	// fpShift positions the fingerprint nibble within the line hash, away
+	// fpShift positions the 8-bit fingerprint within the line hash, away
 	// from both the set-index bits (top) and the slice-route bits (bottom).
 	fpShift = 28
 
@@ -111,21 +123,27 @@ func unpackHome(w uint64) Home {
 	return Home{Kind: kind, Node: int(w >> nodeShift)}
 }
 
-// nibbleOf extracts a line hash's fingerprint nibble.
-func nibbleOf(hash uint64) uint64 { return hash >> fpShift & 15 }
+// fingerprint extracts a line hash's 8-bit fingerprint: plane A's nibble in
+// its low four bits (hash bits 28–31), plane B's in its high four (32–35).
+func fingerprint(hash uint64) uint64 { return hash >> fpShift & 0xff }
 
-// findIn returns the way holding ptag, or -1, by SWAR-matching a replicated
-// fingerprint nibble (rep = nib*swarLow, hoisted by callers that probe
-// several levels with one nibble) against the set's fingerprint word and
-// verifying candidates against the words. Empty ways have fingerprint nibble
-// 0 and word 0, so a nib-0 probe may visit empty candidates but the verify
-// rejects them.
-func findIn(set []uint64, fp, rep, ptag uint64) int {
-	x := fp ^ rep
-	// Bits 4i+3 flag ways whose nibble equals nib (the borrow of the SWAR
-	// subtract can add false flags above a match; verification filters
-	// both those and genuine nibble collisions).
-	m := (x - swarLow) &^ x & swarHigh
+// replicate copies a fingerprint's plane A and plane B nibbles into every
+// nibble of a word each: the probe operands of findIn, hoisted by callers
+// that probe several levels with one fingerprint.
+func replicate(fp uint64) (repA, repB uint64) { return (fp & 15) * swarLow, (fp >> 4) * swarLow }
+
+// findIn returns the way holding ptag, or -1, by SWAR-matching the
+// replicated fingerprint nibbles against the set's two planes and verifying
+// candidates against the words. Empty ways have both nibbles 0 and word 0,
+// so a probe whose nibbles are both 0 may visit empty candidates but the
+// verify rejects them.
+func findIn(set, side []uint64, repA, repB, ptag uint64) int {
+	b := side[1] ^ repB
+	a := side[0] ^ repA
+	// Bits 4i+3 flag ways whose nibbles both match (the borrow of each
+	// plane's SWAR subtract can add false flags above a match; verification
+	// filters both those and genuine fingerprint collisions).
+	m := (a - swarLow) &^ a & (b - swarLow) &^ b & swarHigh
 	for m != 0 {
 		i := bits.TrailingZeros64(m) >> 2
 		if i >= len(set) {
@@ -160,11 +178,6 @@ func ordPromote(ord uint64, p int) uint64 {
 	return ord&^lowNibbles(j+1) | ord&lowNibbles(j)<<4 | uint64(p)
 }
 
-// ordFill rotates the LRU slot (position ways-1, extracted by the caller) to
-// position 0. The nibble shifted past position ways-1 is dead by the layout
-// contract.
-func ordFill(ord uint64, p int) uint64 { return ord<<4 | uint64(p) }
-
 // ordRemove parks slot p at the LRU position: nibbles older than p's
 // position slide down one and p becomes position ways-1, keeping empty slots
 // at the logical tail. lruShift is 4*(ways-1).
@@ -181,63 +194,61 @@ func ordRemove(ord uint64, p int, lruShift uint) uint64 {
 func (c *Cache) materialize() {
 	if c.words == nil {
 		c.words = make([]uint64, c.setCount*c.ways)
-		c.meta = make([]uint64, 2*c.setCount)
-		for i := 1; i < len(c.meta); i += 2 {
-			c.meta[i] = identityOrder
-		}
+		c.meta = make([]uint64, sideWords*c.setCount)
+		initOrders(c.meta)
 	}
 }
 
-// set returns the slot words of the set holding the hashed line.
-func (c *Cache) set(hash uint64) (set []uint64, s int) {
-	s = int(hash >> c.shift)
-	b := s * c.ways
-	return c.words[b : b+c.ways], s
+// initOrders sets every order word of a meta array to identityOrder.
+func initOrders(meta []uint64) {
+	for i := 2; i < len(meta); i += sideWords {
+		meta[i] = identityOrder
+	}
 }
 
-// fillSlot writes w as set s's new MRU line into the LRU slot named by the
-// order word, returning the displaced word — zero if that slot was empty
-// (empty slots sit at the logical tail), otherwise the evicted LRU line.
-// Exactly one slot word is read and written. Raw-array form shared by the
-// Cache methods and the fused stream loops.
-func fillSlot(set, meta []uint64, s int, w, nib uint64, lruShift uint) (displaced uint64) {
-	m := 2 * s
-	ord := meta[m+1]
-	p := int(ord >> lruShift & 15)
+// set returns the slot words and the sidecar of the set holding the hashed
+// line.
+func (c *Cache) set(hash uint64) (set, side []uint64) {
+	s := int(hash >> c.shift)
+	b := s * c.ways
+	return c.words[b : b+c.ways], c.meta[sideWords*s : sideWords*s+sideWords]
+}
+
+// fillSlot writes w, whose fingerprint is fp, as its set's new MRU line into
+// the LRU slot named by the order word, returning the displaced word — zero
+// if that slot was empty (empty slots sit at the logical tail), otherwise
+// the evicted LRU line. Exactly one slot word is read and written, and the
+// order word rotates the LRU slot (position ways-1) to position 0; the
+// nibble shifted past position ways-1 is dead by the layout contract.
+// Raw-array form shared by the Cache methods and the stream loop, which
+// needs it inlined: it sits just under the compiler's inlining budget, so
+// the rotation is written out rather than called.
+func fillSlot(set, side []uint64, w, fp uint64, lruShift uint) (displaced uint64) {
+	ord := side[2]
+	p := ord >> lruShift & 15
 	displaced = set[p]
 	set[p] = w
-	meta[m] = meta[m]&^(15<<(4*uint(p))) | nib<<(4*uint(p))
-	meta[m+1] = ordFill(ord, p)
+	sh := 4 * p
+	side[0] = side[0]&^(15<<sh) | fp&15<<sh
+	side[1] = side[1]&^(15<<sh) | fp>>4<<sh
+	side[2] = ord<<4 | p
 	return displaced
 }
 
-// clearSlot deletes the line at physical slot p of set s, clearing its word
-// and fingerprint nibble and parking the freed slot at the logical tail.
-func clearSlot(set, meta []uint64, s, p int, lruShift uint) {
-	m := 2 * s
+// clearSlot deletes the line at physical slot p, clearing its word and both
+// fingerprint nibbles and parking the freed slot at the logical tail.
+func clearSlot(set, side []uint64, p int, lruShift uint) {
 	set[p] = 0
-	meta[m] &^= 15 << (4 * uint(p))
-	meta[m+1] = ordRemove(meta[m+1], p, lruShift)
+	sh := 4 * uint(p)
+	side[0] &^= 15 << sh
+	side[1] &^= 15 << sh
+	side[2] = ordRemove(side[2], p, lruShift)
 }
 
-// fill writes w as the set's new MRU line into the LRU slot, returning the
-// displaced word (zero if the slot was empty).
-func (c *Cache) fill(set []uint64, s int, w, nib uint64) (displaced uint64) {
-	return fillSlot(set, c.meta, s, w, nib, c.lruShift)
-}
-
-// touch promotes the line at physical slot p to the MRU position. Only the
-// order word changes — the line stays in its slot and the fingerprint
-// sidecar is untouched.
-func (c *Cache) touch(s, p int) {
-	c.meta[2*s+1] = ordPromote(c.meta[2*s+1], p)
-}
-
-// removeSlot deletes the line at physical slot p, clearing its word and
-// fingerprint nibble and parking the freed slot at the logical tail.
-func (c *Cache) removeSlot(set []uint64, s, p int) {
-	clearSlot(set, c.meta, s, p, c.lruShift)
-}
+// promote moves the line at physical slot p to the MRU position. Only the
+// order word changes — the line stays in its slot and the fingerprint planes
+// are untouched.
+func promote(side []uint64, p int) { side[2] = ordPromote(side[2], p) }
 
 // Lookup probes for addr. On a hit it promotes the line to the set's MRU
 // position, applies the dirty bit for writes, and returns true.
@@ -248,13 +259,14 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	}
 	line := addr / LineBytes
 	hash := line * fibMul
-	set, s := c.set(hash)
-	i := findIn(set, c.meta[2*s], nibbleOf(hash)*swarLow, line+1)
+	set, side := c.set(hash)
+	repA, repB := replicate(fingerprint(hash))
+	i := findIn(set, side, repA, repB, line+1)
 	if i < 0 {
 		c.Misses++
 		return false
 	}
-	c.touch(s, i)
+	promote(side, i)
 	if write {
 		set[i] |= dirtyFlag
 	}
@@ -268,19 +280,20 @@ func (c *Cache) Insert(addr uint64, home Home, dirty bool) (Victim, bool) {
 	c.materialize()
 	line := addr / LineBytes
 	hash := line * fibMul
-	set, s := c.set(hash)
-	nib := nibbleOf(hash)
+	set, side := c.set(hash)
+	fp := fingerprint(hash)
+	repA, repB := replicate(fp)
 	ptag := line + 1
 
-	if i := findIn(set, c.meta[2*s], nib*swarLow, ptag); i >= 0 {
+	if i := findIn(set, side, repA, repB, ptag); i >= 0 {
 		// Already present: promote, keep the original home, merge dirty.
-		c.touch(s, i)
+		promote(side, i)
 		if dirty {
 			set[i] |= dirtyFlag
 		}
 		return Victim{}, false
 	}
-	displaced := c.fill(set, s, packWord(ptag, home, dirty), nib)
+	displaced := fillSlot(set, side, packWord(ptag, home, dirty), fp, c.lruShift)
 	if displaced == 0 {
 		return Victim{}, false
 	}
@@ -300,13 +313,14 @@ func (c *Cache) remove(addr uint64) (found, dirty bool) {
 	}
 	line := addr / LineBytes
 	hash := line * fibMul
-	set, s := c.set(hash)
-	i := findIn(set, c.meta[2*s], nibbleOf(hash)*swarLow, line+1)
+	set, side := c.set(hash)
+	repA, repB := replicate(fingerprint(hash))
+	i := findIn(set, side, repA, repB, line+1)
 	if i < 0 {
 		return false, false
 	}
 	w := set[i]
-	c.removeSlot(set, s, i)
+	clearSlot(set, side, i, c.lruShift)
 	return true, w&dirtyFlag != 0
 }
 
@@ -349,7 +363,7 @@ func (c *Cache) Occupancy() int {
 // inserts always fill from the LRU position.
 func (c *Cache) Flush() {
 	clear(c.words)
-	for i := 0; i < len(c.meta); i += 2 {
-		c.meta[i] = 0
+	for i := 0; i < len(c.meta); i += sideWords {
+		c.meta[i], c.meta[i+1] = 0, 0
 	}
 }

@@ -102,7 +102,7 @@ func (h *Hierarchy) materializeAll() {
 	nWords, nMeta := 0, 0
 	for _, c := range all {
 		nWords += c.setCount * c.ways
-		nMeta += 2 * c.setCount // fingerprint + order word per set
+		nMeta += sideWords * c.setCount // two fingerprint planes + order word per set
 	}
 	h.arena = make([]uint64, nWords+nMeta)
 	adviseHugePages(h.arena)
@@ -112,11 +112,9 @@ func (h *Hierarchy) materializeAll() {
 	for _, c := range all {
 		n := c.setCount * c.ways
 		c.words, words = words[:n:n], words[n:]
-		n = 2 * c.setCount
+		n = sideWords * c.setCount
 		c.meta, meta = meta[:n:n], meta[n:]
-		for i := 1; i < n; i += 2 {
-			c.meta[i] = identityOrder
-		}
+		initOrders(c.meta)
 	}
 	h.buildKernel(nWords)
 }
@@ -273,8 +271,8 @@ func (h *Hierarchy) Access(core int, addr uint64, home Home, write bool) Level {
 // slabs:
 //
 //   - the line hash is computed once and shared by the set indices, the
-//     slice route and the fingerprint nibble (they consume different bit
-//     ranges of one product);
+//     slice route and the fingerprint (they consume different bit ranges of
+//     one product);
 //   - every probe is a SWAR fingerprint match — no way scans;
 //   - each probed set is touched exactly once per access, and a full miss
 //     never reads the tag words at all;

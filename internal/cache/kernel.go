@@ -21,7 +21,7 @@ package cache
 // si*sets + s.
 type streamKernel struct {
 	words []uint64 // all slices' tag words, slice-major
-	meta  []uint64 // all slices' sidecar pairs (fp, order), slice-major
+	meta  []uint64 // all slices' 3-word sidecars (plane A, plane B, order), slice-major
 	sets  int      // sets per slice
 	ways  int
 	shift uint // per-slice set hash shift
@@ -35,7 +35,7 @@ func (h *Hierarchy) buildKernel(nWords int) {
 	s0, n := h.slices[0], len(h.slices)
 	h.kern = streamKernel{
 		words: h.arena[:n*s0.setCount*s0.ways],
-		meta:  h.arena[nWords : nWords+n*2*s0.setCount],
+		meta:  h.arena[nWords : nWords+n*sideWords*s0.setCount],
 		sets:  s0.setCount,
 		ways:  s0.ways,
 		shift: s0.shift,
@@ -48,9 +48,9 @@ const homeBitsMask = remoteFlag | uint64(MaxHomeNode)<<nodeShift
 
 // streamFused is the fused L1→L2→LLC probe/fill/spill loop shared by
 // ReadStream and the sharded driver. All statistics go to st; cache state
-// (slabs, fingerprints, order words) is mutated directly. Callers guarantee
-// the hierarchy is materialized and that concurrent calls touch disjoint
-// sets.
+// (slabs, fingerprint planes, order words) is mutated directly. Callers
+// guarantee the hierarchy is materialized and that concurrent calls touch
+// disjoint sets.
 func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBits uint64, st *streamCounters) {
 	k := &h.kern
 	l1, l2 := h.l1[core], h.l2[core]
@@ -65,16 +65,16 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		line := addr / LineBytes
 		ptag := line + 1
 		hash := line * fibMul
-		nib := nibbleOf(hash)
-		rep := nib * swarLow
+		fp := fingerprint(hash)
+		repA, repB := replicate(fp)
 
 		// L1 probe (hash>>64 is 0 in Go, so a single-set cache needs no
 		// special case).
 		s1 := int(hash >> l1shift)
 		b1 := s1 * l1ways
-		set1 := l1w[b1 : b1+l1ways]
-		if i := findIn(set1, l1m[2*s1], rep, ptag); i >= 0 {
-			l1m[2*s1+1] = ordPromote(l1m[2*s1+1], i)
+		set1, side1 := l1w[b1:b1+l1ways], l1m[sideWords*s1:sideWords*s1+sideWords]
+		if i := findIn(set1, side1, repA, repB, ptag); i >= 0 {
+			promote(side1, i)
 			l1Hit++
 			nL1++
 			continue
@@ -84,12 +84,12 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		// L2 probe.
 		s2 := int(hash >> l2shift)
 		b2 := s2 * l2ways
-		set2 := l2w[b2 : b2+l2ways]
-		if i := findIn(set2, l2m[2*s2], rep, ptag); i >= 0 {
-			l2m[2*s2+1] = ordPromote(l2m[2*s2+1], i)
+		set2, side2 := l2w[b2:b2+l2ways], l2m[sideWords*s2:sideWords*s2+sideWords]
+		if i := findIn(set2, side2, repA, repB, ptag); i >= 0 {
+			promote(side2, i)
 			l2Hit++
 			// Fill L1; its victims drop silently (L2 is inclusive of L1).
-			if fillSlot(set1, l1m, s1, ptag|homeBits, nib, l1lru) != 0 {
+			if fillSlot(set1, side1, ptag|homeBits, fp, l1lru) != 0 {
 				l1Evict++
 			}
 			nL2++
@@ -105,11 +105,11 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		si := base + int(hash&mask)
 		g3 := si*llcSets + int(hash>>llcShift)
 		b3 := g3 * llcWays
-		set3 := llcW[b3 : b3+llcWays]
+		set3, side3 := llcW[b3:b3+llcWays], llcM[sideWords*g3:sideWords*g3+sideWords]
 		var dirtyBit uint64
-		if i := findIn(set3, llcM[2*g3], rep, ptag); i >= 0 {
+		if i := findIn(set3, side3, repA, repB, ptag); i >= 0 {
 			dirtyBit = set3[i] & dirtyFlag
-			clearSlot(set3, llcM, g3, i, llcLru)
+			clearSlot(set3, side3, i, llcLru)
 			st.sliceHits[si]++
 			nLLC++
 		} else {
@@ -119,18 +119,18 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 
 		// Fill the private levels; spill the L2 victim to its routed slice.
 		fill := ptag | homeBits | dirtyBit
-		if fillSlot(set1, l1m, s1, fill, nib, l1lru) != 0 {
+		if fillSlot(set1, side1, fill, fp, l1lru) != 0 {
 			l1Evict++
 		}
-		victim := fillSlot(set2, l2m, s2, fill, nib, l2lru)
+		victim := fillSlot(set2, side2, fill, fp, l2lru)
 		if victim == 0 {
 			continue
 		}
 		l2Evict++
 		vline := victim&ptagMask - 1
 		vhash := vline * fibMul
-		vnib := nibbleOf(vhash)
-		vrep := vnib * swarLow
+		vfp := fingerprint(vhash)
+		vrepA, vrepB := replicate(vfp)
 		var vi int
 		if victim&homeBitsMask == homeBits {
 			// The common mlc case: the victim shares the stream's home, so
@@ -141,16 +141,16 @@ func (h *Hierarchy) streamFused(core int, addrs []uint64, rt sliceRoute, homeBit
 		}
 		vg := vi*llcSets + int(vhash>>llcShift)
 		vb := vg * llcWays
-		vset := llcW[vb : vb+llcWays]
+		vset, vside := llcW[vb:vb+llcWays], llcM[sideWords*vg:sideWords*vg+sideWords]
 		// Spill with full Insert semantics: another core's copy of the line
 		// may already sit in the slice, in which case it is refreshed with
 		// the dirty bits merged and the resident home preserved.
-		if vp := findIn(vset, llcM[2*vg], vrep, vline+1); vp >= 0 {
-			llcM[2*vg+1] = ordPromote(llcM[2*vg+1], vp)
+		if vp := findIn(vset, vside, vrepA, vrepB, vline+1); vp >= 0 {
+			promote(vside, vp)
 			vset[vp] |= victim & dirtyFlag
 			continue
 		}
-		if fillSlot(vset, llcM, vg, victim, vnib, llcLru) != 0 {
+		if fillSlot(vset, vside, victim, vfp, llcLru) != 0 {
 			st.sliceEvicts[vi]++
 		}
 	}

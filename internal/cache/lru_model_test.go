@@ -93,7 +93,7 @@ func engineOrder(c *Cache, s int) []modelLine {
 		return nil
 	}
 	var out []modelLine
-	ord := c.meta[2*s+1]
+	ord := c.meta[sideWords*s+2]
 	set := c.words[s*c.ways : (s+1)*c.ways]
 	for j := 0; j < c.ways; j++ {
 		p := int(ord >> (4 * uint(j)) & 15)
@@ -111,10 +111,14 @@ func engineOrder(c *Cache, s int) []modelLine {
 }
 
 // requireSameOrder compares the engine's decoded recency order against the
-// model, set by set, and checks the permutation invariant: valid lines form
-// a prefix of the recency order (no hole may precede a resident line).
+// model, set by set, and checks two invariants: valid lines form a prefix of
+// the recency order (no hole may precede a resident line), and the
+// fingerprint planes mirror the words (sidecarDiff).
 func requireSameOrder(t *testing.T, c *Cache, m *lruModel, step int) {
 	t.Helper()
+	if d := sidecarDiff(c); d != "" {
+		t.Fatalf("step %d: %s", step, d)
+	}
 	for s := 0; s < c.setCount; s++ {
 		got := engineOrder(c, s)
 		want := m.sets[s]
@@ -130,7 +134,7 @@ func requireSameOrder(t *testing.T, c *Cache, m *lruModel, step int) {
 		if c.words != nil {
 			// Prefix invariant: every position past the resident count must
 			// name an empty or dead slot.
-			ord := c.meta[2*s+1]
+			ord := c.meta[sideWords*s+2]
 			set := c.words[s*c.ways : (s+1)*c.ways]
 			for j := len(want); j < c.ways; j++ {
 				p := int(ord >> (4 * uint(j)) & 15)
@@ -175,7 +179,9 @@ func driveModel(t *testing.T, c *Cache, m *lruModel, op int, addr uint64, step i
 // TestRecencyMatchesListLRU is the randomized model check: for every
 // associativity the engine supports, a long random mix of lookups, inserts
 // and removals must leave the packed engine in exactly the state of the
-// reference list LRU after every single step.
+// reference list LRU after every single step. A second stream of operations
+// on a collision pool (fingerprint_test.go) is mixed in, and every
+// associativity must meet each fingerprint collision case.
 func TestRecencyMatchesListLRU(t *testing.T) {
 	for ways := 1; ways <= MaxWays; ways++ {
 		const sets = 8
@@ -184,10 +190,19 @@ func TestRecencyMatchesListLRU(t *testing.T) {
 		rng := sim.NewRng(uint64(1000 + ways))
 		// A small address space keeps the sets under constant pressure.
 		space := uint64(sets * ways * 3)
+		pool := collisionPool(t, c, space)
+		mix := sim.NewRng(uint64(2000 + ways))
+		var seen fpCase
 		for step := 0; step < 20000; step++ {
 			op := rng.Intn(4)
 			addr := uint64(rng.Intn(int(space))) * LineBytes
+			seen |= fpCasesBefore(c, addr)
 			driveModel(t, c, m, op, addr, step)
+			if mix.Intn(3) == 0 {
+				op, addr := mix.Intn(4), pool[mix.Intn(len(pool))]
+				seen |= fpCasesBefore(c, addr)
+				driveModel(t, c, m, op, addr, step)
+			}
 			if step%64 == 0 || step > 19900 {
 				requireSameOrder(t, c, m, step)
 			}
@@ -199,6 +214,13 @@ func TestRecencyMatchesListLRU(t *testing.T) {
 		}
 		if got := c.Occupancy(); got != want {
 			t.Fatalf("ways %d: occupancy %d, model %d", ways, got, want)
+		}
+		wantCases := allFPCases
+		if ways == 1 {
+			wantCases &^= caseHitAboveTwin // a one-way set holds no twin beside a hit
+		}
+		if seen&wantCases != wantCases {
+			t.Errorf("ways %d: probes met %v, want every case of %v", ways, seen, wantCases)
 		}
 	}
 }
@@ -221,21 +243,35 @@ func FuzzRecency(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{1, 0x81, 0x82, 0x01, 0xc1, 0x81})
 	f.Add([]byte{16, 0x80, 0x81, 0xc0, 0x41, 0x82})
+	// Fingerprint twins and single-plane matches in one set.
+	f.Add(collisionSeed())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		ways := int(data[0])%MaxWays + 1
-		// One set: lines/ways == 1, so every address collides and the order
-		// word carries all the state.
-		c := NewCache(int64(ways)*LineBytes, ways)
-		m := newLRUModel(ways)
-		for step, b := range data[1:] {
-			op := int(b >> 6)
-			addr := uint64(b&63) * LineBytes
-			driveModel(t, c, m, op, addr, step)
-			requireSameOrder(t, c, m, step)
-		}
+		replayRecency(t, data)
 	})
+}
+
+// replayRecency runs one FuzzRecency input: data[0] picks the associativity
+// of a single-set cache (lines/ways == 1, so every address collides and the
+// order word carries all the state), and each following byte is an
+// operation (top two bits) on one of the 64 fuzzLines (low six). The model
+// is cross-checked after every step; the result is the fingerprint
+// collision cases the probes met.
+func replayRecency(t *testing.T, data []byte) fpCase {
+	t.Helper()
+	ways := int(data[0])%MaxWays + 1
+	c := NewCache(int64(ways)*LineBytes, ways)
+	m := newLRUModel(ways)
+	var seen fpCase
+	for step, b := range data[1:] {
+		op := int(b >> 6)
+		addr := fuzzLines[b&63] * LineBytes
+		seen |= fpCasesBefore(c, addr)
+		driveModel(t, c, m, op, addr, step)
+		requireSameOrder(t, c, m, step)
+	}
+	return seen
 }

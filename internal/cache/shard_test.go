@@ -19,8 +19,9 @@ func shrunkConfig(snc int) HierConfig {
 }
 
 // hierDiff compares two hierarchies' complete state: every cache's packed
-// words, fingerprint sidecars, recency order words and statistic counters,
-// plus the aggregate LLC counters. Byte-identity, not tolerance. It
+// words, fingerprint planes, recency order words and statistic counters,
+// plus the aggregate LLC counters. Byte-identity, not tolerance. It also
+// requires the fingerprint planes to mirror the words (sidecarDiff). It
 // describes the first divergence, or returns "" when there is none.
 func hierDiff(want, got *Hierarchy) string {
 	if want.LLCHits != got.LLCHits || want.LLCMisses != got.LLCMisses {
@@ -43,6 +44,10 @@ func hierDiff(want, got *Hierarchy) string {
 			if w.meta[i] != g.meta[i] {
 				return fmt.Sprintf("cache %d sidecar word %d diverges: %#x, want %#x", ci, i, g.meta[i], w.meta[i])
 			}
+		}
+		// The states are equal, so this checks both sides.
+		if d := sidecarDiff(g); d != "" {
+			return fmt.Sprintf("cache %d: %s", ci, d)
 		}
 	}
 	return ""

@@ -11,8 +11,12 @@ import (
 )
 
 // benchBuffer regenerates one 32 MB buffer-latency measurement (the fig5
-// inner loop) at the quick-mode sample count.
+// inner loop) at the quick-mode sample count, warmup included: the
+// warm-state cache is off while it runs, or every iteration after the first
+// would restore the warmed hierarchy instead of simulating it.
 func benchBuffer(b *testing.B, device string, warm Warmup) {
+	ConfigureWarmStates(-1)
+	b.Cleanup(func() { ConfigureWarmStates(DefaultWarmStateEntries) })
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {

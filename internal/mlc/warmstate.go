@@ -34,8 +34,9 @@ import (
 // before.
 
 // DefaultWarmStateEntries is the warm-state cache's default entry budget.
-// Each entry holds a full hierarchy snapshot (~19 MB for the SPR model), so
-// the budget is small; ConfigureWarmStates resizes or disables it.
+// Each entry holds a full hierarchy snapshot (about 19.6 MB for the SPR
+// model), so the budget is small; ConfigureWarmStates resizes or disables
+// it.
 const DefaultWarmStateEntries = 4
 
 var (
