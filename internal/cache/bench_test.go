@@ -103,3 +103,34 @@ func BenchmarkAccessScalar(b *testing.B) {
 		h.Access(0, uint64(rng.Int63n(1<<19))*LineBytes, home, false)
 	}
 }
+
+// BenchmarkRestoreRehomed times the warm-state cache's hit path on the SPR
+// SNC-4 arena: a capture of fig5's DDR5-L warmup shape (local DDR on node
+// 0, 32 MB buffer) restored, rehomed to CXL on node 0, into a pristine
+// hierarchy with the isolation break off — ablation-llc's isolation-kept
+// point. The warm stream, the capture and each target's construction run
+// outside the timer; the arena carve and the rewrite inside it.
+func BenchmarkRestoreRehomed(b *testing.B) {
+	from, to := Home{Kind: HomeLocalDDR}, Home{Kind: HomeRemote}
+	warm := NewHierarchy(SPRHierConfig(4))
+	rng := sim.NewRng(7)
+	batch := make([]uint64, 1<<19) // one pass over the 32 MB buffer
+	for i := range batch {
+		batch[i] = uint64(rng.Int63n(1<<19)) * LineBytes
+	}
+	var counts LevelCounts
+	warm.ReadStreamSharded(0, batch, from, &counts, 1)
+	snap := warm.Capture()
+	kept := SPRHierConfig(4)
+	kept.CXLBreaksIsolation = false
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := NewHierarchy(kept)
+		b.StartTimer()
+		if !h.RestoreRehomed(snap, from, to) {
+			b.Fatal("rehomed restore refused")
+		}
+	}
+}

@@ -92,18 +92,14 @@ type Hierarchy struct {
 // dTLB miss whose page walk serializes the whole stream, so pooling the
 // slabs into a huge-page arena is worth more than any micro-optimization of
 // the probe loops. Every entry point (Access, the stream drivers, Capture,
-// Restore) calls it first, so a hierarchy's caches never materialize on
-// their own and the arena is always the hierarchy's complete line state.
+// the restores) calls it first, so a hierarchy's caches never materialize
+// on their own and the arena is always the hierarchy's complete line state.
 func (h *Hierarchy) materializeAll() {
 	if h.arena != nil {
 		return
 	}
 	all := h.all()
-	nWords, nMeta := 0, 0
-	for _, c := range all {
-		nWords += c.setCount * c.ways
-		nMeta += sideWords * c.setCount // two fingerprint planes + order word per set
-	}
+	nWords, nMeta := arenaWords(all)
 	h.arena = make([]uint64, nWords+nMeta)
 	adviseHugePages(h.arena)
 	// All words, then all sidecars, each in all() order: every slice-level
@@ -117,6 +113,17 @@ func (h *Hierarchy) materializeAll() {
 		initOrders(c.meta)
 	}
 	h.buildKernel(nWords)
+}
+
+// arenaWords sizes the arena's two regions for the caches of all(): every
+// cache's tag words, then every cache's sidecars. It reads only the
+// geometry, so it answers for a pristine hierarchy too.
+func arenaWords(all []*Cache) (nWords, nMeta int) {
+	for _, c := range all {
+		nWords += c.setCount * c.ways
+		nMeta += sideWords * c.setCount // two fingerprint planes + order word per set
+	}
+	return nWords, nMeta
 }
 
 // all yields every cache in the hierarchy, LLC slices first (they are the
@@ -161,22 +168,41 @@ type sliceRoute struct {
 	mask uint64 // slice count - 1
 }
 
-// routeFor resolves the SNC isolation rules of §4.3 for the given home.
-func (h *Hierarchy) routeFor(home Home) sliceRoute {
+// route resolves the SNC isolation rules of §4.3 for the given home.
+func (c *HierConfig) route(home Home) sliceRoute {
 	confined := false
-	if h.cfg.SNCNodes > 1 {
+	if c.SNCNodes > 1 {
 		switch home.Kind {
 		case HomeLocalDDR:
 			confined = true
 		case HomeRemote:
-			confined = !h.cfg.CXLBreaksIsolation
+			confined = !c.CXLBreaksIsolation
 		}
 	}
 	if !confined {
-		return sliceRoute{mask: uint64(h.cfg.Cores - 1)}
+		return sliceRoute{mask: uint64(c.Cores - 1)}
 	}
-	perNode := h.cfg.Cores / h.cfg.SNCNodes
+	perNode := c.Cores / c.SNCNodes
 	return sliceRoute{base: home.Node * perNode, mask: uint64(perNode - 1)}
+}
+
+// RouteClass is everything a single-home read stream into a pristine
+// hierarchy depends on besides its addresses: the geometry (the
+// configuration with CXLBreaksIsolation cleared, since the flag only steers
+// routing) and the LLC slices the home's lines are routed to. Two
+// (configuration, home) pairs of one class evolve identical states from
+// identical streams, except for the home bits every filled line carries,
+// which RestoreRehomed rewrites (DESIGN.md §20).
+type RouteClass struct {
+	Geometry HierConfig
+	route    sliceRoute
+}
+
+// RouteClass returns the route class of home under the configuration.
+func (c HierConfig) RouteClass(home Home) RouteClass {
+	rt := c.route(home)
+	c.CXLBreaksIsolation = false
+	return RouteClass{Geometry: c, route: rt}
 }
 
 // slice routes a line (addr/LineBytes) to its LLC slice index.
@@ -184,9 +210,15 @@ func (r sliceRoute) slice(line uint64) int {
 	return r.base + int(line*fibMul&r.mask)
 }
 
-// sliceFor routes an address with the given home to its LLC slice.
+// sliceFor routes an address with the given home to its LLC slice. It
+// stays out of line although it fits the inlining budget: the stream loop
+// calls it only on its mixed-home spill branch, which mlc's single-home
+// streams never take, so inlining would add code to the hot loop and save
+// nothing.
+//
+//go:noinline
 func (h *Hierarchy) sliceFor(addr uint64, home Home) int {
-	return h.routeFor(home).slice(addr / LineBytes)
+	return h.cfg.route(home).slice(addr / LineBytes)
 }
 
 // EffectiveLLCBytes returns the LLC capacity visible to lines with the given
@@ -283,7 +315,7 @@ func (h *Hierarchy) ReadStream(core int, addrs []uint64, home Home, counts *Leve
 	}
 	h.materializeAll()
 	st := newStreamCounters(len(h.slices))
-	h.streamFused(core, addrs, h.routeFor(home), packWord(0, home, false), st)
+	h.streamFused(core, addrs, h.cfg.route(home), packWord(0, home, false), st)
 	h.flushStream(core, st, counts)
 }
 

@@ -1,15 +1,22 @@
 package cache
 
-// Hierarchy state snapshots (DESIGN.md §15).
+// Hierarchy state snapshots (DESIGN.md §15, §20).
 //
 // A warmed hierarchy is expensive to produce — the buffer-latency warmup
 // streams millions of simulated accesses — and cheap to describe: every
 // cache is carved from the shared arena, so the arena's words plus the
 // per-cache statistic counters ARE the complete simulated state. Capture
-// copies them out; Restore copies them back into any hierarchy of the same
-// configuration, leaving it byte-identical to the captured one (the
-// warm-state cache in internal/mlc rides on this, and
-// TestSnapshotRoundTrip/TestWarmStateByteIdentical pin it).
+// copies them out.
+//
+// RestoreRehomed copies a snapshot of a single-home stream back into any
+// hierarchy where another home has the same route class, rewriting each
+// resident line's home bits on the way. A read stream's home only rides
+// along in the words it fills, so the result is the state a cold stream
+// with the new home would have reached; with the captured home and
+// configuration it is the captured state itself. The warm-state cache in
+// internal/mlc restores through it, which lets one warmup serve every
+// configuration that routes its lines alike
+// (TestRestoreRehomedMatchesColdWarmup, TestWarmStateByteIdentical).
 
 // Snapshot is a deep copy of a Hierarchy's complete simulated state: the
 // packed tag words and sidecars of every cache plus all statistic counters.
@@ -22,7 +29,8 @@ type Snapshot struct {
 }
 
 // Config returns the configuration of the hierarchy the snapshot was
-// captured from; Restore only accepts hierarchies configured identically.
+// captured from; RestoreRehomed accepts hierarchies where the new home
+// shares the old one's route class under it.
 func (s *Snapshot) Config() HierConfig { return s.cfg }
 
 // Bytes reports the snapshot's approximate memory footprint, for sizing the
@@ -55,20 +63,50 @@ func (h *Hierarchy) Capture() *Snapshot {
 	return s
 }
 
-// Restore overwrites the hierarchy's simulated state with the snapshot's,
-// leaving it byte-identical to the hierarchy Capture saw. It reports false —
-// and changes nothing — when the hierarchy's configuration differs from the
-// snapshot's. The arena carve is deterministic per configuration, so equal
-// configurations always have identical layouts.
-func (h *Hierarchy) Restore(s *Snapshot) bool {
-	if h.cfg != s.cfg {
+// RestoreRehomed overwrites the hierarchy's simulated state with the
+// snapshot's, every resident line rehomed from from to to. It refuses —
+// reporting false and writing nothing — unless from under the snapshot's
+// configuration and to under the hierarchy's share a route class, and every
+// resident line of the snapshot is homed at from. The arena is copied with
+// each nonzero tag word's home bits rewritten to to's; the sidecars and
+// counters are copied verbatim.
+//
+// Restored from a capture of a pristine hierarchy driven by from-homed read
+// streams, the hierarchy is byte-identical to a pristine one driven by the
+// same streams homed at to: the home decides only the slice route, which
+// the route class fixes, and the home bits that fills stamp on the words.
+func (h *Hierarchy) RestoreRehomed(s *Snapshot, from, to Home) bool {
+	if s.cfg.RouteClass(from) != h.cfg.RouteClass(to) {
 		return false
 	}
+	// Equal geometries carve equal layouts: the tag words lead the arena,
+	// the sidecars follow.
+	nWords, _ := arenaWords(h.all())
+	words := s.arena[:nWords]
+	fromBits, toBits := packWord(0, from, false), packWord(0, to, false)
+	for _, w := range words {
+		if w&homeBitsMask != fromBits && w != 0 {
+			return false
+		}
+	}
 	h.materializeAll()
-	copy(h.arena, s.arena)
+	dst := h.arena[:nWords]
+	for i, w := range words {
+		if w != 0 {
+			w ^= fromBits ^ toBits
+		}
+		dst[i] = w
+	}
+	copy(h.arena[nWords:], s.arena[nWords:])
+	h.restoreCounters(s)
+	return true
+}
+
+// restoreCounters copies the snapshot's statistic counters into the
+// hierarchy, whose layout matches the snapshot's.
+func (h *Hierarchy) restoreCounters(s *Snapshot) {
 	h.LLCHits, h.LLCMisses = s.llcHits, s.llcMisses
 	for i, c := range h.all() {
 		c.Hits, c.Misses, c.Evictions = s.counters[3*i], s.counters[3*i+1], s.counters[3*i+2]
 	}
-	return true
 }

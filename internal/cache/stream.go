@@ -170,7 +170,7 @@ func (h *Hierarchy) ReadStreamSharded(core int, addrs []uint64, home Home, count
 	}
 	// off[s] is now shard s's start; shard s ends where shard s+1 starts.
 
-	rt := h.routeFor(home)
+	rt := h.cfg.route(home)
 	homeBits := packWord(0, home, false)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -63,10 +63,10 @@ func (c claimData) num(row, col int) float64 {
 
 // TestPaperClaims pins the paper's findings on the typed cells of the
 // experiments whose hot loops the event engine, the Zipf sampler and the
-// latency sorts drive, plus fig5's O6. The goldens pin bytes, and
-// regenerating them with -update rewrites whatever the code now prints;
-// these claims do not move with them, so a change that regenerates the
-// goldens cannot silently change the science.
+// latency sorts drive, plus fig5's O6 and the ablation that collapses it.
+// The goldens pin bytes, and regenerating them with -update rewrites
+// whatever the code now prints; these claims do not move with them, so a
+// change that regenerates the goldens cannot silently change the science.
 func TestPaperClaims(t *testing.T) {
 	t.Run("tpp-timeline ends at the 75% DDR target", func(t *testing.T) {
 		c := runClaim(t, "tpp-timeline")
@@ -100,6 +100,24 @@ func TestPaperClaims(t *testing.T) {
 		ddr, cxl := c.num(c.row("DDR5-L"), lat), c.num(c.row("CXL-A"), lat)
 		if !(cxl < ddr) {
 			t.Fatalf("CXL-A's 32 MB buffer latency %v ns is not below DDR5-L's %v ns", cxl, ddr)
+		}
+	})
+	t.Run("ablation-llc keeping isolation collapses O6", func(t *testing.T) {
+		fig5, abl := runClaim(t, "fig5"), runClaim(t, "ablation-llc")
+		lat := fig5.col("Avg latency (ns)")
+		ddr, cxl := fig5.num(fig5.row("DDR5-L"), lat), fig5.num(fig5.row("CXL-A"), lat)
+		brokenCol, keptCol := abl.col("Isolation broken (hardware)"), abl.col("Isolation kept (ablation)")
+		buf, dlrm := abl.row("32MB buffer latency"), abl.row("DLRM CXL100 vs DDR100")
+		if broken := abl.num(buf, brokenCol); broken != cxl {
+			t.Errorf("isolation-broken 32 MB latency %v ns differs from fig5's CXL-A %v ns", broken, cxl)
+		}
+		// Confined to the node's slices, CXL data sees DDR5-L's LLC and pays
+		// more per miss, so fig5's gap vanishes.
+		if kept := abl.num(buf, keptCol); kept < ddr {
+			t.Errorf("isolation-kept 32 MB latency %v ns is below fig5's DDR5-L %v ns", kept, ddr)
+		}
+		if broken, kept := abl.num(dlrm, brokenCol), abl.num(dlrm, keptCol); !(kept < broken) {
+			t.Errorf("DLRM CXL100/DDR100 is %v with isolation kept, not below %v with it broken", kept, broken)
 		}
 	})
 }

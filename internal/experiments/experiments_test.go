@@ -3,8 +3,10 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"cxlmem/internal/mlc"
 	"cxlmem/internal/results"
 )
 
@@ -112,6 +114,34 @@ func TestFig5Table(t *testing.T) {
 	cxl := cell(t, tbl, 1, 1)
 	if cxl >= ddr {
 		t.Errorf("CXL buffer latency %v should beat DDR %v", cxl, ddr)
+	}
+}
+
+// warmShareRuns gives every run of TestAblationLLCThenFig5WarmStates its
+// own seed, so its warm-state keys are fresh even under -count.
+var warmShareRuns atomic.Uint64
+
+// TestAblationLLCThenFig5WarmStates runs quick ablation-llc then fig5, the
+// order of `cxlbench -run all`, and counts warm-state traffic. ablation-llc
+// warms its two points (2 misses). fig5 restores both of its points
+// (2 hits): its CXL-A point is ablation-llc's isolation-broken point, and its
+// DDR5-L point routes to the same node-0 slices as the isolation-kept one.
+func TestAblationLLCThenFig5WarmStates(t *testing.T) {
+	o := DefaultOptions()
+	o.Quick = true
+	o.Parallel = 1
+	o.Seed = 990200 + warmShareRuns.Add(1) // keys no other test warms
+	before := mlc.WarmStateStats()
+	for _, id := range []string{"ablation-llc", "fig5"} {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(o) // not RunDataset: a dataset-cache hit would skip the warmups
+	}
+	after := mlc.WarmStateStats()
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 2 || hits != 2 {
+		t.Errorf("ablation-llc then fig5: %d warm-state misses and %d hits, want 2 and 2", misses, hits)
 	}
 }
 

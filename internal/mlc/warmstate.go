@@ -11,21 +11,28 @@ import (
 	"cxlmem/internal/sim"
 )
 
-// Warm-state snapshot cache (DESIGN.md §15).
+// Warm-state snapshot cache (DESIGN.md §15, §20).
 //
 // BufferLatency's warmup dominates its cost: bringing the hierarchy to
 // steady state streams WarmMaxPasses buffer passes of random touches —
 // millions of simulated accesses — before the first measured sample. But the
-// post-warmup state is a pure function of (hierarchy configuration, home,
-// buffer size, seed, warmup policy): the same operating point re-measured —
-// a re-run, fig5 and ablation-llc sharing their CXL-A baseline row, a
-// cxlserve cold-cache miss — re-simulates an identical warmup. warmStates
+// post-warmup state is a pure function of (route class, buffer size, seed,
+// warmup policy), up to the home bits each resident line carries: the
+// warmup is a single-home read stream into a pristine hierarchy, and such a
+// stream depends on its home only through the LLC slices it routes to
+// (cache.RouteClass). So the same operating point re-measured — a re-run, a
+// cxlserve cold-cache miss — and a point that merely routes alike re-simulate
+// an identical warmup: fig5's CXL-A row is ablation-llc's isolation-broken
+// row, and fig5's DDR5-L row (node-0 slices, local DDR) streams exactly like
+// ablation-llc's isolation-kept CXL-A row (node-0 slices, CXL). warmStates
 // memoizes the warmed state: a bounded, single-flight cache mapping the
-// warmup key to a hierarchy Snapshot plus the RNG state at the end of the
-// warmup stream. A hit restores the snapshot and resumes the RNG where the
-// warmup left it, so the measurement pass consumes exactly the stream it
-// would have after a cold warmup — byte-identical results, pinned by
-// TestWarmStateByteIdentical and the golden corpus.
+// warmup key to a hierarchy Snapshot, the home it was warmed with, and the
+// RNG state at the end of the warmup stream. A hit restores the snapshot
+// rehomed to the caller's home (cache.RestoreRehomed) and resumes the RNG
+// where the warmup left it, so the measurement pass consumes exactly the
+// stream it would have after a cold warmup — byte-identical results, pinned
+// by TestWarmStateByteIdentical, TestWarmStateSharedKey and the golden
+// corpus.
 //
 // Keying deliberately excludes sample and worker counts: neither shapes the
 // warmup stream. Canceled warmups are never retained (memo drops
@@ -60,19 +67,21 @@ func ConfigureWarmStates(maxEntries int) {
 // cxlserve exposes these on /metrics.
 func WarmStateStats() memo.CacheStats { return warmStates.Stats() }
 
-// warmKey canonicalizes everything that shapes a warmup: the hierarchy
-// configuration (HierConfig is a flat value, so %+v is canonical), the
-// home's routing class and node, the buffer's line count, the RNG seed and
-// the warmup policy.
+// warmKey canonicalizes everything that shapes a warmup: the route class
+// of the home under the hierarchy configuration (a flat comparable value,
+// so %+v is canonical), the buffer's line count, the RNG seed and the
+// warmup policy. The home itself and the isolation flag are left out: they
+// reach the warmed state only through the route class and the home bits
+// RestoreRehomed rewrites.
 func warmKey(cfg cache.HierConfig, home cache.Home, lines int64, seed uint64, warm Warmup) string {
-	return fmt.Sprintf("%+v|home=%d:%d|lines=%d|seed=%d|warm=%d",
-		cfg, home.Kind, home.Node, lines, seed, warm)
+	return fmt.Sprintf("%+v|lines=%d|seed=%d|warm=%d", cfg.RouteClass(home), lines, seed, warm)
 }
 
-// warmState is one memoized warmup: the warmed hierarchy and the RNG state
-// at the end of the warmup stream.
+// warmState is one memoized warmup: the warmed hierarchy, the home it was
+// warmed with and the RNG state at the end of the warmup stream.
 type warmState struct {
 	snap *cache.Snapshot
+	home cache.Home
 	rng  uint64 // sim.Rng state; NewRng(rng) resumes the measurement stream
 }
 
@@ -84,11 +93,13 @@ func canceled(err error) bool {
 // warmBuffer brings the hierarchy to the buffer measurement's steady state
 // and returns the RNG positioned at the start of the measurement stream. A
 // pristine hierarchy goes through the warm-state cache: a hit restores the
-// memoized snapshot, a miss runs the warmup on this hierarchy and memoizes
-// the result for the next caller. Hierarchies with prior simulated state —
-// and any cache failure — warm inline, byte-identical either way. A context
-// cancellation unwinds as a panic carrying ctx's error, matching the sweep
-// engine's cancellation convention (experiments.recoverAsErr restores it).
+// memoized snapshot rehomed to home, a miss runs the warmup on this
+// hierarchy and memoizes the result for the next caller. Hierarchies with
+// prior simulated state — and any cache failure, including a refused
+// restore (unreachable: one key means one route class) — warm inline,
+// byte-identical either way. A context cancellation unwinds as a panic
+// carrying ctx's error, matching the sweep engine's cancellation
+// convention (experiments.recoverAsErr restores it).
 func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, seed uint64, o StreamOptions) *sim.Rng {
 	warm := o.Warm
 	if !warmStatesOff.Load() && hier.Pristine() {
@@ -108,13 +119,13 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			if err := runWarmup(cctx, h, home, lines, r, warm, o.Workers); err != nil {
 				return nil, err
 			}
-			return &warmState{snap: h.Capture(), rng: r.State()}, nil
+			return &warmState{snap: h.Capture(), home: home, rng: r.State()}, nil
 		})
 		if err == nil {
 			// A warmup that ran on this very hierarchy left it in the
 			// snapshot's state already.
 			ws := v.(*warmState)
-			if warmedHere || hier.Restore(ws.snap) {
+			if warmedHere || hier.RestoreRehomed(ws.snap, ws.home, home) {
 				return sim.NewRng(ws.rng)
 			}
 		}

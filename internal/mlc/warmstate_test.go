@@ -64,34 +64,59 @@ func TestWarmStateByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStateSharedKey pins that fig5's CXL-A point and ablation-llc's
-// isolation-broken point memoize under one key: both build DefaultConfig
-// systems and measure CXL-A with the same seed, so the second experiment
-// restores the first one's warmup.
+// TestWarmStateSharedKey pins the two warm-state shares between fig5 and
+// ablation-llc. fig5's CXL-A point and ablation-llc's isolation-broken
+// point build identically configured systems and measure CXL-A, so they
+// memoize under one key. fig5's DDR5-L point and ablation-llc's
+// isolation-kept CXL-A point route to the same node-0 slices of the same
+// geometry, so they share a key too: whichever runs second restores the
+// first one's warmup rehomed, in either order, and still measures exactly
+// its cold value. DDR5-L and the isolation-broken CXL-A point route
+// differently and must not share.
 func TestWarmStateSharedKey(t *testing.T) {
-	sysFig5 := topo.NewSystem(topo.DefaultConfig())
-	ablCfg := topo.DefaultConfig()
-	ablCfg.CXLBreaksSNCIsolation = true // ablation-llc's explicit broken row
-	sysAbl := topo.NewSystem(ablCfg)
-	const buf, seed = 2 << 20, uint64(9100)
-	homeFig := sysFig5.HomeFor(sysFig5.Path("CXL-A"), 0)
-	homeAbl := sysAbl.HomeFor(sysAbl.Path("CXL-A"), 0)
-	k1 := warmKey(sysFig5.Hier.Config(), homeFig, buf/64, seed, WarmupExact)
-	k2 := warmKey(sysAbl.Hier.Config(), homeAbl, buf/64, seed, WarmupExact)
-	if k1 != k2 {
-		t.Fatalf("fig5 and ablation-llc keys differ:\n%s\n%s", k1, k2)
+	broken := topo.DefaultConfig()
+	broken.CXLBreaksSNCIsolation = true // ablation-llc's explicit broken row
+	kept := topo.DefaultConfig()
+	kept.CXLBreaksSNCIsolation = false
+	type point struct {
+		name   string
+		cfg    topo.Config
+		device string
+	}
+	fig5DDR := point{"fig5 DDR5-L", topo.DefaultConfig(), "DDR5-L"}
+	fig5CXL := point{"fig5 CXL-A", topo.DefaultConfig(), "CXL-A"}
+	ablBroken := point{"ablation-llc isolation broken", broken, "CXL-A"}
+	ablKept := point{"ablation-llc isolation kept", kept, "CXL-A"}
+	const buf, samples = 2 << 20, 1000
+	key := func(p point, seed uint64) string {
+		sys := topo.NewSystem(p.cfg)
+		return warmKey(sys.Hier.Config(), sys.HomeFor(sys.Path(p.device), 0), buf/64, seed, WarmupExact)
+	}
+	if key(fig5DDR, 1) == key(ablBroken, 1) {
+		t.Errorf("%s and %s share a key", fig5DDR.name, ablBroken.name)
 	}
 
-	before := WarmStateStats()
-	a := BufferLatency(sysFig5, sysFig5.Path("CXL-A"), buf, 1000, seed).Nanoseconds()
-	b := BufferLatency(sysAbl, sysAbl.Path("CXL-A"), buf, 1000, seed).Nanoseconds()
-	after := WarmStateStats()
-	if a != b {
-		t.Errorf("shared-key measurements diverge: %v vs %v", a, b)
-	}
-	if after.Hits-before.Hits < 1 {
-		t.Errorf("second experiment did not hit the shared key (hits %d -> %d)",
-			before.Hits, after.Hits)
+	for i, pair := range [][2]point{{fig5CXL, ablBroken}, {fig5DDR, ablKept}, {ablKept, fig5DDR}} {
+		seed := uint64(9100 + i) // a fresh key for every pair
+		first, second := pair[0], pair[1]
+		if k1, k2 := key(first, seed), key(second, seed); k1 != k2 {
+			t.Errorf("%s and %s keys differ:\n%s\n%s", first.name, second.name, k1, k2)
+			continue
+		}
+		coldFirst := coldBuffer(first.cfg, first.device, buf, samples, seed)
+		coldSecond := coldBuffer(second.cfg, second.device, buf, samples, seed)
+		before := WarmStateStats()
+		a := warmPoint(first.cfg, first.device, buf, samples, seed)
+		b := warmPoint(second.cfg, second.device, buf, samples, seed)
+		after := WarmStateStats()
+		if a != coldFirst || b != coldSecond {
+			t.Errorf("%s then %s: measured %v and %v, want cold %v and %v",
+				first.name, second.name, a, b, coldFirst, coldSecond)
+		}
+		if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 1 {
+			t.Errorf("%s then %s: %d warm-state misses and %d hits, want 1 and 1",
+				first.name, second.name, misses, hits)
+		}
 	}
 }
 
