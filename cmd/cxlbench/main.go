@@ -8,7 +8,6 @@
 //	cxlbench -run all                 # regenerate everything, concurrently
 //	cxlbench -run fig13 -quick        # reduced sample counts
 //	cxlbench -run all -parallel 4     # bound the sweep worker pool
-//	cxlbench -run fig5 -fastwarm      # convergence-based cache warmup
 //	cxlbench -run fig5 -fidelity auto # analytic estimate off-knee, exact at the knee
 //	cxlbench -run fig13 -cpuprofile p # write a pprof CPU profile
 //
@@ -72,12 +71,18 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sample counts")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = all CPUs)")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
-	fastwarm := flag.Bool("fastwarm", false, "convergence-based cache warmup (faster; last-digit shifts on fig5/ablation-llc)")
 	fidelity := flag.String("fidelity", "", "measurement tier for fig5/ablation-llc: exact (default), auto, fast")
 	format := flag.String("format", "", "output format for -run/-scenario: text (default), json, csv")
 	remote := flag.String("remote", "", "comma-separated cxlserve replica URLs: dispatch -scenario cells across the fleet instead of computing locally")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag argument, so everything after a
+		// stray word (say -quick true) would be dropped silently.
+		fmt.Fprintf(os.Stderr, "cxlbench: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *remote != "" && (*scenario == "" || *scenario == "list") {
 		fail(fmt.Errorf("-remote dispatches scenario cells; pair it with -scenario SPEC or -scenario all"))
@@ -95,7 +100,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := cxlmem.RunConfig{Quick: *quick, Parallel: *parallel, Seed: *seed, FastWarmup: *fastwarm, Fidelity: *fidelity}
+	cfg := cxlmem.RunConfig{Quick: *quick, Parallel: *parallel, Seed: *seed, Fidelity: *fidelity}
 	if *platform != "" && *platform != "list" {
 		cfg.Platform = *platform
 	}

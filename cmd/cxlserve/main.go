@@ -37,7 +37,7 @@
 //	GET /metrics                                cache/admission/latency counters
 //	GET /healthz                                liveness (503 while draining)
 //
-// Requests may override platform=, quick=, fastwarm= and seed=, and lower
+// Requests may override platform=, quick=, fidelity= and seed=, and lower
 // (never raise) the deadline with timeout=; the sweep worker count stays a
 // server flag so clients cannot oversubscribe the host.
 package main
@@ -68,7 +68,6 @@ func main() {
 	quick := flag.Bool("quick", false, "default to reduced sample counts (requests may override with quick=)")
 	parallel := flag.Int("parallel", 0, "sweep worker count per run (0 = all CPUs)")
 	seed := flag.Uint64("seed", 0, "default experiment seed (0 = calibrated default)")
-	fastwarm := flag.Bool("fastwarm", false, "default to convergence-based cache warmup")
 	platform := flag.String("platform", "", "default platform profile for scenario cells")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline (0 = none; requests may lower it with timeout=)")
 	maxInflight := flag.Int("max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently admitted compute requests (0 = unlimited)")
@@ -84,11 +83,15 @@ func main() {
 	snapshotSave := flag.String("snapshot-save", "", "write a dataset-cache snapshot here at shutdown (and every -snapshot-interval)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "also snapshot periodically while serving (0 = only at shutdown; needs -snapshot-save)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "cxlserve: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	opts := experiments.DefaultOptions()
 	opts.Quick = *quick
 	opts.Parallel = *parallel
-	opts.FastWarmup = *fastwarm
 	opts.Platform = *platform
 	if *seed != 0 {
 		opts.Seed = *seed

@@ -5,7 +5,7 @@
 //
 //	mlc                 # idle latency + all-read bandwidth for every device
 //	mlc -mix 2:1        # bandwidth at a specific read:write mix
-//	mlc -buffer 32M     # SNC buffer-latency experiment (§4.3)
+//	mlc -buffer         # 32 MB SNC buffer-latency experiment (§4.3)
 package main
 
 import (
@@ -21,11 +21,15 @@ import (
 func main() {
 	mixFlag := flag.String("mix", "all", "read:write mix: all, 3:1, 2:1, 1:1")
 	buffer := flag.Bool("buffer", false, "run the 32MB SNC buffer-latency experiment")
-	fastwarm := flag.Bool("fastwarm", false, "convergence-based warmup for -buffer (faster, approximate)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mlc: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *buffer {
-		runBuffer(*fastwarm)
+		runBuffer()
 		return
 	}
 	mix, err := parseMix(*mixFlag)
@@ -60,15 +64,11 @@ func parseMix(s string) (mem.MixPoint, error) {
 	}
 }
 
-func runBuffer(fastwarm bool) {
+func runBuffer() {
 	const buf = 32 << 20
-	warm := mlc.WarmupExact
-	if fastwarm {
-		warm = mlc.WarmupConverged
-	}
 	for _, name := range []string{"DDR5-L", "CXL-A"} {
 		sys := topo.NewSystem(topo.DefaultConfig()) // SNC on
-		lat := mlc.BufferLatencyWarm(sys, sys.Path(name), buf, 200000, 3, warm)
+		lat := mlc.BufferLatency(sys, sys.Path(name), buf, 200000, 3)
 		fmt.Printf("%-8s  32MB random buffer: %.1f ns avg\n", name, lat.Nanoseconds())
 	}
 	fmt.Println("(paper §4.3: DDR5-L 76.8 ns vs CXL-A 41 ns — O6)")

@@ -125,11 +125,6 @@ type RunConfig struct {
 	Parallel int
 	// Seed perturbs the stochastic components; 0 keeps the default.
 	Seed uint64
-	// FastWarmup switches the cache-simulating measurements to
-	// convergence-based warmup: much faster regeneration for fig5 and
-	// ablation-llc, at the cost of last-digit shifts versus the pinned
-	// exact-warmup tables.
-	FastWarmup bool
 	// Platform selects the registered platform profile scenario runs use
 	// by default (a spec's own platform= key wins); empty keeps the
 	// Table-1 default. The paper's fixed figures always run on Table 1.
@@ -159,7 +154,6 @@ func (cfg RunConfig) options() experiments.Options {
 	opts := experiments.DefaultOptions()
 	opts.Quick = cfg.Quick
 	opts.Parallel = cfg.Parallel
-	opts.FastWarmup = cfg.FastWarmup
 	// Platform names are lowercase in the registry; normalize here so the
 	// flag/API accepts the same spellings as the platform= spec key (and the
 	// memo cell key never forks on case).

@@ -80,7 +80,6 @@ func cellQuery(o experiments.Options, spec string) url.Values {
 	q.Set("spec", spec)
 	q.Set("format", "json")
 	q.Set("quick", strconv.FormatBool(o.Quick))
-	q.Set("fastwarm", strconv.FormatBool(o.FastWarmup))
 	q.Set("seed", strconv.FormatUint(o.Seed, 10))
 	q.Set("platform", o.Platform)
 	return q

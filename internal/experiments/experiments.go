@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"cxlmem/internal/memo"
-	"cxlmem/internal/mlc"
 	"cxlmem/internal/results"
 	"cxlmem/internal/topo"
 )
@@ -44,12 +43,6 @@ type Options struct {
 	// every available CPU. Any value produces byte-identical tables — the
 	// sweep engine orders results by operating-point index.
 	Parallel int
-	// FastWarmup switches the cache-simulating measurements (fig5,
-	// ablation-llc) from the exact fixed six-pass warmup to the
-	// convergence-based one (mlc.WarmupConverged). Faster, but the rendered
-	// values can shift in the last digit, so the default stays exact —
-	// the golden-table corpus pins the exact-mode rendering.
-	FastWarmup bool
 	// Platform selects the registered platform profile scenario cells run
 	// on by default (a cell's own platform= key wins); empty keeps the
 	// Table-1 default. The paper's fixed figures always run on Table 1 and
@@ -66,14 +59,6 @@ type Options struct {
 	// fingerprint — a deadline shapes *whether* a result arrives, never its
 	// bytes — and canceled computations are not cached.
 	Ctx context.Context
-}
-
-// warmup resolves the options' warmup policy for mlc buffer measurements.
-func (o Options) warmup() mlc.Warmup {
-	if o.FastWarmup {
-		return mlc.WarmupConverged
-	}
-	return mlc.WarmupExact
 }
 
 // DefaultOptions returns the full-fidelity settings.
@@ -93,10 +78,12 @@ func (o Options) scale(n int) int {
 // fingerprint is the options part of every memo key: exactly the knobs that
 // change a result's numbers. Parallel is excluded by design — results are
 // byte-identical for every worker count (the serial-vs-parallel equivalence
-// test pins it), so a cached value is valid across fan-outs.
+// test pins it), so a cached value is valid across fan-outs. The constant
+// fastwarm=false segment is the retired warmup knob (DESIGN.md §21): it
+// stays so keys, ring ownership and saved snapshots do not move.
 func (o Options) fingerprint() string {
-	return fmt.Sprintf("quick=%t|fastwarm=%t|seed=%d|platform=%s|fidelity=%s",
-		o.Quick, o.FastWarmup, o.Seed, o.Platform, o.fidelity())
+	return fmt.Sprintf("quick=%t|fastwarm=false|seed=%d|platform=%s|fidelity=%s",
+		o.Quick, o.Seed, o.Platform, o.fidelity())
 }
 
 // Experiment is a registered driver.
@@ -329,7 +316,6 @@ func newDataset(o Options, id, title string, cols ...results.Column) *results.Da
 		ExperimentID: id,
 		Platform:     o.Platform,
 		Quick:        o.Quick,
-		FastWarmup:   o.FastWarmup,
 		Seed:         o.Seed,
 		Fidelity:     o.provFidelity(),
 	}

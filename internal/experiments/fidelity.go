@@ -10,8 +10,8 @@ import (
 
 // Fidelity selects how the cache-simulating measurements (the fig5 and
 // ablation-llc buffer-latency sweeps) are computed. It is orthogonal to
-// Quick (sample counts) and FastWarmup (warmup policy): fidelity decides
-// whether a point is simulated at all.
+// Quick (sample counts): fidelity decides whether a point is simulated at
+// all.
 type Fidelity string
 
 const (
@@ -75,7 +75,7 @@ func (o Options) bufferLatencyNs(sys *topo.System, path *topo.Path, bufBytes int
 		}
 	}
 	return mlc.BufferLatencyOpt(sys, path, bufBytes, samples, o.Seed+3,
-		mlc.StreamOptions{Warm: o.warmup(), Workers: o.workers(), Ctx: o.Ctx}).Nanoseconds()
+		mlc.StreamOptions{Workers: o.workers(), Ctx: o.Ctx}).Nanoseconds()
 }
 
 // markFidelity flags a registered experiment as consuming Options.Fidelity.

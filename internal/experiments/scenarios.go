@@ -83,7 +83,6 @@ func (o Options) scenarioEnv(cellPlatform string) (*workloads.Env, error) {
 		return nil, err
 	}
 	env.Quick = o.Quick
-	env.FastWarmup = o.FastWarmup
 	if o.Seed != DefaultOptions().Seed {
 		env.Seed = o.Seed
 	}
@@ -150,7 +149,6 @@ func ScenarioResultFromCell(o Options, sc workloads.Scenario, m workloads.Metric
 		Platform:     o.Platform,
 		Scenario:     sc.String(),
 		Quick:        o.Quick,
-		FastWarmup:   o.FastWarmup,
 		Seed:         o.Seed,
 	}
 	return d

@@ -65,7 +65,7 @@ func TestRunScenarioMemoized(t *testing.T) {
 	}
 }
 
-// TestCellKeyDistinguishesOptions pins that quick/fastwarm/seed/platform all
+// TestCellKeyDistinguishesOptions pins that quick/seed/platform all
 // fingerprint the cell key — cached values must never leak across modes or
 // machines.
 func TestCellKeyDistinguishesOptions(t *testing.T) {
@@ -76,8 +76,6 @@ func TestCellKeyDistinguishesOptions(t *testing.T) {
 	base := DefaultOptions()
 	quick := base
 	quick.Quick = true
-	warm := base
-	warm.FastWarmup = true
 	seeded := base
 	seeded.Seed = 99
 	platformed := base
@@ -85,11 +83,11 @@ func TestCellKeyDistinguishesOptions(t *testing.T) {
 	parallel := base
 	parallel.Parallel = 7
 	keys := map[string]bool{}
-	for _, o := range []Options{base, quick, warm, seeded, platformed} {
+	for _, o := range []Options{base, quick, seeded, platformed} {
 		keys[o.cellKey(sc)] = true
 	}
-	if len(keys) != 5 {
-		t.Errorf("options collapse onto %d keys, want 5", len(keys))
+	if len(keys) != 4 {
+		t.Errorf("options collapse onto %d keys, want 4", len(keys))
 	}
 	if base.cellKey(sc) != parallel.cellKey(sc) {
 		t.Error("worker count must not change the cell key")

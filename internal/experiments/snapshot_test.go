@@ -92,8 +92,10 @@ func TestSnapshotRoundTripUnderEviction(t *testing.T) {
 }
 
 // TestImportRejectsBadSnapshots pins the failure envelope of the restore
-// path: corrupt JSON, a wrong schema version, and a foreign cache name all
-// fail cleanly without touching the cache.
+// path: corrupt JSON, a wrong schema version, a foreign cache name, and an
+// entry measured under the retired fastwarm warmup (DESIGN.md §21), which
+// would otherwise be re-served labelled exact, all fail cleanly without
+// touching the cache.
 func TestImportRejectsBadSnapshots(t *testing.T) {
 	for _, tc := range []struct {
 		name, data string
@@ -101,6 +103,8 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		{"corrupt", "{not json"},
 		{"schema", `{"schema": 99, "cache": "dataset", "entries": []}`},
 		{"cache", `{"schema": 1, "cache": "cell", "entries": []}`},
+		{"fastwarm", `{"schema": 1, "cache": "dataset", "entries": [{"key": "experiment|fig4a|quick=true|fastwarm=true|seed=1|platform=|fidelity=exact",
+			"value": {"schema": 1, "id": "fig4a", "rows": [], "notes": [], "provenance": {"experiment": "fig4a", "quick": true, "fastwarmup": true, "seed": 1}}}]}`},
 	} {
 		fresh := memo.NewCache()
 		if _, err := ImportDatasetCacheInto(fresh, []byte(tc.data)); err == nil {
@@ -252,6 +256,39 @@ func TestScenarioKeyBlanksFidelity(t *testing.T) {
 	oq.Quick = true
 	if ScenarioKey(oq, sc) == base {
 		t.Error("scenario key does not fork on quick")
+	}
+}
+
+// TestCanonicalKeysPinned pins the memo keys literally. They decide ring
+// ownership and name every saved snapshot entry, so a change to the
+// fingerprint (the retired fastwarm=false segment included, DESIGN.md §21)
+// must show up here rather than silently move owners or orphan snapshots.
+func TestCanonicalKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		id    string
+		quick bool
+		want  string
+	}{
+		{"fig5", true, "experiment|fig5|quick=true|fastwarm=false|seed=1|platform=|fidelity=exact"},
+		{"fig4a", true, "experiment|fig4a|quick=true|fastwarm=false|seed=1|platform=|fidelity=exact"},
+		{"fig5", false, "experiment|fig5|quick=false|fastwarm=false|seed=1|platform=|fidelity=exact"},
+		{"fig4a", false, "experiment|fig4a|quick=false|fastwarm=false|seed=1|platform=|fidelity=exact"},
+	} {
+		o := DefaultOptions()
+		o.Quick = tc.quick
+		if got, err := DatasetKey(tc.id, o); err != nil || got != tc.want {
+			t.Errorf("DatasetKey(%s, quick=%t) = %q, %v; want %q", tc.id, tc.quick, got, err, tc.want)
+		}
+	}
+	sc, err := workloads.ParseScenario("kvstore/policy=cxl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Quick = true
+	const want = "kvstore/policy=cxl|quick=true|fastwarm=false|seed=1|platform=|fidelity=exact"
+	if got := ScenarioKey(o, sc); got != want {
+		t.Errorf("ScenarioKey = %q, want %q", got, want)
 	}
 }
 

@@ -14,24 +14,22 @@ import (
 // inner loop) at the quick-mode sample count, warmup included: the
 // warm-state cache is off while it runs, or every iteration after the first
 // would restore the warmed hierarchy instead of simulating it.
-func benchBuffer(b *testing.B, device string, warm Warmup) {
+func benchBuffer(b *testing.B, device string) {
 	ConfigureWarmStates(-1)
 	b.Cleanup(func() { ConfigureWarmStates(DefaultWarmStateEntries) })
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sys := topo.NewSystem(topo.DefaultConfig())
-		sink += BufferLatencyWarm(sys, sys.Path(device), 32<<20, 20000, 3, warm).Nanoseconds()
+		sink += BufferLatency(sys, sys.Path(device), 32<<20, 20000, 3).Nanoseconds()
 	}
 	if sink == 0 {
 		b.Fatal("zero latency")
 	}
 }
 
-func BenchmarkBufferLatencyDDRExact(b *testing.B)     { benchBuffer(b, "DDR5-L", WarmupExact) }
-func BenchmarkBufferLatencyDDRConverged(b *testing.B) { benchBuffer(b, "DDR5-L", WarmupConverged) }
-func BenchmarkBufferLatencyCXLExact(b *testing.B)     { benchBuffer(b, "CXL-A", WarmupExact) }
-func BenchmarkBufferLatencyCXLConverged(b *testing.B) { benchBuffer(b, "CXL-A", WarmupConverged) }
+func BenchmarkBufferLatencyDDRExact(b *testing.B) { benchBuffer(b, "DDR5-L") }
+func BenchmarkBufferLatencyCXLExact(b *testing.B) { benchBuffer(b, "CXL-A") }
 
 // BenchmarkIdleLatency measures the pointer-chase loop, permutation build
 // included (it is part of every real call).

@@ -28,7 +28,6 @@ package mlc
 
 import (
 	"context"
-	"math"
 
 	"cxlmem/internal/cache"
 	"cxlmem/internal/mem"
@@ -46,12 +45,8 @@ const chunkLines = 512 << 10
 // StreamOptions tunes how the measurement loops drive the cache hierarchy.
 // The zero value reproduces the historical defaults. Workers only changes
 // throughput and Ctx only bounds the run: a measurement that completes is
-// byte-identical for any setting of either. Warm is different: it picks the
-// warmup policy, which can shift the last digit of a measurement, and it is
-// part of the warm-state key.
+// byte-identical for any setting of either.
 type StreamOptions struct {
-	// Warm selects BufferLatency's warmup policy (WarmupExact default).
-	Warm Warmup
 	// Workers bounds the sharded stream engine's concurrent shard workers;
 	// 0 uses every available CPU.
 	Workers int
@@ -127,42 +122,17 @@ func IdleLatency(sys *topo.System, path *topo.Path, steps int, seed uint64) sim.
 	return streamTotal(path, &counts) / sim.Time(steps)
 }
 
-// Warmup selects how BufferLatency brings the hierarchy to steady state
-// before sampling.
-type Warmup int
-
-const (
-	// WarmupExact replays the historical fixed warmup — six buffer passes'
-	// worth of random touches — so results are byte-identical to the
-	// pre-engine-rebuild goldens.
-	WarmupExact Warmup = iota
-	// WarmupConverged warms epoch by epoch (one buffer pass each) and stops
-	// as soon as the LLC hit rate changes by less than WarmTolerance
-	// between consecutive epochs, capped at WarmMaxPasses. Same steady
-	// state, fewer simulated accesses when the working set settles early.
-	WarmupConverged
-)
-
-const (
-	// WarmTolerance is the epoch-over-epoch LLC hit-rate delta under which
-	// WarmupConverged declares steady state.
-	WarmTolerance = 0.01
-	// WarmMaxPasses bounds WarmupConverged on working sets that never
-	// settle (matching WarmupExact's fixed six passes).
-	WarmMaxPasses = 6
-)
+// WarmMaxPasses is BufferLatency's warmup length in buffer passes: the
+// warmup streams WarmMaxPasses × lines random touches before the first
+// measured sample, the fixed length the golden corpus pins.
+const WarmMaxPasses = 6
 
 // BufferLatency measures the average latency of random accesses within a
 // buffer of bufBytes homed on path's device — the §4.3 experiment: a 32 MB
 // buffer fits the socket-wide LLC when homed on CXL memory but overflows a
-// single SNC node's slices when homed on local DDR. It uses WarmupExact.
+// single SNC node's slices when homed on local DDR.
 func BufferLatency(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64) sim.Time {
 	return BufferLatencyOpt(sys, path, bufBytes, samples, seed, StreamOptions{})
-}
-
-// BufferLatencyWarm is BufferLatency with an explicit warmup policy.
-func BufferLatencyWarm(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64, warm Warmup) sim.Time {
-	return BufferLatencyOpt(sys, path, bufBytes, samples, seed, StreamOptions{Warm: warm})
 }
 
 // runWarmup brings hier to the buffer measurement's steady state, drawing
@@ -171,48 +141,22 @@ func BufferLatencyWarm(sys *topo.System, path *topo.Path, bufBytes int64, sample
 // path and the warm-state cache's compute path both call it, so a restored
 // snapshot is byte-identical to a cold warmup by construction. ctx is
 // checked between address chunks; the only error returned is ctx's.
-func runWarmup(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, rng *sim.Rng, warm Warmup, workers int) error {
+func runWarmup(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, rng *sim.Rng, workers int) error {
 	chunk := make([]uint64, chunkLines)
-	// pass streams one buffer's worth (or an arbitrary count) of random
-	// touches, returning the pass's own level histogram.
-	pass := func(accesses int) (cache.LevelCounts, error) {
-		var c cache.LevelCounts
-		for remaining := accesses; remaining > 0; {
-			if err := ctx.Err(); err != nil {
-				return c, err
-			}
-			n := min(remaining, chunkLines)
-			b := chunk[:n]
-			for i := range b {
-				b[i] = uint64(rng.Int63n(lines)) * cache.LineBytes
-			}
-			hier.ReadStreamSharded(0, b, home, &c, workers)
-			remaining -= n
+	var counts cache.LevelCounts
+	for remaining := int(lines) * WarmMaxPasses; remaining > 0; {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return c, nil
-	}
-
-	switch warm {
-	case WarmupExact:
-		_, err := pass(int(lines) * WarmMaxPasses)
-		return err
-	case WarmupConverged:
-		prev := math.Inf(-1)
-		for i := 0; i < WarmMaxPasses; i++ {
-			c, err := pass(int(lines))
-			if err != nil {
-				return err
-			}
-			hitRate := float64(c[cache.LLC]) / float64(lines)
-			if math.Abs(hitRate-prev) < WarmTolerance {
-				break
-			}
-			prev = hitRate
+		n := min(remaining, chunkLines)
+		b := chunk[:n]
+		for i := range b {
+			b[i] = uint64(rng.Int63n(lines)) * cache.LineBytes
 		}
-		return nil
-	default:
-		panic("mlc: unknown warmup mode")
+		hier.ReadStreamSharded(0, b, home, &counts, workers)
+		remaining -= n
 	}
+	return nil
 }
 
 // BufferLatencyOpt is BufferLatency with explicit StreamOptions. Random

@@ -16,10 +16,10 @@ import (
 // BufferLatency's warmup dominates its cost: bringing the hierarchy to
 // steady state streams WarmMaxPasses buffer passes of random touches —
 // millions of simulated accesses — before the first measured sample. But the
-// post-warmup state is a pure function of (route class, buffer size, seed,
-// warmup policy), up to the home bits each resident line carries: the
-// warmup is a single-home read stream into a pristine hierarchy, and such a
-// stream depends on its home only through the LLC slices it routes to
+// post-warmup state is a pure function of (route class, buffer size, seed),
+// up to the home bits each resident line carries: the warmup is a
+// single-home read stream into a pristine hierarchy, and such a stream
+// depends on its home only through the LLC slices it routes to
 // (cache.RouteClass). So the same operating point re-measured — a re-run, a
 // cxlserve cold-cache miss — and a point that merely routes alike re-simulate
 // an identical warmup: fig5's CXL-A row is ablation-llc's isolation-broken
@@ -69,12 +69,11 @@ func WarmStateStats() memo.CacheStats { return warmStates.Stats() }
 
 // warmKey canonicalizes everything that shapes a warmup: the route class
 // of the home under the hierarchy configuration (a flat comparable value,
-// so %+v is canonical), the buffer's line count, the RNG seed and the
-// warmup policy. The home itself and the isolation flag are left out: they
-// reach the warmed state only through the route class and the home bits
-// RestoreRehomed rewrites.
-func warmKey(cfg cache.HierConfig, home cache.Home, lines int64, seed uint64, warm Warmup) string {
-	return fmt.Sprintf("%+v|lines=%d|seed=%d|warm=%d", cfg.RouteClass(home), lines, seed, warm)
+// so %+v is canonical), the buffer's line count and the RNG seed. The home
+// itself and the isolation flag are left out: they reach the warmed state
+// only through the route class and the home bits RestoreRehomed rewrites.
+func warmKey(cfg cache.HierConfig, home cache.Home, lines int64, seed uint64) string {
+	return fmt.Sprintf("%+v|lines=%d|seed=%d", cfg.RouteClass(home), lines, seed)
 }
 
 // warmState is one memoized warmup: the warmed hierarchy, the home it was
@@ -101,9 +100,8 @@ func canceled(err error) bool {
 // carrying ctx's error, matching the sweep engine's cancellation
 // convention (experiments.recoverAsErr restores it).
 func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, seed uint64, o StreamOptions) *sim.Rng {
-	warm := o.Warm
 	if !warmStatesOff.Load() && hier.Pristine() {
-		key := warmKey(hier.Config(), home, lines, seed, warm)
+		key := warmKey(hier.Config(), home, lines, seed)
 		warmedHere := false
 		v, err := warmStates.DoCtx(ctx, key, func(cctx context.Context) (any, error) {
 			// The computation warms this caller's own hierarchy — the result
@@ -116,7 +114,7 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			}
 			warmedHere = h == hier
 			r := sim.NewRng(seed)
-			if err := runWarmup(cctx, h, home, lines, r, warm, o.Workers); err != nil {
+			if err := runWarmup(cctx, h, home, lines, r, o.Workers); err != nil {
 				return nil, err
 			}
 			return &warmState{snap: h.Capture(), home: home, rng: r.State()}, nil
@@ -141,7 +139,7 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 		// at all) and the failure was not a cancellation: warm inline below.
 	}
 	rng := sim.NewRng(seed)
-	if err := runWarmup(ctx, hier, home, lines, rng, warm, o.Workers); err != nil {
+	if err := runWarmup(ctx, hier, home, lines, rng, o.Workers); err != nil {
 		panic(err)
 	}
 	return rng

@@ -90,7 +90,7 @@ func TestWarmStateSharedKey(t *testing.T) {
 	const buf, samples = 2 << 20, 1000
 	key := func(p point, seed uint64) string {
 		sys := topo.NewSystem(p.cfg)
-		return warmKey(sys.Hier.Config(), sys.HomeFor(sys.Path(p.device), 0), buf/64, seed, WarmupExact)
+		return warmKey(sys.Hier.Config(), sys.HomeFor(sys.Path(p.device), 0), buf/64, seed)
 	}
 	if key(fig5DDR, 1) == key(ablBroken, 1) {
 		t.Errorf("%s and %s share a key", fig5DDR.name, ablBroken.name)

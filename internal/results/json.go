@@ -33,6 +33,9 @@ type wireProvenance struct {
 	Platform   string `json:"platform"`
 	Scenario   string `json:"scenario"`
 	Quick      bool   `json:"quick"`
+	// FastWarmup is the retired warmup knob (DESIGN.md §21). The emitter
+	// always writes false; ParseJSON refuses true, so bytes measured under
+	// the retired policy are never re-served as exact.
 	FastWarmup bool   `json:"fastwarmup"`
 	Seed       uint64 `json:"seed"`
 	// Fidelity is omitted when empty (exact), keeping exact-run wire bytes
@@ -196,9 +199,7 @@ func (jsonEmitter) Append(dst []byte, d *Dataset) ([]byte, error) {
 	b = appendJSONString(b, p.Scenario)
 	b = append(b, ",\n    \"quick\": "...)
 	b = strconv.AppendBool(b, p.Quick)
-	b = append(b, ",\n    \"fastwarmup\": "...)
-	b = strconv.AppendBool(b, p.FastWarmup)
-	b = append(b, ",\n    \"seed\": "...)
+	b = append(b, ",\n    \"fastwarmup\": false,\n    \"seed\": "...)
 	b = strconv.AppendUint(b, p.Seed, 10)
 	if p.Fidelity != "" {
 		b = append(b, ",\n    \"fidelity\": "...)
@@ -329,6 +330,9 @@ func ParseJSON(data []byte) (*Dataset, error) {
 	if w.Schema != jsonSchemaVersion {
 		return nil, fmt.Errorf("results: unsupported dataset schema %d (want %d)", w.Schema, jsonSchemaVersion)
 	}
+	if w.Provenance.FastWarmup {
+		return nil, fmt.Errorf("results: dataset measured with the retired fastwarmup policy")
+	}
 	d := New(w.ID, w.Title)
 	for _, c := range w.Columns {
 		d.Columns = append(d.Columns, Column{Name: c.Name, Unit: c.Unit})
@@ -340,7 +344,6 @@ func ParseJSON(data []byte) (*Dataset, error) {
 		Platform:     w.Provenance.Platform,
 		Scenario:     w.Provenance.Scenario,
 		Quick:        w.Provenance.Quick,
-		FastWarmup:   w.Provenance.FastWarmup,
 		Seed:         w.Provenance.Seed,
 		Fidelity:     w.Provenance.Fidelity,
 	}

@@ -24,7 +24,6 @@ func (d *Dataset) wire() wireDataset {
 			Platform:   d.Prov.Platform,
 			Scenario:   d.Prov.Scenario,
 			Quick:      d.Prov.Quick,
-			FastWarmup: d.Prov.FastWarmup,
 			Seed:       d.Prov.Seed,
 			Fidelity:   d.Prov.Fidelity,
 		},
@@ -277,8 +276,7 @@ func (g *jsonGen) dataset() *Dataset {
 	}
 	d.Prov = Provenance{
 		ExperimentID: g.str(), Platform: g.str(), Scenario: g.str(),
-		Quick: g.r.Intn(2) == 0, FastWarmup: g.r.Intn(2) == 0,
-		Seed: g.r.Uint64(),
+		Quick: g.r.Intn(2) == 0, Seed: g.r.Uint64(),
 	}
 	if g.r.Intn(4) == 0 {
 		g.hit("seed MaxUint64")

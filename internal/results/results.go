@@ -150,8 +150,6 @@ type Provenance struct {
 	Scenario string
 	// Quick records reduced-sample mode.
 	Quick bool
-	// FastWarmup records convergence-based cache warmup.
-	FastWarmup bool
 	// Seed is the stochastic seed the run used.
 	Seed uint64
 	// Fidelity records a non-exact measurement tier ("auto" or "fast");

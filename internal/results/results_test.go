@@ -1,8 +1,10 @@
 package results
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -17,7 +19,7 @@ func sample() *Dataset {
 	d.AddRow(Str("DDR5-L"), Num(41.03125, 1), Pct(0.701), Int(8))
 	d.AddRow(Str("CXL-A"), Num(176.5, 1), Pct(0.4603), Int(1))
 	d.AddNote("a note with = signs and %d digits", 42)
-	d.Prov = Provenance{ExperimentID: "fig-test", Platform: "table1", Scenario: "dlrm/policy=cxl", Quick: true, FastWarmup: false, Seed: 7}
+	d.Prov = Provenance{ExperimentID: "fig-test", Platform: "table1", Scenario: "dlrm/policy=cxl", Quick: true, Seed: 7}
 	return d
 }
 
@@ -154,14 +156,29 @@ func TestJSONEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestParseJSONErrors rejects garbage, wrong schema versions and ambiguous
-// cells.
+// TestParseJSONErrors rejects garbage, wrong schema versions, ambiguous
+// cells, and a dataset stamped with the retired fastwarm warmup (DESIGN.md
+// §21): the golden fig5 wire form parses, the same bytes stamped
+// "fastwarmup": true do not, so they are never re-served labelled exact.
 func TestParseJSONErrors(t *testing.T) {
 	if _, err := ParseJSON([]byte("{")); err == nil {
 		t.Error("truncated JSON should fail")
 	}
 	if _, err := ParseJSON([]byte(`{"schema": 99, "id": "x"}`)); err == nil {
 		t.Error("unknown schema version should fail")
+	}
+	golden, err := os.ReadFile("../experiments/testdata/golden/fig5.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseJSON(golden); err != nil {
+		t.Errorf("golden fig5.json: %v", err)
+	}
+	retired := bytes.Replace(golden, []byte(`"fastwarmup": false`), []byte(`"fastwarmup": true`), 1)
+	if bytes.Equal(retired, golden) {
+		t.Error(`golden fig5.json carries no "fastwarmup": false field`)
+	} else if _, err := ParseJSON(retired); err == nil {
+		t.Error(`a dataset stamped "fastwarmup": true should fail`)
 	}
 	var c Cell
 	if err := c.UnmarshalJSON([]byte(`{}`)); err == nil {

@@ -95,7 +95,7 @@ func FuzzRequestQuery(f *testing.F) {
 		"spec=kvstore/policy=cxl&format=json", "spec=fluid/policy=interleave/size=64M",
 		// Hostile: repeats, negatives, NULs, bad escapes, long values.
 		"quick=1&quick=0&seed=3&seed=4", "seed=-1", "platform=%00", "platform=X16-QUAD&quick=T",
-		"fastwarm=true&quick=false&format=csv&platform=Default", "fidelity=exact&fidelity=bogus",
+		"fastwarm=true&quick=false&format=csv&platform=Default", "fastwarm=F&quick=1", "fidelity=exact&fidelity=bogus",
 		"format=json&format=csv", "seed=18446744073709551616", "quick=%zz", "%=&==&&",
 		"platform=" + strings.Repeat("A", 10<<10), "seed=" + strings.Repeat("9", 10<<10),
 	} {
@@ -190,15 +190,20 @@ func cloneValues(q url.Values) url.Values {
 }
 
 // TestParseQueryFirstValueWins pins the repeat rule the fuzz target relies
-// on, and that equivalent spellings reach the same options.
+// on, that equivalent spellings reach the same options, and the retired
+// fastwarm parameter: false is ignored (coordinators before its retirement
+// send it on every cell fetch), true is refused with a pointer to
+// fidelity=auto.
 func TestParseQueryFirstValueWins(t *testing.T) {
 	base := experiments.DefaultOptions()
 	for raw, want := range map[string]experiments.Options{
-		"quick=1&quick=0":          {Quick: true, Seed: base.Seed, Parallel: base.Parallel},
-		"quick=T":                  {Quick: true, Seed: base.Seed, Parallel: base.Parallel},
-		"seed=3&seed=4":            {Seed: 3, Parallel: base.Parallel},
-		"platform=X16-Quad":        {Platform: "x16-quad", Seed: base.Seed, Parallel: base.Parallel},
-		"fidelity=FAST&fastwarm=1": {Fidelity: experiments.FidelityFast, FastWarmup: true, Seed: base.Seed, Parallel: base.Parallel},
+		"quick=1&quick=0":           {Quick: true, Seed: base.Seed, Parallel: base.Parallel},
+		"quick=T":                   {Quick: true, Seed: base.Seed, Parallel: base.Parallel},
+		"seed=3&seed=4":             {Seed: 3, Parallel: base.Parallel},
+		"platform=X16-Quad":         {Platform: "x16-quad", Seed: base.Seed, Parallel: base.Parallel},
+		"fastwarm=0":                base,
+		"fidelity=FAST&fastwarm=0":  {Fidelity: experiments.FidelityFast, Seed: base.Seed, Parallel: base.Parallel},
+		"fastwarm=false&fastwarm=1": base,
 	} {
 		q, _ := url.ParseQuery(raw)
 		got, _, err := parseQuery(q, base)
@@ -210,6 +215,13 @@ func TestParseQueryFirstValueWins(t *testing.T) {
 		q, _ := url.ParseQuery(raw)
 		if _, _, err := parseQuery(q, base); err == nil {
 			t.Errorf("%q parsed without error", raw)
+		}
+	}
+	for _, raw := range []string{"fastwarm=1", "fastwarm=true", "fidelity=auto&fastwarm=T"} {
+		q, _ := url.ParseQuery(raw)
+		_, _, err := parseQuery(q, base)
+		if err == nil || !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), "fidelity=auto") {
+			t.Errorf("%q: error %v, want the retirement naming fidelity=auto", raw, err)
 		}
 	}
 }

@@ -23,8 +23,8 @@
 //	/healthz                                liveness ("ok", or 503 draining)
 //
 // Shared query parameters on /v1/run and /v1/scenario: format (text|json|
-// csv, default json — it is a query daemon), platform, quick, fastwarm,
-// fidelity (exact|auto|fast, the measurement tier of the cache-simulating
+// csv, default json — it is a query daemon), platform, quick, fidelity
+// (exact|auto|fast, the measurement tier of the cache-simulating
 // experiments), seed, timeout. Request knobs override the server's base
 // options; the sweep worker count stays a server-side setting so clients
 // cannot oversubscribe the host, and a request timeout can only lower the
@@ -397,8 +397,12 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 }
 
 // parseQuery applies a request's option overrides to base and resolves its
-// emitter: platform, fidelity, quick, fastwarm, seed and format. Where a key
-// repeats, its first value counts. Every error is the client's (a 400).
+// emitter: platform, fidelity, quick, seed and format. Where a key repeats,
+// its first value counts. Every error is the client's (a 400).
+//
+// fastwarm is the retired warmup knob (DESIGN.md §21): a false value is
+// accepted and ignored, because coordinators before its retirement pin
+// fastwarm=false on every cell fetch; a true value is refused.
 func parseQuery(q url.Values, base experiments.Options) (experiments.Options, results.Emitter, error) {
 	opts := base
 	if q.Has("platform") {
@@ -416,19 +420,21 @@ func parseQuery(q url.Values, base experiments.Options) (experiments.Options, re
 		}
 		opts.Fidelity = f
 	}
-	for _, b := range []struct {
-		name string
-		dst  *bool
-	}{{"quick", &opts.Quick}, {"fastwarm", &opts.FastWarmup}} {
-		v := q.Get(b.name)
-		if v == "" {
-			continue
-		}
+	if v := q.Get("quick"); v != "" {
 		on, err := strconv.ParseBool(v)
 		if err != nil {
-			return opts, nil, fmt.Errorf("bad %s parameter %q", b.name, v)
+			return opts, nil, fmt.Errorf("bad quick parameter %q", v)
 		}
-		*b.dst = on
+		opts.Quick = on
+	}
+	if v := q.Get("fastwarm"); v != "" {
+		on, err := strconv.ParseBool(v)
+		if err != nil {
+			return opts, nil, fmt.Errorf("bad fastwarm parameter %q", v)
+		}
+		if on {
+			return opts, nil, errors.New("fastwarm is retired: every run uses the exact warmup; use fidelity=auto for a fast, labelled estimate")
+		}
 	}
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)

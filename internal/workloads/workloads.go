@@ -36,11 +36,6 @@ type Env struct {
 	// Quick reduces sample counts the same way experiments.Options.Quick
 	// does; adapters scale their operation counts through ScaleOps.
 	Quick bool
-	// FastWarmup selects convergence-based cache warmup for workloads that
-	// simulate cache state (plumbed from PR 2's mlc.WarmupConverged; the
-	// current seven models are analytic or trace-driven and ignore it, but
-	// the knob rides along so cache-simulating workloads inherit it).
-	FastWarmup bool
 	// Seed perturbs the stochastic components; 0 keeps each workload's
 	// calibrated default.
 	Seed uint64
