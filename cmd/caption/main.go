@@ -25,6 +25,16 @@ func main() {
 	workload := flag.String("workload", "spec-mix", "workload to tune: spec-mix or dlrm")
 	intervals := flag.Int("intervals", 40, "tuning intervals to run")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "caption: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *intervals <= 0 {
+		fmt.Fprintf(os.Stderr, "caption: -intervals must be positive, got %d\n", *intervals)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sys := topo.NewSystem(topo.DefaultConfig())
 

@@ -267,7 +267,7 @@ func RunScenarioMatrixDataset(cfg RunConfig) (*Dataset, error) {
 }
 
 // Policy is a two-node (DDR, CXL) weighted-interleave allocation policy —
-// the knob Caption tunes. It satisfies numa.Policy.
+// the knob Caption tunes.
 type Policy = numa.Weighted
 
 // NewPolicy creates a policy placing cxlPercent of new pages on CXL memory.

@@ -3,57 +3,21 @@ package numa
 import "testing"
 
 // BenchmarkSpaceAlloc measures the end-to-end hot path of every workload
-// build: bulk-placing pages through a weighted-interleave policy.
+// build: placing pages through the weighted-interleave policy.
 func BenchmarkSpaceAlloc(b *testing.B) {
 	const pages = 100_000
 	b.SetBytes(pages * PageBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewSpace(twoNodes(), NewDDRCXLSplit(25))
+		s := NewSpace(NewDDRCXLSplit(25))
 		s.Alloc(pages)
-	}
-}
-
-// BenchmarkSpaceAllocSequential is the same allocation forced through the
-// page-at-a-time Policy interface — the pre-bulk baseline.
-func BenchmarkSpaceAllocSequential(b *testing.B) {
-	const pages = 100_000
-	b.SetBytes(pages * PageBytes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewSpace(twoNodes(), seqOnly{NewDDRCXLSplit(25)})
-		s.Alloc(pages)
-	}
-}
-
-// seqOnly hides the bulk interfaces of a policy.
-type seqOnly struct{ p Policy }
-
-func (s seqOnly) Next() int { return s.p.Next() }
-
-// BenchmarkWeightedNextN measures the closed-form batch accounting alone.
-func BenchmarkWeightedNextN(b *testing.B) {
-	w := NewDDRCXLSplit(37)
-	counts := make([]int64, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.NextN(100_000, counts)
-	}
-}
-
-// BenchmarkWeightedNext measures the page-at-a-time path for comparison.
-func BenchmarkWeightedNext(b *testing.B) {
-	w := NewDDRCXLSplit(37)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Next()
 	}
 }
 
 // BenchmarkPagesOnNode measures the indexed per-node page listing under a
 // migration-heavy access pattern.
 func BenchmarkPagesOnNode(b *testing.B) {
-	s := NewSpace(twoNodes(), NewDDRCXLSplit(25))
+	s := NewSpace(NewDDRCXLSplit(25))
 	s.Alloc(100_000)
 	var buf []int
 	b.ReportAllocs()

@@ -1,64 +1,20 @@
 package numa
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func twoNodes() []*Node {
-	return []*Node{
-		{ID: 0, Name: "DDR5-L"},
-		{ID: 1, Name: "CXL-A"},
-	}
-}
-
-func TestMembind(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{Node: 1})
-	s.Alloc(100)
-	if s.PagesOn(1) != 100 || s.PagesOn(0) != 0 {
-		t.Errorf("membind placed pages on wrong node: DDR=%d CXL=%d", s.PagesOn(0), s.PagesOn(1))
-	}
-	if s.Fraction(1) != 1 {
-		t.Errorf("fraction = %v", s.Fraction(1))
-	}
-}
-
-func TestPreferredSpillsOver(t *testing.T) {
-	nodes := []*Node{
-		{ID: 0, Name: "DDR5-L", CapacityPages: 10},
-		{ID: 1, Name: "CXL-A"},
-	}
-	p := NewPreferred(nodes)
-	s := NewSpace(nodes, p)
-	s.Alloc(25)
-	if s.PagesOn(0) != 10 {
-		t.Errorf("preferred node got %d pages, want 10", s.PagesOn(0))
-	}
-	if s.PagesOn(1) != 15 {
-		t.Errorf("fallback node got %d pages, want 15", s.PagesOn(1))
-	}
-}
-
-func TestPreferredOvercommitsLastNode(t *testing.T) {
-	nodes := []*Node{
-		{ID: 0, Name: "a", CapacityPages: 1},
-		{ID: 1, Name: "b", CapacityPages: 1},
-	}
-	p := NewPreferred(nodes)
-	s := NewSpace(nodes, p)
-	s.Alloc(5)
-	if s.PagesOn(0) != 1 || s.PagesOn(1) != 4 {
-		t.Errorf("overcommit distribution: %d/%d", s.PagesOn(0), s.PagesOn(1))
-	}
-}
-
 func TestWeightedExactSplit(t *testing.T) {
 	for _, pct := range []float64{0, 25, 50, 63, 75, 100} {
 		w := NewDDRCXLSplit(pct)
-		s := NewSpace(twoNodes(), w)
+		s := NewSpace(w)
 		s.Alloc(10000)
-		got := s.Fraction(1) * 100
+		got := s.Fraction(CXL) * 100
 		if math.Abs(got-pct) > 0.5 {
 			t.Errorf("cxl=%v%%: realized %v%%", pct, got)
 		}
@@ -69,12 +25,12 @@ func TestWeightedSmoothness(t *testing.T) {
 	// The deterministic scheduler must not bunch allocations: for a 50:50
 	// split, any window of 10 pages holds 5±1 per node.
 	w := NewDDRCXLSplit(50)
-	s := NewSpace(twoNodes(), w)
+	s := NewSpace(w)
 	s.Alloc(1000)
 	for start := 0; start+10 <= 1000; start += 10 {
 		cxl := 0
 		for i := start; i < start+10; i++ {
-			if s.NodeOfPage(i) == 1 {
+			if s.NodeOfPage(i) == CXL {
 				cxl++
 			}
 		}
@@ -86,17 +42,17 @@ func TestWeightedSmoothness(t *testing.T) {
 
 func TestWeightedRuntimeChangeAffectsOnlyNewPages(t *testing.T) {
 	w := NewDDRCXLSplit(0)
-	s := NewSpace(twoNodes(), w)
+	s := NewSpace(w)
 	s.Alloc(100)
 	if err := w.SetCXLPercent(100); err != nil {
 		t.Fatal(err)
 	}
 	s.Alloc(100)
-	if s.PagesOn(1) != 100 {
-		t.Errorf("new pages on CXL = %d, want 100", s.PagesOn(1))
+	if s.PagesOn(CXL) != 100 {
+		t.Errorf("new pages on CXL = %d, want 100", s.PagesOn(CXL))
 	}
 	for i := 0; i < 100; i++ {
-		if s.NodeOfPage(i) != 0 {
+		if s.NodeOfPage(i) != DDR {
 			t.Fatalf("old page %d moved", i)
 		}
 	}
@@ -123,21 +79,23 @@ func TestWeightedCXLPercent(t *testing.T) {
 }
 
 func TestWeightedValidation(t *testing.T) {
-	if err := NewWeighted([]float64{1}).SetWeights(nil); err == nil {
-		t.Error("empty weights should error")
+	w := NewDDRCXLSplit(25)
+	if err := w.SetCXLPercent(math.NaN()); err == nil {
+		t.Error("SetCXLPercent(NaN) should error")
 	}
-	if err := NewWeighted([]float64{1}).SetWeights([]float64{-1, 2}); err == nil {
-		t.Error("negative weight should error")
+	if got := w.CXLPercent(); got != 25 {
+		t.Errorf("a refused SetCXLPercent changed the split to %v", got)
 	}
-	if err := NewWeighted([]float64{1}).SetWeights([]float64{0, 0}); err == nil {
-		t.Error("zero-sum weights should error")
+	for _, pct := range []float64{-1, 120, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDDRCXLSplit(%v) should panic", pct)
+				}
+			}()
+			NewDDRCXLSplit(pct)
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewDDRCXLSplit(120) should panic")
-		}
-	}()
-	NewDDRCXLSplit(120)
 }
 
 func TestWeightedSplitProperty(t *testing.T) {
@@ -146,54 +104,43 @@ func TestWeightedSplitProperty(t *testing.T) {
 	f := func(pRaw uint8) bool {
 		pct := float64(pRaw % 101)
 		w := NewDDRCXLSplit(pct)
-		s := NewSpace(twoNodes(), w)
+		s := NewSpace(w)
 		s.Alloc(1000)
-		return math.Abs(s.Fraction(1)*100-pct) <= 1
+		return math.Abs(s.Fraction(CXL)*100-pct) <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestSpaceAddressMapping(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{Node: 1})
-	s.Alloc(4)
-	if s.Pages() != 4 || s.Bytes() != 4*PageBytes {
-		t.Errorf("pages=%d bytes=%d", s.Pages(), s.Bytes())
-	}
-	if s.NodeOfAddr(0) != 1 || s.NodeOfAddr(3*PageBytes+17) != 1 {
-		t.Error("address mapping wrong")
-	}
-}
-
 func TestSpaceMove(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{Node: 1})
+	s := NewSpace(NewDDRCXLSplit(100))
 	s.Alloc(10)
-	s.Move(3, 0)
-	if s.NodeOfPage(3) != 0 {
+	s.Move(3, DDR)
+	if s.NodeOfPage(3) != DDR {
 		t.Error("page did not move")
 	}
-	if s.PagesOn(0) != 1 || s.PagesOn(1) != 9 {
-		t.Errorf("counts after move: %d/%d", s.PagesOn(0), s.PagesOn(1))
+	if s.PagesOn(DDR) != 1 || s.PagesOn(CXL) != 9 {
+		t.Errorf("counts after move: %d/%d", s.PagesOn(DDR), s.PagesOn(CXL))
 	}
 	// Moving to the same node is a no-op.
-	s.Move(3, 0)
-	if s.PagesOn(0) != 1 {
+	s.Move(3, DDR)
+	if s.PagesOn(DDR) != 1 {
 		t.Error("same-node move changed counts")
 	}
 }
 
 func TestSpaceMoveCountInvariantProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := NewSpace(twoNodes(), NewDDRCXLSplit(50))
+		s := NewSpace(NewDDRCXLSplit(50))
 		s.Alloc(64)
 		for _, op := range ops {
 			page := int(op) % 64
 			to := int(op>>8) % 2
 			s.Move(page, to)
 		}
-		return s.PagesOn(0)+s.PagesOn(1) == 64 &&
-			math.Abs(s.Fraction(0)+s.Fraction(1)-1) < 1e-12
+		return s.PagesOn(DDR)+s.PagesOn(CXL) == 64 &&
+			math.Abs(s.Fraction(DDR)+s.Fraction(CXL)-1) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -201,29 +148,31 @@ func TestSpaceMoveCountInvariantProperty(t *testing.T) {
 }
 
 func TestPagesOnNode(t *testing.T) {
-	s := NewSpace(twoNodes(), NewDDRCXLSplit(50))
+	s := NewSpace(NewDDRCXLSplit(50))
 	s.Alloc(10)
-	ddr := s.PagesOnNode(0)
-	cxl := s.PagesOnNode(1)
+	ddr := s.AppendPagesOnNode(nil, DDR)
+	cxl := s.AppendPagesOnNode(nil, CXL)
 	if len(ddr)+len(cxl) != 10 {
 		t.Errorf("page lists cover %d pages", len(ddr)+len(cxl))
 	}
 	for _, p := range cxl {
-		if s.NodeOfPage(p) != 1 {
+		if s.NodeOfPage(p) != CXL {
 			t.Errorf("page %d misclassified", p)
 		}
+	}
+	// Appending keeps what the buffer already holds.
+	both := s.AppendPagesOnNode(ddr, CXL)
+	if len(both) != 10 || !slices.Equal(both[:len(ddr)], ddr) {
+		t.Errorf("append onto the DDR list gave %v", both)
 	}
 }
 
 func TestSpaceValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"no nodes":    func() { NewSpace(nil, &Membind{}) },
-		"sparse ids":  func() { NewSpace([]*Node{{ID: 5}}, &Membind{}) },
-		"nil policy":  func() { NewSpace(twoNodes(), nil) },
-		"neg alloc":   func() { s := NewSpace(twoNodes(), &Membind{}); s.Alloc(-1) },
-		"bad move":    func() { s := NewSpace(twoNodes(), &Membind{}); s.Alloc(1); s.Move(0, 7) },
-		"bad policy":  func() { s := NewSpace(twoNodes(), &Membind{Node: 9}); s.Alloc(1) },
-		"set nil pol": func() { s := NewSpace(twoNodes(), &Membind{}); s.SetPolicy(nil) },
+		"nil policy": func() { NewSpace(nil) },
+		"neg alloc":  func() { s := NewSpace(NewDDRCXLSplit(0)); s.Alloc(-1) },
+		"bad move":   func() { s := NewSpace(NewDDRCXLSplit(0)); s.Alloc(1); s.Move(0, 7) },
+		"neg move":   func() { s := NewSpace(NewDDRCXLSplit(0)); s.Alloc(1); s.Move(0, -1) },
 	} {
 		func() {
 			defer func() {
@@ -237,180 +186,178 @@ func TestSpaceValidation(t *testing.T) {
 }
 
 func TestFractionEmptySpace(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{})
-	if s.Fraction(0) != 0 {
+	s := NewSpace(NewDDRCXLSplit(0))
+	if s.Fraction(DDR) != 0 {
 		t.Error("empty space fraction should be 0")
 	}
 }
 
-// refWeighted mirrors a Weighted policy step by step through the public
-// page-at-a-time interface; the bulk paths must reproduce it exactly.
-func refCounts(w *Weighted, nodes, n int) []int64 {
-	counts := make([]int64, nodes)
-	for i := 0; i < n; i++ {
-		counts[w.Next()]++
-	}
-	return counts
-}
-
 func TestWeightedTieBreakDeterminism(t *testing.T) {
-	// Documented tie rule: equal credits go to the lowest node ID, so equal
-	// weights degrade to plain round-robin starting at node 0.
-	w := NewWeighted([]float64{1, 1, 1})
-	want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
-	for i, wi := range want {
-		if got := w.Next(); got != wi {
-			t.Fatalf("step %d: got node %d, want %d", i, got, wi)
+	// Documented tie rule: equal pending times go to DDR, so an even split
+	// is plain round-robin starting at DDR.
+	s := NewSpace(NewDDRCXLSplit(50))
+	s.Alloc(8)
+	for i := 0; i < 8; i++ {
+		if got, want := s.NodeOfPage(i), i%2; got != want {
+			t.Fatalf("50:50 page %d: got node %d, want %d", i, got, want)
 		}
 	}
 	// 2:1 from a fresh policy follows the documented smooth prefix.
-	w = NewWeighted([]float64{2, 1})
-	want = []int{0, 1, 0, 0, 1, 0}
-	for i, wi := range want {
-		if got := w.Next(); got != wi {
-			t.Fatalf("2:1 step %d: got node %d, want %d", i, got, wi)
+	s = NewSpace(NewDDRCXLSplit(100.0 / 3))
+	s.Alloc(6)
+	for i, want := range []int{DDR, CXL, DDR, DDR, CXL, DDR} {
+		if got := s.NodeOfPage(i); got != want {
+			t.Fatalf("2:1 page %d: got node %d, want %d", i, got, want)
+		}
+	}
+	// The reference keeps the general rule, ties to the lowest node ID:
+	// equal weights over three nodes are round-robin from node 0.
+	r := newRefWeighted([]float64{1, 1, 1})
+	for i, want := range []int{0, 1, 2, 0, 1, 2, 0, 1, 2} {
+		if got := r.Next(); got != want {
+			t.Fatalf("reference step %d: got node %d, want %d", i, got, want)
 		}
 	}
 }
 
-func TestWeightedNextNMatchesNext(t *testing.T) {
-	// Property: NextN(n) produces exactly the per-node counts of n
-	// sequential Next() calls, from any reachable state, for random weight
-	// vectors — the closed form and the scheduler are the same algorithm.
+// TestAllocMatchesReference holds Space.Alloc to the N-node reference
+// scheduler, page by page: random CXL percentages (integer, fractional, 0
+// and 100), random batch sizes, and runtime SetCXLPercent changes between
+// batches, which keep the schedule's phase. Every page, both node counts and
+// CXLPercent must match.
+func TestAllocMatchesReference(t *testing.T) {
 	rng := newTestRng(42)
+	pct := func() float64 {
+		switch rng.next() % 5 {
+		case 0:
+			return float64(rng.next()%2) * 100
+		case 1:
+			return float64(rng.next() % 101)
+		case 2:
+			// Both shares fall exactly half-way between two integers, so
+			// quantization breaks a remainder tie.
+			return 100 * float64(2*(rng.next()%weightScale)+1) / (2 * weightScale)
+		default:
+			return float64(rng.next()%100_001) / 1000
+		}
+	}
 	for trial := 0; trial < 300; trial++ {
-		nodes := 1 + int(rng.next()%6)
-		weights := make([]float64, nodes)
-		sum := 0.0
-		for i := range weights {
-			if rng.next()%5 == 0 {
-				weights[i] = 0 // zero-weight nodes must never be chosen
-			} else {
-				weights[i] = float64(1 + rng.next()%1000)
-			}
-			sum += weights[i]
+		p := pct()
+		if trial == 0 {
+			p = 50 // an even split ties on every other page
 		}
-		if sum == 0 {
-			weights[0] = 3
-		}
-		a := NewWeighted(weights)
-		b := NewWeighted(weights)
-		// Random warm-up so the batch starts from a mid-schedule state.
-		for i := uint64(0); i < rng.next()%50; i++ {
-			a.Next()
-			b.Next()
-		}
-		for batch := 0; batch < 4; batch++ {
-			n := int(rng.next() % 5000)
-			got := make([]int64, nodes)
-			a.NextN(n, got)
-			want := refCounts(b, nodes, n)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d weights %v batch %d n=%d: NextN=%v, sequential=%v",
-						trial, weights, batch, n, got, want)
+		w := NewDDRCXLSplit(p)
+		ref := newRefWeighted([]float64{100 - p, p})
+		s := NewSpace(w)
+		var counts [2]int64
+		for batch := 0; batch < 6; batch++ {
+			if batch > 0 && rng.next()%2 == 0 {
+				p = pct()
+				if err := w.SetCXLPercent(p); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.SetWeights([]float64{100 - p, p}); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		// The two schedulers must also land in the same state: their next
-		// picks agree.
-		for i := 0; i < 20; i++ {
-			if ga, gb := a.Next(), b.Next(); ga != gb {
-				t.Fatalf("trial %d: post-batch divergence %d vs %d", trial, ga, gb)
+			n := int(rng.next() % 3000)
+			first := s.Alloc(n)
+			for i := first; i < first+n; i++ {
+				want := ref.Next()
+				counts[want]++
+				if got := s.NodeOfPage(i); got != want {
+					t.Fatalf("trial %d batch %d (cxl=%v%%): page %d on node %d, reference says %d",
+						trial, batch, p, i, got, want)
+				}
+			}
+			if s.PagesOn(DDR) != counts[DDR] || s.PagesOn(CXL) != counts[CXL] {
+				t.Fatalf("trial %d batch %d: counts %d/%d, reference %v",
+					trial, batch, s.PagesOn(DDR), s.PagesOn(CXL), counts)
+			}
+			if w.share != [2]int64(ref.weights) {
+				t.Fatalf("trial %d batch %d (cxl=%v%%): shares %v, reference %v", trial, batch, p, w.share, ref.weights)
+			}
+			if got, want := w.CXLPercent(), ref.norm[CXL]*100; got != want {
+				t.Fatalf("trial %d batch %d: CXLPercent %v, reference %v", trial, batch, got, want)
 			}
 		}
 	}
 }
 
 func TestWeightedPlaceNMatchesNext(t *testing.T) {
+	// The batch placement loop must choose, page by page, what the
+	// reference scheduler chooses one page at a time.
 	rng := newTestRng(7)
 	for trial := 0; trial < 100; trial++ {
-		nodes := 1 + int(rng.next()%5)
-		weights := make([]float64, nodes)
-		for i := range weights {
-			weights[i] = float64(rng.next() % 100)
+		wd, wc := float64(rng.next()%100), float64(rng.next()%100)
+		if rng.next()%2 == 0 {
+			wd++ // ensure positive sum
+		} else {
+			wc++
 		}
-		weights[int(rng.next()%uint64(nodes))] += 1 // ensure positive sum
-		a := NewWeighted(weights)
-		b := NewWeighted(weights)
+		p := 100 * wc / (wd + wc)
+		a := NewDDRCXLSplit(p)
+		b := newRefWeighted([]float64{100 - p, p})
 		n := int(rng.next() % 2000)
 		dst := make([]uint8, n)
-		counts := make([]int64, nodes)
-		a.PlaceN(dst, counts)
-		var placed [8]int64
+		cxl := a.place(dst)
+		var placed [2]int64
 		for i, id := range dst {
 			if want := b.Next(); int(id) != want {
-				t.Fatalf("trial %d page %d: PlaceN chose %d, Next chose %d", trial, i, id, want)
+				t.Fatalf("trial %d page %d: place chose %d, Next chose %d", trial, i, id, want)
 			}
 			placed[id]++
 		}
-		for i := range counts {
-			if counts[i] != placed[i] {
-				t.Fatalf("trial %d: counts %v disagree with placements %v", trial, counts, placed[:nodes])
-			}
+		if cxl != placed[CXL] {
+			t.Fatalf("trial %d: place reported %d CXL pages, placements %v", trial, cxl, placed)
 		}
 	}
 }
 
 func TestWeightedRuntimeWeightChangeKeepsPhase(t *testing.T) {
-	// SetWeights with the same node count preserves credits: the bulk and
-	// sequential schedulers must still agree across the change.
-	a := NewWeighted([]float64{3, 1})
-	b := NewWeighted([]float64{3, 1})
-	ca := make([]int64, 2)
-	a.NextN(17, ca)
-	refCounts(b, 2, 17)
-	if err := a.SetWeights([]float64{1, 5}); err != nil {
+	// SetCXLPercent preserves credits: the batch and sequential schedulers
+	// must still agree across the change.
+	a := NewDDRCXLSplit(25) // 3:1
+	b := newRefWeighted([]float64{75, 25})
+	a.place(make([]uint8, 17))
+	for i := 0; i < 17; i++ {
+		b.Next()
+	}
+	p := 100 * 5.0 / 6 // 1:5
+	if err := a.SetCXLPercent(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetWeights([]float64{1, 5}); err != nil {
+	if err := b.SetWeights([]float64{100 - p, p}); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]int64, 2)
-	a.NextN(1000, got)
-	want := refCounts(b, 2, 1000)
-	if got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("post-SetWeights counts %v != %v", got, want)
-	}
-}
-
-func TestSpaceAllocBulkMatchesSequential(t *testing.T) {
-	// Space.Alloc's bulk fill must place the identical per-page sequence a
-	// page-at-a-time policy would, for all three built-in policies.
-	type mk func() (Policy, Policy)
-	cases := map[string]mk{
-		"weighted": func() (Policy, Policy) { return NewDDRCXLSplit(37), NewDDRCXLSplit(37) },
-		"membind":  func() (Policy, Policy) { return &Membind{Node: 1}, &Membind{Node: 1} },
-		"preferred": func() (Policy, Policy) {
-			n := []*Node{{ID: 0, Name: "a", CapacityPages: 100}, {ID: 1, Name: "b"}}
-			return NewPreferred(n), NewPreferred(n)
-		},
-	}
-	for name, make2 := range cases {
-		bulkPol, seqPol := make2()
-		bulk := NewSpace(twoNodes(), bulkPol)
-		for _, n := range []int{1, 7, 250, 0, 64} {
-			bulk.Alloc(n)
+	dst := make([]uint8, 1000)
+	got := a.place(dst)
+	var want int64
+	for i, id := range dst {
+		node := b.Next()
+		if int(id) != node {
+			t.Fatalf("post-SetCXLPercent page %d: place chose %d, reference %d", i, id, node)
 		}
-		for i := 0; i < bulk.Pages(); i++ {
-			if got, want := bulk.NodeOfPage(i), seqPol.Next(); got != want {
-				t.Fatalf("%s: page %d on node %d, sequential policy says %d", name, i, got, want)
-			}
+		if node == CXL {
+			want++
 		}
+	}
+	if got != want {
+		t.Fatalf("post-SetCXLPercent CXL pages %d != %d", got, want)
 	}
 }
 
 func TestSpaceIndexStaysConsistentUnderMoves(t *testing.T) {
-	s := NewSpace(twoNodes(), NewDDRCXLSplit(50))
+	s := NewSpace(NewDDRCXLSplit(50))
 	s.Alloc(200)
-	_ = s.PagesOnNode(0) // force the index
+	_ = s.AppendPagesOnNode(nil, DDR) // force the index
 	rng := newTestRng(3)
 	for i := 0; i < 500; i++ {
 		s.Move(int(rng.next()%200), int(rng.next()%2))
 	}
 	s.Alloc(50) // index must absorb post-build allocations too
-	for node := 0; node < 2; node++ {
-		pages := s.PagesOnNode(node)
+	for node := DDR; node <= CXL; node++ {
+		pages := s.AppendPagesOnNode(nil, node)
 		if int64(len(pages)) != s.PagesOn(node) {
 			t.Fatalf("node %d: index has %d pages, counts say %d", node, len(pages), s.PagesOn(node))
 		}
@@ -420,6 +367,120 @@ func TestSpaceIndexStaysConsistentUnderMoves(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refWeighted is the general N-node weighted-interleave scheduler that
+// Weighted specializes to DDR and CXL, kept as the test-only reference.
+// SetWeights, refQuantize and step are the N-node code verbatim; Next takes
+// one page at a time.
+type refWeighted struct {
+	mu      sync.Mutex
+	weights []int64   // fixed-point shares, sum == weightScale
+	credit  []int64   // same fixed-point units
+	norm    []float64 // normalized requested weights, for reporting
+}
+
+func newRefWeighted(weights []float64) *refWeighted {
+	w := &refWeighted{}
+	if err := w.SetWeights(weights); err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// SetWeights atomically replaces the weights (future allocations only).
+// Credits — and with them the smooth phase of the schedule — carry over when
+// the node count is unchanged, as in the kernel mempolicy.
+func (w *refWeighted) SetWeights(weights []float64) error {
+	if len(weights) == 0 {
+		return fmt.Errorf("numa: empty weights")
+	}
+	sum := 0.0
+	for i, v := range weights {
+		if v < 0 {
+			return fmt.Errorf("numa: negative weight %v at node %d", v, i)
+		}
+		sum += v
+	}
+	if sum <= 0 {
+		return fmt.Errorf("numa: weights sum to zero")
+	}
+	norm := make([]float64, len(weights))
+	for i, v := range weights {
+		norm[i] = v / sum
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.norm = norm
+	w.weights = refQuantize(norm, w.weights)
+	if len(w.credit) != len(weights) {
+		w.credit = make([]int64, len(weights))
+	}
+	return nil
+}
+
+// refQuantize converts normalized weights into integer shares summing to
+// weightScale using largest-remainder rounding (ties toward the lowest node
+// ID). A node keeps a zero share only if its requested weight rounds below
+// half a share; every positive requested weight of at least 1/weightScale of
+// the total is representable.
+func refQuantize(norm []float64, reuse []int64) []int64 {
+	out := reuse
+	if len(out) != len(norm) {
+		out = make([]int64, len(norm))
+	}
+	total := int64(0)
+	rem := make([]float64, len(norm))
+	for i, v := range norm {
+		exact := v * weightScale
+		fl := int64(exact)
+		out[i] = fl
+		rem[i] = exact - float64(fl)
+		total += fl
+	}
+	for total < weightScale {
+		best := -1
+		for i, r := range rem {
+			if norm[i] > 0 && (best < 0 || r > rem[best]) {
+				best = i
+			}
+		}
+		out[best]++
+		rem[best] = -1
+		total++
+	}
+	return out
+}
+
+// step performs one scheduling step: the node whose next pending time
+// (weightScale − 2·credit)/(2·weight) is smallest wins, ties to the lowest
+// node ID; then every credit grows by its weight and the winner is charged
+// one whole share. Caller holds w.mu.
+func (w *refWeighted) step() int {
+	best := -1
+	var bestNum, bestW int64
+	for i, wt := range w.weights {
+		if wt == 0 {
+			continue
+		}
+		num := weightScale - 2*w.credit[i]
+		// x_i < x_best  ⟺  num_i·w_best < num_best·w_i (weights positive).
+		if best < 0 || num*bestW < bestNum*wt {
+			best, bestNum, bestW = i, num, wt
+		}
+	}
+	for i, wt := range w.weights {
+		w.credit[i] += wt
+	}
+	w.credit[best] -= weightScale
+	return best
+}
+
+// Next places one page.
+func (w *refWeighted) Next() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.step()
 }
 
 // testRng is a tiny local SplitMix64 so the tests don't depend on sim.

@@ -100,7 +100,8 @@ func TestRunEndpoint(t *testing.T) {
 }
 
 // TestRunEndpointErrors pins the failure modes: missing/unknown id, bad
-// format, bad platform, bad boolean, wrong method.
+// format, bad platform, bad boolean, a scenario knob past its limit, wrong
+// method.
 func TestRunEndpointErrors(t *testing.T) {
 	ts := testServer(t)
 	for _, tc := range []struct {
@@ -116,6 +117,8 @@ func TestRunEndpointErrors(t *testing.T) {
 		{"/v1/scenario", http.StatusBadRequest},
 		{"/v1/scenario?spec=nope", http.StatusBadRequest},
 		{"/v1/scenario?spec=ycsb/flavor=mild", http.StatusBadRequest},
+		{"/v1/scenario?spec=kvstore/size=8T", http.StatusBadRequest},
+		{"/v1/scenario?spec=kvstore/ops=2000000000", http.StatusBadRequest},
 	} {
 		if status, _, body := get(t, ts, tc.path); status != tc.want {
 			t.Errorf("GET %s = %d (%s), want %d", tc.path, status, strings.TrimSpace(body), tc.want)

@@ -1,9 +1,7 @@
 // The discrete-event core (DESIGN.md §13): Event/Actor interfaces and the
-// time-ordered event queue behind the Scheduler. The fixed-epoch Runner
-// (epoch.go) stays the right tool for fluid, throughput-oriented models;
-// the event queue is for dynamic scenarios — migration timelines, bursty
-// arrivals, multi-tenant contention — where *when* things happen is the
-// result, not a discretization artifact.
+// time-ordered event queue behind the Scheduler, for dynamic scenarios —
+// migration timelines, bursty arrivals, multi-tenant contention — where
+// *when* things happen is the result, not a discretization artifact.
 package sim
 
 // Event is one unit of scheduled work. Implementations are plain data the

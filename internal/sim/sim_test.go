@@ -85,8 +85,7 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("zero clock should start at 0, got %v", c.Now())
 	}
-	c.Advance(5 * Nanosecond)
-	c.Advance(7 * Nanosecond)
+	c.AdvanceTo(12 * Nanosecond)
 	if c.Now() != 12*Nanosecond {
 		t.Errorf("clock = %v, want 12ns", c.Now())
 	}
@@ -98,20 +97,6 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != 20*Nanosecond {
 		t.Errorf("AdvanceTo future = %v, want 20ns", c.Now())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("Reset clock = %v, want 0", c.Now())
-	}
-}
-
-func TestClockNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance(-1) should panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-1)
 }
 
 func TestRngDeterminism(t *testing.T) {
@@ -274,57 +259,4 @@ func TestZipfPanics(t *testing.T) {
 			fn()
 		}()
 	}
-}
-
-func TestRunnerSteps(t *testing.T) {
-	r := NewRunner(Millisecond)
-	var indices []int
-	var starts []Time
-	for i := 0; i < 3; i++ {
-		e := r.Step(func(e Epoch) {
-			indices = append(indices, e.Index)
-			starts = append(starts, e.Start)
-		})
-		if e.End() != e.Start+Millisecond {
-			t.Errorf("epoch end = %v, want start+1ms", e.End())
-		}
-	}
-	if r.Now() != 3*Millisecond {
-		t.Errorf("runner time = %v, want 3ms", r.Now())
-	}
-	for i, idx := range indices {
-		if idx != i {
-			t.Errorf("epoch %d had index %d", i, idx)
-		}
-		if starts[i] != Time(i)*Millisecond {
-			t.Errorf("epoch %d start = %v", i, starts[i])
-		}
-	}
-}
-
-func TestRunnerRunFor(t *testing.T) {
-	r := NewRunner(Millisecond)
-	n := 0
-	r.RunFor(10*Millisecond, func(Epoch) { n++ })
-	if n != 10 {
-		t.Errorf("RunFor(10ms) ran %d epochs, want 10", n)
-	}
-}
-
-func TestRunnerRunPredicate(t *testing.T) {
-	r := NewRunner(Millisecond)
-	n := 0
-	r.Run(func() bool { return n < 5 }, func(Epoch) { n++ })
-	if n != 5 {
-		t.Errorf("Run executed %d epochs, want 5", n)
-	}
-}
-
-func TestRunnerBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewRunner(0) should panic")
-		}
-	}()
-	NewRunner(0)
 }

@@ -1,7 +1,7 @@
 // Package sim provides the primitive building blocks shared by every part of
 // the cxlmem simulator: a picosecond-resolution simulated clock, a fast
-// deterministic random number generator, and a fixed-step epoch runner used by
-// the fluid (throughput-oriented) workload models.
+// deterministic random number generator, and the discrete-event scheduler
+// with its trace taps.
 //
 // Everything in this package is deterministic: two runs with the same seed and
 // parameters produce bit-identical results, which is what makes the
@@ -84,16 +84,6 @@ type Clock struct {
 // Now returns the current simulated time.
 func (c *Clock) Now() Time { return c.now }
 
-// Advance moves the clock forward by d. Advancing by a negative duration
-// panics: simulated time never flows backwards.
-func (c *Clock) Advance(d Time) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: clock advanced by negative duration %v", d))
-	}
-	c.now += d
-	return c.now
-}
-
 // AdvanceTo moves the clock to t if t is in the future; it is a no-op when t
 // is in the past (useful when merging per-core local clocks).
 func (c *Clock) AdvanceTo(t Time) Time {
@@ -102,7 +92,3 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 	return c.now
 }
-
-// Reset rewinds the clock to zero. Only intended for reusing a simulation
-// harness between independent runs.
-func (c *Clock) Reset() { c.now = 0 }

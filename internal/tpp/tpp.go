@@ -19,10 +19,9 @@ import (
 	"cxlmem/internal/sim"
 )
 
-// Config parameterizes the policy.
+// Config parameterizes the policy. The fast tier is always numa.DDR and the
+// slow tier numa.CXL.
 type Config struct {
-	// DDRNode and CXLNode are the node IDs of the fast and slow tiers.
-	DDRNode, CXLNode int
 	// TargetDDRFraction is the share of pages TPP steers toward DDR
 	// (the paper sets 75 % DDR / 25 % CXL from the bandwidth ratio).
 	TargetDDRFraction float64
@@ -47,8 +46,6 @@ type Config struct {
 // state, small batches, ping-pong damping on.
 func DefaultConfig() Config {
 	return Config{
-		DDRNode:           0,
-		CXLNode:           1,
 		TargetDDRFraction: 0.75,
 		PromoteBatch:      64,
 		DemoteBatch:       64,
@@ -65,9 +62,6 @@ func (c Config) Validate() error {
 	}
 	if c.PromoteBatch <= 0 || c.DemoteBatch <= 0 {
 		return fmt.Errorf("tpp: batches must be positive")
-	}
-	if c.DDRNode == c.CXLNode {
-		return fmt.Errorf("tpp: DDR and CXL nodes must differ")
 	}
 	return nil
 }
@@ -174,14 +168,14 @@ func (e *Engine) Scan() []Migration {
 	// candidates: the coldest DDR pages at or under threshold. Equal heat is
 	// ordered by page index in both, so candidate choice never depends on
 	// the space's internal index order.
-	e.hot = e.selectPages(e.hot, e.cfg.CXLNode, e.cfg.PromoteBatch, ^uint32(0), ^e.cfg.HotThreshold)
-	e.cold = e.selectPages(e.cold, e.cfg.DDRNode, e.cfg.DemoteBatch, 0, e.cfg.ColdThreshold)
+	e.hot = e.selectPages(e.hot, numa.CXL, e.cfg.PromoteBatch, ^uint32(0), ^e.cfg.HotThreshold)
+	e.cold = e.selectPages(e.cold, numa.DDR, e.cfg.DemoteBatch, 0, e.cfg.ColdThreshold)
 
 	// Room for promotions: the deficit to the DDR target plus whatever cold
 	// pages can be swapped out. Without cold pages, promotion never pushes
 	// DDR beyond the target.
 	need := int(e.cfg.TargetDDRFraction*float64(n)) -
-		int(e.space.PagesOn(e.cfg.DDRNode))
+		int(e.space.PagesOn(numa.DDR))
 	if need < 0 {
 		need = 0
 	}
@@ -191,8 +185,8 @@ func (e *Engine) Scan() []Migration {
 	}
 	for _, key := range e.hot[:promote] {
 		p := keyPage(key)
-		e.space.Move(p, e.cfg.DDRNode)
-		migrations = append(migrations, Migration{Page: p, From: e.cfg.CXLNode, To: e.cfg.DDRNode})
+		e.space.Move(p, numa.DDR)
+		migrations = append(migrations, Migration{Page: p, From: numa.CXL, To: numa.DDR})
 		e.Promotions++
 		if e.cfg.PingPongDamper {
 			e.heat[p] /= 2
@@ -200,15 +194,15 @@ func (e *Engine) Scan() []Migration {
 	}
 
 	// Demotion: trim back to the target with cold pages only.
-	over := int(float64(e.space.PagesOn(e.cfg.DDRNode)) -
+	over := int(float64(e.space.PagesOn(numa.DDR)) -
 		e.cfg.TargetDDRFraction*float64(n))
 	if over > len(e.cold) {
 		over = len(e.cold)
 	}
 	for _, key := range e.cold[:max(over, 0)] {
 		p := keyPage(key)
-		e.space.Move(p, e.cfg.CXLNode)
-		migrations = append(migrations, Migration{Page: p, From: e.cfg.DDRNode, To: e.cfg.CXLNode})
+		e.space.Move(p, numa.CXL)
+		migrations = append(migrations, Migration{Page: p, From: numa.DDR, To: numa.CXL})
 		e.Demotions++
 		if e.cfg.PingPongDamper {
 			e.heat[p] /= 2

@@ -11,8 +11,7 @@ import (
 )
 
 func newSpace(cxlPercent float64, pages int) *numa.Space {
-	nodes := []*numa.Node{{ID: 0, Name: "DDR5-L"}, {ID: 1, Name: "CXL-A"}}
-	s := numa.NewSpace(nodes, numa.NewDDRCXLSplit(cxlPercent))
+	s := numa.NewSpace(numa.NewDDRCXLSplit(cxlPercent))
 	s.Alloc(pages)
 	return s
 }
@@ -30,11 +29,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.PromoteBatch = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero batch should fail")
-	}
-	bad = DefaultConfig()
-	bad.CXLNode = bad.DDRNode
-	if err := bad.Validate(); err == nil {
-		t.Error("same nodes should fail")
 	}
 }
 
@@ -243,7 +237,7 @@ func (e *refEngine) Scan() []Migration {
 	}
 	var migrations []Migration
 
-	cxlPages := e.space.PagesOnNode(e.cfg.CXLNode)
+	cxlPages := e.space.AppendPagesOnNode(nil, numa.CXL)
 	sort.Slice(cxlPages, func(a, b int) bool {
 		ha, hb := e.heat[cxlPages[a]], e.heat[cxlPages[b]]
 		if ha != hb {
@@ -259,7 +253,7 @@ func (e *refEngine) Scan() []Migration {
 		hot = append(hot, p)
 	}
 
-	ddrPages := e.space.PagesOnNode(e.cfg.DDRNode)
+	ddrPages := e.space.AppendPagesOnNode(nil, numa.DDR)
 	sort.Slice(ddrPages, func(a, b int) bool {
 		ha, hb := e.heat[ddrPages[a]], e.heat[ddrPages[b]]
 		if ha != hb {
@@ -276,7 +270,7 @@ func (e *refEngine) Scan() []Migration {
 	}
 
 	need := int(e.cfg.TargetDDRFraction*float64(e.space.Pages())) -
-		int(e.space.PagesOn(e.cfg.DDRNode))
+		int(e.space.PagesOn(numa.DDR))
 	if need < 0 {
 		need = 0
 	}
@@ -285,15 +279,15 @@ func (e *refEngine) Scan() []Migration {
 		promote = room
 	}
 	for _, p := range hot[:promote] {
-		e.space.Move(p, e.cfg.DDRNode)
-		migrations = append(migrations, Migration{Page: p, From: e.cfg.CXLNode, To: e.cfg.DDRNode})
+		e.space.Move(p, numa.DDR)
+		migrations = append(migrations, Migration{Page: p, From: numa.CXL, To: numa.DDR})
 		e.Promotions++
 		if e.cfg.PingPongDamper {
 			e.heat[p] /= 2
 		}
 	}
 
-	over := int(float64(e.space.PagesOn(e.cfg.DDRNode)) -
+	over := int(float64(e.space.PagesOn(numa.DDR)) -
 		e.cfg.TargetDDRFraction*float64(e.space.Pages()))
 	if over > len(cold) {
 		over = len(cold)
@@ -302,8 +296,8 @@ func (e *refEngine) Scan() []Migration {
 		if over <= 0 {
 			break
 		}
-		e.space.Move(p, e.cfg.CXLNode)
-		migrations = append(migrations, Migration{Page: p, From: e.cfg.DDRNode, To: e.cfg.CXLNode})
+		e.space.Move(p, numa.CXL)
+		migrations = append(migrations, Migration{Page: p, From: numa.DDR, To: numa.CXL})
 		e.Demotions++
 		over--
 		if e.cfg.PingPongDamper {

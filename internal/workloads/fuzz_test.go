@@ -108,10 +108,17 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add("kvstore/policy=")
 	f.Add("kvstore/qps=NaN")
 	f.Add("kvstore/size=-1G")
+	f.Add("kvstore/size=8T")
+	f.Add("kvstore/size=16777217T")
+	f.Add("kvstore/size=8388608T")
+	f.Add("kvstore/ops=2000000000")
 	f.Fuzz(func(t *testing.T, spec string) {
 		sc, err := ParseScenario(spec)
 		if err != nil {
 			return // invalid inputs must only error, never panic
+		}
+		if sc.SizeBytes < 0 || sc.SizeBytes > maxSizeBytes || sc.Ops < 0 || sc.Ops > maxOps {
+			t.Fatalf("%q parsed past the limits: size=%d ops=%d", spec, sc.SizeBytes, sc.Ops)
 		}
 		canon := sc.String()
 		re, err := ParseScenario(canon)
@@ -125,9 +132,14 @@ func FuzzParseScenario(f *testing.F) {
 }
 
 // TestFuzzSeedsRejectedCleanly pins the error path of the hand-written
-// invalid seeds: they must produce errors mentioning the failing part.
+// invalid seeds: they must produce errors mentioning the failing part. The
+// size= and ops= seeds lie past the limits or overflow int64; accepted, they
+// would make a replica allocate gigabytes or alias another cell's memo key.
 func TestFuzzSeedsRejectedCleanly(t *testing.T) {
-	for _, bad := range []string{"", "///", "kvstore/policy=", "kvstore/qps=NaN", "kvstore/size=-1G", "nosuch/policy=ddr"} {
+	for _, bad := range []string{
+		"", "///", "kvstore/policy=", "kvstore/qps=NaN", "kvstore/size=-1G", "nosuch/policy=ddr",
+		"kvstore/size=8T", "kvstore/size=16777217T", "kvstore/size=8388608T", "kvstore/ops=2000000000",
+	} {
 		if _, err := ParseScenario(bad); err == nil {
 			t.Errorf("spec %q should not parse", bad)
 		} else if !strings.Contains(err.Error(), "workloads:") {

@@ -111,11 +111,7 @@ func New(sys *topo.System, cfg Config, cxlName string, cxlPercent float64) *Stor
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nodes := []*numa.Node{
-		{ID: 0, Name: "DDR5-L"},
-		{ID: 1, Name: cxlName},
-	}
-	space := numa.NewSpace(nodes, numa.NewDDRCXLSplit(cxlPercent))
+	space := numa.NewSpace(numa.NewDDRCXLSplit(cxlPercent))
 	s := &Store{
 		cfg:   cfg,
 		sys:   sys,
@@ -138,9 +134,6 @@ func New(sys *topo.System, cfg Config, cxlName string, cxlPercent float64) *Stor
 	}
 	return s
 }
-
-// Space exposes the store's address space (TPP experiments drive it).
-func (s *Store) Space() *numa.Space { return s.space }
 
 // pageOfKey maps a key to its first heap page.
 func (s *Store) pageOfKey(key int) int {

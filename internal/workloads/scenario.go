@@ -85,6 +85,17 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
+// The largest size= and ops= a spec may set. Both knobs size a run's memory,
+// and a spec is outside input to cxlserve: without a cap one request could
+// ask for more memory than the replica has, and the Go runtime ends a
+// process that runs out of memory without a panic anyone can recover. The
+// largest values the repository itself uses are size=4G and the fuzz
+// generator's ops=40099 (DESIGN.md §22).
+const (
+	maxSizeBytes = 16 << 30
+	maxOps       = 1_000_000
+)
+
 // Scenario is one parsed cell spec: a workload, an optional variant, and
 // knob overrides applied on top of the workload's DefaultConfig.
 type Scenario struct {
@@ -143,6 +154,9 @@ func ParseScenario(spec string) (Scenario, error) {
 			sc.Policy, err = ParsePolicy(val)
 		case "size":
 			sc.SizeBytes, err = ParseBytes(val)
+			if err == nil && sc.SizeBytes > maxSizeBytes {
+				err = fmt.Errorf("workloads: size %q is above the %s limit", val, FormatBytes(maxSizeBytes))
+			}
 		case "qps":
 			sc.TargetQPS, err = parseFinite(val)
 			if err == nil && sc.TargetQPS <= 0 {
@@ -157,6 +171,9 @@ func ParseScenario(spec string) (Scenario, error) {
 			sc.Ops, err = strconv.Atoi(val)
 			if err == nil && sc.Ops <= 0 {
 				err = fmt.Errorf("workloads: ops must be positive, got %q", val)
+			}
+			if err == nil && sc.Ops > maxOps {
+				err = fmt.Errorf("workloads: ops %q is above the %d limit", val, maxOps)
 			}
 		case "seed":
 			sc.Seed, err = strconv.ParseUint(val, 10, 64)
@@ -271,9 +288,9 @@ func (s Scenario) Run(env *Env) (Metrics, error) {
 }
 
 // ParseBytes parses a size literal: plain bytes or a K/M/G/T binary suffix
-// ("4096", "64K", "512M", "4G").
-func ParseBytes(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
+// ("4096", "64K", "512M", "4G"). A size that overflows int64 is an error.
+func ParseBytes(lit string) (int64, error) {
+	s := strings.ToUpper(strings.TrimSpace(lit))
 	mult := int64(1)
 	switch {
 	case strings.HasSuffix(s, "K"):
@@ -288,6 +305,9 @@ func ParseBytes(s string) (int64, error) {
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("workloads: bad size %q (want e.g. 4096, 64K, 512M, 4G)", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("workloads: size %q overflows int64", lit)
 	}
 	return n * mult, nil
 }

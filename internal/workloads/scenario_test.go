@@ -133,6 +133,15 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("FormatBytes round trip of %d failed: %d, %v", c.want, back, err)
 		}
 	}
+	// The largest size that fits int64 parses; one unit more overflows.
+	if got, err := ParseBytes("8388607T"); err != nil || got != 8388607<<40 {
+		t.Errorf("ParseBytes(8388607T) = %d, %v", got, err)
+	}
+	for _, in := range []string{"8388608T", "16777217T", "9223372036854775807K"} {
+		if got, err := ParseBytes(in); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want an overflow error", in, got)
+		}
+	}
 }
 
 // TestScenarioApply checks overrides land on the right Config fields and

@@ -250,7 +250,7 @@ func (a *scanActor) Handle(s *sim.Scheduler, _ sim.Event) {
 	migs := st.engine.Scan()
 	promos := 0
 	for _, m := range migs {
-		if m.To == st.cfg.Policy.DDRNode {
+		if m.To == numa.DDR {
 			promos++
 		}
 	}
@@ -277,8 +277,8 @@ func (a *epochActor) Handle(s *sim.Scheduler, _ sim.Event) {
 	es := EpochStat{
 		Index:      idx,
 		Start:      start,
-		LocalPages: st.space.PagesOn(st.cfg.Policy.DDRNode),
-		FarPages:   st.space.PagesOn(st.cfg.Policy.CXLNode),
+		LocalPages: st.space.PagesOn(numa.DDR),
+		FarPages:   st.space.PagesOn(numa.CXL),
 		Promotions: st.epochPromos,
 		Demotions:  st.epochDemos,
 		Accesses:   st.epochAccesses,
@@ -315,11 +315,7 @@ func Run(sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nodes := []*numa.Node{
-		{ID: cfg.Policy.DDRNode, Name: "DDR5-L"},
-		{ID: cfg.Policy.CXLNode, Name: cxlName},
-	}
-	space := numa.NewSpace(nodes, numa.NewDDRCXLSplit(cfg.FarPercent))
+	space := numa.NewSpace(numa.NewDDRCXLSplit(cfg.FarPercent))
 	space.Alloc(cfg.Pages)
 	st := &state{
 		cfg:    cfg,
@@ -355,7 +351,7 @@ func Run(sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) Result {
 		Promotions:       promos,
 		Demotions:        demos,
 		Accesses:         st.totalAccesses,
-		FinalFarFraction: space.Fraction(cfg.Policy.CXLNode),
+		FinalFarFraction: space.Fraction(numa.CXL),
 		Events:           s.Stats(),
 	}
 }
