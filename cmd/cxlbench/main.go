@@ -48,7 +48,8 @@
 // level up: whole experiments run concurrently on -parallel workers, each
 // sweeping serially, so total concurrency never exceeds the requested
 // worker count. Output is byte-identical for every -parallel value: results
-// are ordered by operating point, and tables print in registry order.
+// are ordered by operating point, and tables print in registry order. A
+// negative -parallel exits 2 with the usage text.
 package main
 
 import (
@@ -80,6 +81,11 @@ func main() {
 		// flag stops at the first non-flag argument, so everything after a
 		// stray word (say -quick true) would be dropped silently.
 		fmt.Fprintf(os.Stderr, "cxlbench: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "cxlbench: -parallel must not be negative, got %d\n", *parallel)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -3,13 +3,18 @@
 // pluggable emitters (json by default, text and csv on request). Results are
 // memoized process-wide in bounded, hotness-aware caches with single-flight
 // semantics, so concurrent clients asking for the same table share one
-// evaluation and repeats are served from the cache.
+// evaluation and repeats are served from the cache. Every result is a pure
+// function of its memo key, so a cached one stays until -cache-entries
+// evicts it; nothing else expires it.
 //
 // The daemon is production-hardened (DESIGN.md §11): requests carry a
 // deadline that cancels in-flight sweep work, an admission gate sheds load
 // beyond the in-flight budget with 429/503 + Retry-After, /metrics exposes
 // cache and latency counters, /healthz answers liveness probes, and SIGINT/
 // SIGTERM drain gracefully — queued work is shed, in-flight requests finish.
+// A bad command line exits 2 with the usage text: a stray argument, a
+// negative count, budget, deadline or interval, or -snapshot-interval
+// without -snapshot-save.
 //
 // Usage:
 //
@@ -58,7 +63,6 @@ import (
 
 	"cxlmem/internal/cluster"
 	"cxlmem/internal/experiments"
-	"cxlmem/internal/memo"
 	"cxlmem/internal/serve"
 	"cxlmem/internal/telemetry"
 )
@@ -73,7 +77,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently admitted compute requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 64, "requests allowed to wait for an admission slot before shedding 429")
 	cacheEntries := flag.Int("cache-entries", 1024, "entry budget per memo cache, evicted cold-first (0 = unbounded)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "expire cached results this long after computation (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (bypasses admission control; trusted networks only)")
 	traceCap := flag.Int("trace-cap", 4096, "events retained in the discrete-event trace ring served by /v1/trace (each in-flight event-driven run also buffers up to this many, 64 bytes each)")
@@ -84,9 +87,29 @@ func main() {
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "also snapshot periodically while serving (0 = only at shutdown; needs -snapshot-save)")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "cxlserve: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+		usageError("unexpected argument %q", flag.Arg(0))
+	}
+	// A negative budget, deadline or interval has no meaning; taking it
+	// would silently switch the bound off.
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"cache-entries", *cacheEntries < 0},
+		{"max-inflight", *maxInflight < 0},
+		{"max-queue", *maxQueue < 0},
+		{"parallel", *parallel < 0},
+		{"trace-cap", *traceCap < 0},
+		{"timeout", *timeout < 0},
+		{"drain-timeout", *drainTimeout < 0},
+		{"snapshot-interval", *snapshotInterval < 0},
+	} {
+		if f.negative {
+			usageError("-%s must not be negative, got %s", f.name, flag.Lookup(f.name).Value)
+		}
+	}
+	if *snapshotInterval > 0 && *snapshotSave == "" {
+		usageError("-snapshot-interval needs -snapshot-save")
 	}
 
 	opts := experiments.DefaultOptions()
@@ -100,7 +123,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cxlserve:", err)
 		os.Exit(1)
 	}
-	experiments.ConfigureCaches(memo.CacheConfig{MaxEntries: *cacheEntries, TTL: *cacheTTL})
+	experiments.ConfigureCaches(*cacheEntries)
 	telemetry.Sim.Configure(*traceCap)
 
 	// Warm start: restore the dataset cache before the listener opens so the
@@ -151,7 +174,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if *snapshotSave != "" && *snapshotInterval > 0 {
+	if *snapshotInterval > 0 {
 		go func() {
 			tick := time.NewTicker(*snapshotInterval)
 			defer tick.Stop()
@@ -206,6 +229,13 @@ func main() {
 		log.Printf("cxlserve: snapshot saved to %s", *snapshotSave)
 	}
 	log.Print("cxlserve: drained, bye")
+}
+
+// usageError reports a bad command line and exits 2 with the usage text.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "cxlserve: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // saveSnapshot writes the dataset-cache snapshot atomically (temp file +

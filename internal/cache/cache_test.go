@@ -334,65 +334,39 @@ func TestFig5EffectiveCapacity(t *testing.T) {
 	}
 }
 
-func TestChZipfHitRateMonotone(t *testing.T) {
-	prev := 0.0
-	for _, c := range []int{100, 1000, 10000, 50000, 100000} {
-		h := ZipfLRUHitRate(100000, 0.99, c)
-		if h < prev {
-			t.Errorf("hit rate not monotone in capacity at %d: %v < %v", c, h, prev)
-		}
-		prev = h
-	}
-	if got := ZipfLRUHitRate(1000, 1, 0); got != 0 {
-		t.Errorf("zero capacity hit rate = %v", got)
-	}
-	if got := ZipfLRUHitRate(1000, 1, 1000); got != 1 {
-		t.Errorf("full capacity hit rate = %v", got)
-	}
-}
-
-func TestChZipfBeatsUniform(t *testing.T) {
-	// A skewed distribution caches better than uniform for the same capacity.
-	n, c := 1_000_000, 10_000
-	zipf := ZipfLRUHitRate(n, 1.0, c)
-	uni := UniformLRUHitRate(n, c)
-	if zipf <= uni {
-		t.Errorf("zipf hit rate %v should exceed uniform %v", zipf, uni)
-	}
-	if zipf < 0.3 {
-		t.Errorf("zipf(1.0) with 1%% capacity should be substantial, got %v", zipf)
-	}
-}
-
-// TestCheAgainstSimulation cross-checks Che's approximation against the real
-// LRU cache simulator on a moderate configuration.
+// TestCheAgainstSimulation cross-checks the working-set model — Che's
+// approximation in its uniform case, capacity/n — against the real LRU
+// cache simulator under uniform-random accesses, at capacities from a tenth
+// of the working set to more than all of it. The model takes the
+// simulated cache's own line count, which rounds the set count to a power
+// of two.
 func TestCheAgainstSimulation(t *testing.T) {
-	const n, capacity = 20000, 2000
-	approx := ZipfLRUHitRate(n, 0.9, capacity)
-
-	c := NewCache(int64(capacity*LineBytes), 16)
-	r := sim.NewRng(7)
-	z := sim.NewZipf(r, n, 0.9)
-	// Warm.
-	for i := 0; i < 200000; i++ {
-		a := uint64(z.Next()) * 64
-		if !c.Lookup(a, false) {
-			c.Insert(a, Home{}, false)
+	const n = 20000
+	for _, capacity := range []int{2048, 8192, 16384, 32768} {
+		c := NewCache(int64(capacity*LineBytes), 16)
+		approx := UniformLRUHitRate(n, c.Lines())
+		r := sim.NewRng(7)
+		// Warm.
+		for i := 0; i < 200000; i++ {
+			a := uint64(r.Intn(n)) * LineBytes
+			if !c.Lookup(a, false) {
+				c.Insert(a, Home{}, false)
+			}
 		}
-	}
-	hits, total := 0, 0
-	for i := 0; i < 500000; i++ {
-		a := uint64(z.Next()) * 64
-		total++
-		if c.Lookup(a, false) {
-			hits++
-		} else {
-			c.Insert(a, Home{}, false)
+		hits, total := 0, 0
+		for i := 0; i < 500000; i++ {
+			a := uint64(r.Intn(n)) * LineBytes
+			total++
+			if c.Lookup(a, false) {
+				hits++
+			} else {
+				c.Insert(a, Home{}, false)
+			}
 		}
-	}
-	simRate := float64(hits) / float64(total)
-	if diff := simRate - approx; diff < -0.08 || diff > 0.08 {
-		t.Errorf("Che approx %v vs simulated %v differ by %v", approx, simRate, diff)
+		simRate := float64(hits) / float64(total)
+		if diff := simRate - approx; diff < -0.01 || diff > 0.01 {
+			t.Errorf("capacity %d: model %v vs simulated %v differ by %v", capacity, approx, simRate, diff)
+		}
 	}
 }
 
@@ -409,47 +383,18 @@ func TestUniformLRUHitRate(t *testing.T) {
 }
 
 func TestWorkingSetHitRate(t *testing.T) {
-	// Working set fits: ~1.
-	if got := WorkingSetHitRate(1<<20, 60<<20, 0.9); got < 0.99 {
+	// Working set fits: 1.
+	if got := WorkingSetHitRate(1<<20, 60<<20); got != 1 {
 		t.Errorf("fitting working set hit rate = %v", got)
 	}
-	// Working set 4x capacity, uniform: 0.25.
-	if got := WorkingSetHitRate(4<<20, 1<<20, 0); got != 0.25 {
+	// Working set 4x capacity: 0.25.
+	if got := WorkingSetHitRate(4<<20, 1<<20); got != 0.25 {
 		t.Errorf("uniform 4x = %v, want 0.25", got)
 	}
 	// Non-positive working set: trivially cached.
-	if got := WorkingSetHitRate(0, 1<<20, 1); got != 1 {
+	if got := WorkingSetHitRate(0, 1<<20); got != 1 {
 		t.Errorf("empty working set = %v, want 1", got)
 	}
-}
-
-func TestSortedSliceShare(t *testing.T) {
-	// Under capacity: everyone gets their demand.
-	got := SortedSliceShare([]int64{10, 20}, 100)
-	if got[0] != 10 || got[1] != 20 {
-		t.Errorf("under capacity: %v", got)
-	}
-	// Over capacity: water-filling.
-	got = SortedSliceShare([]int64{10, 100, 100}, 90)
-	if got[0] != 10 || got[1] != 40 || got[2] != 40 {
-		t.Errorf("water filling: %v", got)
-	}
-	var sum int64
-	for _, v := range got {
-		sum += v
-	}
-	if sum != 90 {
-		t.Errorf("shares sum to %d, want 90", sum)
-	}
-}
-
-func TestSortedSliceSharePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative demand should panic")
-		}
-	}()
-	SortedSliceShare([]int64{-1}, 10)
 }
 
 func TestAccessPanicsOnBadCore(t *testing.T) {

@@ -15,11 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"cxlmem/internal/memo"
 	"cxlmem/internal/results"
-	"cxlmem/internal/topo"
 )
 
 // Typed sentinel errors: dispatch failures callers branch on with errors.Is
@@ -162,18 +160,12 @@ func IDs() []string {
 // (Options.fingerprint), matching the byte-identity contract.
 var datasetCache = memo.NewCache()
 
-func init() {
-	// A platform-registry change invalidates every cached result that
-	// depends on the mutated profile or enumerates the registry (DESIGN.md
-	// §11) — the epoch bump topo publishes on RegisterPlatform.
-	topo.OnPlatformChange(invalidatePlatform)
-}
-
-// ConfigureCaches applies the same bounds (entry budget, TTL) to both
-// process-wide memo caches — the dataset cache and the scenario cell cache.
-// cxlserve calls it from its -cache-entries/-cache-ttl flags; a zero config
-// restores the unbounded default.
-func ConfigureCaches(cfg memo.CacheConfig) {
+// ConfigureCaches applies one entry budget to both process-wide memo caches
+// — the dataset cache and the scenario cell cache — evicting cold-first
+// past it; 0 keeps every settled result. cxlserve calls it from its
+// -cache-entries flag.
+func ConfigureCaches(maxEntries int) {
+	cfg := memo.CacheConfig{MaxEntries: maxEntries}
 	datasetCache.Configure(cfg)
 	cellCache.Configure(cfg)
 }
@@ -182,39 +174,6 @@ func ConfigureCaches(cfg memo.CacheConfig) {
 // /metrics endpoint.
 func CacheStats() (dataset, cell memo.CacheStats) {
 	return datasetCache.Stats(), cellCache.Stats()
-}
-
-// invalidatePlatform drops every cached dataset and scenario cell that
-// depends on the named platform profile, plus the matrix-platform datasets
-// (they enumerate the whole registry, so any registration changes them).
-func invalidatePlatform(name string) {
-	pred := func(key string) bool { return keyDependsOnPlatform(key, name) }
-	datasetCache.InvalidateFunc(pred)
-	cellCache.InvalidateFunc(pred)
-}
-
-// keyDependsOnPlatform reports whether a memo key (cell or dataset) names
-// the platform — as a scenario /platform= key or an options fingerprint —
-// or belongs to a registry-enumerating matrix.
-func keyDependsOnPlatform(key, name string) bool {
-	if strings.HasPrefix(key, "experiment|matrix-platform|") {
-		return true
-	}
-	needle := "platform=" + name
-	for idx := strings.Index(key, needle); idx >= 0; {
-		end := idx + len(needle)
-		// A real reference ends the key or runs into the next delimiter;
-		// anything else is a longer platform name sharing a prefix.
-		if end == len(key) || key[end] == '|' || key[end] == '/' {
-			return true
-		}
-		next := strings.Index(key[idx+1:], needle)
-		if next < 0 {
-			break
-		}
-		idx += 1 + next
-	}
-	return false
 }
 
 // recoverAsErr converts a recovered driver panic into the dispatcher's

@@ -43,7 +43,7 @@ func TestRunScenarioMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0 := cellCache.Hits()
+	hits0 := cellCache.Stats().Hits
 	a, err := RunScenario(o, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestRunScenarioMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cellCache.Hits() - hits0; got < 1 {
+	if got := cellCache.Stats().Hits - hits0; got < 1 {
 		t.Errorf("second evaluation missed the cache (hits delta %d)", got)
 	}
 	if len(a.Items) == 0 || len(a.Items) != len(b.Items) {

@@ -24,8 +24,8 @@ import (
 // without recompute, and must emit byte-identically in every format, text
 // matching the committed golden.
 func TestSnapshotRoundTripUnderEviction(t *testing.T) {
-	ConfigureCaches(memo.CacheConfig{MaxEntries: 4})
-	defer ConfigureCaches(memo.CacheConfig{})
+	ConfigureCaches(4)
+	defer ConfigureCaches(0)
 	o := DefaultOptions()
 	o.Quick = true
 	o.Parallel = 2
@@ -110,8 +110,8 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		if _, err := ImportDatasetCacheInto(fresh, []byte(tc.data)); err == nil {
 			t.Errorf("%s snapshot imported without error", tc.name)
 		}
-		if fresh.Len() != 0 {
-			t.Errorf("%s snapshot left %d entries resident", tc.name, fresh.Len())
+		if size := fresh.Stats().Size; size != 0 {
+			t.Errorf("%s snapshot left %d entries resident", tc.name, size)
 		}
 	}
 }
@@ -166,8 +166,8 @@ func FuzzImportDatasetCache(f *testing.F) {
 		fresh := memo.NewCache()
 		// A fresh cache has no budget and no resident keys, so everything
 		// restored before any error stays resident.
-		if n, _ := ImportDatasetCacheInto(fresh, data); n != fresh.Len() {
-			t.Fatalf("restored %d entries, %d resident", n, fresh.Len())
+		if n, _ := ImportDatasetCacheInto(fresh, data); n != fresh.Stats().Size {
+			t.Fatalf("restored %d entries, %d resident", n, fresh.Stats().Size)
 		}
 		again, err := exportDatasetCache(fresh)
 		if err != nil {

@@ -31,7 +31,7 @@ func TestCacheBoundedChurn(t *testing.T) {
 		if err != nil || v.(string) != "v:"+key {
 			t.Fatalf("Do(%q) = %v, %v", key, v, err)
 		}
-		if n := c.Len(); n > budget {
+		if n := c.Stats().Size; n > budget {
 			t.Fatalf("cache size %d exceeds budget %d", n, budget)
 		}
 	}
@@ -92,75 +92,6 @@ func TestCacheEvictionPrefersCold(t *testing.T) {
 	}
 	if c.Stats().Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", c.Stats().Evictions)
-	}
-}
-
-// TestCacheTTL expires entries through an injected clock.
-func TestCacheTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-	c := NewCacheWith(CacheConfig{TTL: time.Minute, Now: clock})
-	calls := 0
-	get := func() {
-		if _, err := c.Do("k", func() (any, error) { calls++; return calls, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get()
-	advance(30 * time.Second)
-	get() // still fresh
-	if calls != 1 {
-		t.Fatalf("fresh entry recomputed (%d calls)", calls)
-	}
-	advance(31 * time.Second) // 61s after completion
-	get()
-	if calls != 2 {
-		t.Fatalf("expired entry not recomputed (%d calls)", calls)
-	}
-	if st := c.Stats(); st.Expirations != 1 {
-		t.Errorf("expirations = %d, want 1", st.Expirations)
-	}
-}
-
-// TestCacheInvalidate covers single-key and predicate invalidation.
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache()
-	calls := map[string]int{}
-	get := func(key string) {
-		if _, err := c.Do(key, func() (any, error) { calls[key]++; return key, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get("keep")
-	get("drop-1")
-	get("drop-2")
-	if c.Invalidate("missing") {
-		t.Error("Invalidate of absent key reported true")
-	}
-	if !c.Invalidate("drop-1") {
-		t.Error("Invalidate of resident key reported false")
-	}
-	if n := c.InvalidateFunc(func(key string) bool { return key == "drop-2" }); n != 1 {
-		t.Errorf("InvalidateFunc dropped %d, want 1", n)
-	}
-	get("keep")
-	get("drop-1")
-	get("drop-2")
-	if calls["keep"] != 1 || calls["drop-1"] != 2 || calls["drop-2"] != 2 {
-		t.Errorf("compute counts = %v, want keep:1 drop-1:2 drop-2:2", calls)
-	}
-	if st := c.Stats(); st.Invalidations != 2 {
-		t.Errorf("invalidations = %d, want 2", st.Invalidations)
 	}
 }
 
@@ -257,8 +188,8 @@ func TestCachePanicPropagates(t *testing.T) {
 	if got != "boom" {
 		t.Fatalf("recovered %v, want boom", got)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("panicked entry retained (Len=%d)", c.Len())
+	if size := c.Stats().Size; size != 0 {
+		t.Fatalf("panicked entry retained (Size=%d)", size)
 	}
 	v, err := c.Do("k", func() (any, error) { return "ok", nil })
 	if err != nil || v.(string) != "ok" {
@@ -285,9 +216,6 @@ func TestCacheConcurrentChurn(t *testing.T) {
 					t.Errorf("Do(%q) = %v, %v", key, v, err)
 					return
 				}
-				if i%17 == 0 {
-					c.Invalidate(key)
-				}
 			}
 		}(g)
 	}
@@ -313,8 +241,8 @@ func TestCacheConfigureShrinks(t *testing.T) {
 		}
 	}
 	c.Configure(CacheConfig{MaxEntries: 3})
-	if n := c.Len(); n != 3 {
-		t.Fatalf("Len after shrink = %d, want 3", n)
+	if n := c.Stats().Size; n != 3 {
+		t.Fatalf("size after shrink = %d, want 3", n)
 	}
 	if st := c.Stats(); st.Evictions != 7 {
 		t.Errorf("evictions = %d, want 7", st.Evictions)
@@ -360,7 +288,7 @@ func TestCacheWaiterRetriesAfterCancel(t *testing.T) {
 	// B joining the in-flight entry registers as a hit; wait for it before
 	// letting the doomed computation publish its cancellation.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Hits() == 0 {
+	for c.Stats().Hits == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("caller B never joined the in-flight entry")
 		}

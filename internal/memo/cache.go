@@ -6,16 +6,17 @@
 // the same scenario appearing in matrix-apps and matrix-policy, or a re-run
 // under a different worker count — are free after the first evaluation.
 //
-// Unlike the PR-5 prototype, a Cache can be *bounded*: every entry carries
-// hit recency (its position on an LRU list) and a hit-frequency counter, and
-// when a configured entry budget is exceeded the cache evicts cold-first —
-// candidates are sampled from the recency tail and the least-frequently-hit
-// one is dropped, so a hot key that momentarily slid down the list survives
-// a churning scan of one-shot keys. Scanned-but-spared candidates have their
-// frequency halved (classic LFU aging), so formerly-hot keys cannot pin a
-// slot forever. Optional TTL expires completed entries, and explicit
-// invalidation (Invalidate/InvalidateFunc) drops entries whose inputs
-// changed — the experiment layer wires a platform-registry epoch bump to it.
+// A Cache has one retention rule: a settled result stays resident until the
+// entry budget evicts it. Every result this repository memoizes is a pure
+// function of its canonical key — the platform registry is fixed once init
+// has run — so nothing ever makes a resident entry stale. Every entry
+// carries hit recency (its position on an LRU list) and a hit-frequency
+// counter, and when a configured entry budget is exceeded the cache evicts
+// cold-first — candidates are sampled from the recency tail and the
+// least-frequently-hit one is dropped, so a hot key that momentarily slid
+// down the list survives a churning scan of one-shot keys. Scanned-but-
+// spared candidates have their frequency halved (classic LFU aging), so
+// formerly-hot keys cannot pin a slot forever.
 //
 // Cancellation: DoCtx computations receive a context that is canceled once
 // every caller waiting on the key has abandoned it, so a timed-out request
@@ -35,15 +36,14 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // evictScan is how many recency-tail candidates one eviction inspects: the
 // least-frequently-hit of the sample is dropped, the spared rest age.
 const evictScan = 8
 
-// CacheConfig bounds a Cache. The zero value — no entry budget, no TTL —
-// reproduces the unbounded PR-5 semantics.
+// CacheConfig bounds a Cache. The zero value — no entry budget — keeps every
+// settled result.
 type CacheConfig struct {
 	// MaxEntries caps the resident entries when positive; the cache evicts
 	// cold-first (recency-tail sample, lowest frequency dropped) to stay at
@@ -51,11 +51,6 @@ type CacheConfig struct {
 	// evicted, so under heavy concurrency residency can transiently reach
 	// max(MaxEntries, in-flight).
 	MaxEntries int
-	// TTL expires completed entries this long after their computation
-	// finishes when positive; an expired entry is recomputed on next access.
-	TTL time.Duration
-	// Now overrides the TTL clock, for tests; nil uses time.Now.
-	Now func() time.Time
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters — the raw
@@ -67,10 +62,6 @@ type CacheStats struct {
 	Misses int64
 	// Evictions counts entries dropped to keep the entry budget.
 	Evictions int64
-	// Expirations counts entries dropped because their TTL lapsed.
-	Expirations int64
-	// Invalidations counts entries dropped by Invalidate/InvalidateFunc.
-	Invalidations int64
 	// Size is the current resident entry count (computed + in-flight).
 	Size int
 	// InFlight is the number of computations currently running.
@@ -85,8 +76,8 @@ type Cache struct {
 	entries map[string]*cacheEntry
 	lru     *list.List // front = most recently used
 
-	hits, misses, evictions, expirations, invalidations int64
-	inflight                                            int
+	hits, misses, evictions int64
+	inflight                int
 }
 
 // cacheEntry is one key's state. Result fields (val, err, panicVal) are
@@ -102,13 +93,12 @@ type cacheEntry struct {
 	computed bool
 	cctx     context.Context // the computation's context (for claim's retry test)
 
-	freq    int64     // hit-frequency counter, aged on eviction scans
-	expiry  time.Time // zero = never expires
-	waiters int       // callers currently blocked on this entry
+	freq    int64 // hit-frequency counter, aged on eviction scans
+	waiters int   // callers currently blocked on this entry
 	cancel  context.CancelFunc
 }
 
-// NewCache creates an unbounded result cache — the PR-5 semantics.
+// NewCache creates an unbounded result cache.
 func NewCache() *Cache { return NewCacheWith(CacheConfig{}) }
 
 // NewCacheWith creates a cache with the given bounds.
@@ -117,21 +107,12 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 }
 
 // Configure replaces the cache's bounds, evicting down to a newly lowered
-// entry budget immediately. A changed TTL applies to computations finishing
-// after the call; resident entries keep their stamped expiry.
+// entry budget immediately.
 func (c *Cache) Configure(cfg CacheConfig) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg = cfg
 	c.evictLocked()
-}
-
-// now resolves the TTL clock.
-func (c *Cache) now() time.Time {
-	if c.cfg.Now != nil {
-		return c.cfg.Now()
-	}
-	return time.Now()
 }
 
 // Do returns the memoized result for key, computing it with compute on the
@@ -158,8 +139,8 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func(ctx context.
 			return v, err
 		}
 		// The entry this caller waited on was canceled out from under it
-		// (its other waiters timed out, or it was invalidated mid-flight)
-		// while this caller's ctx is still live: try again on a fresh entry.
+		// (its other waiters timed out) while this caller's ctx is still
+		// live: try again on a fresh entry.
 	}
 }
 
@@ -168,13 +149,7 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func(ctx context.
 // canceled while the caller's own ctx is still live.
 func (c *Cache) attempt(ctx context.Context, key string, compute func(ctx context.Context) (any, error)) (v any, err error, retry bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok && e.computed && !e.expiry.IsZero() && !c.now().Before(e.expiry) {
-		c.removeLocked(e)
-		c.expirations++
-		ok = false
-	}
-	if ok {
+	if e, ok := c.entries[key]; ok {
 		c.hits++
 		if e.computed {
 			e.freq++
@@ -200,7 +175,7 @@ func (c *Cache) attempt(ctx context.Context, key string, compute func(ctx contex
 	c.misses++
 	c.inflight++
 	cctx, cancel := context.WithCancel(context.Background())
-	e = &cacheEntry{key: key, done: make(chan struct{}), cancel: cancel, cctx: cctx, waiters: 1, freq: 1}
+	e := &cacheEntry{key: key, done: make(chan struct{}), cancel: cancel, cctx: cctx, waiters: 1, freq: 1}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.evictLocked()
@@ -227,9 +202,8 @@ func (c *Cache) attempt(ctx context.Context, key string, compute func(ctx contex
 
 // claim reads a finished entry's result on behalf of one waiter, re-raising
 // a computation panic on the waiter's goroutine. A computation that was
-// canceled (all other waiters left, or mid-flight invalidation) while this
-// waiter's own ctx is still live reports retry instead of surfacing someone
-// else's cancellation.
+// canceled (all other waiters left) while this waiter's own ctx is still
+// live reports retry instead of surfacing someone else's cancellation.
 func (c *Cache) claim(ctx context.Context, e *cacheEntry) (any, error, bool) {
 	c.mu.Lock()
 	e.waiters--
@@ -265,21 +239,16 @@ func (c *Cache) abandon(e *cacheEntry) {
 
 // finish publishes a computation's outcome and decides retention: context
 // cancellations and panics are dropped (next caller recomputes), anything
-// else stays resident, TTL-stamped when configured. The entry may have been
-// invalidated mid-flight, in which case a newer entry owns the key and this
-// one is not re-inserted.
+// else stays resident until the entry budget evicts it. An in-flight entry
+// is never evicted, so it still owns its key here.
 func (c *Cache) finish(e *cacheEntry, v any, err error, panicVal any) {
 	c.mu.Lock()
 	e.val, e.err, e.panicVal = v, err, panicVal
 	e.computed = true
 	c.inflight--
 	e.cancel()
-	if cur := c.entries[e.key]; cur == e {
-		if panicVal != nil || canceledErr(err) {
-			c.removeLocked(e)
-		} else if c.cfg.TTL > 0 {
-			e.expiry = c.now().Add(c.cfg.TTL)
-		}
+	if panicVal != nil || canceledErr(err) {
+		c.removeLocked(e)
 	}
 	close(e.done)
 	c.mu.Unlock()
@@ -319,55 +288,13 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// removeLocked unlinks an entry from the map and recency list; it is a no-op
-// for an entry already superseded or removed. Callers hold c.mu.
+// removeLocked unlinks a resident entry from the map and recency list. An
+// entry is removed at most once — by eviction when settled, or by finish
+// when its result is not retained — and no key is ever re-inserted while
+// its entry is resident. Callers hold c.mu.
 func (c *Cache) removeLocked(e *cacheEntry) {
-	if cur := c.entries[e.key]; cur == e {
-		delete(c.entries, e.key)
-	}
+	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
-}
-
-// Invalidate drops the entry for key, reporting whether one was resident.
-// An in-flight computation is canceled and its result is not retained;
-// current waiters still receive whatever it returns.
-func (c *Cache) Invalidate(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.invalidateLocked(e)
-	return true
-}
-
-// InvalidateFunc drops every resident entry whose key satisfies pred and
-// returns how many were dropped — the hook a platform/registry epoch bump
-// uses to invalidate dependent keys.
-func (c *Cache) InvalidateFunc(pred func(key string) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var doomed []*cacheEntry
-	for key, e := range c.entries {
-		if pred(key) {
-			doomed = append(doomed, e)
-		}
-	}
-	for _, e := range doomed {
-		c.invalidateLocked(e)
-	}
-	return len(doomed)
-}
-
-// invalidateLocked removes one entry, canceling it if still computing.
-// Callers hold c.mu.
-func (c *Cache) invalidateLocked(e *cacheEntry) {
-	c.removeLocked(e)
-	c.invalidations++
-	if !e.computed {
-		e.cancel()
-	}
 }
 
 // Stats snapshots the cache counters.
@@ -375,26 +302,10 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Expirations:   c.expirations,
-		Invalidations: c.invalidations,
-		Size:          len(c.entries),
-		InFlight:      c.inflight,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Size:      len(c.entries),
+		InFlight:  c.inflight,
 	}
-}
-
-// Len reports the number of resident keys (computed or in flight).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Hits reports how many Do/DoCtx calls were served by an existing entry.
-func (c *Cache) Hits() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
 }

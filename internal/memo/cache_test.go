@@ -23,8 +23,8 @@ func TestCacheMemoizes(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("compute ran %d times, want 1", calls.Load())
 	}
-	if c.Len() != 1 || c.Hits() != 2 {
-		t.Errorf("Len=%d Hits=%d, want 1/2", c.Len(), c.Hits())
+	if st := c.Stats(); st.Size != 1 || st.Hits != 2 {
+		t.Errorf("Size=%d Hits=%d, want 1/2", st.Size, st.Hits)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestCacheSingleFlight(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("compute ran %d times, want 1", calls.Load())
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if size := c.Stats().Size; size != 1 {
+		t.Errorf("Size = %d, want 1", size)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestCacheDistinctKeys(t *testing.T) {
 			t.Fatalf("Do(%q) = %v, %v", k, v, err)
 		}
 	}
-	if c.Len() != 3 || c.Hits() != 0 {
-		t.Errorf("Len=%d Hits=%d, want 3/0", c.Len(), c.Hits())
+	if st := c.Stats(); st.Size != 3 || st.Hits != 0 {
+		t.Errorf("Size=%d Hits=%d, want 3/0", st.Size, st.Hits)
 	}
 }

@@ -9,12 +9,11 @@
 // lossless results JSON wire form, which is what makes a restored dataset
 // serve byte-identical responses with zero recompute.
 //
-// Only settled successes travel: in-flight computations, cached errors,
-// panics and TTL-expired entries are skipped — a snapshot is a transcript
-// of reusable results, not of failures. Entries are ordered most-recently
-// -used first and carry their hit-frequency counter, so a restored cache
-// inherits the donor's hotness ranking and a bounded restore keeps the
-// hottest keys.
+// Only settled successes travel: in-flight computations, cached errors and
+// panics are skipped — a snapshot is a transcript of reusable results, not
+// of failures. Entries are ordered most-recently-used first and carry their
+// hit-frequency counter, so a restored cache inherits the donor's hotness
+// ranking and a bounded restore keeps the hottest keys.
 package memo
 
 import "encoding/json"
@@ -33,10 +32,10 @@ type SnapshotEntry struct {
 }
 
 // Snapshot serializes every settled, successful entry through encode,
-// most-recently-used first. In-flight computations, cached errors and
-// expired entries are excluded. The cache stays serviceable during the
-// call: entries are collected under the lock, encoded outside it (cached
-// values are immutable by the package contract).
+// most-recently-used first. In-flight computations and cached errors are
+// excluded. The cache stays serviceable during the call: entries are
+// collected under the lock, encoded outside it (cached values are immutable
+// by the package contract).
 func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]SnapshotEntry, error) {
 	type pending struct {
 		key  string
@@ -45,13 +44,9 @@ func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]Snap
 	}
 	c.mu.Lock()
 	collected := make([]pending, 0, len(c.entries))
-	now := c.now()
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		if !e.computed || e.err != nil || e.panicVal != nil {
-			continue
-		}
-		if !e.expiry.IsZero() && !now.Before(e.expiry) {
 			continue
 		}
 		collected = append(collected, pending{key: e.key, val: e.val, freq: e.freq})
@@ -72,10 +67,9 @@ func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]Snap
 // through decode. Keys already resident (computed or in flight) are left
 // untouched — live state always wins over a snapshot. Restored entries
 // join the recency list in snapshot order (most-recently-used first), keep
-// their clamped frequency, are TTL-stamped as if freshly computed, and
-// count toward the entry budget: an over-budget restore evicts cold-first
-// exactly like computed entries do. It returns how many entries were
-// actually restored.
+// their clamped frequency, and count toward the entry budget: an
+// over-budget restore evicts cold-first exactly like computed entries do.
+// It returns how many entries were actually restored.
 func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []byte) (any, error)) (int, error) {
 	restored := 0
 	for _, se := range entries {
@@ -97,9 +91,6 @@ func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []
 			computed: true,
 			freq:     max64(se.Freq, 1),
 			cancel:   func() {},
-		}
-		if c.cfg.TTL > 0 {
-			e.expiry = c.now().Add(c.cfg.TTL)
 		}
 		c.entries[se.Key] = e
 		// Entries arrive MRU-first, so appending preserves the donor's

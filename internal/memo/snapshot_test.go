@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // jsonCodec is the test codec: values are plain strings carried as JSON.
@@ -60,16 +59,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("restored %s = %v, want v%s", key, v, key)
 		}
 	}
-	if hits := dst.Hits(); hits != 5 {
+	if hits := dst.Stats().Hits; hits != 5 {
 		t.Errorf("restored cache served %d hits, want 5", hits)
 	}
 }
 
-// TestSnapshotSkipsUnsettled pins what must NOT travel: cached errors,
-// in-flight computations, and TTL-expired entries.
+// TestSnapshotSkipsUnsettled pins what must NOT travel: cached errors and
+// in-flight computations.
 func TestSnapshotSkipsUnsettled(t *testing.T) {
-	now := time.Now()
-	c := NewCacheWith(CacheConfig{TTL: time.Minute, Now: func() time.Time { return now }})
+	c := NewCache()
 	if _, err := c.Do("ok", func() (any, error) { return "good", nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +90,6 @@ func TestSnapshotSkipsUnsettled(t *testing.T) {
 	}
 	if len(snap) != 1 || snap[0].Key != "ok" {
 		t.Fatalf("snapshot = %+v, want only the settled success %q", snap, "ok")
-	}
-
-	// Advance past the TTL: the settled entry expires out of the snapshot.
-	now = now.Add(2 * time.Minute)
-	snap, err = c.Snapshot(encodeString)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) != 0 {
-		t.Fatalf("snapshot of expired cache has %d entries, want 0", len(snap))
 	}
 }
 
@@ -161,7 +149,7 @@ func TestRestoreHonorsBudget(t *testing.T) {
 	if _, err := dst.Restore(snap, decodeString); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.Len(); got > 4 {
+	if got := dst.Stats().Size; got > 4 {
 		t.Errorf("restored cache holds %d entries, budget is 4", got)
 	}
 	v, err := dst.Do("k0", func() (any, error) { return "recomputed", nil })
@@ -189,8 +177,8 @@ func TestRestoreDecodeError(t *testing.T) {
 	if n != 1 {
 		t.Errorf("restored %d entries before the corrupt one, want 1", n)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
+	if size := c.Stats().Size; size != 1 {
+		t.Errorf("cache holds %d entries, want 1", size)
 	}
 }
 

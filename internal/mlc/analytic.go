@@ -37,9 +37,9 @@ func bufferLevelFractions(hier *cache.Hierarchy, home cache.Home, bufBytes int64
 	l2B := int64(l2Lines) * cache.LineBytes
 	llcB := hier.EffectiveLLCLines(home) * cache.LineBytes
 
-	h1 := cache.WorkingSetHitRate(bufBytes, l1B, 0)
-	h2 := cache.WorkingSetHitRate(bufBytes, l2B, 0)
-	h3 := cache.WorkingSetHitRate(bufBytes, l2B+llcB, 0)
+	h1 := cache.WorkingSetHitRate(bufBytes, l1B)
+	h2 := cache.WorkingSetHitRate(bufBytes, l2B)
+	h3 := cache.WorkingSetHitRate(bufBytes, l2B+llcB)
 	if h2 < h1 {
 		h2 = h1
 	}

@@ -70,9 +70,10 @@ func newReplicaPair(t *testing.T) *replicaPair {
 	return &replicaPair{a: tsa, b: tsb, sa: sa, sb: sb}
 }
 
-// testCells returns a handful of matrix cells guaranteed to split across a
-// two-member ring (skipped if the hash happens to one-side them — it does
-// not for the committed corpus, and TestRingBalance pins the spread).
+// testCells returns n matrix cells that split across the two-member ring:
+// the first n, unless the replicas' ports (httptest picks them at random)
+// hash all of those to one owner — then the last gives way to the first
+// later cell the other replica owns.
 func testCells(t *testing.T, p *replicaPair, n int) []workloads.Scenario {
 	t.Helper()
 	o := experiments.DefaultOptions()
@@ -85,15 +86,22 @@ func testCells(t *testing.T, p *replicaPair, n int) []workloads.Scenario {
 	if len(all) < n {
 		t.Fatalf("matrix has %d cells, want >= %d", len(all), n)
 	}
-	cells := all[:n]
-	owners := map[string]bool{}
-	for _, sc := range cells {
-		owners[ring.Owner(experiments.ScenarioKey(o, sc))] = true
+	owner := func(sc workloads.Scenario) string { return ring.Owner(experiments.ScenarioKey(o, sc)) }
+	cells := append([]workloads.Scenario(nil), all[:n]...)
+	first := owner(cells[0])
+	for _, sc := range cells[1:] {
+		if owner(sc) != first {
+			return cells
+		}
 	}
-	if len(owners) < 2 {
-		t.Fatalf("first %d matrix cells all hash to one replica; widen the slice", n)
+	for _, sc := range all[n:] {
+		if owner(sc) != first {
+			cells[n-1] = sc
+			return cells
+		}
 	}
-	return cells
+	t.Fatalf("all %d matrix cells hash to one replica", len(all))
+	return nil
 }
 
 // metricValue extracts one counter value from a /metrics scrape.

@@ -223,7 +223,9 @@ func TestDrainHealthz(t *testing.T) {
 
 // TestMetricsEndpoint drives traffic and asserts the exported counters
 // move: request counts by endpoint and code, latency count, cache hits
-// (the repeated query is a dataset-cache hit), and the draining gauge.
+// (the repeated query is a dataset-cache hit), and the draining gauge. It
+// also pins the exact set of memo-cache series: five per cache, for the
+// dataset, cell and warm-state caches.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := hardenedServer(t, Config{})
 	for i := 0; i < 2; i++ {
@@ -258,6 +260,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	// contribute, but it must be strictly positive here.
 	if strings.Contains(body, `cxlserve_cache_hits_total{cache="dataset"} 0`+"\n") {
 		t.Error("dataset cache hits = 0 after a repeated query")
+	}
+
+	var want, got []string
+	for _, cache := range []string{"dataset", "cell", "warmstate"} {
+		for _, series := range []string{"hits_total", "misses_total", "evictions_total", "entries", "inflight"} {
+			want = append(want, fmt.Sprintf("cxlserve_cache_%s{cache=%q}", series, cache))
+		}
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "cxlserve_cache_") {
+			name, _, _ := strings.Cut(line, " ")
+			got = append(got, name)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("cache series =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -115,8 +115,6 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			b = fmt.Appendf(b, "cxlserve_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
 			b = fmt.Appendf(b, "cxlserve_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
 			b = fmt.Appendf(b, "cxlserve_cache_evictions_total{cache=%q} %d\n", c.name, c.st.Evictions)
-			b = fmt.Appendf(b, "cxlserve_cache_expirations_total{cache=%q} %d\n", c.name, c.st.Expirations)
-			b = fmt.Appendf(b, "cxlserve_cache_invalidations_total{cache=%q} %d\n", c.name, c.st.Invalidations)
 			b = fmt.Appendf(b, "cxlserve_cache_entries{cache=%q} %d\n", c.name, c.st.Size)
 			b = fmt.Appendf(b, "cxlserve_cache_inflight{cache=%q} %d\n", c.name, c.st.InFlight)
 		}

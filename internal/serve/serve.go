@@ -3,7 +3,9 @@
 // results.Dataset rendered by a pluggable emitter, and every computation
 // flows through the process-wide memo caches — the experiment dataset cache
 // and the scenario cell cache — so concurrent requests for the same result
-// share one evaluation (single-flight) and repeats are free.
+// share one evaluation (single-flight) and repeats are free. A cached result
+// stays until the entry budget evicts it: every result is a pure function of
+// its memo key, so nothing else expires it.
 //
 // The serving path is hardened for sustained mixed load: compute endpoints
 // pass an admission gate (a bounded in-flight semaphore with a small wait
@@ -18,6 +20,7 @@
 //	/v1/experiments                         registry listing (JSON)
 //	/v1/run?id=fig3&format=json             one experiment, emitted
 //	/v1/scenario?spec=dlrm/policy=cxl:63    one scenario cell, emitted
+//	/v1/snapshot                            dataset-cache warm-start snapshot
 //	/v1/trace?limit=100                     discrete-event trace ring (JSON)
 //	/metrics                                cache/admission/latency counters
 //	/healthz                                liveness ("ok", or 503 draining)
@@ -103,8 +106,8 @@ type Config struct {
 }
 
 // Server is the hardened cxlserve request handler: admission gate, request
-// deadlines, metrics. Build one with NewServer, serve its Handler, and call
-// Drain when shutting down.
+// deadlines, metrics. Build one with NewServer, serve its Handler — the one
+// way to build the HTTP API — and call Drain when shutting down.
 type Server struct {
 	cfg     Config
 	sem     chan struct{} // admission slots; nil = unbounded
@@ -146,12 +149,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 	return recoverMiddleware(mux)
-}
-
-// Handler returns the cxlserve HTTP API with no admission bound or deadline
-// — the PR-5 construction, kept for callers that harden elsewhere.
-func Handler(base experiments.Options) http.Handler {
-	return NewServer(Config{Base: base}).Handler()
 }
 
 // Drain moves the server into shutdown mode: /healthz turns 503 so load

@@ -19,7 +19,7 @@ func testServer(t *testing.T) *httptest.Server {
 	base := experiments.DefaultOptions()
 	base.Quick = true
 	base.Parallel = 1
-	ts := httptest.NewServer(Handler(base))
+	ts := httptest.NewServer(NewServer(Config{Base: base}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -1,9 +1,15 @@
 // The platform registry: the single place the scenario engine, the matrix
 // experiments and the cxlbench command discover buildable machines. It
 // mirrors the workload registry (internal/workloads/registry.go):
-// RegisterPlatform/PlatformByName/AllPlatforms panic-on-duplicate at init
-// time, and PlatformCatalog renders the generated markdown table embedded in
-// EXPERIMENTS.md.
+// registerPlatform panics on a duplicate or broken profile, PlatformByName
+// and AllPlatforms read it, and PlatformCatalog renders the generated
+// markdown table embedded in EXPERIMENTS.md.
+//
+// The registry is fixed once init has run. Only this package's profiles.go
+// registers profiles, from its init, so every platform a memoized result
+// names is the one it was computed on, and no cache ever holds a stale
+// entry (DESIGN.md §23). A new platform is a new registerPlatform call in
+// profiles.go's init.
 package topo
 
 import (
@@ -11,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Platform is one registered machine profile: a named, described Spec.
@@ -30,18 +35,14 @@ type Platform struct {
 const DefaultPlatform = "table1"
 
 var (
-	platformMu    sync.RWMutex
-	platforms     = map[string]Platform{}
-	platformHooks []func(name string)
-	platformEpoch atomic.Uint64
+	platformMu sync.RWMutex
+	platforms  = map[string]Platform{}
 )
 
-// RegisterPlatform adds a platform under its name. It panics on duplicates,
+// registerPlatform adds a platform under its name. It panics on duplicates,
 // invalid names or unbuildable specs — registration happens in init and a
 // broken profile is a programming error, matching the workload registry.
-// Each successful registration bumps the registry epoch and notifies the
-// OnPlatformChange hooks, so dependent caches can invalidate.
-func RegisterPlatform(p Platform) {
+func registerPlatform(p Platform) {
 	if p.Name == "" || p.Name != strings.ToLower(p.Name) {
 		panic(fmt.Sprintf("topo: invalid platform name %q (must be non-empty lowercase)", p.Name))
 	}
@@ -54,29 +55,8 @@ func RegisterPlatform(p Platform) {
 		panic("topo: duplicate platform " + p.Name)
 	}
 	platforms[p.Name] = p
-	platformEpoch.Add(1)
-	hooks := append([]func(name string){}, platformHooks...)
 	platformMu.Unlock()
-	// Hooks run outside the lock so they may read the registry.
-	for _, fn := range hooks {
-		fn(p.Name)
-	}
 }
-
-// OnPlatformChange registers fn to run after every subsequent successful
-// RegisterPlatform with the registered profile's name. The experiment layer
-// uses it to invalidate memoized results that depend on the registry
-// (DESIGN.md §11); hooks must be safe for concurrent use.
-func OnPlatformChange(fn func(name string)) {
-	platformMu.Lock()
-	defer platformMu.Unlock()
-	platformHooks = append(platformHooks, fn)
-}
-
-// PlatformEpoch counts registry mutations since process start. A consumer
-// holding results derived from the registry can compare epochs to detect
-// staleness without subscribing to OnPlatformChange.
-func PlatformEpoch() uint64 { return platformEpoch.Load() }
 
 // PlatformByName returns the registered platform with the given name.
 func PlatformByName(name string) (Platform, error) {

@@ -11,22 +11,22 @@ import (
 )
 
 func init() {
-	RegisterPlatform(Platform{
+	registerPlatform(Platform{
 		Name: DefaultPlatform,
 		Desc: "the paper's dual-socket SPR server: DDR5-R emulation + CXL-A/B/C (Table 1, §5 setup)",
 		Spec: Table1Spec(),
 	})
-	RegisterPlatform(Platform{
+	registerPlatform(Platform{
 		Name: "x16-quad",
 		Desc: "bandwidth-expansion box: four x16 ASIC expanders behind the full 8-channel DDR5 pool",
 		Spec: X16QuadSpec(),
 	})
-	RegisterPlatform(Platform{
+	registerPlatform(Platform{
 		Name: "snc-off",
 		Desc: "single-socket SNC-off box with one CXL-A-class x8 expander (no UPI, no emulation)",
 		Spec: SNCOffSpec(),
 	})
-	RegisterPlatform(Platform{
+	registerPlatform(Platform{
 		Name: "fpga-degraded",
 		Desc: "worst-case device study: the Table-1 host with only a degraded soft-IP expander",
 		Spec: FPGADegradedSpec(),

@@ -212,7 +212,7 @@ func TestPlatformRegistry(t *testing.T) {
 				t.Errorf("%s: expected panic", name)
 			}
 		}()
-		RegisterPlatform(p)
+		registerPlatform(p)
 	}
 	expectPanic("duplicate", Platform{Name: "table1", Spec: Table1Spec()})
 	expectPanic("uppercase", Platform{Name: "Table2", Spec: Table1Spec()})
