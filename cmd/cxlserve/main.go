@@ -38,13 +38,16 @@
 //	GET /v1/run?id=matrix-apps&format=csv       matrices too
 //	GET /v1/scenario?spec=dlrm/policy=cxl:63    one scenario cell
 //	GET /v1/snapshot                            dataset-cache warm-start snapshot
-//	GET /v1/trace?limit=100                     discrete-event trace ring
+//	GET /v1/trace?id=tpp-timeline&limit=100     one event-driven run, replayed traced
 //	GET /metrics                                cache/admission/latency counters
 //	GET /healthz                                liveness (503 while draining)
 //
 // Requests may override platform=, quick=, fidelity= and seed=, and lower
 // (never raise) the deadline with timeout=; the sweep worker count stays a
-// server flag so clients cannot oversubscribe the host.
+// server flag so clients cannot oversubscribe the host. No run is traced
+// unless a client asks: /v1/trace takes the id= or spec= query of the
+// response it explains and replays that one run, behind the admission
+// gate, with a ring of limit= events (default 4096, at most 65536).
 package main
 
 import (
@@ -64,7 +67,6 @@ import (
 	"cxlmem/internal/cluster"
 	"cxlmem/internal/experiments"
 	"cxlmem/internal/serve"
-	"cxlmem/internal/telemetry"
 )
 
 func main() {
@@ -79,7 +81,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 1024, "entry budget per memo cache, evicted cold-first (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (bypasses admission control; trusted networks only)")
-	traceCap := flag.Int("trace-cap", 4096, "events retained in the discrete-event trace ring served by /v1/trace (each in-flight event-driven run also buffers up to this many, 64 bytes each)")
 	peers := flag.String("peers", "", "comma-separated replica URLs forming the cache-sharding ring; compute requests proxy one hop to the key's owner")
 	selfAddr := flag.String("self", "", "this replica's advertised URL in the -peers ring (default: derived from -addr on 127.0.0.1)")
 	snapshotLoad := flag.String("snapshot-load", "", "warm-start: restore the dataset cache from this snapshot file at boot (a missing file starts cold)")
@@ -99,7 +100,6 @@ func main() {
 		{"max-inflight", *maxInflight < 0},
 		{"max-queue", *maxQueue < 0},
 		{"parallel", *parallel < 0},
-		{"trace-cap", *traceCap < 0},
 		{"timeout", *timeout < 0},
 		{"drain-timeout", *drainTimeout < 0},
 		{"snapshot-interval", *snapshotInterval < 0},
@@ -124,7 +124,6 @@ func main() {
 		os.Exit(1)
 	}
 	experiments.ConfigureCaches(*cacheEntries)
-	telemetry.Sim.Configure(*traceCap)
 
 	// Warm start: restore the dataset cache before the listener opens so the
 	// first request already hits. A missing file is a cold boot, not an

@@ -1,9 +1,13 @@
 // The tpp-timeline experiment: the first event-driven driver, rendering the
-// tpptimeline workload's per-epoch time series as a dataset (DESIGN.md §13).
+// tpptimeline workload's per-epoch time series as a dataset, and the trace
+// replays behind cxlserve's /v1/trace (DESIGN.md §13).
 package experiments
 
 import (
+	"fmt"
+
 	"cxlmem/internal/results"
+	"cxlmem/internal/sim"
 	"cxlmem/internal/workloads"
 	"cxlmem/internal/workloads/tpptimeline"
 )
@@ -26,17 +30,8 @@ type timelineCell struct {
 // bytes; the sweep engine wraps the run only for cancellation plumbing) and
 // lays the timeline out one row per epoch.
 func runTppTimeline(o Options) *results.Dataset {
-	env, err := o.scenarioEnv("")
-	if err != nil {
-		panic(err)
-	}
-	w, err := workloads.Get("tpp-timeline")
-	if err != nil {
-		panic(err)
-	}
-	cfg := w.DefaultConfig()
 	res := sweepPoints(o, 1, func(int) timelineCell {
-		r, rerr := workloads.RunTimeline(env, cfg)
+		r, rerr := timelineRun(o)
 		return timelineCell{r: r, err: rerr}
 	})[0]
 	if res.err != nil {
@@ -63,4 +58,60 @@ func runTppTimeline(o Options) *results.Dataset {
 	}
 	d.AddNote("cold start: all pages far; TPP promotes toward its 75%% DDR target while bursts stress the M/G/1 tail (Fig. 7 mechanism over time)")
 	return d
+}
+
+// timelineRun is the tpp-timeline driver's one run: the workload's default
+// config on the options' environment, with taps attached to its scheduler.
+func timelineRun(o Options, taps ...sim.Tap) (tpptimeline.Result, error) {
+	env, err := o.scenarioEnv("")
+	if err != nil {
+		return tpptimeline.Result{}, err
+	}
+	w, err := workloads.Get("tpp-timeline")
+	if err != nil {
+		return tpptimeline.Result{}, err
+	}
+	return workloads.RunTimeline(env, w.DefaultConfig(), taps...)
+}
+
+// TraceDataset replays the event-driven run behind RunDataset(id, o) with
+// taps attached to its scheduler. A run is a pure function of its memo key
+// and the scheduler is deterministic, so the taps observe exactly the
+// events behind the cached dataset. The replay neither reads nor fills the
+// dataset cache. Only tpp-timeline runs on the scheduler: any other
+// registered ID is refused, an unknown one wraps ErrNotFound.
+func TraceDataset(id string, o Options, taps ...sim.Tap) error {
+	e, err := Get(id)
+	if err != nil {
+		return err
+	}
+	if id != "tpp-timeline" {
+		return fmt.Errorf("experiments: %s does not run on the event scheduler, so it has no event trace (only tpp-timeline does)", id)
+	}
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	if err := o.context().Err(); err != nil {
+		return err
+	}
+	_, err = timelineRun(e.canonicalOptions(o), taps...)
+	return err
+}
+
+// TraceScenario replays the event-driven cell behind ScenarioResult(o, sc)
+// with taps attached to its scheduler, through the environment the cell
+// path builds. It neither reads nor fills the cell cache. A cell whose
+// workload is not event-driven is refused.
+func TraceScenario(o Options, sc workloads.Scenario, taps ...sim.Tap) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	if err := o.context().Err(); err != nil {
+		return err
+	}
+	env, err := o.scenarioEnv(sc.Platform)
+	if err != nil {
+		return err
+	}
+	return sc.Trace(env, taps...)
 }

@@ -16,6 +16,7 @@ import (
 	"cxlmem/internal/memo"
 	"cxlmem/internal/mlc"
 	"cxlmem/internal/stats"
+	"cxlmem/internal/workloads"
 )
 
 // serverMetrics is the per-Server telemetry state. Counters on the hot path
@@ -98,10 +99,11 @@ func (r *statusRecorder) status() int {
 var metricsQuantiles = []float64{0.5, 0.9, 0.99}
 
 // metricsHandler renders the metric catalog as Prometheus-style text:
-// process-wide memo-cache counters (from internal/experiments), the
-// admission gate's gauges and shed count, and per-endpoint request counts
-// and latency quantiles. Output order is deterministic so tests and humans
-// can diff two scrapes.
+// process-wide memo-cache counters (from internal/experiments), the event
+// counters of every completed event-driven run (from internal/workloads),
+// the admission gate's gauges and shed count, and per-endpoint request
+// counts and latency quantiles. Output order is deterministic so tests and
+// humans can diff two scrapes.
 func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	if !methodGet(w, r) {
 		return
@@ -118,11 +120,10 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			b = fmt.Appendf(b, "cxlserve_cache_entries{cache=%q} %d\n", c.name, c.st.Size)
 			b = fmt.Appendf(b, "cxlserve_cache_inflight{cache=%q} %d\n", c.name, c.st.InFlight)
 		}
-		counts, buffered := simTraceCounts()
-		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"enqueue\"} %d\n", counts.Enqueued)
-		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"dispatch\"} %d\n", counts.Dispatched)
-		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"complete\"} %d\n", counts.Completed)
-		b = fmt.Appendf(b, "cxlserve_sim_trace_buffered %d\n", buffered)
+		events := workloads.SimEvents()
+		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"enqueue\"} %d\n", events.Enqueued)
+		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"dispatch\"} %d\n", events.Dispatched)
+		b = fmt.Appendf(b, "cxlserve_sim_events_total{phase=\"complete\"} %d\n", events.Completed)
 		b = fmt.Appendf(b, "cxlserve_inflight %d\n", s.metrics.inflight.Load())
 		b = fmt.Appendf(b, "cxlserve_queued %d\n", s.metrics.queued.Load())
 		b = fmt.Appendf(b, "cxlserve_shed_total %d\n", s.metrics.shed.Load())

@@ -21,17 +21,19 @@
 //	/v1/run?id=fig3&format=json             one experiment, emitted
 //	/v1/scenario?spec=dlrm/policy=cxl:63    one scenario cell, emitted
 //	/v1/snapshot                            dataset-cache warm-start snapshot
-//	/v1/trace?limit=100                     discrete-event trace ring (JSON)
+//	/v1/trace?id=tpp-timeline&limit=100     one event-driven run, replayed traced (JSON)
 //	/metrics                                cache/admission/latency counters
 //	/healthz                                liveness ("ok", or 503 draining)
 //
-// Shared query parameters on /v1/run and /v1/scenario: format (text|json|
-// csv, default json — it is a query daemon), platform, quick, fidelity
-// (exact|auto|fast, the measurement tier of the cache-simulating
-// experiments), seed, timeout. Request knobs override the server's base
-// options; the sweep worker count stays a server-side setting so clients
-// cannot oversubscribe the host, and a request timeout can only lower the
-// server's deadline, never raise it.
+// Shared query parameters on /v1/run, /v1/scenario and /v1/trace: format
+// (text|json|csv, default json — it is a query daemon; /v1/trace always
+// answers JSON), platform, quick, fidelity (exact|auto|fast, the
+// measurement tier of the cache-simulating experiments), seed, timeout.
+// /v1/trace takes the id= or spec= of the response it explains, plus
+// limit= (default 4096, at most 65536). Request knobs override the
+// server's base options; the sweep worker count stays a server-side
+// setting so clients cannot oversubscribe the host, and a request timeout
+// can only lower the server's deadline, never raise it.
 //
 // With Config.EnablePprof (the -pprof flag), the standard net/http/pprof
 // profiling handlers are additionally served under /debug/pprof/. They
@@ -128,9 +130,9 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/experiments", s.instrument("/v1/experiments", s.experiments))
-	mux.HandleFunc("/v1/trace", s.instrument("/v1/trace", s.trace))
 	mux.HandleFunc("/v1/run", s.instrument("/v1/run", s.admit(s.run)))
 	mux.HandleFunc("/v1/scenario", s.instrument("/v1/scenario", s.admit(s.scenario)))
+	mux.HandleFunc("/v1/trace", s.instrument("/v1/trace", s.admit(s.trace)))
 	// Outside admit: the snapshot is a read of already-computed cache state
 	// (no evaluation to gate), and a draining replica must still be able to
 	// hand its warm cache to whoever restarts it.

@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"cxlmem/internal/experiments"
+	"cxlmem/internal/results"
 	"cxlmem/internal/sim"
-	"cxlmem/internal/telemetry"
 	"cxlmem/internal/topo"
 	"cxlmem/internal/workloads/tpptimeline"
 )
@@ -34,31 +37,62 @@ func freshSeed() int {
 	return lastSeed
 }
 
-// TestTraceEndpoint runs the event-driven tpp-timeline experiment through
-// /v1/run and then reads the scheduler's event stream back through /v1/trace:
-// the ring must be non-empty, phase-consistent, ordered, and — because the
-// engine is deterministic and nothing runs in between — two consecutive
-// snapshots must be byte-identical.
-func TestTraceEndpoint(t *testing.T) {
-	telemetry.Sim.Reset()
-	ts := testServer(t)
-	if status, _, body := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", freshSeed())); status != http.StatusOK {
-		t.Fatalf("priming run = %d: %s", status, body)
-	}
+// quickTimeline is the tpp-timeline config the workload adapter builds in
+// quick mode: Quick's 2048 pages, but the adapter's 200 epochs (1 s), not
+// Quick's 30.
+func quickTimeline(seed int) tpptimeline.Config {
+	cfg := tpptimeline.DefaultConfig().Quick()
+	cfg.Epochs, cfg.Seed = 200, uint64(seed)
+	return cfg
+}
 
-	status, ctype, body := get(t, ts, "/v1/trace")
+// runTrace runs cfg once with a ring of the given capacity attached,
+// outside any server, cache or adapter.
+func runTrace(cfg tpptimeline.Config, capacity int) (tpptimeline.Result, *sim.TraceRing) {
+	ring := sim.NewTraceRing(capacity)
+	res := tpptimeline.Run(topo.NewSystem(topo.DefaultConfig()), cfg, "CXL-A", ring)
+	return res, ring
+}
+
+// checkReplay fails unless a /v1/trace body is exactly ring's events and
+// res's event counts.
+func checkReplay(t *testing.T, got traceResponse, res tpptimeline.Result, ring *sim.TraceRing) {
+	t.Helper()
+	want := ring.Snapshot()
+	if len(got.Events) != len(want) || got.Buffered != len(want) || got.Capacity != ring.Cap() {
+		t.Fatalf("replay has %d events (buffered %d, capacity %d), the run's ring %d of %d",
+			len(got.Events), got.Buffered, got.Capacity, len(want), ring.Cap())
+	}
+	for i, te := range want {
+		w := traceEventJSON{Phase: te.Phase.String(), Seq: te.Seq, AtPS: int64(te.At), NowPS: int64(te.Now), Actor: te.Actor, Kind: te.Kind}
+		if got.Events[i] != w {
+			t.Fatalf("event %d = %+v, the run's ring has %+v", i, got.Events[i], w)
+		}
+	}
+	if ev := res.Events; got.Enqueued != ev.Enqueued || got.Dispatched != ev.Dispatched || got.Completed != ev.Completed {
+		t.Fatalf("totals %d/%d/%d, the run's event counts %+v", got.Enqueued, got.Dispatched, got.Completed, ev)
+	}
+}
+
+// TestTraceEndpoint replays a tpp-timeline run through /v1/trace with no
+// /v1/run before it: the default ring holds 4096 phase-consistent,
+// time-ordered events, a second replay is byte-identical, limit= keeps the
+// run's last events while the totals still count the whole run, and the
+// replay honors the request deadline.
+func TestTraceEndpoint(t *testing.T) {
+	ts := testServer(t)
+	path := fmt.Sprintf("/v1/trace?id=tpp-timeline&seed=%d", freshSeed())
+	status, ctype, body := get(t, ts, path)
 	if status != http.StatusOK || !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("status %d, content-type %s", status, ctype)
+		t.Fatalf("status %d, content-type %s: %s", status, ctype, body)
 	}
 	resp := traceBody(t, body)
 	if resp.Enqueued == 0 || resp.Dispatched == 0 || resp.Completed == 0 {
-		t.Fatalf("totals = %+v, want all phases non-zero after a run", resp)
+		t.Fatalf("totals = %+v, want all phases non-zero", resp)
 	}
-	if resp.Buffered == 0 || len(resp.Events) != resp.Buffered {
-		t.Fatalf("buffered = %d but %d events returned", resp.Buffered, len(resp.Events))
-	}
-	if resp.Capacity != telemetry.Sim.Cap() {
-		t.Errorf("capacity = %d, want %d", resp.Capacity, telemetry.Sim.Cap())
+	if resp.Capacity != defaultTraceLimit || resp.Buffered != defaultTraceLimit || len(resp.Events) != resp.Buffered {
+		t.Fatalf("capacity %d, buffered %d, %d events; want a full ring of %d",
+			resp.Capacity, resp.Buffered, len(resp.Events), defaultTraceLimit)
 	}
 	for i, ev := range resp.Events {
 		if ev.Phase != "enqueue" && ev.Phase != "dispatch" && ev.Phase != "complete" {
@@ -72,70 +106,110 @@ func TestTraceEndpoint(t *testing.T) {
 		}
 	}
 
-	// Determinism at the HTTP surface: the ring is quiescent, so a second
-	// snapshot must be byte-identical to the first.
-	if _, _, again := get(t, ts, "/v1/trace"); again != body {
-		t.Error("consecutive /v1/trace snapshots diverge on a quiescent ring")
+	// The scheduler is deterministic, so replaying the same query again
+	// gives the same bytes.
+	if _, _, again := get(t, ts, path); again != body {
+		t.Error("two replays of one query diverge")
 	}
 
-	// limit= caps the events to the most recent N; the totals still cover
-	// the whole run.
-	_, _, limited := get(t, ts, "/v1/trace?limit=5")
+	_, _, limited := get(t, ts, path+"&limit=5")
 	lresp := traceBody(t, limited)
-	if len(lresp.Events) != 5 || lresp.Enqueued != resp.Enqueued {
-		t.Fatalf("limit=5 returned %d events, totals %d (want 5, %d)", len(lresp.Events), lresp.Enqueued, resp.Enqueued)
+	if len(lresp.Events) != 5 || lresp.Capacity != 5 || lresp.Enqueued != resp.Enqueued {
+		t.Fatalf("limit=5 returned %d events, capacity %d, totals %d (want 5, 5, %d)",
+			len(lresp.Events), lresp.Capacity, lresp.Enqueued, resp.Enqueued)
 	}
-	if lresp.Events[4] != resp.Events[len(resp.Events)-1] {
-		t.Error("limit= does not keep the most recent events")
+	for i, ev := range lresp.Events {
+		if ev != resp.Events[len(resp.Events)-5+i] {
+			t.Fatalf("limit=5 event %d is not the run's %dth-last event", i, 5-i)
+		}
+	}
+
+	if status, _, body := get(t, ts, path+"&timeout=1ns"); status != http.StatusGatewayTimeout {
+		t.Errorf("replay past its deadline = %d (%s), want 504", status, strings.TrimSpace(body))
 	}
 }
 
-// TestTraceIsTheRunTail: after one tpp-timeline run, /v1/trace serves exactly
-// the tail a same-capacity ring attached directly to tpptimeline.Run records
-// for the same config and seed, and its totals are the run's event counts.
-// The config is the quick one the workload adapter builds: Quick's pages,
-// but the adapter's 200 epochs (1 s), not Quick's 30.
+// TestTraceIsTheRunTail: a replay of id=tpp-timeline and of an event-driven
+// spec= cell is, event for event and in its totals, a 4096-event ring
+// attached to tpptimeline.Run with the config the adapter builds. A replay
+// neither reads nor fills a memo cache, and the /v1/run after it answers
+// the bytes of an uncached run.
 func TestTraceIsTheRunTail(t *testing.T) {
-	seed := freshSeed()
-	telemetry.Sim.Reset()
 	ts := testServer(t)
-	if status, _, body := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", seed)); status != http.StatusOK {
-		t.Fatalf("run = %d: %s", status, body)
-	}
-	_, _, body := get(t, ts, "/v1/trace")
-	resp := traceBody(t, body)
+	seed := freshSeed()
+	dataset, cell := experiments.CacheStats()
 
-	cfg := tpptimeline.DefaultConfig().Quick()
-	cfg.Epochs, cfg.Seed = 200, uint64(seed)
-	ring := sim.NewTraceRing(telemetry.Sim.Cap())
-	sys := topo.NewSystem(topo.DefaultConfig())
-	res := tpptimeline.Run(sys, cfg, "CXL-A", ring)
+	_, _, body := get(t, ts, fmt.Sprintf("/v1/trace?id=tpp-timeline&seed=%d", seed))
+	res, ring := runTrace(quickTimeline(seed), defaultTraceLimit)
+	checkReplay(t, traceBody(t, body), res, ring)
 
-	want := ring.Snapshot()
-	if len(resp.Events) != len(want) || resp.Buffered != len(want) {
-		t.Fatalf("/v1/trace has %d events (buffered %d), the run's ring %d", len(resp.Events), resp.Buffered, len(want))
+	// The steady variant holds the burst rate at the base rate; ops= is the
+	// epoch count and the spec's seed= the run's seed.
+	cellSeed := freshSeed()
+	_, _, body = get(t, ts, fmt.Sprintf("/v1/trace?spec=tpp-timeline:steady/ops=40/seed=%d", cellSeed))
+	cfg := quickTimeline(cellSeed)
+	cfg.Epochs, cfg.BurstQPS = 40, cfg.BaseQPS
+	res, ring = runTrace(cfg, defaultTraceLimit)
+	checkReplay(t, traceBody(t, body), res, ring)
+
+	if d, c := experiments.CacheStats(); d != dataset || c != cell {
+		t.Fatalf("replays moved the memo caches: dataset %+v → %+v, cell %+v → %+v", dataset, d, cell, c)
 	}
-	for i, te := range want {
-		w := traceEventJSON{Phase: te.Phase.String(), Seq: te.Seq, AtPS: int64(te.At), NowPS: int64(te.Now), Actor: te.Actor, Kind: te.Kind}
-		if resp.Events[i] != w {
-			t.Fatalf("event %d = %+v, the run's ring has %+v", i, resp.Events[i], w)
-		}
+
+	// The caches are process-wide, so a second server in this process
+	// would share them; an uncached run of the driver stands in for a
+	// fresh server's answer.
+	status, _, got := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", seed))
+	if status != http.StatusOK {
+		t.Fatalf("run after the replay = %d: %s", status, got)
 	}
-	if ev := res.Events; resp.Enqueued != ev.Enqueued || resp.Dispatched != ev.Dispatched || resp.Completed != ev.Completed {
-		t.Fatalf("totals %d/%d/%d, the run's event counts %+v", resp.Enqueued, resp.Dispatched, resp.Completed, ev)
+	if d, _ := experiments.CacheStats(); d.Misses != dataset.Misses+1 {
+		t.Errorf("the run after the replay was not a dataset-cache miss: misses %d → %d", dataset.Misses, d.Misses)
+	}
+	o := experiments.DefaultOptions()
+	o.Quick, o.Parallel, o.Seed = true, 1, uint64(seed)
+	e, err := experiments.Get("tpp-timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := results.Emit(e.Run(o), "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatal("the /v1/run after a replay differs from an uncached run of the same key")
 	}
 }
 
-// TestTraceEndpointErrors pins the failure modes: malformed limit and wrong
-// method.
+// TestTraceEndpointErrors: every malformed or unanswerable replay fails
+// closed with a 4xx, never a 5xx or a panic, and a draining server sheds
+// /v1/trace like the other compute endpoints.
 func TestTraceEndpointErrors(t *testing.T) {
-	ts := testServer(t)
-	for _, path := range []string{"/v1/trace?limit=-1", "/v1/trace?limit=banana"} {
-		if status, _, _ := get(t, ts, path); status != http.StatusBadRequest {
-			t.Errorf("GET %s = %d, want 400", path, status)
+	s, ts := hardenedServer(t, Config{})
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/trace", http.StatusBadRequest},
+		{"/v1/trace?limit=20", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&spec=tpp-timeline", http.StatusBadRequest},
+		{"/v1/trace?id=fig7", http.StatusBadRequest},
+		{"/v1/trace?spec=kvstore", http.StatusBadRequest},
+		{"/v1/trace?spec=tpp-timeline/ops=2000000", http.StatusBadRequest},
+		{"/v1/trace?spec=tpp-timeline/device=bogus", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&platform=bogus", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&seed=banana", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&limit=-1", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&limit=0", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&limit=banana", http.StatusBadRequest},
+		{"/v1/trace?id=tpp-timeline&limit=" + strconv.Itoa(maxTraceLimit+1), http.StatusBadRequest},
+		{"/v1/trace?id=bogus", http.StatusNotFound},
+	} {
+		if status, _, body := get(t, ts, c.path); status != c.want {
+			t.Errorf("GET %s = %d (%s), want %d", c.path, status, strings.TrimSpace(body), c.want)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/trace", "text/plain", strings.NewReader(""))
+	resp, err := http.Post(ts.URL+"/v1/trace?id=tpp-timeline", "text/plain", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,72 +217,106 @@ func TestTraceEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST = %d, want 405", resp.StatusCode)
 	}
+
+	s.Drain()
+	resp, err = http.Get(ts.URL + "/v1/trace?id=tpp-timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("draining trace = %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
 }
 
-// TestTraceMetrics checks the /metrics exposition carries the sim counters
-// after an event-driven run.
+// scrapeSimEvents reads the three cxlserve_sim_events_total series.
+func scrapeSimEvents(t *testing.T, ts *httptest.Server) sim.SchedulerStats {
+	t.Helper()
+	_, _, body := get(t, ts, "/metrics")
+	if strings.Contains(body, "cxlserve_sim_trace_buffered") {
+		t.Error("metrics still carry cxlserve_sim_trace_buffered")
+	}
+	n := func(phase string) uint64 {
+		v, err := strconv.ParseUint(metricValue(t, body, fmt.Sprintf("cxlserve_sim_events_total{phase=%q}", phase)), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	return sim.SchedulerStats{Enqueued: n("enqueue"), Dispatched: n("dispatch"), Completed: n("complete")}
+}
+
+// TestTraceMetrics: cxlserve_sim_events_total counts all event traffic. An
+// untraced /v1/run miss raises each phase by exactly one run's scheduler
+// counters, a memo hit raises none, and a replay counts as the run it is.
 func TestTraceMetrics(t *testing.T) {
-	telemetry.Sim.Reset()
 	ts := testServer(t)
-	if status, _, body := get(t, ts, fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", freshSeed())); status != http.StatusOK {
-		t.Fatalf("priming run = %d: %s", status, body)
-	}
-	status, _, body := get(t, ts, "/metrics")
-	if status != http.StatusOK {
-		t.Fatalf("metrics = %d", status)
-	}
-	for _, phase := range []string{"enqueue", "dispatch", "complete"} {
-		prefix := fmt.Sprintf("cxlserve_sim_events_total{phase=%q} ", phase)
-		found := false
-		for _, line := range strings.Split(body, "\n") {
-			if strings.HasPrefix(line, prefix) {
-				found = true
-				if strings.TrimPrefix(line, prefix) == "0" {
-					t.Errorf("%s is zero after an event-driven run", strings.TrimSpace(line))
-				}
-			}
-		}
-		if !found {
-			t.Errorf("metrics lack %s", prefix)
+	seed := freshSeed()
+	res, _ := runTrace(quickTimeline(seed), 1)
+	run := fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", seed)
+	delta := func(before, after sim.SchedulerStats) sim.SchedulerStats {
+		return sim.SchedulerStats{
+			Enqueued:   after.Enqueued - before.Enqueued,
+			Dispatched: after.Dispatched - before.Dispatched,
+			Completed:  after.Completed - before.Completed,
 		}
 	}
-	if !strings.Contains(body, "cxlserve_sim_trace_buffered ") {
-		t.Error("metrics lack cxlserve_sim_trace_buffered")
+
+	before := scrapeSimEvents(t, ts)
+	if status, _, body := get(t, ts, run); status != http.StatusOK {
+		t.Fatalf("miss = %d: %s", status, body)
+	}
+	missed := scrapeSimEvents(t, ts)
+	if got := delta(before, missed); got != res.Events {
+		t.Errorf("an untraced miss raised the series by %+v, want the run's %+v", got, res.Events)
+	}
+
+	if status, _, body := get(t, ts, run); status != http.StatusOK {
+		t.Fatalf("hit = %d: %s", status, body)
+	}
+	hit := scrapeSimEvents(t, ts)
+	if hit != missed {
+		t.Errorf("a memo hit moved the series: %+v → %+v", missed, hit)
+	}
+
+	if status, _, body := get(t, ts, fmt.Sprintf("/v1/trace?id=tpp-timeline&seed=%d&limit=1", seed)); status != http.StatusOK {
+		t.Fatalf("replay = %d: %s", status, body)
+	}
+	if got := delta(hit, scrapeSimEvents(t, ts)); got != res.Events {
+		t.Errorf("a replay raised the series by %+v, want the run's %+v", got, res.Events)
 	}
 }
 
-// TestTraceConcurrentWithRuns is the race exercise from the acceptance
-// criteria: /v1/trace snapshots race event-driven /v1/run compute (fresh
-// seeds defeat the memo cache so the scheduler really runs) plus /metrics
-// scrapes. Run under -race in CI; everything must return 200 and every trace
-// body must decode.
+// TestTraceConcurrentWithRuns is the race exercise for the replay path:
+// replays of one key race event-driven /v1/run misses (fresh seeds defeat
+// the memo cache, so the scheduler really runs) and /metrics scrapes. Run
+// under -race in CI. Everything must answer 200, and every replay of the
+// key must be byte-identical, because replays share no state with each
+// other or with the runs around them.
 func TestTraceConcurrentWithRuns(t *testing.T) {
-	telemetry.Sim.Reset()
 	ts := testServer(t)
-	paths := make([]string, 0, 16)
+	replay := fmt.Sprintf("/v1/trace?id=tpp-timeline&seed=%d&limit=64", freshSeed())
+	paths := make([]string, 0, 12)
 	for i := 0; i < 4; i++ {
 		paths = append(paths,
+			replay,
 			fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", freshSeed()),
-			"/v1/trace",
-			"/v1/trace?limit=10",
 			"/metrics",
 		)
 	}
 	var wg sync.WaitGroup
 	errs := make([]string, len(paths))
+	bodies := make([]string, len(paths))
 	for i, path := range paths {
 		wg.Add(1)
 		go func(i int, path string) {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + path)
-			if err != nil {
-				errs[i] = fmt.Sprintf("GET %s: %v", path, err)
-				return
+			status, _, body := fetch(http.DefaultClient, ts.URL+path)
+			if status != http.StatusOK {
+				errs[i] = fmt.Sprintf("GET %s = %d: %s", path, status, body)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Sprintf("GET %s = %d", path, resp.StatusCode)
-			}
+			bodies[i] = string(body)
 		}(i, path)
 	}
 	wg.Wait()
@@ -217,9 +325,18 @@ func TestTraceConcurrentWithRuns(t *testing.T) {
 			t.Error(e)
 		}
 	}
-	// After the dust settles the ring must hold a full, decodable stream.
-	_, _, body := get(t, ts, "/v1/trace")
-	if resp := traceBody(t, body); resp.Enqueued == 0 || resp.Buffered == 0 {
-		t.Errorf("post-race trace is empty: %+v", resp)
+	var first string
+	for i, path := range paths {
+		if path != replay {
+			continue
+		}
+		if first == "" {
+			first = bodies[i]
+			if resp := traceBody(t, first); resp.Buffered != 64 || resp.Enqueued == 0 {
+				t.Fatalf("replay under load is not a full ring: %+v", resp)
+			}
+		} else if bodies[i] != first {
+			t.Error("concurrent replays of one key diverge")
+		}
 	}
 }

@@ -46,7 +46,7 @@ func TestResponsesCarryContentLength(t *testing.T) {
 		"/v1/run?id=tpp-timeline&format=csv",
 		"/v1/scenario?spec=kvstore/policy=cxl",
 		"/v1/experiments",
-		"/v1/trace?limit=100",
+		"/v1/trace?id=tpp-timeline&limit=100",
 		"/metrics",
 	} {
 		status, resp, body := fetch(http.DefaultClient, ts.URL+path)
@@ -218,7 +218,7 @@ func TestNoGoroutinesLeakAfterDrain(t *testing.T) {
 		"/v1/run?id=table2&format=csv",
 		"/v1/scenario?spec=kvstore/policy=cxl",
 		"/v1/experiments",
-		"/v1/trace?limit=10",
+		"/v1/trace?id=tpp-timeline&limit=10",
 		"/metrics",
 		"/healthz",
 	} {

@@ -74,8 +74,8 @@ type TraceCounts struct {
 // per-phase totals. It retains the most recent Cap events; older ones are
 // overwritten. Its storage grows on demand up to Cap, so a short run pays
 // only for the events it produced. A TraceRing is not safe for concurrent
-// use: a run records into its own ring, and a ring other goroutines read
-// (telemetry.SimTrace) is guarded by its owner.
+// use: a run records into its own ring, and its owner reads it once the run
+// has returned.
 type TraceRing struct {
 	buf    []TraceEvent
 	max    int
@@ -129,19 +129,6 @@ func (r *TraceRing) slot() *TraceEvent {
 	return e
 }
 
-// Absorb appends src's retained events oldest-first, as if r had observed
-// them (so r keeps the newest when they outnumber its capacity), and adds
-// src's cumulative totals to r's. A run's ring absorbed into a shared one
-// thus lands as a single contiguous tail.
-func (r *TraceRing) Absorb(src *TraceRing) {
-	for i := range src.buf {
-		*r.slot() = src.buf[(src.next+i)%len(src.buf)]
-	}
-	r.counts.Enqueued += src.counts.Enqueued
-	r.counts.Dispatched += src.counts.Dispatched
-	r.counts.Completed += src.counts.Completed
-}
-
 // Cap returns the ring's capacity.
 func (r *TraceRing) Cap() int { return r.max }
 
@@ -156,10 +143,4 @@ func (r *TraceRing) Snapshot() []TraceEvent {
 	out := make([]TraceEvent, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// Reset discards retained events and zeroes the totals, keeping the
-// capacity.
-func (r *TraceRing) Reset() {
-	*r = TraceRing{max: r.max}
 }

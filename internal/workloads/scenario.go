@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cxlmem/internal/sim"
 	"cxlmem/internal/topo"
 )
 
@@ -274,9 +275,38 @@ func (s Scenario) Run(env *Env) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	env, err = env.ForPlatform(s.Platform)
+	env, cfg, err := s.resolve(env, w)
 	if err != nil {
 		return Metrics{}, err
+	}
+	return w.Run(env, cfg)
+}
+
+// Trace reruns an event-driven scenario exactly as Run does, with taps
+// attached to its scheduler. A steady-state workload has no scheduler to
+// tap, so Trace refuses it.
+func (s Scenario) Trace(env *Env, taps ...sim.Tap) error {
+	w, err := Get(s.Workload)
+	if err != nil {
+		return err
+	}
+	ed, ok := w.(EventDriven)
+	if !ok {
+		return fmt.Errorf("workloads: %s is not event-driven, so it has no event trace", s.Workload)
+	}
+	env, cfg, err := s.resolve(env, w)
+	if err != nil {
+		return err
+	}
+	return ed.Trace(env, cfg, taps...)
+}
+
+// resolve builds the environment and config Run hands w: the scenario's
+// platform and overrides on top of w's DefaultConfig.
+func (s Scenario) resolve(env *Env, w Workload) (*Env, Config, error) {
+	env, err := env.ForPlatform(s.Platform)
+	if err != nil {
+		return nil, Config{}, err
 	}
 	cfg := s.Apply(w.DefaultConfig())
 	if s.Device == "" {
@@ -284,7 +314,7 @@ func (s Scenario) Run(env *Env) (Metrics, error) {
 			cfg.Device = d
 		}
 	}
-	return w.Run(env, cfg)
+	return env, cfg, nil
 }
 
 // ParseBytes parses a size literal: plain bytes or a K/M/G/T binary suffix

@@ -6,9 +6,10 @@
 package workloads
 
 import (
+	"sync"
+
 	"cxlmem/internal/numa"
 	"cxlmem/internal/sim"
-	"cxlmem/internal/telemetry"
 	"cxlmem/internal/workloads/tpptimeline"
 )
 
@@ -16,16 +17,17 @@ func init() {
 	Register(timelineWorkload{})
 }
 
-// EventDriven marks workloads that execute on the discrete-event scheduler
-// and emit time series rather than steady-state scalars. The matrix
-// experiments (matrix-apps, matrix-platform) skip event-driven workloads —
-// their primary output is a timeline, not a single figure of merit — which
-// keeps the pre-existing matrix goldens invariant as event-driven workloads
-// join the registry.
+// EventDriven is implemented by workloads that execute on the
+// discrete-event scheduler and emit time series rather than steady-state
+// scalars. The matrix experiments (matrix-apps, matrix-platform) skip
+// event-driven workloads — their primary output is a timeline, not a single
+// figure of merit — which keeps the pre-existing matrix goldens invariant as
+// event-driven workloads join the registry.
 type EventDriven interface {
 	Workload
-	// EventDriven is the marker method; it carries no behavior.
-	EventDriven()
+	// Trace runs the workload exactly as Run does, with taps attached to
+	// its scheduler before the first event. Run attaches none.
+	Trace(env *Env, cfg Config, taps ...sim.Tap) error
 }
 
 // IsEventDriven reports whether w runs on the discrete-event engine.
@@ -65,8 +67,11 @@ func (timelineWorkload) DefaultConfig() Config {
 	return Config{Variant: "bursty", Device: "CXL-A", CXLPercent: 100, TargetQPS: 50_000, Ops: 200}
 }
 
-// EventDriven implements the EventDriven marker.
-func (timelineWorkload) EventDriven() {}
+// Trace implements EventDriven.
+func (timelineWorkload) Trace(env *Env, cfg Config, taps ...sim.Tap) error {
+	_, err := RunTimeline(env, cfg, taps...)
+	return err
+}
 
 // timelineConfigFor maps the generic knobs onto tpptimeline.Config: size
 // resizes the page space, qps sets the base rate (bursts run at 6x base),
@@ -116,12 +121,12 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 }
 
 // RunTimeline executes the tpp-timeline model under env with cfg's knob
-// overrides, returning the full time series. The run records its trace into
-// a private ring of the process-wide sink's capacity and publishes that
-// tail when it completes (feeding cxlserve's /v1/trace and /metrics). The
-// experiments driver calls this directly for the timeline dataset; the
-// Workload adapter reduces the same result to summary metrics.
-func RunTimeline(env *Env, cfg Config) (tpptimeline.Result, error) {
+// overrides, returning the full time series, with taps attached to the
+// scheduler before its first event; only the /v1/trace replay passes any.
+// The experiments driver calls this directly for the timeline dataset; the
+// Workload adapter reduces the same result to summary metrics. A completed
+// run adds its scheduler counters to SimEvents.
+func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, error) {
 	tc, err := timelineConfigFor(env, cfg)
 	if err != nil {
 		return tpptimeline.Result{}, err
@@ -132,10 +137,27 @@ func RunTimeline(env *Env, cfg Config) (tpptimeline.Result, error) {
 	if err := tc.Validate(); err != nil {
 		return tpptimeline.Result{}, err
 	}
-	tail := sim.NewTraceRing(telemetry.Sim.Cap())
-	res := tpptimeline.Run(env.Sys, tc, cfg.Device, tail)
-	telemetry.Sim.Publish(tail)
+	res := tpptimeline.Run(env.Sys, tc, cfg.Device, taps...)
+	simEvents.mu.Lock()
+	simEvents.total.Enqueued += res.Events.Enqueued
+	simEvents.total.Dispatched += res.Events.Dispatched
+	simEvents.total.Completed += res.Events.Completed
+	simEvents.mu.Unlock()
 	return res, nil
+}
+
+var simEvents struct {
+	mu    sync.Mutex
+	total sim.SchedulerStats
+}
+
+// SimEvents returns the summed scheduler counters of every event-driven run
+// this process has completed: all event traffic, whether or not a tap
+// watched it (cxlserve's cxlserve_sim_events_total).
+func SimEvents() sim.SchedulerStats {
+	simEvents.mu.Lock()
+	defer simEvents.mu.Unlock()
+	return simEvents.total
 }
 
 // Run implements Workload: the timeline reduced to steady-state summary

@@ -6,70 +6,90 @@ import (
 	"testing"
 
 	"cxlmem/internal/sim"
-	"cxlmem/internal/telemetry"
 	"cxlmem/internal/workloads/tpptimeline"
 )
 
-// TestConcurrentRunsPublishContiguousTails: two timeline runs with distinct
-// seeds, started together, must each land in the process-wide sink as one
-// contiguous tail — exactly the events a private ring attached to the same
-// run records — never interleaved, with totals summing both runs.
-func TestConcurrentRunsPublishContiguousTails(t *testing.T) {
+// TestConcurrentRunsCountEvents: timeline runs started together, half of
+// them traced, each return exactly the result of the same run made alone; a
+// traced run's ring holds exactly the events a ring attached to that lone
+// run records; and SimEvents rises by the sum of the runs' scheduler
+// counters, each run counted once, traced or not.
+func TestConcurrentRunsCountEvents(t *testing.T) {
 	const capacity = 1 << 16
-	prev := telemetry.Sim.Cap()
-	telemetry.Sim.Configure(capacity)
-	defer telemetry.Sim.Configure(prev)
-
-	// 8 epochs (40 ms) keep each run's tail well under half the sink.
-	cfgs := []Config{timelineWorkload{}.DefaultConfig(), timelineWorkload{}.DefaultConfig()}
-	cfgs[0].Ops, cfgs[0].Seed = 8, 11
-	cfgs[1].Ops, cfgs[1].Seed = 8, 12
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := range cfgs {
-		wg.Add(1)
-		go func(cfg Config) {
-			defer wg.Done()
-			env := NewEnv()
-			env.Quick = true
-			<-start
-			if _, err := RunTimeline(env, cfg); err != nil {
-				t.Error(err)
-			}
-		}(cfgs[i])
-	}
-	close(start)
-	wg.Wait()
-
-	var tails [2][]sim.TraceEvent
-	var want sim.TraceCounts
-	for i, cfg := range cfgs {
+	quickEnv := func() *Env {
 		env := NewEnv()
 		env.Quick = true
+		return env
+	}
+	// 8 epochs (40 ms) keep each run's trace inside one ring.
+	cfgs := make([]Config, 4)
+	for i := range cfgs {
+		cfgs[i] = timelineWorkload{}.DefaultConfig()
+		cfgs[i].Ops, cfgs[i].Seed = 8, uint64(11+i)
+	}
+
+	wantRes := make([]tpptimeline.Result, len(cfgs))
+	wantTrace := make([][]sim.TraceEvent, len(cfgs))
+	var wantEvents sim.SchedulerStats
+	for i, cfg := range cfgs {
+		env := quickEnv()
 		tc, err := timelineConfigFor(env, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ring := sim.NewTraceRing(capacity)
-		tpptimeline.Run(env.Sys, tc, cfg.Device, ring)
+		wantRes[i] = tpptimeline.Run(env.Sys, tc, cfg.Device, ring)
 		if ring.Len() == ring.Cap() {
 			t.Fatalf("run %d fills its ring; the test needs whole runs", i)
 		}
-		tails[i] = ring.Snapshot()
-		got := ring.Totals()
-		want.Enqueued += got.Enqueued
-		want.Dispatched += got.Dispatched
-		want.Completed += got.Completed
+		wantTrace[i] = ring.Snapshot()
+		wantEvents.Enqueued += wantRes[i].Events.Enqueued
+		wantEvents.Dispatched += wantRes[i].Events.Dispatched
+		wantEvents.Completed += wantRes[i].Events.Completed
 	}
-	got := telemetry.Sim.Snapshot()
-	ab := append(append([]sim.TraceEvent{}, tails[0]...), tails[1]...)
-	ba := append(append([]sim.TraceEvent{}, tails[1]...), tails[0]...)
-	if !reflect.DeepEqual(got, ab) && !reflect.DeepEqual(got, ba) {
-		t.Fatalf("sink holds %d events, not the two runs' tails (%d + %d) back to back",
-			len(got), len(tails[0]), len(tails[1]))
+
+	before := SimEvents()
+	gotRes := make([]tpptimeline.Result, len(cfgs))
+	rings := make([]*sim.TraceRing, len(cfgs))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range cfgs {
+		var taps []sim.Tap
+		if i%2 == 0 {
+			rings[i] = sim.NewTraceRing(capacity)
+			taps = append(taps, rings[i])
+		}
+		wg.Add(1)
+		go func(i int, taps []sim.Tap) {
+			defer wg.Done()
+			env := quickEnv()
+			<-start
+			res, err := RunTimeline(env, cfgs[i], taps...)
+			if err != nil {
+				t.Error(err)
+			}
+			gotRes[i] = res
+		}(i, taps)
 	}
-	if totals := telemetry.Sim.Totals(); totals != want {
-		t.Fatalf("sink totals %+v, want the two runs' %+v", totals, want)
+	close(start)
+	wg.Wait()
+
+	for i := range cfgs {
+		if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
+			t.Errorf("run %d (traced %t) differs from the same run made alone", i, rings[i] != nil)
+		}
+		if rings[i] != nil && !reflect.DeepEqual(rings[i].Snapshot(), wantTrace[i]) {
+			t.Errorf("run %d's ring holds %d events, not the %d of the same run made alone",
+				i, rings[i].Len(), len(wantTrace[i]))
+		}
+	}
+	after := SimEvents()
+	got := sim.SchedulerStats{
+		Enqueued:   after.Enqueued - before.Enqueued,
+		Dispatched: after.Dispatched - before.Dispatched,
+		Completed:  after.Completed - before.Completed,
+	}
+	if got != wantEvents {
+		t.Fatalf("SimEvents rose by %+v, want the runs' %+v", got, wantEvents)
 	}
 }
