@@ -57,18 +57,6 @@ func NewSystem() *System {
 	return topo.NewSystem(topo.DefaultConfig())
 }
 
-// NewMicrobenchSystem builds the §4 characterization setup: SNC off, the
-// full 8-channel DDR5 pool as baseline.
-func NewMicrobenchSystem() *System {
-	return topo.NewSystem(topo.MicrobenchConfig())
-}
-
-// NewPlatformSystem builds a fresh system from a registered platform
-// profile ("table1", "x16-quad", "snc-off", "fpga-degraded", ...).
-func NewPlatformSystem(name string) (*System, error) {
-	return topo.BuildPlatform(name)
-}
-
 // PlatformInfo describes one registered platform profile.
 type PlatformInfo struct {
 	// Name is the registry key accepted by RunConfig.Platform and the
@@ -142,11 +130,6 @@ type RunConfig struct {
 // fidelity and returns its text rendering.
 func RunExperiment(id string) (string, error) {
 	return RunExperimentCfg(id, RunConfig{})
-}
-
-// RunExperimentQuick runs a reduced-sample variant (used by benchmarks).
-func RunExperimentQuick(id string) (string, error) {
-	return RunExperimentCfg(id, RunConfig{Quick: true})
 }
 
 // options converts a RunConfig into the experiment layer's option set.
@@ -310,6 +293,3 @@ func (c *Caption) Observe(raw Sample) (state, ratio float64, err error) {
 
 // Ratio returns the percentage of new pages currently steered to CXL.
 func (c *Caption) Ratio() float64 { return c.ctl.Ratio() }
-
-// History returns the controller's recorded (model output, ratio) series.
-func (c *Caption) History() (states, ratios []float64) { return c.ctl.History() }

@@ -334,15 +334,6 @@ func (h *Hierarchy) fillL1(core int, addr uint64, home Home, dirty bool) {
 	h.l1[core].Insert(addr, home, dirty)
 }
 
-// FlushAll empties every cache (the clflush+mfence preamble of memo).
-func (h *Hierarchy) FlushAll() {
-	for i := range h.l1 {
-		h.l1[i].Flush()
-		h.l2[i].Flush()
-		h.slices[i].Flush()
-	}
-}
-
 // SliceOccupancy returns the number of valid lines in each LLC slice
 // (diagnostics for the SNC-isolation tests).
 func (h *Hierarchy) SliceOccupancy() []int {

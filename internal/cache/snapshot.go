@@ -28,17 +28,6 @@ type Snapshot struct {
 	llcHits, llcMisses uint64
 }
 
-// Config returns the configuration of the hierarchy the snapshot was
-// captured from; RestoreRehomed accepts hierarchies where the new home
-// shares the old one's route class under it.
-func (s *Snapshot) Config() HierConfig { return s.cfg }
-
-// Bytes reports the snapshot's approximate memory footprint, for sizing the
-// warm-state cache bound.
-func (s *Snapshot) Bytes() int64 {
-	return int64(len(s.arena)+len(s.counters)) * 8
-}
-
 // Pristine reports whether the hierarchy has never simulated an access: no
 // slab arena is carved yet. Restoring into a pristine hierarchy is
 // equivalent to replaying the captured hierarchy's whole history into it.

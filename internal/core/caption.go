@@ -53,23 +53,11 @@ func FitEstimator(samples []telemetry.Sample, throughput []float64) (*Estimator,
 	return &Estimator{model: m}, nil
 }
 
-// NewEstimatorFromModel wraps an existing linear model (used by tests and by
-// deployments that ship pre-fitted weights).
-func NewEstimatorFromModel(m *stats.LinearModel) *Estimator {
-	if m == nil {
-		panic("core: nil model")
-	}
-	return &Estimator{model: m}
-}
-
 // Estimate returns the predicted memory-subsystem performance for the
 // smoothed counter sample.
 func (e *Estimator) Estimate(s telemetry.Sample) float64 {
 	return e.model.Predict(s.Features())
 }
-
-// Model exposes the fitted coefficients (diagnostics, EXPERIMENTS.md).
-func (e *Estimator) Model() *stats.LinearModel { return e.model }
 
 // TunerConfig parameterizes Algorithm 1.
 type TunerConfig struct {
@@ -239,11 +227,6 @@ type Controller struct {
 	estimator *Estimator
 	tuner     *Tuner
 	set       RatioSetter
-
-	// History records (model output, applied ratio) pairs for the Fig. 12
-	// timelines and the Pearson synchrony metric.
-	states []float64
-	ratios []float64
 }
 
 // MonitorWindow is Caption's counter smoothing window (§6.1: "a moving
@@ -273,26 +256,8 @@ func (c *Controller) Step(raw telemetry.Sample) (state, ratio float64, err error
 	if err := c.set(ratio); err != nil {
 		return state, ratio, fmt.Errorf("core: applying ratio %v: %w", ratio, err)
 	}
-	c.states = append(c.states, state)
-	c.ratios = append(c.ratios, ratio)
 	return state, ratio, nil
 }
 
 // Ratio returns the currently applied CXL percentage.
 func (c *Controller) Ratio() float64 { return c.tuner.Ratio() }
-
-// History returns copies of the recorded model outputs and ratios.
-func (c *Controller) History() (states, ratios []float64) {
-	return append([]float64(nil), c.states...), append([]float64(nil), c.ratios...)
-}
-
-// Synchrony computes the Pearson correlation between the model's output
-// history and an externally measured throughput series of equal length —
-// the validation metric of Fig. 12 ("Algorithm 1 depends on precisely
-// determining only the direction of performance changes").
-func (c *Controller) Synchrony(throughput []float64) float64 {
-	if len(throughput) != len(c.states) || len(c.states) == 0 {
-		panic(fmt.Sprintf("core: synchrony needs %d throughput points", len(c.states)))
-	}
-	return stats.Pearson(c.states, throughput)
-}

@@ -33,17 +33,6 @@ func TestFitEstimatorRecoversLinearRelation(t *testing.T) {
 			t.Fatalf("estimate %d = %v, want %v", i, est.Estimate(s), y[i])
 		}
 	}
-	if est.Model().R2(featureRows(samples), y) < 0.999 {
-		t.Error("R2 should be ~1 for noise-free data")
-	}
-}
-
-func featureRows(samples []telemetry.Sample) [][]float64 {
-	rows := make([][]float64, len(samples))
-	for i, s := range samples {
-		rows[i] = s.Features()
-	}
-	return rows
 }
 
 func TestFitEstimatorValidation(t *testing.T) {
@@ -242,7 +231,7 @@ func TestControllerStepAppliesRatio(t *testing.T) {
 	// Estimator: performance = IPC (identity on one counter), so rising IPC
 	// means improvement.
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
-	est := NewEstimatorFromModel(model)
+	est := &Estimator{model: model}
 	var applied []float64
 	ctl := NewController(est, DefaultTunerConfig(), func(p float64) error {
 		applied = append(applied, p)
@@ -258,10 +247,6 @@ func TestControllerStepAppliesRatio(t *testing.T) {
 	if len(applied) != 10 {
 		t.Fatalf("setter called %d times, want 10", len(applied))
 	}
-	states, ratios := ctl.History()
-	if len(states) != 10 || len(ratios) != 10 {
-		t.Fatalf("history lengths %d/%d", len(states), len(ratios))
-	}
 	if ctl.Ratio() != applied[len(applied)-1] {
 		t.Error("Ratio() disagrees with last applied value")
 	}
@@ -269,16 +254,20 @@ func TestControllerStepAppliesRatio(t *testing.T) {
 
 func TestControllerSynchrony(t *testing.T) {
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
-	ctl := NewController(NewEstimatorFromModel(model), DefaultTunerConfig(), func(float64) error { return nil })
-	var throughput []float64
+	ctl := NewController(&Estimator{model: model}, DefaultTunerConfig(), func(float64) error { return nil })
+	var states, throughput []float64
 	for i := 0; i < 20; i++ {
 		v := 1 + float64(i)*0.05
-		ctl.Step(telemetry.Sample{IPC: v})
+		state, _, err := ctl.Step(telemetry.Sample{IPC: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, state)
 		throughput = append(throughput, v)
 	}
 	// Model output is (a smoothed version of) the throughput: strongly
 	// positive correlation.
-	if p := ctl.Synchrony(throughput); p < 0.9 {
+	if p := stats.Pearson(states, throughput); p < 0.9 {
 		t.Errorf("synchrony = %v, want > 0.9", p)
 	}
 }
@@ -287,12 +276,7 @@ func TestControllerPanics(t *testing.T) {
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
 	for name, fn := range map[string]func(){
 		"nil estimator": func() { NewController(nil, DefaultTunerConfig(), func(float64) error { return nil }) },
-		"nil setter":    func() { NewController(NewEstimatorFromModel(model), DefaultTunerConfig(), nil) },
-		"nil model":     func() { NewEstimatorFromModel(nil) },
-		"bad synchrony": func() {
-			c := NewController(NewEstimatorFromModel(model), DefaultTunerConfig(), func(float64) error { return nil })
-			c.Synchrony([]float64{1})
-		},
+		"nil setter":    func() { NewController(&Estimator{model: model}, DefaultTunerConfig(), nil) },
 	} {
 		func() {
 			defer func() {

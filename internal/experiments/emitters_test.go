@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -148,6 +150,44 @@ func TestGoldenEmitters(t *testing.T) {
 				checkGoldenEmit(t, tc.d, tc.name, format)
 			})
 		}
+	}
+}
+
+// wireDigestPath holds one sha256sum-style line, "digest  id.format", per
+// registered experiment and wire format at the golden options.
+var wireDigestPath = filepath.Join("testdata", "golden", "wire.sha256")
+
+// TestWireDigests pins every experiment's json and csv bytes, not only the
+// three emissions TestGoldenEmitters keeps whole: a float that moves in its
+// last bits leaves the text table unchanged but fails here. -update rewrites
+// the file.
+func TestWireDigests(t *testing.T) {
+	var got strings.Builder
+	for _, e := range All() {
+		d, err := RunDataset(e.ID, quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, format := range []string{"json", "csv"} {
+			out, err := results.Emit(d, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%x  %s.%s\n", sha256.Sum256([]byte(out)), e.ID, format)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(wireDigestPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(wireDigestPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("wire forms diverge from %s:\n--- golden ---\n%s--- got ---\n%s", wireDigestPath, want, got.String())
 	}
 }
 

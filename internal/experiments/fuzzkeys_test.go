@@ -5,6 +5,7 @@ import (
 
 	"cxlmem/internal/sim"
 	"cxlmem/internal/workloads"
+	"cxlmem/internal/workloads/workloadstest"
 )
 
 // TestScenarioFuzzMemoKeys guards memo-key stability across the fuzzer's
@@ -17,7 +18,7 @@ func TestScenarioFuzzMemoKeys(t *testing.T) {
 	o := DefaultOptions()
 	o.Quick = true
 	for i := 0; i < 200; i++ {
-		sc := workloads.RandomScenario(rng)
+		sc := workloadstest.RandomScenario(rng)
 		canon := sc.String()
 		re, err := workloads.ParseScenario(canon)
 		if err != nil {

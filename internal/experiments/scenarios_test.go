@@ -115,8 +115,7 @@ func TestOptionsPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fBW, _ := onF.Get("system_bw")
-	tBW, _ := onTable1.Get("system_bw")
+	fBW, tBW := metricValue(t, onF, "system_bw"), metricValue(t, onTable1, "system_bw")
 	if fBW >= tBW {
 		t.Errorf("degraded FPGA bandwidth %.2f should trail Table 1's %.2f", fBW, tBW)
 	}
@@ -129,7 +128,7 @@ func TestOptionsPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pBW, _ := onPinned.Get("system_bw"); pBW != tBW {
+	if pBW := metricValue(t, onPinned, "system_bw"); pBW != tBW {
 		t.Errorf("cell-level platform should override the option: %.2f vs %.2f", pBW, tBW)
 	}
 	bad := o
@@ -264,4 +263,16 @@ func TestAllMatrixScenarios(t *testing.T) {
 	if !strings.Contains(tbl.Render(), "ycsb:a/policy=weighted:85,15") {
 		t.Error("rendered matrix missing an expected cell spec")
 	}
+}
+
+// metricValue looks a cell's measurement up by name.
+func metricValue(t *testing.T, m workloads.Metrics, name string) float64 {
+	t.Helper()
+	for _, it := range m.Items {
+		if it.Name == name {
+			return it.Value
+		}
+	}
+	t.Fatalf("cell has no %s metric", name)
+	return 0
 }

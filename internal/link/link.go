@@ -5,9 +5,9 @@
 // The paper's observation O1 hinges on one structural property — all of these
 // links are full duplex, so a stream of independent requests can overlap
 // command (outbound) and data (inbound) transfers — while a serialized
-// pointer chase pays the full round trip on every access. The Link type
-// exposes both views: Traverse for one direction of a serialized access and
-// Slot for the per-request occupancy under pipelined, parallel access.
+// pointer chase pays the full round trip on every access. Traverse prices one
+// direction of a serialized access; topo.Path chains traversals into a path's
+// serial latency and amortizes it over the pipelined requests in flight.
 package link
 
 import (
@@ -26,10 +26,6 @@ type Link struct {
 	// BandwidthPerDir is the usable bandwidth of each direction in bytes
 	// per nanosecond (numerically equal to GB/s).
 	BandwidthPerDir float64
-	// FullDuplex reports whether the two directions transfer concurrently.
-	// Every link in the evaluated system is full duplex; the flag exists so
-	// ablation experiments can model a hypothetical half-duplex interconnect.
-	FullDuplex bool
 }
 
 // Validate reports a descriptive error for physically meaningless parameters.
@@ -50,25 +46,6 @@ func (l *Link) Traverse(payloadBytes int) sim.Time {
 	return l.Propagation + l.serialization(payloadBytes)
 }
 
-// RoundTrip returns the latency of a command out / data back exchange for a
-// serialized access. On a full-duplex link the two directions do not contend
-// with each other, but a dependent access still pays both traversals end to
-// end. On a half-duplex link an additional turnaround is charged.
-func (l *Link) RoundTrip(cmdBytes, dataBytes int) sim.Time {
-	t := l.Traverse(cmdBytes) + l.Traverse(dataBytes)
-	if !l.FullDuplex {
-		t += l.Propagation / 2 // bus turnaround penalty
-	}
-	return t
-}
-
-// Slot returns the steady-state per-request occupancy of the link for a
-// pipelined stream of independent requests moving payloadBytes in one
-// direction. This is what bounds bandwidth, not latency.
-func (l *Link) Slot(payloadBytes int) sim.Time {
-	return l.serialization(payloadBytes)
-}
-
 func (l *Link) serialization(payloadBytes int) sim.Time {
 	if payloadBytes <= 0 {
 		return 0
@@ -86,7 +63,6 @@ func UPI() *Link {
 		Name:            "UPI",
 		Propagation:     20 * sim.Nanosecond,
 		BandwidthPerDir: 62.4,
-		FullDuplex:      true,
 	}
 }
 
@@ -99,7 +75,6 @@ func CXLx8() *Link {
 		Name:            "CXL x8",
 		Propagation:     40 * sim.Nanosecond,
 		BandwidthPerDir: 32,
-		FullDuplex:      true,
 	}
 }
 
@@ -112,7 +87,6 @@ func CXLx16() *Link {
 		Name:            "CXL x16",
 		Propagation:     40 * sim.Nanosecond,
 		BandwidthPerDir: 64,
-		FullDuplex:      true,
 	}
 }
 
@@ -124,6 +98,5 @@ func Mesh() *Link {
 		Name:            "mesh",
 		Propagation:     2 * sim.Nanosecond,
 		BandwidthPerDir: 400,
-		FullDuplex:      true,
 	}
 }

@@ -12,9 +12,6 @@ func TestStandardLinksValidate(t *testing.T) {
 		if err := l.Validate(); err != nil {
 			t.Errorf("%s: %v", l.Name, err)
 		}
-		if !l.FullDuplex {
-			t.Errorf("%s should be full duplex", l.Name)
-		}
 	}
 }
 
@@ -41,33 +38,27 @@ func TestTraverse(t *testing.T) {
 	}
 }
 
-func TestRoundTripFullVsHalfDuplex(t *testing.T) {
-	full := CXLx8()
-	half := *full
-	half.FullDuplex = false
-	if full.RoundTrip(8, 64) >= half.RoundTrip(8, 64) {
-		t.Error("half duplex round trip should exceed full duplex")
-	}
-}
-
+// TestSlotIsSerializationOnly: a pipelined request occupies the link only for
+// its payload's serialization, without the propagation.
 func TestSlotIsSerializationOnly(t *testing.T) {
 	l := UPI() // 62.4 GB/s per direction
-	slot := l.Slot(64)
+	slot := l.serialization(64)
 	// 64/62.4 ≈ 1.0256 ns
 	if ns := slot.Nanoseconds(); ns < 1.0 || ns > 1.1 {
 		t.Errorf("UPI 64B slot = %v ns, want ~1.03", ns)
 	}
-	if l.Slot(0) != 0 {
+	if l.serialization(0) != 0 {
 		t.Error("zero payload slot should be 0")
 	}
 }
 
 // TestO1FullDuplexAdvantage captures observation O1: for a pipelined stream,
-// the per-request cost (Slot) is far below the serialized round trip.
+// the per-request link occupancy is far below the serialized round trip of
+// a command out and a line back.
 func TestO1FullDuplexAdvantage(t *testing.T) {
 	for _, l := range []*Link{UPI(), CXLx8()} {
-		rt := l.RoundTrip(8, 64)
-		slot := l.Slot(64)
+		rt := l.Traverse(8) + l.Traverse(64)
+		slot := l.serialization(64)
 		if slot*10 > rt {
 			t.Errorf("%s: slot %v not ≪ round trip %v", l.Name, slot, rt)
 		}
@@ -78,8 +69,8 @@ func TestSlotScalesLinearly(t *testing.T) {
 	l := CXLx8()
 	f := func(nRaw uint8) bool {
 		n := int(nRaw)%64 + 1
-		a := l.Slot(64 * n)
-		b := sim.Time(n) * l.Slot(64)
+		a := l.serialization(64 * n)
+		b := sim.Time(n) * l.serialization(64)
 		diff := a - b
 		if diff < 0 {
 			diff = -diff

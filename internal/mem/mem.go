@@ -226,9 +226,6 @@ func (d *Device) PeakGBs() float64 {
 // given instruction type.
 func (d *Device) EffInstr(t InstrType) float64 { return d.Ctrl.InstrEff[t] }
 
-// EffMix returns the delivered fraction of peak for an MLC mix point.
-func (d *Device) EffMix(m MixPoint) float64 { return d.Ctrl.MixEff[m] }
-
 // EffWriteFraction interpolates the mix-efficiency table for an arbitrary
 // write fraction in [0, 1]. Write fractions beyond 1:1 clamp to the 1:1
 // value (MLC does not measure write-dominated mixes and neither does the

@@ -76,7 +76,7 @@ func TestFig4aEfficiencies(t *testing.T) {
 		{CXLC(), 0.20},
 	}
 	for _, c := range cases {
-		if got := c.dev.EffMix(AllRead); math.Abs(got-c.want) > 1e-9 {
+		if got := c.dev.Ctrl.MixEff[AllRead]; math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("%s all-read efficiency = %v, want %v", c.dev.Name, got, c.want)
 		}
 	}
@@ -88,7 +88,7 @@ func TestPaperEfficiencyRelations(t *testing.T) {
 	r, a, b, c := DDR5Remote(), CXLA(), CXLB(), CXLC()
 
 	// O4: CXL-A beats DDR5-R by ~23 points at the 2:1 read:write mix.
-	if diff := a.EffMix(RW21) - r.EffMix(RW21); math.Abs(diff-0.23) > 0.02 {
+	if diff := a.Ctrl.MixEff[RW21] - r.Ctrl.MixEff[RW21]; math.Abs(diff-0.23) > 0.02 {
 		t.Errorf("2:1 efficiency gap CXL-A minus DDR5-R = %v, want ~0.23", diff)
 	}
 	// Fig 4b: CXL-B edges CXL-A by ~1 point for ld and nt-ld.
@@ -138,8 +138,8 @@ func TestEffWriteFractionInterpolates(t *testing.T) {
 	d := CXLA()
 	// Exact table points.
 	for _, m := range MixPoints() {
-		if got := d.EffWriteFraction(m.WriteFraction()); math.Abs(got-d.EffMix(m)) > 1e-9 {
-			t.Errorf("wf=%v: %v, want table value %v", m.WriteFraction(), got, d.EffMix(m))
+		if got := d.EffWriteFraction(m.WriteFraction()); math.Abs(got-d.Ctrl.MixEff[m]) > 1e-9 {
+			t.Errorf("wf=%v: %v, want table value %v", m.WriteFraction(), got, d.Ctrl.MixEff[m])
 		}
 	}
 	// Midpoint between all-read (0.46) and 3:1 (0.60).
@@ -147,10 +147,10 @@ func TestEffWriteFractionInterpolates(t *testing.T) {
 		t.Errorf("wf=0.125: %v, want 0.53", got)
 	}
 	// Clamps beyond 1:1 and below 0.
-	if got := d.EffWriteFraction(0.9); got != d.EffMix(RW11) {
+	if got := d.EffWriteFraction(0.9); got != d.Ctrl.MixEff[RW11] {
 		t.Errorf("wf=0.9 should clamp to 1:1 value, got %v", got)
 	}
-	if got := d.EffWriteFraction(-0.1); got != d.EffMix(AllRead) {
+	if got := d.EffWriteFraction(-0.1); got != d.Ctrl.MixEff[AllRead] {
 		t.Errorf("wf=-0.1 should clamp to all-read value, got %v", got)
 	}
 }

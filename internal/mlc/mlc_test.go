@@ -81,7 +81,7 @@ func TestLoadedBandwidthEfficiencyMatchesTable(t *testing.T) {
 	for _, p := range sys.ComparisonPaths() {
 		for _, m := range mem.MixPoints() {
 			got := LoadedBandwidth(p, m)
-			want := p.Device.EffMix(m)
+			want := p.Device.Ctrl.MixEff[m]
 			if math.Abs(got.Efficiency-want) > 1e-6 {
 				t.Errorf("%s %v: efficiency %v, want %v", p.Name, m, got.Efficiency, want)
 			}

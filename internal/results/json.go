@@ -58,36 +58,10 @@ type wireDataset struct {
 // jsonSchemaVersion is bumped whenever the wire form changes shape.
 const jsonSchemaVersion = 1
 
-// MarshalJSON encodes the cell as a single-kind object: {"s":…} for strings,
-// {"i":…} for ints, {"f":…,"prec":…} for floats, {"pct":…,"prec":…} for
-// percents (value in percent points). Numbers keep Go's shortest
-// round-trippable float encoding, so nothing is lost to display precision.
-// The json emitter does not call it; it serves callers that json.Marshal a
-// Dataset's cells themselves.
-func (c Cell) MarshalJSON() ([]byte, error) {
-	switch c.Kind {
-	case KindInt:
-		return json.Marshal(struct {
-			I int64 `json:"i"`
-		}{c.Int})
-	case KindFloat:
-		return json.Marshal(struct {
-			F    float64 `json:"f"`
-			Prec int     `json:"prec"`
-		}{c.Float, c.Prec})
-	case KindPercent:
-		return json.Marshal(struct {
-			Pct  float64 `json:"pct"`
-			Prec int     `json:"prec"`
-		}{c.Float, c.Prec})
-	}
-	return json.Marshal(struct {
-		S string `json:"s"`
-	}{c.Str})
-}
-
-// UnmarshalJSON inverts MarshalJSON; exactly one of the kind keys must be
-// present.
+// UnmarshalJSON decodes a cell from its single-kind wire object: {"s":…} for
+// strings, {"i":…} for ints, {"f":…,"prec":…} for floats, {"pct":…,"prec":…}
+// for percents (value in percent points). Exactly one of the kind keys must
+// be present.
 func (c *Cell) UnmarshalJSON(data []byte) error {
 	var w struct {
 		S    *string  `json:"s"`
@@ -218,7 +192,7 @@ func closeJSONArray(b []byte, n int) []byte {
 }
 
 // appendJSONCell appends one cell object at row-element indentation, keyed
-// by its kind as MarshalJSON keys it; ok is false for a non-finite number.
+// by its kind as UnmarshalJSON reads it; ok is false for a non-finite number.
 func appendJSONCell(b []byte, c Cell) (_ []byte, ok bool) {
 	b = append(b, "\n      {\n        "...)
 	switch c.Kind {

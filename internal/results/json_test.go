@@ -9,6 +9,31 @@ import (
 	"testing"
 )
 
+// MarshalJSON encodes the cell as the single-kind object UnmarshalJSON reads.
+// Numbers keep Go's shortest round-trippable float encoding, so nothing is
+// lost to display precision. Only the reference encoder calls it.
+func (c Cell) MarshalJSON() ([]byte, error) {
+	switch c.Kind {
+	case KindInt:
+		return json.Marshal(struct {
+			I int64 `json:"i"`
+		}{c.Int})
+	case KindFloat:
+		return json.Marshal(struct {
+			F    float64 `json:"f"`
+			Prec int     `json:"prec"`
+		}{c.Float, c.Prec})
+	case KindPercent:
+		return json.Marshal(struct {
+			Pct  float64 `json:"pct"`
+			Prec int     `json:"prec"`
+		}{c.Float, c.Prec})
+	}
+	return json.Marshal(struct {
+		S string `json:"s"`
+	}{c.Str})
+}
+
 // wire converts the dataset to its pinned JSON shape, normalizing nil slices
 // to empty ones so the emitted bytes never flip between null and [].
 func (d *Dataset) wire() wireDataset {

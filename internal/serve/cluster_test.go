@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -223,15 +225,31 @@ func TestProxyFallbackOnDeadPeer(t *testing.T) {
 	mu.Lock()
 	h = s.Handler()
 	mu.Unlock()
-	for _, sc := range experiments.AllMatrixScenarios()[:6] {
+	// The ring hashes the test servers' random ports, so pick the cells by
+	// owner: six matrix cells, at least one of them the dead peer's.
+	all := experiments.AllMatrixScenarios()
+	cells := append([]workloads.Scenario(nil), all[:6]...)
+	deadOwned := func(sc workloads.Scenario) bool { return !ring.Owns(experiments.ScenarioKey(base, sc)) }
+	if !slices.ContainsFunc(cells, deadOwned) {
+		i := slices.IndexFunc(all[6:], deadOwned)
+		if i < 0 {
+			t.Fatalf("all %d matrix cells hash to the live replica", len(all))
+		}
+		cells[5] = all[6+i]
+	}
+	hops := 0
+	for _, sc := range cells {
+		if deadOwned(sc) {
+			hops++
+		}
 		status, _, _ := get(t, ts, "/v1/scenario?spec="+sc.String()+"&quick=true")
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d with the peer down; fallback must keep serving", sc, status)
 		}
 	}
 	_, _, m := get(t, ts, "/metrics")
-	if metricValue(t, m, `cxlserve_proxy_requests_total{result="error"}`) == "0" {
-		t.Error("dead-peer hops not counted as proxy errors")
+	if got := metricValue(t, m, `cxlserve_proxy_requests_total{result="error"}`); got != strconv.Itoa(hops) {
+		t.Errorf("%s proxy errors for %d dead-peer hops; each failed hop counts once", got, hops)
 	}
 }
 

@@ -285,8 +285,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // cached and did not poison the key.
 func TestRequestTimeout(t *testing.T) {
 	_, ts := hardenedServer(t, Config{})
-	// A unique seed gives this test a fresh cache key.
-	const q = "/v1/run?id=matrix-size&seed=990001"
+	// A fresh seed gives every run of this test, -count included, a key no
+	// earlier request cached.
+	q := fmt.Sprintf("/v1/run?id=matrix-size&seed=%d", freshSeed())
 	resp, err := http.Get(ts.URL + q + "&timeout=1ns")
 	if err != nil {
 		t.Fatal(err)

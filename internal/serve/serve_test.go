@@ -119,6 +119,7 @@ func TestRunEndpointErrors(t *testing.T) {
 		{"/v1/scenario?spec=ycsb/flavor=mild", http.StatusBadRequest},
 		{"/v1/scenario?spec=kvstore/size=8T", http.StatusBadRequest},
 		{"/v1/scenario?spec=kvstore/ops=2000000000", http.StatusBadRequest},
+		{"/v1/scenario?spec=tpp-timeline/qps=200001", http.StatusBadRequest},
 	} {
 		if status, _, body := get(t, ts, tc.path); status != tc.want {
 			t.Errorf("GET %s = %d (%s), want %d", tc.path, status, strings.TrimSpace(body), tc.want)

@@ -196,6 +196,7 @@ func TestTraceEndpointErrors(t *testing.T) {
 		{"/v1/trace?id=fig7", http.StatusBadRequest},
 		{"/v1/trace?spec=kvstore", http.StatusBadRequest},
 		{"/v1/trace?spec=tpp-timeline/ops=2000000", http.StatusBadRequest},
+		{"/v1/trace?spec=tpp-timeline/qps=1e6", http.StatusBadRequest},
 		{"/v1/trace?spec=tpp-timeline/device=bogus", http.StatusBadRequest},
 		{"/v1/trace?id=tpp-timeline&platform=bogus", http.StatusBadRequest},
 		{"/v1/trace?id=tpp-timeline&seed=banana", http.StatusBadRequest},

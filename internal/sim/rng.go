@@ -83,17 +83,6 @@ func (r *Rng) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normally distributed value via the Box–Muller transform.
-func (r *Rng) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Perm returns a random permutation of [0, n) using Fisher–Yates.
 func (r *Rng) Perm(n int) []int {
 	p := make([]int, n)

@@ -53,9 +53,6 @@ func (s *Scheduler) Now() Time { return s.clock.Now() }
 // during Handle; because dispatch order is deterministic, so is every draw.
 func (s *Scheduler) Rng() *Rng { return s.rng }
 
-// Pending returns the number of queued, not-yet-dispatched events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
 // Stats returns cumulative event counters.
 func (s *Scheduler) Stats() SchedulerStats { return s.stats }
 
@@ -147,14 +144,6 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		s.Step()
 	}
 	s.clock.AdvanceTo(deadline)
-}
-
-// Run dispatches events until the queue is empty. Actors that always
-// reschedule themselves make this an infinite loop; bounded simulations
-// should prefer RunUntil.
-func (s *Scheduler) Run() {
-	for s.Step() {
-	}
 }
 
 // emit fans one trace record out to every registered tap, in registration

@@ -200,7 +200,7 @@ func TestTapFuncAndTraceRingAgree(t *testing.T) {
 			s.Tap(ring)
 		}
 		s.Schedule(0, &chainActor{name: "chain", budget: 200}, EventFunc("start"))
-		s.Run()
+		drain(s)
 		if len(seen) == 0 || !reflect.DeepEqual(ring.Snapshot(), seen) {
 			t.Fatalf("ringFirst=%v: ring holds %d events, the TapFunc saw %d, or they differ",
 				ringFirst, ring.Len(), len(seen))
@@ -217,7 +217,7 @@ func TestTapAttachedMidRun(t *testing.T) {
 	a := &nopActor{name: "a"}
 	s.Schedule(2*Microsecond, a, EventFunc("later"))
 	s.Schedule(Microsecond, &attachActor{tap: rec}, EventFunc("attach"))
-	s.Run()
+	drain(s)
 	want := []TraceEvent{
 		{Phase: PhaseComplete, Seq: 1, At: Microsecond, Now: Microsecond, Actor: "attach", Kind: "attach"},
 		{Phase: PhaseDispatch, Seq: 0, At: 2 * Microsecond, Now: 2 * Microsecond, Actor: "a", Kind: "later"},
@@ -265,7 +265,7 @@ func runChained(seed uint64) ([]TraceEvent, []string) {
 	s.Tap(rec)
 	a := &chainActor{name: "chain", budget: 50}
 	s.Schedule(0, a, EventFunc("start"))
-	s.Run()
+	drain(s)
 	return rec.events, a.handled
 }
 
@@ -307,7 +307,7 @@ func TestSchedulerFIFOTies(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Schedule(at, a, EventFunc(fmt.Sprintf("e%d", i)))
 	}
-	s.Run()
+	drain(s)
 	for i, kind := range order {
 		if want := fmt.Sprintf("e%d", i); kind != want {
 			t.Fatalf("dispatch %d: got %q, want %q", i, kind, want)
@@ -347,7 +347,7 @@ func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler(1)
 	a := &nopActor{name: "a"}
 	s.Schedule(Microsecond, a, EventFunc("tick"))
-	s.Run()
+	drain(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
@@ -379,8 +379,8 @@ func TestRunUntil(t *testing.T) {
 	if got := s.Stats().Dispatched; got != 2 {
 		t.Fatalf("dispatched %d events, want 2", got)
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d events, want 1", s.Pending())
+	if s.queue.Len() != 1 {
+		t.Fatalf("pending %d events, want 1", s.queue.Len())
 	}
 	if s.Now() != 2*Millisecond {
 		t.Fatalf("clock at %v, want 2ms", s.Now())
@@ -458,7 +458,7 @@ func TestTraceRingAsTap(t *testing.T) {
 	s.Tap(ring)
 	a := &chainActor{name: "chain", budget: 10}
 	s.Schedule(0, a, EventFunc("start"))
-	s.Run()
+	drain(s)
 	stats := s.Stats()
 	totals := ring.Totals()
 	if totals.Enqueued != stats.Enqueued || totals.Dispatched != stats.Dispatched || totals.Completed != stats.Completed {
@@ -502,5 +502,11 @@ func BenchmarkSchedulerStep(b *testing.B) {
 				s.Step()
 			}
 		})
+	}
+}
+
+// drain dispatches events until the queue is empty.
+func drain(s *Scheduler) {
+	for s.Step() {
 	}
 }

@@ -8,10 +8,7 @@
 // paper-reproduction experiments stable enough to assert on in tests.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point or duration on the simulated clock, in picoseconds.
 //
@@ -49,12 +46,6 @@ func FromNanoseconds(ns float64) Time {
 	}
 	return Time(ns*float64(Nanosecond) + 0.5)
 }
-
-// FromSeconds converts a float64 second quantity to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// FromDuration converts a standard library duration to a simulated Time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) * Nanosecond }
 
 // String renders the time with an adaptive unit, e.g. "113.2ns" or "4.50ms".
 func (t Time) String() string {

@@ -125,23 +125,3 @@ func (m *LinearModel) Predict(x []float64) float64 {
 	}
 	return y
 }
-
-// R2 returns the coefficient of determination of the model over the given
-// data — a fit-quality diagnostic used by the Caption calibration tests.
-func (m *LinearModel) R2(rows [][]float64, y []float64) float64 {
-	if len(rows) != len(y) || len(rows) == 0 {
-		panic("stats: R2 with mismatched or empty data")
-	}
-	mean := Mean(y)
-	var ssRes, ssTot float64
-	for i, row := range rows {
-		d := y[i] - m.Predict(row)
-		ssRes += d * d
-		t := y[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}

@@ -1,8 +1,7 @@
 // Package stats implements the statistical primitives used throughout the
-// cxlmem reproduction: percentiles and CDFs for tail-latency experiments,
-// Pearson correlation and multiple linear regression for the Caption
-// estimator (paper §6, Eq. 1), and streaming helpers (Welford accumulators,
-// moving averages) for the telemetry sampler.
+// cxlmem reproduction: percentiles for tail-latency experiments, Pearson
+// correlation and multiple linear regression for the Caption estimator
+// (paper §6, Eq. 1), and the moving average of the telemetry sampler.
 //
 // Only the Go standard library is used.
 package stats
@@ -85,35 +84,6 @@ func GeoMean(values []float64) float64 {
 	return math.Exp(sumLog / float64(len(values)))
 }
 
-// CDFPoint is one step of an empirical cumulative distribution function.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value, in (0, 1]
-}
-
-// CDF computes the empirical CDF of values, optionally truncated at the
-// maxFraction quantile (the paper's Fig. 7 shows the distribution "up to the
-// p99 latency", i.e. maxFraction = 0.99). Pass maxFraction = 1 for the whole
-// distribution.
-func CDF(values []float64, maxFraction float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	var out []CDFPoint
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		f := float64(i+1) / n
-		if f > maxFraction {
-			break
-		}
-		out = append(out, CDFPoint{Value: v, Fraction: f})
-	}
-	return out
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // The paper uses it to quantify synchrony between the Caption estimator's
 // output and the measured throughput time series (§6.2, Fig. 12).
@@ -145,39 +115,6 @@ func Pearson(x, y []float64) float64 {
 	}
 	return cov / math.Sqrt(vx*vy)
 }
-
-// Welford accumulates a running mean and variance in a single pass with good
-// numerical stability. The zero value is an empty accumulator.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance (0 with fewer than 2 samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // MovingAverage keeps the mean of the most recent Window observations.
 // Caption feeds each counter through a 5-sample moving average before the
@@ -224,12 +161,4 @@ func (m *MovingAverage) Value() float64 {
 		return 0
 	}
 	return m.sum / float64(n)
-}
-
-// N returns the number of samples currently in the window.
-func (m *MovingAverage) N() int {
-	if m.filled {
-		return m.window
-	}
-	return m.next
 }

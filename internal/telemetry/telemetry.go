@@ -43,29 +43,10 @@ func (s Sample) Features() []float64 {
 	return []float64{s.L1MissLatencyNS, s.DDRReadLatencyNS, s.IPC}
 }
 
-// FeatureNames returns the Table-4 metric names, aligned with Features.
-func FeatureNames() []string {
-	return []string{"L1 miss latency", "DDR read latency", "IPC"}
-}
-
-// Source produces counter samples; the workload simulators implement it.
-type Source interface {
-	// Counters returns the current counter values.
-	Counters() Sample
-}
-
-// SourceFunc adapts a function to the Source interface.
-type SourceFunc func() Sample
-
-// Counters implements Source.
-func (f SourceFunc) Counters() Sample { return f() }
-
 // Sampler smooths a counter stream with per-field moving averages, matching
 // Caption's "moving average of the past 5 samples for each counter" (§6.1).
 type Sampler struct {
 	l1, ddr, ipc, bw *stats.MovingAverage
-	last             Sample
-	n                int
 }
 
 // NewSampler creates a sampler with the given smoothing window.
@@ -83,8 +64,6 @@ func NewSampler(window int) *Sampler {
 
 // Add incorporates a raw sample and returns the smoothed view.
 func (s *Sampler) Add(raw Sample) Sample {
-	s.n++
-	s.last = raw
 	return Sample{
 		L1MissLatencyNS:    s.l1.Add(raw.L1MissLatencyNS),
 		DDRReadLatencyNS:   s.ddr.Add(raw.DDRReadLatencyNS),
@@ -93,17 +72,3 @@ func (s *Sampler) Add(raw Sample) Sample {
 		CXLPercent:         raw.CXLPercent,
 	}
 }
-
-// Smoothed returns the current smoothed sample without adding a new one.
-func (s *Sampler) Smoothed() Sample {
-	return Sample{
-		L1MissLatencyNS:    s.l1.Value(),
-		DDRReadLatencyNS:   s.ddr.Value(),
-		IPC:                s.ipc.Value(),
-		SystemBandwidthGBs: s.bw.Value(),
-		CXLPercent:         s.last.CXLPercent,
-	}
-}
-
-// N returns the number of raw samples observed.
-func (s *Sampler) N() int { return s.n }

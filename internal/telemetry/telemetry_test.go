@@ -11,9 +11,6 @@ func TestFeaturesOrder(t *testing.T) {
 	if len(f) != 3 || f[0] != 1 || f[1] != 2 || f[2] != 3 {
 		t.Errorf("Features = %v", f)
 	}
-	if len(FeatureNames()) != len(f) {
-		t.Error("feature names misaligned with features")
-	}
 }
 
 func TestSamplerSmoothing(t *testing.T) {
@@ -34,18 +31,16 @@ func TestSamplerSmoothing(t *testing.T) {
 	if out.L1MissLatencyNS > 250 {
 		t.Errorf("spike insufficiently damped: %v", out.L1MissLatencyNS)
 	}
-	if s.N() != 6 {
-		t.Errorf("N = %d", s.N())
-	}
 }
 
+// Slots of the window that no Add has filled yet do not count: one sample
+// smooths to itself, and fields it leaves at zero stay zero.
 func TestSamplerSmoothedWithoutAdd(t *testing.T) {
 	s := NewSampler(3)
-	if got := s.Smoothed(); got.L1MissLatencyNS != 0 || got.IPC != 0 {
-		t.Errorf("empty smoothed = %+v", got)
+	got := s.Add(Sample{DDRReadLatencyNS: 100, CXLPercent: 25})
+	if got.L1MissLatencyNS != 0 || got.IPC != 0 {
+		t.Errorf("fields never sampled smoothed to %+v", got)
 	}
-	s.Add(Sample{DDRReadLatencyNS: 100, CXLPercent: 25})
-	got := s.Smoothed()
 	if got.DDRReadLatencyNS != 100 {
 		t.Errorf("smoothed DDR latency = %v", got.DDRReadLatencyNS)
 	}
@@ -61,11 +56,4 @@ func TestSamplerPanicsOnBadWindow(t *testing.T) {
 		}
 	}()
 	NewSampler(0)
-}
-
-func TestSourceFunc(t *testing.T) {
-	var src Source = SourceFunc(func() Sample { return Sample{IPC: 2} })
-	if src.Counters().IPC != 2 {
-		t.Error("SourceFunc adapter broken")
-	}
 }

@@ -67,7 +67,6 @@ func Table1Spec() Spec {
 		DefaultFarDevice:      "CXL-A",
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
-		Seed:                  1,
 	}
 }
 
@@ -86,7 +85,6 @@ func X16QuadSpec() Spec {
 		DefaultFarDevice:      "CXL-X0",
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
-		Seed:                  1,
 	}
 	for _, name := range []string{"CXL-X0", "CXL-X1", "CXL-X2", "CXL-X3"} {
 		sp.Devices = append(sp.Devices, deviceSpecOf(mem.CXLExpander(name), link.CXLx16(), false))
@@ -109,7 +107,6 @@ func SNCOffSpec() Spec {
 		DefaultFarDevice:      "CXL-A",
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
-		Seed:                  1,
 	}
 }
 
@@ -131,6 +128,5 @@ func FPGADegradedSpec() Spec {
 		DefaultFarDevice:      "CXL-F",
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
-		Seed:                  1,
 	}
 }

@@ -90,19 +90,6 @@ type Spec struct {
 	// CoherenceCongestion keeps the remote directory's burst penalty on
 	// emulated devices; disable for the O3 ablation.
 	CoherenceCongestion bool
-	// Seed drives any stochastic components layered on the system.
-	Seed uint64
-}
-
-// config derives the legacy Config view of the spec.
-func (sp Spec) config() Config {
-	return Config{
-		SNCNodes:              sp.SNCNodes,
-		LocalDDRChannels:      sp.LocalDDRChannels,
-		CXLBreaksSNCIsolation: sp.CXLBreaksSNCIsolation,
-		CoherenceCongestion:   sp.CoherenceCongestion,
-		Seed:                  sp.Seed,
-	}
 }
 
 // hierConfig derives the cache hierarchy the spec builds: the evaluated
@@ -200,8 +187,6 @@ func (b *Builder) Build() (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:        sp.config(),
-		spec:       sp,
 		defaultFar: sp.defaultFar(),
 		Hier:       cache.NewHierarchy(sp.hierConfig()),
 		DDRLocal: &Path{

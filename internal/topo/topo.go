@@ -179,8 +179,6 @@ type Config struct {
 	// CoherenceCongestion keeps the remote directory's burst penalty;
 	// disable for the O3 ablation.
 	CoherenceCongestion bool
-	// Seed drives any stochastic components layered on the system.
-	Seed uint64
 }
 
 // DefaultConfig returns the paper's primary application setup: SNC mode on,
@@ -193,7 +191,6 @@ func DefaultConfig() Config {
 		LocalDDRChannels:      2,
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
-		Seed:                  1,
 	}
 }
 
@@ -205,7 +202,6 @@ func MicrobenchConfig() Config {
 		LocalDDRChannels:      8,
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
-		Seed:                  1,
 	}
 }
 
@@ -213,8 +209,6 @@ func MicrobenchConfig() Config {
 // a declarative Spec (spec.go); NewSystem remains as the legacy constructor
 // for the paper's Table-1 machine under a Config.
 type System struct {
-	cfg        Config
-	spec       Spec
 	defaultFar string
 	// paths holds every device path in the spec's presentation order,
 	// DDR5-L first.
@@ -239,15 +233,8 @@ func NewSystem(cfg Config) *System {
 	sp.LocalDDRChannels = cfg.LocalDDRChannels
 	sp.CXLBreaksSNCIsolation = cfg.CXLBreaksSNCIsolation
 	sp.CoherenceCongestion = cfg.CoherenceCongestion
-	sp.Seed = cfg.Seed
 	return MustBuild(sp)
 }
-
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Spec returns the declarative spec the system was built from.
-func (s *System) Spec() Spec { return s.spec }
 
 // DefaultFarDevice returns the name of the far-memory device scenarios use
 // when they do not name one — "CXL-A" on the Table-1 platform.

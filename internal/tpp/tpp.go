@@ -283,14 +283,6 @@ func siftDown(h []uint64, i, n int) {
 	}
 }
 
-// Heat exposes a page's current heat (diagnostics and tests).
-func (e *Engine) Heat(page int) uint32 {
-	if page >= len(e.heat) {
-		return 0
-	}
-	return e.heat[page]
-}
-
 // StallPenalty returns the demand-read latency penalty from a batch of
 // migrations running concurrently with the application over a window: the
 // copies occupy the memory controllers ((1) in §5.1) and the PTE updates

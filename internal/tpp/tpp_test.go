@@ -144,16 +144,16 @@ func TestPingPongDamperHalvesHeat(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		e.RecordAccess(0)
 	}
-	if e.Heat(0) != 8 {
-		t.Fatalf("heat = %d, want 8", e.Heat(0))
+	if heatOf(e, 0) != 8 {
+		t.Fatalf("heat = %d, want 8", heatOf(e, 0))
 	}
 	migs := e.Scan()
 	if len(migs) == 0 {
 		t.Fatal("hot page should be promoted")
 	}
 	// Damper halves on migration, decay halves again: 8 -> 4 -> 2.
-	if e.Heat(0) != 2 {
-		t.Errorf("heat after damped migration + decay = %d, want 2", e.Heat(0))
+	if heatOf(e, 0) != 2 {
+		t.Errorf("heat after damped migration + decay = %d, want 2", heatOf(e, 0))
 	}
 }
 
@@ -163,10 +163,10 @@ func TestHeatDecay(t *testing.T) {
 	e.RecordAccess(0)
 	e.RecordAccess(0)
 	e.Scan()
-	if e.Heat(0) != 1 {
-		t.Errorf("heat after decay = %d, want 1", e.Heat(0))
+	if heatOf(e, 0) != 1 {
+		t.Errorf("heat after decay = %d, want 1", heatOf(e, 0))
 	}
-	if e.Heat(99999) != 0 {
+	if heatOf(e, 99999) != 0 {
 		t.Error("unknown page heat should be 0")
 	}
 }
@@ -175,9 +175,17 @@ func TestRecordAccessGrowsHeatSlice(t *testing.T) {
 	space := newSpace(50, 1)
 	e := NewEngine(DefaultConfig(), space)
 	e.RecordAccess(1000 * numa.PageBytes) // far beyond current pages
-	if e.Heat(1000) != 1 {
+	if heatOf(e, 1000) != 1 {
 		t.Error("heat slice did not grow")
 	}
+}
+
+// heatOf returns a page's current heat, 0 for a page never recorded.
+func heatOf(e *Engine, page int) uint32 {
+	if page >= len(e.heat) {
+		return 0
+	}
+	return e.heat[page]
 }
 
 func TestStallPenalty(t *testing.T) {
@@ -367,9 +375,9 @@ func checkScanMatchesReference(t *testing.T, c scanCase) {
 			}
 		}
 		for p := 0; p < c.pages; p++ {
-			if fast.Heat(p) != ref.heat[p] || fast.space.NodeOfPage(p) != ref.space.NodeOfPage(p) {
+			if heatOf(fast, p) != ref.heat[p] || fast.space.NodeOfPage(p) != ref.space.NodeOfPage(p) {
 				t.Fatalf("%v scan %d: page %d heat/node %d/%d, reference %d/%d", c, scan, p,
-					fast.Heat(p), fast.space.NodeOfPage(p), ref.heat[p], ref.space.NodeOfPage(p))
+					heatOf(fast, p), fast.space.NodeOfPage(p), ref.heat[p], ref.space.NodeOfPage(p))
 			}
 		}
 		if fast.Promotions != ref.Promotions || fast.Demotions != ref.Demotions {

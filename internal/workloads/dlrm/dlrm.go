@@ -208,16 +208,6 @@ func sampleFrom(eq fluid.Equilibrium, ddr *topo.Path, cxlPercent float64) teleme
 	}
 }
 
-// SweepRatios runs the given allocation ratios (percent CXL) at a fixed
-// thread count — the Fig. 9a series and the Fig. 11/12a staircases.
-func SweepRatios(sys *topo.System, cfg Config, cxlName string, ratios []float64, threads int, sc Scenario) []Result {
-	out := make([]Result, len(ratios))
-	for i, r := range ratios {
-		out[i] = Run(sys, cfg, cxlName, r, threads, sc)
-	}
-	return out
-}
-
 // BestRatio scans CXL percentages 0..100 in steps and returns the
 // throughput-maximizing one.
 func BestRatio(sys *topo.System, cfg Config, cxlName string, threads int, sc Scenario, step float64) (best float64, qps float64) {

@@ -106,7 +106,10 @@ func TestFig11Correlations(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	cfg := DefaultConfig()
 	ratios := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	results := SweepRatios(sys, cfg, "CXL-A", ratios, 24, SNCAlone)
+	results := make([]Result, len(ratios))
+	for i, r := range ratios {
+		results[i] = Run(sys, cfg, "CXL-A", r, 24, SNCAlone)
+	}
 
 	// Throughput and bandwidth both peak somewhere strictly inside.
 	bestQ, bestI := 0.0, 0

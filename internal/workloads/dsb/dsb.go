@@ -92,9 +92,6 @@ func (w Workload) String() string {
 	}
 }
 
-// Workloads returns the three evaluated workloads in Fig. 6 order.
-func Workloads() []Workload { return []Workload{ComposePosts, ReadUserTimelines, Mixed} }
-
 // WorkloadByName resolves the scenario-spec names: "compose" (Fig. 6b),
 // "readuser" (Fig. 6c) and "mixed" (Fig. 6d).
 func WorkloadByName(name string) (Workload, error) {

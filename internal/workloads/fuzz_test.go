@@ -1,4 +1,4 @@
-package workloads
+package workloads_test
 
 import (
 	"reflect"
@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"cxlmem/internal/sim"
+	"cxlmem/internal/workloads"
+	"cxlmem/internal/workloads/workloadstest"
 )
 
 // roundTrip asserts the canonical-form contract on one parsed scenario:
 // String must re-parse to an identical Scenario with an identical canonical
 // string (String is the memo key — a fixpoint or cells silently fork).
-func roundTrip(t *testing.T, sc Scenario) {
+func roundTrip(t *testing.T, sc workloads.Scenario) {
 	t.Helper()
 	canon := sc.String()
-	re, err := ParseScenario(canon)
+	re, err := workloads.ParseScenario(canon)
 	if err != nil {
 		t.Fatalf("canonical form %q does not re-parse: %v", canon, err)
 	}
@@ -32,13 +34,13 @@ func roundTrip(t *testing.T, sc Scenario) {
 // quick environment without a panic or an error.
 func TestScenarioFuzzCorpus(t *testing.T) {
 	rng := sim.NewRng(2026)
-	env := NewEnv()
+	env := workloads.NewEnv()
 	env.Quick = true
 	for i := 0; i < 200; i++ {
-		spec := RandomScenarioSpec(rng)
-		sc, err := mustParse(spec)
+		spec := workloadstest.RandomScenarioSpec(rng)
+		sc, err := workloads.ParseScenario(spec)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("generated spec %q does not parse: %v", spec, err)
 		}
 		roundTrip(t, sc)
 		// Running every cell would dominate CI; a fixed stride keeps the
@@ -61,7 +63,7 @@ func TestRandomScenarioCoverage(t *testing.T) {
 	workloadsSeen := map[string]bool{}
 	var variant, policy, size, qps, threads, ops, seed, device, platform bool
 	for i := 0; i < 2000; i++ {
-		sc := RandomScenario(rng)
+		sc := workloadstest.RandomScenario(rng)
 		workloadsSeen[sc.Workload] = true
 		variant = variant || sc.Variant != ""
 		policy = policy || sc.Policy.Set
@@ -73,7 +75,7 @@ func TestRandomScenarioCoverage(t *testing.T) {
 		device = device || sc.Device != ""
 		platform = platform || sc.Platform != ""
 	}
-	for _, name := range Names() {
+	for _, name := range workloads.Names() {
 		if !workloadsSeen[name] {
 			t.Errorf("generator never drew workload %s", name)
 		}
@@ -95,7 +97,7 @@ func TestRandomScenarioCoverage(t *testing.T) {
 func FuzzParseScenario(f *testing.F) {
 	rng := sim.NewRng(99)
 	for i := 0; i < 32; i++ {
-		f.Add(RandomScenarioSpec(rng))
+		f.Add(workloadstest.RandomScenarioSpec(rng))
 	}
 	f.Add("kvstore/policy=weighted:85,15/size=4G")
 	f.Add("tpp-timeline:steady/qps=80000/ops=120")
@@ -112,16 +114,18 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add("kvstore/size=16777217T")
 	f.Add("kvstore/size=8388608T")
 	f.Add("kvstore/ops=2000000000")
+	f.Add("tpp-timeline/qps=1e9")
 	f.Fuzz(func(t *testing.T, spec string) {
-		sc, err := ParseScenario(spec)
+		sc, err := workloads.ParseScenario(spec)
 		if err != nil {
 			return // invalid inputs must only error, never panic
 		}
-		if sc.SizeBytes < 0 || sc.SizeBytes > maxSizeBytes || sc.Ops < 0 || sc.Ops > maxOps {
-			t.Fatalf("%q parsed past the limits: size=%d ops=%d", spec, sc.SizeBytes, sc.Ops)
+		if sc.SizeBytes < 0 || sc.SizeBytes > workloads.MaxSizeBytes || sc.Ops < 0 || sc.Ops > workloads.MaxOps ||
+			sc.TargetQPS < 0 || sc.TargetQPS > workloads.MaxQPS {
+			t.Fatalf("%q parsed past the limits: size=%d ops=%d qps=%g", spec, sc.SizeBytes, sc.Ops, sc.TargetQPS)
 		}
 		canon := sc.String()
-		re, err := ParseScenario(canon)
+		re, err := workloads.ParseScenario(canon)
 		if err != nil {
 			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, spec, err)
 		}
@@ -133,14 +137,16 @@ func FuzzParseScenario(f *testing.F) {
 
 // TestFuzzSeedsRejectedCleanly pins the error path of the hand-written
 // invalid seeds: they must produce errors mentioning the failing part. The
-// size= and ops= seeds lie past the limits or overflow int64; accepted, they
-// would make a replica allocate gigabytes or alias another cell's memo key.
+// size=, ops= and qps= seeds lie past the limits or overflow int64; accepted,
+// they would make a replica allocate gigabytes, run for minutes or alias
+// another cell's memo key.
 func TestFuzzSeedsRejectedCleanly(t *testing.T) {
 	for _, bad := range []string{
 		"", "///", "kvstore/policy=", "kvstore/qps=NaN", "kvstore/size=-1G", "nosuch/policy=ddr",
 		"kvstore/size=8T", "kvstore/size=16777217T", "kvstore/size=8388608T", "kvstore/ops=2000000000",
+		"tpp-timeline/qps=1e9",
 	} {
-		if _, err := ParseScenario(bad); err == nil {
+		if _, err := workloads.ParseScenario(bad); err == nil {
 			t.Errorf("spec %q should not parse", bad)
 		} else if !strings.Contains(err.Error(), "workloads:") {
 			t.Errorf("spec %q: error %v lacks package context", bad, err)

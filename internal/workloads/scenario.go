@@ -86,15 +86,18 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// The largest size= and ops= a spec may set. Both knobs size a run's memory,
-// and a spec is outside input to cxlserve: without a cap one request could
-// ask for more memory than the replica has, and the Go runtime ends a
-// process that runs out of memory without a panic anyone can recover. The
-// largest values the repository itself uses are size=4G and the fuzz
-// generator's ops=40099 (DESIGN.md §22).
+// The largest size=, ops= and qps= a spec may set. size= and ops= size a
+// run's memory, and qps= is tpp-timeline's arrival rate, so its events and
+// CPU time grow with it. A spec is outside input to cxlserve: without a cap
+// one request could ask for more memory than the replica has, and the Go
+// runtime ends a process that runs out of memory without a panic anyone can
+// recover; nor can a request deadline stop a run once it has started. The
+// largest values the repository itself uses are size=4G, the fuzz
+// generator's ops=40099 and its qps=100000 (DESIGN.md §22).
 const (
 	maxSizeBytes = 16 << 30
 	maxOps       = 1_000_000
+	maxQPS       = 200_000
 )
 
 // Scenario is one parsed cell spec: a workload, an optional variant, and
@@ -162,6 +165,9 @@ func ParseScenario(spec string) (Scenario, error) {
 			sc.TargetQPS, err = parseFinite(val)
 			if err == nil && sc.TargetQPS <= 0 {
 				err = fmt.Errorf("workloads: qps must be positive, got %q", val)
+			}
+			if err == nil && sc.TargetQPS > maxQPS {
+				err = fmt.Errorf("workloads: qps %q is above the %d limit", val, maxQPS)
 			}
 		case "threads":
 			sc.Threads, err = strconv.Atoi(val)

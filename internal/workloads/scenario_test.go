@@ -41,6 +41,8 @@ func TestParseScenarioValid(t *testing.T) {
 		{"fluid/platform=x16-quad", Scenario{Workload: "fluid", Platform: "x16-quad"}},
 		{"dlrm/platform=TABLE1", // platform names normalize to lowercase
 			Scenario{Workload: "dlrm", Platform: "table1"}},
+		{"tpp-timeline/qps=200000", // the qps limit itself
+			Scenario{Workload: "tpp-timeline", TargetQPS: 200000}},
 	}
 	for _, c := range cases {
 		got, err := ParseScenario(c.in)
@@ -71,6 +73,7 @@ func TestParseScenarioInvalid(t *testing.T) {
 		"ycsb/qps=0",                 // non-positive qps
 		"ycsb/qps=nan",               // NaN defeats range checks + memo key
 		"ycsb/qps=+inf",              // infinite load
+		"tpp-timeline/qps=200001",    // qps above the limit
 		"fluid/policy=cxl:nan",       // NaN percent
 		"ycsb/policy=weighted:inf,1", // infinite weight
 		"ycsb/threads=-3",            // negative threads

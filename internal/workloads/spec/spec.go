@@ -64,16 +64,6 @@ var (
 // Profiles returns the evaluated benchmarks in paper order.
 func Profiles() []Profile { return []Profile{Fotonik3d, Mcf, Roms, CactuBSSN} }
 
-// ByName looks up a profile.
-func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("spec: unknown benchmark %q", name)
-}
-
 // hitRate mirrors the DLRM footprint model (fluid.FootprintHitRate).
 func (p Profile) hitRate(capacityBytes int64) float64 {
 	return fluid.FootprintHitRate(capacityBytes, p.HotBytes, p.ColdBytes, p.HotFraction)
@@ -244,19 +234,4 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// BestRatio scans ratios for the mix and returns the best percentage.
-func BestRatio(sys *topo.System, members []Member, cxlName string, step float64) (best, gips float64) {
-	if step <= 0 {
-		panic("spec: non-positive step")
-	}
-	for r := 0.0; r <= 100; r += step {
-		res := Run(sys, members, cxlName, r)
-		if res.GIPS > gips {
-			gips = res.GIPS
-			best = r
-		}
-	}
-	return best, gips
 }

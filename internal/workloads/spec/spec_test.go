@@ -13,10 +13,10 @@ func TestProfilesLookup(t *testing.T) {
 	if len(Profiles()) != 4 {
 		t.Fatal("expected 4 profiles")
 	}
-	if _, err := ByName("mcf"); err != nil {
+	if _, err := MixByName("mcf", 16); err != nil {
 		t.Error(err)
 	}
-	if _, err := ByName("perlbench"); err == nil {
+	if _, err := MixByName("perlbench", 16); err == nil {
 		t.Error("low-MPKI benchmark should be unknown")
 	}
 }
@@ -54,7 +54,7 @@ func TestInteriorOptimum(t *testing.T) {
 	for _, p := range Profiles() {
 		g0 := Run(sys, mix16(p), "CXL-A", 0).GIPS
 		g50 := Run(sys, mix16(p), "CXL-A", 50).GIPS
-		best, gBest := BestRatio(sys, mix16(p), "CXL-A", 2)
+		best, gBest := bestRatio(sys, mix16(p), "CXL-A", 2)
 		bestStatic := g0
 		if g50 > bestStatic {
 			bestStatic = g50
@@ -68,6 +68,17 @@ func TestInteriorOptimum(t *testing.T) {
 	}
 }
 
+// bestRatio scans CXL percentages 0..100 in steps and returns the
+// throughput-maximizing one with its throughput.
+func bestRatio(sys *topo.System, members []Member, cxlName string, step float64) (best, gips float64) {
+	for r := 0.0; r <= 100; r += step {
+		if res := Run(sys, members, cxlName, r); res.GIPS > gips {
+			best, gips = r, res.GIPS
+		}
+	}
+	return best, gips
+}
+
 func TestMixesGainFromTuning(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	mixes := [][]Member{
@@ -76,7 +87,7 @@ func TestMixesGainFromTuning(t *testing.T) {
 	}
 	for _, m := range mixes {
 		g0 := Run(sys, m, "CXL-A", 0).GIPS
-		best, gBest := BestRatio(sys, m, "CXL-A", 2)
+		best, gBest := bestRatio(sys, m, "CXL-A", 2)
 		if gBest <= g0 {
 			t.Errorf("mix %s+%s: tuning should beat DDR-only", m[0].Profile.Name, m[1].Profile.Name)
 		}
@@ -117,7 +128,6 @@ func TestRunPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"empty mix": func() { Run(sys, nil, "CXL-A", 0) },
 		"bad ratio": func() { Run(sys, mix16(Mcf), "CXL-A", 101) },
-		"bad step":  func() { BestRatio(sys, mix16(Mcf), "CXL-A", 0) },
 	} {
 		func() {
 			defer func() {

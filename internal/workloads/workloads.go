@@ -194,16 +194,6 @@ func MetricsFromDataset(d *results.Dataset) (Metrics, error) {
 	return m, nil
 }
 
-// Get looks a measurement up by name.
-func (m Metrics) Get(name string) (float64, bool) {
-	for _, it := range m.Items {
-		if it.Name == name {
-			return it.Value, true
-		}
-	}
-	return 0, false
-}
-
 // Workload is one runnable application model.
 type Workload interface {
 	// Name is the registry key ("ycsb", "dlrm", ...).

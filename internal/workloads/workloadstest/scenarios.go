@@ -1,15 +1,14 @@
-// Random valid scenario generation for the fuzzer corpus (ISSUE 8's
-// scenario fuzzer): specs drawn across the whole workload x platform matrix,
+// Package workloadstest generates random valid scenario specs for the
+// scenario fuzzer: specs drawn across the whole workload x platform matrix,
 // every one of which must parse, round-trip canonically and run without
-// panicking. Lives in the package proper (not a _test file) so the
-// experiments package's memo-key fuzz test can reuse the generator.
-package workloads
+// panicking. Only tests import it: the workloads fuzz corpus and the
+// experiments package's memo-key fuzz test share the generator.
+package workloadstest
 
 import (
-	"fmt"
-
 	"cxlmem/internal/sim"
 	"cxlmem/internal/topo"
+	"cxlmem/internal/workloads"
 )
 
 // fuzzPolicies are the policy= spellings RandomScenario draws from; the
@@ -28,26 +27,26 @@ var fuzzSizes = []string{"4096", "64K", "512K", "16M", "64M", "256M", "1G", "4G"
 // fuzzer's contract is to explore the valid-spec space (invalid specs get
 // their own deterministic rejection tests); rng drives every choice, so a
 // seeded corpus is reproducible.
-func RandomScenario(rng *sim.Rng) Scenario {
-	names := Names()
-	w, err := Get(names[rng.Intn(len(names))])
+func RandomScenario(rng *sim.Rng) workloads.Scenario {
+	names := workloads.Names()
+	w, err := workloads.Get(names[rng.Intn(len(names))])
 	if err != nil {
 		panic(err) // unreachable: the name came from the registry
 	}
-	sc := Scenario{Workload: w.Name()}
+	sc := workloads.Scenario{Workload: w.Name()}
 	if rng.Intn(2) == 0 {
 		variants := w.Variants()
 		sc.Variant = variants[rng.Intn(len(variants))]
 	}
 	if rng.Intn(2) == 0 {
-		p, err := ParsePolicy(fuzzPolicies[rng.Intn(len(fuzzPolicies))])
+		p, err := workloads.ParsePolicy(fuzzPolicies[rng.Intn(len(fuzzPolicies))])
 		if err != nil {
 			panic(err) // unreachable: the literals are valid
 		}
 		sc.Policy = p
 	}
 	if rng.Intn(3) == 0 {
-		n, err := ParseBytes(fuzzSizes[rng.Intn(len(fuzzSizes))])
+		n, err := workloads.ParseBytes(fuzzSizes[rng.Intn(len(fuzzSizes))])
 		if err != nil {
 			panic(err) // unreachable: the literals are valid
 		}
@@ -108,13 +107,4 @@ func RandomScenarioSpec(rng *sim.Rng) string {
 		}
 		return string(upper) + rest
 	}
-}
-
-// mustParse round-trips a generated spec; the fuzz corpus helpers share it.
-func mustParse(spec string) (Scenario, error) {
-	sc, err := ParseScenario(spec)
-	if err != nil {
-		return Scenario{}, fmt.Errorf("workloads: generated spec %q does not parse: %w", spec, err)
-	}
-	return sc, nil
 }

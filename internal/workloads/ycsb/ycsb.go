@@ -143,17 +143,10 @@ func WorkloadByAlias(name string) (Workload, error) {
 	return WorkloadByName(strings.ToUpper(name))
 }
 
-// WriteFraction returns the fraction of operations that write (updates,
-// inserts, and the write half of RMW count as writes).
-func (w Workload) WriteFraction() float64 {
-	return w.UpdateP + w.InsertP + w.RMWP
-}
-
 // Generator produces an operation stream.
 type Generator struct {
 	w        Workload
 	dist     Distribution
-	keys     int
 	inserted int
 	rng      *sim.Rng
 	zipf     *sim.Zipf
@@ -170,15 +163,12 @@ func NewGenerator(w Workload, keys int, dist Distribution, seed uint64) *Generat
 		panic("ycsb: non-positive keyspace")
 	}
 	rng := sim.NewRng(seed)
-	g := &Generator{w: w, dist: dist, keys: keys, inserted: keys, rng: rng}
+	g := &Generator{w: w, dist: dist, inserted: keys, rng: rng}
 	if dist == Zipfian || dist == Latest {
 		g.zipf = sim.NewZipf(rng, keys, ZipfTheta)
 	}
 	return g
 }
-
-// Keys returns the current keyspace size (grows with inserts).
-func (g *Generator) Keys() int { return g.inserted }
 
 // Next returns the next operation.
 func (g *Generator) Next() Op {

@@ -30,7 +30,8 @@ func TestWriteFractions(t *testing.T) {
 	cases := map[string]float64{"A": 0.5, "B": 0.05, "C": 0, "D": 0.05, "F": 0.5}
 	for name, want := range cases {
 		w, _ := WorkloadByName(name)
-		if got := w.WriteFraction(); got != want {
+		// Updates, inserts and the write half of RMW count as writes.
+		if got := w.UpdateP + w.InsertP + w.RMWP; got != want {
 			t.Errorf("%s write fraction = %v, want %v", name, got, want)
 		}
 	}
@@ -55,8 +56,8 @@ func TestKeysInRange(t *testing.T) {
 		g := NewGenerator(WorkloadC, 5000, dist, 2)
 		for i := 0; i < 50000; i++ {
 			op := g.Next()
-			if op.Key < 0 || op.Key >= g.Keys() {
-				t.Fatalf("%v: key %d out of range [0, %d)", dist, op.Key, g.Keys())
+			if op.Key < 0 || op.Key >= g.inserted {
+				t.Fatalf("%v: key %d out of range [0, %d)", dist, op.Key, g.inserted)
 			}
 		}
 	}
@@ -64,15 +65,15 @@ func TestKeysInRange(t *testing.T) {
 
 func TestInsertGrowsKeyspace(t *testing.T) {
 	g := NewGenerator(WorkloadD, 1000, Latest, 3)
-	before := g.Keys()
+	before := g.inserted
 	inserts := 0
 	for i := 0; i < 20000; i++ {
 		if g.Next().Type == Insert {
 			inserts++
 		}
 	}
-	if g.Keys() != before+inserts {
-		t.Errorf("keyspace grew by %d, want %d", g.Keys()-before, inserts)
+	if g.inserted != before+inserts {
+		t.Errorf("keyspace grew by %d, want %d", g.inserted-before, inserts)
 	}
 	if inserts == 0 {
 		t.Error("workload D generated no inserts")
@@ -99,7 +100,7 @@ func TestLatestFavorsRecent(t *testing.T) {
 	const n = 50000
 	for i := 0; i < n; i++ {
 		op := g.Next()
-		if op.Type == Read && op.Key > g.Keys()-1000 {
+		if op.Type == Read && op.Key > g.inserted-1000 {
 			recent++
 		}
 	}
