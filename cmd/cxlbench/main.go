@@ -38,7 +38,8 @@
 // With -remote, scenario cells are not computed locally: they are sharded
 // across a cxlserve replica fleet by canonical cell key (the coordinator
 // fan-out of DESIGN.md §14) and merged byte-identically to local execution,
-// so a warm fleet answers the full matrix without local compute:
+// so a warm fleet answers the full matrix without local compute. The
+// replica list takes cxlserve's -peers syntax:
 //
 //	cxlbench -scenario all -remote host1:8375,host2:8375
 //	cxlbench -scenario 'dlrm/policy=cxl:63' -remote host1:8375,host2:8375
@@ -49,7 +50,8 @@
 // sweeping serially, so total concurrency never exceeds the requested
 // worker count. Output is byte-identical for every -parallel value: results
 // are ordered by operating point, and tables print in registry order. A
-// negative -parallel exits 2 with the usage text.
+// stray argument, a negative -parallel or an unknown -format exits 2 with
+// the usage text before anything runs.
 package main
 
 import (
@@ -58,6 +60,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
@@ -80,14 +83,13 @@ func main() {
 	if flag.NArg() > 0 {
 		// flag stops at the first non-flag argument, so everything after a
 		// stray word (say -quick true) would be dropped silently.
-		fmt.Fprintf(os.Stderr, "cxlbench: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+		usageError("unexpected argument %q", flag.Arg(0))
 	}
 	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "cxlbench: -parallel must not be negative, got %d\n", *parallel)
-		flag.Usage()
-		os.Exit(2)
+		usageError("-parallel must not be negative, got %d", *parallel)
+	}
+	if *format != "" && !slices.Contains(cxlmem.Formats(), *format) {
+		usageError("unknown -format %q (want %s)", *format, strings.Join(cxlmem.Formats(), ", "))
 	}
 
 	if *remote != "" && (*scenario == "" || *scenario == "list") {
@@ -107,9 +109,11 @@ func main() {
 	}
 
 	cfg := cxlmem.RunConfig{Quick: *quick, Parallel: *parallel, Seed: *seed, Fidelity: *fidelity}
-	if *platform != "" && *platform != "list" {
+	if *platform != "list" {
 		cfg.Platform = *platform
 	}
+	var d *cxlmem.Dataset
+	var err error
 	switch {
 	case *platform == "list":
 		for _, p := range cxlmem.Platforms() {
@@ -122,51 +126,46 @@ func main() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
 		}
 	case *run == "all":
-		if err := runAll(cfg, *format); err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
+		err = runAll(cfg, *format)
 	case *run != "":
-		out, err := cxlmem.RunExperimentIn(*run, cfg, *format)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
-		fmt.Print(out)
+		d, err = cxlmem.RunDataset(*run, cfg)
 	case *scenario == "list":
 		for _, s := range cxlmem.ScenarioWorkloads() {
 			fmt.Printf("%-8s %s\n         variants: %s\n", s.Name, s.Desc, strings.Join(s.Variants, ", "))
 		}
 		fmt.Println("\ncatalog (EXPERIMENTS.md form):")
 		fmt.Print(cxlmem.ScenarioCatalog())
+	case *scenario == "all" && *remote != "":
+		// Sharded across a cxlserve fleet by canonical cell key: the bytes
+		// are the local run's; only where the cells compute changes.
+		d, err = cxlmem.RunRemoteScenarioMatrixDataset(*remote, cfg)
 	case *scenario == "all":
-		out, err := runMatrix(cfg, *format, *remote)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
-		fmt.Print(out)
+		d, err = cxlmem.RunScenarioMatrixDataset(cfg)
+	case *scenario != "" && *remote != "":
+		d, err = cxlmem.RunRemoteScenarioDataset(*scenario, *remote, cfg)
 	case *scenario != "":
-		out, err := runScenario(*scenario, cfg, *format, *remote)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
-		fmt.Print(out)
+		d, err = cxlmem.RunScenarioDataset(*scenario, cfg)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err == nil && d != nil {
+		err = emit(d, *format)
+	}
+	if err != nil {
+		pprof.StopCPUProfile()
+		fail(err)
+	}
 }
 
 // runAll regenerates every experiment through a bounded worker pool and
-// prints the renderings in registry order as they complete. The -parallel
+// prints the datasets in registry order as they complete. The -parallel
 // budget moves to the experiment level: each experiment sweeps serially so
 // the two pools cannot multiply.
 func runAll(cfg cxlmem.RunConfig, format string) error {
 	infos := cxlmem.Experiments()
 	type result struct {
-		out  string
+		d    *cxlmem.Dataset
 		err  error
 		done chan struct{}
 	}
@@ -195,7 +194,7 @@ func runAll(cfg cxlmem.RunConfig, format string) error {
 				if i >= len(infos) {
 					return
 				}
-				results[i].out, results[i].err = cxlmem.RunExperimentIn(infos[i].ID, cfg, format)
+				results[i].d, results[i].err = cxlmem.RunDataset(infos[i].ID, cfg)
 				close(results[i].done)
 			}
 		}()
@@ -205,41 +204,30 @@ func runAll(cfg cxlmem.RunConfig, format string) error {
 		if results[i].err != nil {
 			return results[i].err
 		}
-		fmt.Print(results[i].out)
+		if err := emit(results[i].d, format); err != nil {
+			return err
+		}
 		fmt.Println()
 	}
 	return nil
 }
 
-// runMatrix evaluates the full matrix locally, or — with -remote — sharded
-// across a cxlserve fleet by canonical cell key. The output is
-// byte-identical either way; remote dispatch only changes where the cells
-// compute and whose caches warm up.
-func runMatrix(cfg cxlmem.RunConfig, format, remote string) (string, error) {
-	if remote == "" {
-		return cxlmem.RunScenarioMatrixIn(cfg, format)
+// emit prints one dataset in the -format checked at startup; every run
+// renders through it.
+func emit(d *cxlmem.Dataset, format string) error {
+	out, err := cxlmem.Emit(d, format)
+	if err != nil {
+		return err
 	}
-	return cxlmem.RunRemoteScenarioMatrixIn(splitPeers(remote), cfg, format)
+	fmt.Print(out)
+	return nil
 }
 
-// runScenario evaluates one cell locally or on the replica owning its key.
-func runScenario(spec string, cfg cxlmem.RunConfig, format, remote string) (string, error) {
-	if remote == "" {
-		return cxlmem.RunScenarioIn(spec, cfg, format)
-	}
-	return cxlmem.RunRemoteScenarioIn(spec, splitPeers(remote), cfg, format)
-}
-
-// splitPeers splits the -remote flag's comma-separated replica list; the
-// facade normalizes schemes and rejects an empty result.
-func splitPeers(remote string) []string {
-	var peers []string
-	for _, p := range strings.Split(remote, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
+// usageError reports a bad command line and exits 2 with the usage text.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "cxlbench: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fail(err error) {

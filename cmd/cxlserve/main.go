@@ -112,14 +112,8 @@ func main() {
 		usageError("-snapshot-interval needs -snapshot-save")
 	}
 
-	opts := experiments.DefaultOptions()
-	opts.Quick = *quick
-	opts.Parallel = *parallel
-	opts.Platform = *platform
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
-	if err := opts.Validate(); err != nil {
+	opts, err := experiments.Options{Quick: *quick, Parallel: *parallel, Seed: *seed, Platform: *platform}.Resolve()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "cxlserve:", err)
 		os.Exit(1)
 	}
@@ -151,7 +145,6 @@ func main() {
 
 	var ring *cluster.Ring
 	if *peers != "" {
-		var err error
 		ring, err = buildRing(*selfAddr, *addr, *peers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cxlserve:", err)

@@ -8,17 +8,19 @@
 // workload registry, and wires Caption controllers to workloads. The
 // building blocks live under internal/ (see DESIGN.md for the map).
 //
+// Every run returns a typed Dataset; Emit renders it as text, json or csv.
+//
 // Quick start:
 //
-//	sys := cxlmem.NewSystem()                   // paper §5 setup: SNC on, 2 DDR ch + CXL
-//	out, err := cxlmem.RunExperiment("fig3")    // regenerate a figure
-//	fmt.Print(out)
-//	out, err = cxlmem.RunScenario("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{})
+//	sys := cxlmem.NewSystem()                              // paper §5 setup: SNC on, 2 DDR ch + CXL
+//	d, err := cxlmem.RunDataset("fig3", cxlmem.RunConfig{}) // regenerate a figure
+//	fmt.Print(d.Render())
+//	d, err = cxlmem.RunScenarioDataset("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{})
+//	out, err := cxlmem.Emit(d, "json")
 package cxlmem
 
 import (
 	"fmt"
-	"strings"
 
 	"cxlmem/internal/core"
 	"cxlmem/internal/experiments"
@@ -88,7 +90,7 @@ func PlatformCatalog() string { return topo.PlatformCatalog() }
 
 // ExperimentInfo describes one reproducible table or figure.
 type ExperimentInfo struct {
-	// ID is the identifier accepted by RunExperiment ("fig3", "table1", ...).
+	// ID is the identifier accepted by RunDataset ("fig3", "table1", ...).
 	ID string
 	// Desc is a one-line description.
 	Desc string
@@ -126,44 +128,16 @@ type RunConfig struct {
 	Fidelity string
 }
 
-// RunExperiment regenerates the table or figure with the given ID at full
-// fidelity and returns its text rendering.
-func RunExperiment(id string) (string, error) {
-	return RunExperimentCfg(id, RunConfig{})
-}
-
-// options converts a RunConfig into the experiment layer's option set.
-func (cfg RunConfig) options() experiments.Options {
-	opts := experiments.DefaultOptions()
-	opts.Quick = cfg.Quick
-	opts.Parallel = cfg.Parallel
-	// Platform names are lowercase in the registry; normalize here so the
-	// flag/API accepts the same spellings as the platform= spec key (and the
-	// memo cell key never forks on case).
-	opts.Platform = strings.ToLower(cfg.Platform)
-	// Lowercase the fidelity the same way; a bad name is rejected by the
-	// experiment layer's Validate with a descriptive error.
-	opts.Fidelity = experiments.Fidelity(strings.ToLower(cfg.Fidelity))
-	if cfg.Seed != 0 {
-		opts.Seed = cfg.Seed
-	}
-	return opts
-}
-
-// RunExperimentCfg regenerates one experiment under the given configuration
-// and returns its text rendering (byte-identical to the historical tables).
-func RunExperimentCfg(id string, cfg RunConfig) (string, error) {
-	return RunExperimentIn(id, cfg, "")
-}
-
-// RunExperimentIn regenerates one experiment and renders it in the named
-// format ("text", "json", "csv"; empty means text).
-func RunExperimentIn(id string, cfg RunConfig, format string) (string, error) {
-	d, err := RunDataset(id, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
+// options resolves the configuration into the experiment layer's option
+// set through the one mapping cxlserve's flags take too.
+func (cfg RunConfig) options() (experiments.Options, error) {
+	return experiments.Options{
+		Quick:    cfg.Quick,
+		Parallel: cfg.Parallel,
+		Seed:     cfg.Seed,
+		Platform: cfg.Platform,
+		Fidelity: experiments.Fidelity(cfg.Fidelity),
+	}.Resolve()
 }
 
 // RunDataset regenerates one experiment as a typed dataset, memoized
@@ -171,12 +145,16 @@ func RunExperimentIn(id string, cfg RunConfig, format string) (string, error) {
 // re-emitting one run in several formats — evaluate the experiment once.
 // The returned dataset is shared; treat it as immutable.
 func RunDataset(id string, cfg RunConfig) (*Dataset, error) {
-	return experiments.RunDataset(id, cfg.options())
+	o, err := cfg.options()
+	if err != nil {
+		return nil, err
+	}
+	return experiments.RunDataset(id, o)
 }
 
 // ScenarioInfo describes one registered workload of the scenario engine.
 type ScenarioInfo struct {
-	// Name is the spec head accepted by RunScenario ("ycsb", "dlrm", ...).
+	// Name is the spec head accepted by RunScenarioDataset ("ycsb", "dlrm", ...).
 	Name string
 	// Desc is a one-line description.
 	Desc string
@@ -197,55 +175,33 @@ func ScenarioWorkloads() []ScenarioInfo {
 // EXPERIMENTS.md.
 func ScenarioCatalog() string { return workloads.Catalog() }
 
-// RunScenario evaluates one scenario spec (see internal/workloads: e.g.
-// "ycsb:readmostly/policy=weighted:85,15/size=4G") and returns its text
-// rendering — one row per metric. Results are memoized per process, so
+// RunScenarioDataset evaluates one scenario spec (see internal/workloads:
+// e.g. "ycsb:readmostly/policy=weighted:85,15/size=4G") as a typed dataset:
+// the cell's full metric list, one row per metric, with the canonical spec
+// in the provenance. The cell value is memoized process-wide, so
 // re-evaluating a cell is free.
-func RunScenario(spec string, cfg RunConfig) (string, error) {
-	return RunScenarioIn(spec, cfg, "")
-}
-
-// RunScenarioIn evaluates one scenario spec and renders it in the named
-// format ("text", "json", "csv"; empty means text).
-func RunScenarioIn(spec string, cfg RunConfig, format string) (string, error) {
-	d, err := RunScenarioDataset(spec, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
-}
-
-// RunScenarioDataset evaluates one scenario spec as a typed dataset: the
-// cell's full metric list, one row per metric, with the canonical spec in
-// the provenance. The cell value is memoized process-wide.
 func RunScenarioDataset(spec string, cfg RunConfig) (*Dataset, error) {
 	sc, err := workloads.ParseScenario(spec)
 	if err != nil {
 		return nil, err
 	}
-	return experiments.ScenarioResult(cfg.options(), sc)
-}
-
-// RunScenarioMatrix evaluates the full scenario cross product — the union
-// of the matrix-apps, matrix-policy, matrix-size and matrix-platform cells —
-// through the parallel sweep engine and returns one combined text table.
-func RunScenarioMatrix(cfg RunConfig) (string, error) {
-	return RunScenarioMatrixIn(cfg, "")
-}
-
-// RunScenarioMatrixIn is RunScenarioMatrix rendered in the named format.
-func RunScenarioMatrixIn(cfg RunConfig, format string) (string, error) {
-	d, err := RunScenarioMatrixDataset(cfg)
+	o, err := cfg.options()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return results.Emit(d, format)
+	return experiments.ScenarioResult(o, sc)
 }
 
-// RunScenarioMatrixDataset evaluates the full scenario cross product as one
-// typed dataset, one row per cell.
+// RunScenarioMatrixDataset evaluates the full scenario cross product — the
+// union of the matrix-apps, matrix-policy, matrix-size and matrix-platform
+// cells — through the parallel sweep engine as one typed dataset, one row
+// per cell.
 func RunScenarioMatrixDataset(cfg RunConfig) (*Dataset, error) {
-	return experiments.ScenarioDataset(cfg.options(), "matrix-all",
+	o, err := cfg.options()
+	if err != nil {
+		return nil, err
+	}
+	return experiments.ScenarioDataset(o, "matrix-all",
 		"full scenario matrix: workload x policy x size", experiments.AllMatrixScenarios())
 }
 

@@ -29,21 +29,32 @@ func TestExperimentsListed(t *testing.T) {
 	}
 }
 
+// render emits a run's dataset as text, failing the test on either error.
+func render(t *testing.T, d *Dataset, err error) string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Emit(d, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestScenarioFacade(t *testing.T) {
 	if got := len(ScenarioWorkloads()); got != 8 {
 		t.Errorf("expected 8 scenario workloads, got %d", got)
 	}
-	out, err := RunScenario("fluid/policy=interleave/size=64M", RunConfig{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, err := RunScenarioDataset("fluid/policy=interleave/size=64M", RunConfig{Quick: true})
+	out := render(t, d, err)
 	if !strings.Contains(out, "system_bw") {
 		t.Errorf("scenario rendering missing primary metric:\n%s", out)
 	}
-	if _, err := RunScenario("nope", RunConfig{}); err == nil {
+	if _, err := RunScenarioDataset("nope", RunConfig{}); err == nil {
 		t.Error("unknown scenario workload should error")
 	}
-	if _, err := RunScenario("ycsb/flavor=mild", RunConfig{}); err == nil {
+	if _, err := RunScenarioDataset("ycsb/flavor=mild", RunConfig{}); err == nil {
 		t.Error("bad spec key should error")
 	}
 	if !strings.Contains(ScenarioCatalog(), "| `ycsb` |") {
@@ -65,36 +76,32 @@ func TestPlatformFacade(t *testing.T) {
 	if !strings.Contains(PlatformCatalog(), "| `x16-quad` |") {
 		t.Error("catalog missing x16-quad row")
 	}
-	out, err := RunScenario("fluid", RunConfig{Quick: true, Platform: "snc-off"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, err := RunScenarioDataset("fluid", RunConfig{Quick: true, Platform: "snc-off"})
+	out := render(t, d, err)
 	if !strings.Contains(out, "system_bw") {
 		t.Errorf("platformed scenario rendering missing primary metric:\n%s", out)
 	}
-	if _, err := RunScenario("fluid", RunConfig{Platform: "nope"}); err == nil {
+	if _, err := RunScenarioDataset("fluid", RunConfig{Platform: "nope"}); err == nil {
 		t.Error("unknown RunConfig platform should error")
 	}
 	// Platform names normalize like the platform= spec key does.
-	if _, err := RunScenario("fluid", RunConfig{Quick: true, Platform: "SNC-OFF"}); err != nil {
+	if _, err := RunScenarioDataset("fluid", RunConfig{Quick: true, Platform: "SNC-OFF"}); err != nil {
 		t.Errorf("uppercase platform name should normalize: %v", err)
 	}
 	// A bad platform must surface as an error from the matrix experiments,
 	// not as a panic inside their code-defined-cells-cannot-fail drivers.
-	if _, err := RunExperimentCfg("matrix-apps", RunConfig{Quick: true, Platform: "nope"}); err == nil {
+	if _, err := RunDataset("matrix-apps", RunConfig{Quick: true, Platform: "nope"}); err == nil {
 		t.Error("unknown platform should fail matrix experiments cleanly")
 	}
 }
 
 func TestRunExperiment(t *testing.T) {
-	out, err := RunExperimentCfg("table1", RunConfig{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, err := RunDataset("table1", RunConfig{Quick: true})
+	out := render(t, d, err)
 	if !strings.Contains(out, "CXL-A") {
 		t.Error("table1 output missing CXL-A")
 	}
-	if _, err := RunExperiment("nope"); err == nil {
+	if _, err := RunDataset("nope", RunConfig{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

@@ -31,19 +31,20 @@ func main() {
 			name, serial, parallel, (1-parallel/serial)*100)
 	}
 
+	// Every run returns a typed dataset; Render prints its text table.
 	fmt.Println("\nRegenerating Fig. 4a (bandwidth efficiency):")
-	out, err := cxlmem.RunExperiment("fig4a")
+	fig, err := cxlmem.RunDataset("fig4a", cxlmem.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(out)
+	fmt.Print(fig.Render())
 
 	// Beyond the fixed figures, any cell of the workload x policy x size
 	// matrix is one spec string away (see examples/scenario_matrix).
 	fmt.Println("\nOne scenario cell (ycsb:readmostly at a 85:15 DDR:CXL split):")
-	out, err = cxlmem.RunScenario("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{Quick: true})
+	cell, err := cxlmem.RunScenarioDataset("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{Quick: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(out)
+	fmt.Print(cell.Render())
 }

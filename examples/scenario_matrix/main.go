@@ -30,15 +30,15 @@ func main() {
 		"fio:256k/policy=cxl",
 		"spec:mix/policy=interleave",
 	} {
-		out, err := cxlmem.RunScenario(spec, cfg)
+		cell, err := cxlmem.RunScenarioDataset(spec, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(out)
+		fmt.Print(cell.Render())
 	}
 
 	// The same spec again is free: matrix cells are memoized per process.
-	if _, err := cxlmem.RunScenario("dlrm/policy=cxl:63/threads=32", cfg); err != nil {
+	if _, err := cxlmem.RunScenarioDataset("dlrm/policy=cxl:63/threads=32", cfg); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n(re-running a cell hits the memo cache — no recomputation)")
@@ -46,10 +46,10 @@ func main() {
 	// The full cross product dispatches through the parallel sweep engine;
 	// see also: cxlbench -scenario all, and the matrix-apps /
 	// matrix-policy / matrix-size experiment IDs.
-	out, err := cxlmem.RunScenarioMatrix(cfg)
+	matrix, err := cxlmem.RunScenarioMatrixDataset(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(out)
+	fmt.Print(matrix.Render())
 }

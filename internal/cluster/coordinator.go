@@ -15,14 +15,12 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cxlmem/internal/experiments"
 	"cxlmem/internal/results"
@@ -33,41 +31,15 @@ import (
 // coordinator echoes into its own error message.
 const maxErrorBody = 512
 
-// Coordinator dispatches scenario cells across a replica ring. The zero
-// value is not usable — set Ring (a client-side ring over the replica base
-// URLs is enough).
+// hopClient fetches cells; HopTimeout bounds each fetch.
+var hopClient = &http.Client{Timeout: HopTimeout}
+
+// Coordinator dispatches scenario cells across a replica ring, four
+// concurrent fetches per replica. The zero value is not usable — set Ring
+// (a client-side ring over the replica base URLs is enough).
 type Coordinator struct {
 	// Ring routes each cell to the replica owning its canonical key.
 	Ring *Ring
-	// Client is the HTTP client used for cell fetches; nil uses a default
-	// with a 5-minute per-request timeout (full-fidelity matrix cells are
-	// slow on cold replicas).
-	Client *http.Client
-	// Workers bounds concurrent in-flight fetches; 0 uses four per replica.
-	Workers int
-}
-
-// client resolves the HTTP client.
-func (co *Coordinator) client() *http.Client {
-	if co.Client != nil {
-		return co.Client
-	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
-// workers resolves the fan-out width for n cells.
-func (co *Coordinator) workers(n int) int {
-	w := co.Workers
-	if w <= 0 {
-		w = 4 * len(co.Ring.Peers())
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // cellQuery pins every fingerprint-relevant option knob onto the query
@@ -94,12 +66,12 @@ func (co *Coordinator) fetchCell(ctx context.Context, base string, o experiments
 	if err != nil {
 		return workloads.Metrics{}, fmt.Errorf("cluster: cell %q: %w", spec, err)
 	}
-	resp, err := co.client().Do(req)
+	resp, err := hopClient.Do(req)
 	if err != nil {
 		return workloads.Metrics{}, fmt.Errorf("cluster: cell %q via %s: %w", spec, base, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := ReadReply(nil, resp, MaxReply)
 	if err != nil {
 		return workloads.Metrics{}, fmt.Errorf("cluster: cell %q via %s: reading response: %w", spec, base, err)
 	}
@@ -138,7 +110,8 @@ func (co *Coordinator) ScenarioCells(ctx context.Context, o experiments.Options,
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for w := 0; w < co.workers(len(scs)); w++ {
+	workers := max(1, min(len(scs), 4*len(co.Ring.Peers())))
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -114,19 +114,6 @@ func NormalizeAddr(addr string) (string, error) {
 	return strings.TrimSuffix(addr, "/"), nil
 }
 
-// NormalizeAddrs maps NormalizeAddr over a peer list.
-func NormalizeAddrs(addrs []string) ([]string, error) {
-	out := make([]string, 0, len(addrs))
-	for _, a := range addrs {
-		n, err := NormalizeAddr(a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // ParsePeerList parses a comma-separated replica list — the -peers and
 // -remote flag syntax — into normalized addresses; empty items are skipped.
 func ParsePeerList(s string) ([]string, error) {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"cxlmem/internal/memo"
 	"cxlmem/internal/results"
@@ -61,6 +62,23 @@ type Options struct {
 
 // DefaultOptions returns the full-fidelity settings.
 func DefaultOptions() Options { return Options{Seed: 1} }
+
+// Resolve turns options taken from a command line or the cxlmem facade into
+// run options: platform and fidelity names are lowercased, the spelling the
+// registries and memo keys use, a zero seed keeps the default seed, and the
+// result is validated. cxlbench (through the facade) and cxlserve build
+// their options with it, so both accept the same spellings.
+func (o Options) Resolve() (Options, error) {
+	o.Platform = strings.ToLower(o.Platform)
+	o.Fidelity = Fidelity(strings.ToLower(string(o.Fidelity)))
+	if o.Seed == 0 {
+		o.Seed = DefaultOptions().Seed
+	}
+	if err := o.Validate(); err != nil {
+		return Options{}, err
+	}
+	return o, nil
+}
 
 // scale returns n, or a reduced count in quick mode.
 func (o Options) scale(n int) int {

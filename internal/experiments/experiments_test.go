@@ -301,3 +301,35 @@ func TestOptionsScale(t *testing.T) {
 		t.Errorf("quick floor = %d", got)
 	}
 }
+
+// TestOptionsResolve pins the one mapping from command-line and facade
+// options to run options: platform and fidelity names normalize to the
+// registry's lowercase spelling, a zero seed keeps the default seed 1, and
+// an unknown platform or fidelity fails.
+func TestOptionsResolve(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   Options
+		want Options
+		bad  bool
+	}{
+		{name: "zero", in: Options{}, want: Options{Seed: 1}},
+		{name: "uppercase platform", in: Options{Platform: "X16-QUAD"}, want: Options{Seed: 1, Platform: "x16-quad"}},
+		{name: "uppercase fidelity", in: Options{Fidelity: "FAST"}, want: Options{Seed: 1, Fidelity: FidelityFast}},
+		{name: "seed and flags", in: Options{Quick: true, Parallel: 3, Seed: 9, Platform: "snc-off", Fidelity: "auto"},
+			want: Options{Quick: true, Parallel: 3, Seed: 9, Platform: "snc-off", Fidelity: FidelityAuto}},
+		{name: "unknown platform", in: Options{Platform: "atari2600"}, bad: true},
+		{name: "unknown fidelity", in: Options{Fidelity: "sloppy"}, bad: true},
+	} {
+		got, err := tc.in.Resolve()
+		if tc.bad {
+			if err == nil {
+				t.Errorf("%s: resolved to %+v, want an error", tc.name, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s: Resolve() = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+}

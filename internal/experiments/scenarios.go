@@ -122,7 +122,7 @@ func runScenarioCached(cache *memo.Cache, o Options, sc workloads.Scenario) (wor
 // ScenarioResult evaluates one scenario cell (memoized) and returns its
 // full metric list as a typed dataset — one row per metric, the scenario's
 // canonical spec in the provenance. This is the single-cell structured form
-// served by cxlserve's /v1/scenario and the facade's RunScenario.
+// served by cxlserve's /v1/scenario and the facade's RunScenarioDataset.
 func ScenarioResult(o Options, sc workloads.Scenario) (*results.Dataset, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err

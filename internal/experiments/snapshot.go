@@ -51,11 +51,20 @@ func encodeDataset(key string, v any) ([]byte, error) {
 	return []byte(out), nil
 }
 
-// decodeDataset inverts encodeDataset via results.ParseJSON.
+// decodeDataset inverts encodeDataset via results.ParseJSON. The key must
+// be the one the dataset's provenance derives through DatasetKey, so a
+// mislabeled entry is refused instead of serving one experiment's bytes
+// under another's key. Only experiments fill the dataset cache, so a
+// scenario provenance never matches.
 func decodeDataset(key string, data []byte) (any, error) {
 	d, err := results.ParseJSON(data)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding %q: %w", key, err)
+	}
+	p := d.Prov
+	want, err := DatasetKey(p.ExperimentID, Options{Quick: p.Quick, Seed: p.Seed, Platform: p.Platform, Fidelity: Fidelity(p.Fidelity)})
+	if err != nil || p.Scenario != "" || want != key {
+		return nil, fmt.Errorf("experiments: snapshot entry %q holds a dataset of another key (experiment %q, scenario %q)", key, p.ExperimentID, p.Scenario)
 	}
 	return d, nil
 }
@@ -89,7 +98,8 @@ func exportDatasetCache(c *memo.Cache) ([]byte, error) {
 // into the process-wide dataset cache and reports how many entries were
 // restored. Keys already resident are left untouched, and the configured
 // entry budget still applies — an oversized snapshot restores cold-first
-// evicted like any other overflow.
+// evicted like any other overflow. An entry whose key is not its dataset's
+// provenance key fails the import.
 func ImportDatasetCache(data []byte) (int, error) {
 	return ImportDatasetCacheInto(datasetCache, data)
 }

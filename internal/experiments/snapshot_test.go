@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -92,11 +93,52 @@ func TestSnapshotRoundTripUnderEviction(t *testing.T) {
 }
 
 // TestImportRejectsBadSnapshots pins the failure envelope of the restore
-// path: corrupt JSON, a wrong schema version, a foreign cache name, and an
+// path: corrupt JSON, a wrong schema version, a foreign cache name, an
 // entry measured under the retired fastwarm warmup (DESIGN.md §21), which
-// would otherwise be re-served labelled exact, all fail cleanly without
-// touching the cache.
+// would otherwise be re-served labelled exact, and an entry whose key is
+// not the one its dataset's provenance derives (table2's bytes under
+// table1's key, table1's under another seed's key, a scenario cell under an
+// experiment's key), which would serve one result as another. All fail
+// cleanly without touching the cache.
 func TestImportRejectsBadSnapshots(t *testing.T) {
+	o := quickOpts()
+	key := func(id string, o Options) string {
+		k, err := DatasetKey(id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	run := func(id string) *results.Dataset {
+		d, err := RunDataset(id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// entry wraps d, keyed by key, in a one-entry snapshot.
+	entry := func(key string, d *results.Dataset) string {
+		out, err := results.Emit(d, "json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(snapshotFile{Schema: snapshotSchemaVersion, Cache: "dataset",
+			Entries: []memo.SnapshotEntry{{Key: key, Value: json.RawMessage(out)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	sc, err := workloads.ParseScenario("fluid/policy=interleave/size=64M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := ScenarioResult(o, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded := o
+	reseeded.Seed = 7
 	for _, tc := range []struct {
 		name, data string
 	}{
@@ -105,6 +147,9 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		{"cache", `{"schema": 1, "cache": "cell", "entries": []}`},
 		{"fastwarm", `{"schema": 1, "cache": "dataset", "entries": [{"key": "experiment|fig4a|quick=true|fastwarm=true|seed=1|platform=|fidelity=exact",
 			"value": {"schema": 1, "id": "fig4a", "rows": [], "notes": [], "provenance": {"experiment": "fig4a", "quick": true, "fastwarmup": true, "seed": 1}}}]}`},
+		{"table1 keying table2", entry(key("table1", o), run("table2"))},
+		{"seed 7 keying seed 1", entry(key("table1", reseeded), run("table1"))},
+		{"table1 keying a scenario cell", entry(key("table1", o), cell)},
 	} {
 		fresh := memo.NewCache()
 		if _, err := ImportDatasetCacheInto(fresh, []byte(tc.data)); err == nil {
@@ -116,12 +161,46 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
+// TestImportAcceptsEveryProvenanceKey is the other half of the rule: the
+// real entry of every registered ID restores, at options off the defaults
+// too (another seed, a platform, a fidelity tier), because each dataset's
+// provenance derives exactly the key RunDataset cached it under.
+func TestImportAcceptsEveryProvenanceKey(t *testing.T) {
+	o := quickOpts()
+	o.Seed = 7
+	o.Platform = "x16-quad"
+	o.Fidelity = FidelityAuto
+	donor := memo.NewCache()
+	for _, e := range All() {
+		d, err := RunDataset(e.ID, o)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		key, err := DatasetKey(e.ID, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := donor.Do(key, func() (any, error) { return d, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	export, err := exportDatasetCache(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := ImportDatasetCacheInto(memo.NewCache(), export)
+	if err != nil || n != len(All()) {
+		t.Fatalf("restored %d of %d entries: %v", n, len(All()), err)
+	}
+}
+
 // FuzzImportDatasetCache feeds the snapshot restore path arbitrary bytes,
 // seeded with a real export of a few quick datasets and truncated and
 // garbled copies of it. A snapshot comes from outside the process, so it
-// must fail closed: an error or a count, never a panic. Whatever it does
-// restore must re-export to the same dataset bytes on a second pass, so a
-// restored entry serves one stable answer.
+// must fail closed: an error or a count, never a panic. Every key it
+// restores must be the key its dataset's provenance derives, and whatever
+// it restores must re-export to the same dataset bytes on a second pass, so
+// a restored entry serves one stable answer.
 func FuzzImportDatasetCache(f *testing.F) {
 	donor := memo.NewCache()
 	o := quickOpts()
@@ -159,6 +238,7 @@ func FuzzImportDatasetCache(f *testing.F) {
 	f.Add(garbled)
 	f.Add(bytes.Replace(export, []byte(`"f": `), []byte(`"f": -`), 1))
 	f.Add(bytes.Replace(export, []byte(`"s": `), []byte(`"i": 1, "s": `), 1))
+	f.Add(bytes.Replace(export, []byte(`"key": "experiment|table1|`), []byte(`"key": "experiment|table2|`), 1))
 	f.Add([]byte(`{"schema": 1, "cache": "dataset", "entries": [{"key": "k", "value": {"schema": 1, "rows": null, "notes": null}}]}`))
 	f.Add([]byte(`{"schema": 1, "cache": "dataset", "entries": [{"key": "k", "value": {"schema": 1, "rows": [[{"f": 1e400}]]}}]}`))
 	f.Add([]byte(`{"schema": 1, "cache": "dataset", "entries": null}`))
@@ -168,6 +248,16 @@ func FuzzImportDatasetCache(f *testing.F) {
 		// restored before any error stays resident.
 		if n, _ := ImportDatasetCacheInto(fresh, data); n != fresh.Stats().Size {
 			t.Fatalf("restored %d entries, %d resident", n, fresh.Stats().Size)
+		}
+		if _, err := fresh.Snapshot(func(key string, v any) ([]byte, error) {
+			p := v.(*results.Dataset).Prov
+			want, err := DatasetKey(p.ExperimentID, Options{Quick: p.Quick, Seed: p.Seed, Platform: p.Platform, Fidelity: Fidelity(p.Fidelity)})
+			if err != nil || p.Scenario != "" || want != key {
+				t.Fatalf("restored %q, but its provenance derives %q (scenario %q, %v)", key, want, p.Scenario, err)
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		again, err := exportDatasetCache(fresh)
 		if err != nil {

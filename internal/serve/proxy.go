@@ -7,22 +7,18 @@
 // views disagree mid-rollout, so misconfigured peer sets degrade to extra
 // computation, never to a forwarding loop. The hop falls back, never
 // forwards a failure: a transport error, a timeout, an owner's 5xx or 429,
-// and a reply that ends early or runs past maxProxyBody all fall back to
+// and a reply that ends early or runs past cluster.MaxReply all fall back to
 // local computation — any replica can compute any key with byte-identical
 // results, so the fleet keeps its zero-5xx envelope while a peer is down or
 // sick.
 package serve
 
 import (
-	"bytes"
-	"errors"
-	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
-	"time"
 
+	"cxlmem/internal/cluster"
 	"cxlmem/internal/experiments"
 )
 
@@ -31,24 +27,12 @@ import (
 // hop visible in access logs; its presence alone disarms re-forwarding.
 const proxyHeader = "X-Cxlserve-Proxy"
 
-// defaultProxyTimeout bounds the proxy hop when Config.ProxyClient is nil,
-// matching the coordinator's cell-fetch budget.
-const defaultProxyTimeout = 5 * time.Minute
-
-// maxProxyBody bounds the owner's reply the hop reads before answering. The
-// largest response a replica renders, a tpp-timeline spec at its epoch cap as
-// JSON, is a few MiB; a longer reply counts as a failed hop.
-const maxProxyBody = 64 << 20
-
-// errProxyBodyTooLarge reports an owner's reply past the size bound.
-var errProxyBodyTooLarge = errors.New("serve: proxied reply exceeds the size bound")
-
 // proxyClient resolves the HTTP client for the proxy hop.
 func (s *Server) proxyClient() *http.Client {
 	if s.cfg.ProxyClient != nil {
 		return s.cfg.ProxyClient
 	}
-	return &http.Client{Timeout: defaultProxyTimeout}
+	return &http.Client{Timeout: cluster.HopTimeout}
 }
 
 // proxy routes one compute request by its canonical key. It returns true if
@@ -92,7 +76,7 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request, key string) bool 
 		return false
 	}
 	bp := bufferPool.Get().(*[]byte)
-	body, err := readReply((*bp)[:0], resp, maxProxyBody)
+	body, err := cluster.ReadReply((*bp)[:0], resp, cluster.MaxReply)
 	resp.Body.Close()
 	if err != nil || !forwardable(resp.StatusCode) {
 		// The owner failed, shed the request, or did not finish its reply:
@@ -119,32 +103,6 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request, key string) bool 
 // and 5xx are never passed on.
 func forwardable(status int) bool {
 	return status >= 200 && status < 300 || status >= 400 && status < 500 && status != http.StatusTooManyRequests
-}
-
-// readReply appends resp's whole body to dst. It fails if the body is
-// longer than limit bytes, if reading it fails (a timeout, a connection
-// closed mid-body), or if it is shorter than its declared Content-Length.
-// A declared length sizes dst up front (plus the spare bytes.Buffer needs
-// to see EOF), so a reply costs at most one allocation.
-func readReply(dst []byte, resp *http.Response, limit int) ([]byte, error) {
-	if resp.ContentLength > int64(limit) {
-		return dst, errProxyBodyTooLarge
-	}
-	if resp.ContentLength > 0 {
-		dst = slices.Grow(dst, int(resp.ContentLength)+bytes.MinRead)
-	}
-	buf := bytes.NewBuffer(dst)
-	n, err := buf.ReadFrom(io.LimitReader(resp.Body, int64(limit)+1))
-	body := buf.Bytes()
-	switch {
-	case err != nil:
-		return body, err
-	case n > int64(limit):
-		return body, errProxyBodyTooLarge
-	case resp.ContentLength >= 0 && n != resp.ContentLength:
-		return body, io.ErrUnexpectedEOF
-	}
-	return body, nil
 }
 
 // snapshot serves GET /v1/snapshot: the dataset cache's warm-start snapshot

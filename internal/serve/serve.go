@@ -99,7 +99,7 @@ type Config struct {
 	// unpinned request resolves to different keys on different members.
 	Ring *cluster.Ring
 	// ProxyClient is the HTTP client used for the single proxy hop; nil
-	// uses a default with a 5-minute timeout matching the coordinator's.
+	// uses a default bounded by cluster.HopTimeout, like the coordinator's.
 	ProxyClient *http.Client
 	// SnapshotRestored is the number of dataset-cache entries restored from
 	// a warm-start snapshot at boot, exported on /metrics so operators (and
@@ -351,8 +351,11 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, experiments.ErrInternal):
 		status = http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
-		// The request's deadline fired mid-evaluation; the work was
-		// canceled (or survives for another waiter) and nothing was cached.
+		// The request's deadline fired mid-evaluation. A sweep stops
+		// claiming points and caches nothing (unless another waiter still
+		// wants the key). An event-driven run never reads the deadline: it
+		// finishes after this 504, its result is cached, and only the
+		// qps=/ops= caps bound it.
 		w.Header().Set("Retry-After", retryAfter)
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

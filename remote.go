@@ -9,67 +9,51 @@ import (
 
 	"cxlmem/internal/cluster"
 	"cxlmem/internal/experiments"
-	"cxlmem/internal/results"
 	"cxlmem/internal/workloads"
 )
 
-// remoteCoordinator builds a client-side coordinator over the given replica
-// addresses ("host:8375" and "http://host:8375" spellings both accepted).
-func remoteCoordinator(peers []string) (*cluster.Coordinator, error) {
-	normalized, err := cluster.NormalizeAddrs(peers)
+// remoteCoordinator resolves the configuration and builds a client-side
+// coordinator over a comma-separated replica list, the syntax of cxlserve
+// -peers ("host:8375" and "http://host:8375" spellings both accepted).
+func remoteCoordinator(peers string, cfg RunConfig) (*cluster.Coordinator, experiments.Options, error) {
+	o, err := cfg.options()
 	if err != nil {
-		return nil, err
+		return nil, o, err
 	}
-	ring, err := cluster.NewRing("", normalized)
+	list, err := cluster.ParsePeerList(peers)
 	if err != nil {
-		return nil, err
+		return nil, o, err
 	}
-	return &cluster.Coordinator{Ring: ring}, nil
+	ring, err := cluster.NewRing("", list)
+	if err != nil {
+		return nil, o, err
+	}
+	return &cluster.Coordinator{Ring: ring}, o, nil
 }
 
 // RunRemoteScenarioMatrixDataset evaluates the full scenario cross product
-// on a cxlserve replica fleet: each cell runs on the replica owning its
-// canonical key, and the merged dataset is byte-identical to
-// RunScenarioMatrixDataset computed locally.
-func RunRemoteScenarioMatrixDataset(peers []string, cfg RunConfig) (*Dataset, error) {
-	co, err := remoteCoordinator(peers)
+// on a cxlserve replica fleet, given as a comma-separated replica list:
+// each cell runs on the replica owning its canonical key, and the merged
+// dataset is byte-identical to RunScenarioMatrixDataset computed locally.
+func RunRemoteScenarioMatrixDataset(peers string, cfg RunConfig) (*Dataset, error) {
+	co, o, err := remoteCoordinator(peers, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return co.ScenarioDataset(context.Background(), cfg.options(), "matrix-all",
+	return co.ScenarioDataset(context.Background(), o, "matrix-all",
 		"full scenario matrix: workload x policy x size", experiments.AllMatrixScenarios())
-}
-
-// RunRemoteScenarioMatrixIn is RunRemoteScenarioMatrixDataset rendered in
-// the named format ("text", "json", "csv"; empty means text).
-func RunRemoteScenarioMatrixIn(peers []string, cfg RunConfig, format string) (string, error) {
-	d, err := RunRemoteScenarioMatrixDataset(peers, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
 }
 
 // RunRemoteScenarioDataset evaluates one scenario spec on the replica that
 // owns its canonical key, byte-identical to RunScenarioDataset.
-func RunRemoteScenarioDataset(spec string, peers []string, cfg RunConfig) (*Dataset, error) {
+func RunRemoteScenarioDataset(spec, peers string, cfg RunConfig) (*Dataset, error) {
 	sc, err := workloads.ParseScenario(spec)
 	if err != nil {
 		return nil, err
 	}
-	co, err := remoteCoordinator(peers)
+	co, o, err := remoteCoordinator(peers, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return co.ScenarioResult(context.Background(), cfg.options(), sc)
-}
-
-// RunRemoteScenarioIn is RunRemoteScenarioDataset rendered in the named
-// format.
-func RunRemoteScenarioIn(spec string, peers []string, cfg RunConfig, format string) (string, error) {
-	d, err := RunRemoteScenarioDataset(spec, peers, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
+	return co.ScenarioResult(context.Background(), o, sc)
 }

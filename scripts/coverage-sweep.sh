@@ -49,6 +49,13 @@ quiet "$cb" -scenario all -quick
 quiet "$cb" -run fig5 -quick -fidelity auto
 quiet "$cb" -run fig5 -quick -fidelity fast
 quiet "$cb" -platform x16-quad -scenario kvstore/policy=cxl -quick
+# A bad command line exits 2 with the usage text before anything runs.
+status=0
+"$cb" -run fig5 -quick -format yaml >/dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+	echo "coverage-sweep: cxlbench -format yaml exited $status, want 2" >&2
+	exit 1
+fi
 quiet "$bin/mlc"
 quiet "$bin/mlc" -buffer
 quiet "$bin/memo"
