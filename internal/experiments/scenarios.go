@@ -72,7 +72,8 @@ func ScenarioKey(o Options, sc workloads.Scenario) string {
 // each cell builds exactly one System), the options' platform otherwise,
 // Table 1 when neither is set — with the cross-cutting run knobs. The
 // default experiment seed keeps each workload's calibrated seed; an
-// explicit -seed override perturbs every cell.
+// explicit -seed override perturbs every cell. The options' context bounds
+// the cell's event-driven runs.
 func (o Options) scenarioEnv(cellPlatform string) (*workloads.Env, error) {
 	platform := cellPlatform
 	if platform == "" {
@@ -86,13 +87,15 @@ func (o Options) scenarioEnv(cellPlatform string) (*workloads.Env, error) {
 	if o.Seed != DefaultOptions().Seed {
 		env.Seed = o.Seed
 	}
+	env.Ctx = o.Ctx
 	return env, nil
 }
 
 // RunScenario evaluates one scenario cell under the options, memoized in
 // the process-wide cell cache. Each fresh evaluation builds a private
 // system, so concurrent cells never share mutable state. Options.Ctx bounds
-// the caller's wait; a canceled cell is never cached.
+// the caller's wait, and an event-driven cell stops at its next epoch
+// boundary once every waiter has left; a canceled cell is never cached.
 func RunScenario(o Options, sc workloads.Scenario) (workloads.Metrics, error) {
 	return runScenarioCached(cellCache, o, sc)
 }
@@ -103,11 +106,15 @@ func RunScenario(o Options, sc workloads.Scenario) (workloads.Metrics, error) {
 func runScenarioCached(cache *memo.Cache, o Options, sc workloads.Scenario) (workloads.Metrics, error) {
 	v, err := cache.DoCtx(o.context(), o.cellKey(sc), func(ctx context.Context) (any, error) {
 		// Cells are the sweep engine's unit of work: a cell that lost every
-		// waiter before starting is skipped, a started one runs to completion.
+		// waiter before starting is skipped. A started steady-state cell runs
+		// to completion; an event-driven one watches ctx, the single-flight
+		// context, which ends when its last waiter leaves.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		env, err := o.scenarioEnv(sc.Platform)
+		co := o
+		co.Ctx = ctx
+		env, err := co.scenarioEnv(sc.Platform)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,9 @@ type timelineCell struct {
 // runTppTimeline executes the event-driven model once (a single scheduler is
 // inherently serial, so any Options.Parallel setting produces the same
 // bytes; the sweep engine wraps the run only for cancellation plumbing) and
-// lays the timeline out one row per epoch.
+// lays the timeline out one row per epoch. The run checks Options.Ctx at
+// every epoch boundary; its context error is re-panicked here, and
+// recoverAsErr returns it uncached.
 func runTppTimeline(o Options) *results.Dataset {
 	res := sweepPoints(o, 1, func(int) timelineCell {
 		r, rerr := timelineRun(o)

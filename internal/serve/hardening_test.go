@@ -306,6 +306,37 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestEventDrivenTimeoutCachesNothing: against a full-mode server, a
+// tpp-timeline cell whose request times out answers 504, its run stops at
+// the next epoch boundary instead of running on for its several CPU-seconds,
+// and nothing is cached, so the identical request after it is a cell-cache
+// miss again.
+func TestEventDrivenTimeoutCachesNothing(t *testing.T) {
+	base := experiments.DefaultOptions()
+	base.Parallel = 1
+	_, ts := hardenedServer(t, Config{Base: base})
+	q := fmt.Sprintf("/v1/scenario?spec=tpp-timeline/qps=200000/ops=5000/seed=%d&timeout=100ms", freshSeed())
+	_, before := experiments.CacheStats()
+	for i := 0; i < 2; i++ {
+		if status, _, body := get(t, ts, q); status != http.StatusGatewayTimeout {
+			t.Fatalf("request %d = %d (%s), want 504", i, status, strings.TrimSpace(body))
+		}
+		deadline := time.Now().Add(time.Second)
+		for {
+			if _, c := experiments.CacheStats(); c.InFlight == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d: the timed-out run was still computing 1 s after its 504", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, after := experiments.CacheStats(); after.Misses != before.Misses+2 || after.Hits != before.Hits || after.Size != before.Size {
+		t.Fatalf("cell cache %+v → %+v: want two misses, no hit and nothing retained", before, after)
+	}
+}
+
 // TestBadTimeout pins the timeout parameter's failure modes.
 func TestBadTimeout(t *testing.T) {
 	_, ts := hardenedServer(t, Config{})

@@ -351,11 +351,11 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, experiments.ErrInternal):
 		status = http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
-		// The request's deadline fired mid-evaluation. A sweep stops
-		// claiming points and caches nothing (unless another waiter still
-		// wants the key). An event-driven run never reads the deadline: it
-		// finishes after this 504, its result is cached, and only the
-		// qps=/ops= caps bound it.
+		// The request's deadline fired mid-evaluation; the work was
+		// canceled (or survives for another waiter) and nothing was cached:
+		// a sweep stops claiming points, an event-driven run stops at its
+		// next epoch boundary. A steady-state scenario cell that had already
+		// started is the exception: it completes and is cached.
 		w.Header().Set("Retry-After", retryAfter)
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

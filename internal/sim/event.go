@@ -46,20 +46,12 @@ type scheduled struct {
 }
 
 // payload is what a queue slot holds for one occurrence: the (actor, event)
-// pair and, once the occurrence has been traced, its trace labels.
+// pair, 32 bytes. Its trace labels, when it has any, live in the
+// scheduler's side table (Scheduler.labels), so an untraced schedule copies
+// and write-barriers only the pair.
 type payload struct {
-	actor   Actor
-	ev      Event
-	name    string
-	kind    string
-	labeled bool
-}
-
-// label reads the trace labels into p on first use.
-func (p *payload) label() {
-	if !p.labeled {
-		p.name, p.kind, p.labeled = p.actor.Name(), p.ev.Kind(), true
-	}
+	actor Actor
+	ev    Event
 }
 
 // eventQueue is a binary min-heap of scheduled keys ordered by (at, seq):

@@ -73,16 +73,6 @@ func (r *Rng) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-// Used for open-loop (Poisson) arrival processes in the latency benchmarks.
-func (r *Rng) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Perm returns a random permutation of [0, n) using Fisher–Yates.
 func (r *Rng) Perm(n int) []int {
 	p := make([]int, n)

@@ -31,6 +31,17 @@ type Scheduler struct {
 	rng   *Rng
 	taps  []tap
 	stats SchedulerStats
+	// labels holds the trace labels of queued occurrences, by queue slot.
+	// Only a traced scheduler fills it: an occurrence is labelled at its
+	// first traced record (its Schedule, or its dispatch if it was queued
+	// before the first tap) and unlabelled when its slot is released.
+	labels []traceLabel
+}
+
+// traceLabel is one occurrence's actor Name and event Kind, read once.
+type traceLabel struct {
+	name, kind string
+	set        bool
 }
 
 // tap is one registered tap. A *TraceRing is kept as a concrete pointer so
@@ -84,14 +95,24 @@ func (s *Scheduler) Schedule(at Time, actor Actor, ev Event) {
 	seq := s.seq
 	s.seq++
 	s.stats.Enqueued++
-	p := payload{actor: actor, ev: ev}
+	slot := s.queue.push(at, seq, payload{actor: actor, ev: ev})
 	if len(s.taps) > 0 {
-		p.label()
+		l := s.label(slot, actor, ev)
+		s.emit(PhaseEnqueue, at, seq, l.name, l.kind)
 	}
-	s.queue.push(at, seq, p)
-	if p.labeled {
-		s.emit(PhaseEnqueue, at, seq, p.name, p.kind)
+}
+
+// label returns slot's trace labels, reading them from actor and ev on the
+// occurrence's first traced record.
+func (s *Scheduler) label(slot int32, actor Actor, ev Event) *traceLabel {
+	if n := int(slot) + 1; n > len(s.labels) {
+		s.labels = append(s.labels, make([]traceLabel, n-len(s.labels))...)
 	}
+	l := &s.labels[slot]
+	if !l.set {
+		*l = traceLabel{name: actor.Name(), kind: ev.Kind(), set: true}
+	}
+	return l
 }
 
 // After enqueues ev for actor d past the current time. Negative d panics.
@@ -110,19 +131,19 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	k := s.queue.pop()
-	p := &s.queue.slots[k.slot]
+	p := s.queue.slots[k.slot]
 	actor, ev := p.actor, p.ev
 	s.clock.AdvanceTo(k.at)
 	s.stats.Dispatched++
 	var name, kind string
 	traced := len(s.taps) > 0
 	if traced {
-		p.label()
-		name, kind = p.name, p.kind
+		l := s.label(k.slot, actor, ev)
+		name, kind = l.name, l.kind
 		s.emit(PhaseDispatch, k.at, k.seq, name, kind)
 	}
-	// Handle may grow the slot table, so p is not used past this point; the
-	// slot itself stays reserved until the completion is traced.
+	// The slot stays reserved, and its labels valid, until the completion
+	// is traced.
 	actor.Handle(s, ev)
 	s.stats.Completed++
 	if len(s.taps) > 0 {
@@ -132,8 +153,16 @@ func (s *Scheduler) Step() bool {
 		}
 		s.emit(PhaseComplete, k.at, k.seq, name, kind)
 	}
-	s.queue.release(k.slot)
+	s.release(k.slot)
 	return true
+}
+
+// release frees a dispatched occurrence's slot, and its labels with it.
+func (s *Scheduler) release(slot int32) {
+	if int(slot) < len(s.labels) {
+		s.labels[slot].set = false
+	}
+	s.queue.release(slot)
 }
 
 // RunUntil dispatches every event scheduled at or before deadline, then

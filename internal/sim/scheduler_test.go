@@ -510,3 +510,78 @@ func drain(s *Scheduler) {
 	for s.Step() {
 	}
 }
+
+// labelActor schedules one follow-up to a random peer with a random kind,
+// and checks in Handle that the dispatch record just traced names it and
+// the event it received. It counts its Name reads.
+type labelActor struct {
+	t      *testing.T
+	name   string
+	peers  []*labelActor
+	rec    *recorder
+	budget *int
+	names  int
+}
+
+// countedEvent is an event that counts its Kind reads.
+type countedEvent struct {
+	kind  string
+	reads *int
+}
+
+func (e countedEvent) Kind() string { *e.reads++; return e.kind }
+
+func (a *labelActor) Name() string { a.names++; return a.name }
+
+func (a *labelActor) Handle(s *Scheduler, ev Event) {
+	last := a.rec.events[len(a.rec.events)-1]
+	if e := ev.(countedEvent); last.Phase != PhaseDispatch || last.Actor != a.name || last.Kind != e.kind {
+		a.t.Fatalf("dispatch of %s/%s traced as %+v", a.name, e.kind, last)
+	}
+	if *a.budget > 0 {
+		*a.budget--
+		peer := a.peers[s.Rng().Intn(len(a.peers))]
+		kind := fmt.Sprintf("k%d", s.Rng().Intn(4))
+		s.After(Time(s.Rng().Intn(3))*Nanosecond, peer, countedEvent{kind: kind, reads: ev.(countedEvent).reads})
+	}
+}
+
+// TestTraceLabelsFollowSlotReuse drives four actors through thousands of
+// occurrences that recycle a few queue slots, with a tap attached from the
+// start: every record names its own occurrence's actor and kind, never a
+// previous occupant's of the slot, and Name and Kind are each read once
+// per occurrence.
+func TestTraceLabelsFollowSlotReuse(t *testing.T) {
+	s := NewScheduler(7)
+	rec := &recorder{}
+	s.Tap(rec)
+	budget, kinds := 5000, 0
+	actors := make([]*labelActor, 4)
+	for i := range actors {
+		actors[i] = &labelActor{t: t, name: fmt.Sprintf("actor%d", i), rec: rec, budget: &budget}
+	}
+	for _, a := range actors {
+		a.peers = actors
+		s.Schedule(0, a, countedEvent{kind: "start", reads: &kinds})
+	}
+	drain(s)
+	names := 0
+	for _, a := range actors {
+		names += a.names
+	}
+	n := int(s.Stats().Enqueued)
+	if names != n || kinds != n {
+		t.Fatalf("%d occurrences read Name %d times and Kind %d times, want once each", n, names, kinds)
+	}
+	first := map[uint64]TraceEvent{}
+	for _, te := range rec.events {
+		if f, ok := first[te.Seq]; !ok {
+			first[te.Seq] = te
+		} else if f.Actor != te.Actor || f.Kind != te.Kind {
+			t.Fatalf("seq %d traced as %s/%s, then %s/%s", te.Seq, f.Actor, f.Kind, te.Actor, te.Kind)
+		}
+	}
+	if len(s.queue.slots) > 8 {
+		t.Fatalf("the run used %d slots; the test wants few, recycled ones", len(s.queue.slots))
+	}
+}

@@ -3,13 +3,16 @@
 // correlation and multiple linear regression for the Caption estimator
 // (paper §6, Eq. 1), and the moving average of the telemetry sampler.
 //
-// Only the Go standard library is used.
+// Beyond the Go standard library it uses only internal/sim, whose latency
+// samples it takes percentiles of.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+
+	"cxlmem/internal/sim"
 )
 
 // Percentile returns the p-th percentile (p in [0, 100]) of values using
@@ -41,18 +44,59 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return percentileSorted(sorted, p)
 }
 
+// PercentilesNanoseconds returns the percentiles ps, which must ascend, of
+// the latencies lats in nanoseconds: for each p, PercentileSorted of their
+// ascending Time.Nanoseconds(), bit for bit, without the sort. It selects
+// just the order statistics the percentiles interpolate between
+// (sim.OrderStats) and reorders lats. PercentilesNanoseconds panics if lats
+// is empty or a p is out of range or out of order.
+func PercentilesNanoseconds(lats []sim.Time, ps ...float64) []float64 {
+	if len(lats) == 0 {
+		panic("stats: PercentilesNanoseconds of empty slice")
+	}
+	ranks := make([]int, 0, 2*len(ps))
+	fracs := make([]float64, len(ps))
+	for i, p := range ps {
+		if p < 0 || p > 100 {
+			panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", p))
+		}
+		if i > 0 && p < ps[i-1] {
+			panic(fmt.Sprintf("stats: percentiles %v out of order", ps))
+		}
+		var lo, hi int
+		lo, hi, fracs[i] = percentileRanks(len(lats), p)
+		ranks = append(ranks, lo, hi)
+	}
+	v := make([]sim.Time, len(ranks))
+	sim.OrderStats(lats, ranks, v)
+	out := make([]float64, len(ps))
+	for i, frac := range fracs {
+		out[i] = interpolate(v[2*i].Nanoseconds(), v[2*i+1].Nanoseconds(), frac)
+	}
+	return out
+}
+
 func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+	lo, hi, frac := percentileRanks(len(sorted), p)
+	return interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// percentileRanks returns the ranks lo <= hi of the two order statistics
+// the p-th percentile of n ascending values interpolates between, and the
+// weight of the upper one: 0 exactly when lo == hi.
+func percentileRanks(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// interpolate blends the order statistics a (rank lo) and b (rank hi) with
+// the weight percentileRanks returned.
+func interpolate(a, b, frac float64) float64 {
+	if frac == 0 {
+		return a
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac
 }
 
 // Mean returns the arithmetic mean; it panics on an empty slice.

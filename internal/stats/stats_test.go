@@ -61,6 +61,9 @@ func TestPercentilePanics(t *testing.T) {
 		"empty":    func() { Percentile(nil, 50) },
 		"negative": func() { Percentile([]float64{1}, -1) },
 		"over100":  func() { Percentile([]float64{1}, 101) },
+		"ns-empty": func() { PercentilesNanoseconds(nil, 50) },
+		"ns-over":  func() { PercentilesNanoseconds([]sim.Time{1}, 101) },
+		"ns-order": func() { PercentilesNanoseconds([]sim.Time{1}, 99, 50) },
 	} {
 		func() {
 			defer func() {
@@ -336,4 +339,78 @@ func normal(r *sim.Rng, mean, stddev float64) float64 {
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
+}
+
+// checkPercentilesNanoseconds requires PercentilesNanoseconds to equal
+// PercentileSorted over the sorted nanosecond latencies, bit for bit, at
+// every p of ps.
+func checkPercentilesNanoseconds(t *testing.T, lats []sim.Time, ps ...float64) {
+	t.Helper()
+	var sorter sim.TimeSorter
+	sorted := sorter.SortedNanoseconds(nil, append([]sim.Time(nil), lats...))
+	got := PercentilesNanoseconds(append([]sim.Time(nil), lats...), ps...)
+	for i, p := range ps {
+		if want := PercentileSorted(sorted, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("n=%d p=%v: PercentilesNanoseconds = %v, PercentileSorted = %v", len(lats), p, got[i], want)
+		}
+	}
+}
+
+// TestPercentilesNanosecondsMatchesSort covers n = 1, 2, around the
+// insertion cut-over and large; duplicates, negative times, a far outlier
+// and the int64 extremes; p in {0, 50, 99, 100} and fractional ranks.
+func TestPercentilesNanosecondsMatchesSort(t *testing.T) {
+	r := sim.NewRng(13)
+	gens := map[string]func(i int) sim.Time{
+		"latencies": func(int) sim.Time { return sim.Time(2_000_000 + r.Int63n(1e9)) },
+		"dups":      func(int) sim.Time { return sim.Time(r.Intn(3)) * sim.Microsecond },
+		"negative":  func(int) sim.Time { return sim.Time(r.Int63n(2e6)) - 1e6 },
+		"outlier":   func(i int) sim.Time { return sim.Time(r.Intn(1000)) + sim.Time(i/999)*sim.Second },
+		"extremes":  func(i int) sim.Time { return []sim.Time{math.MinInt64, math.MaxInt64, 0, -1, 1}[i%5] },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{1, 2, 3, 47, 48, 101, 1000, 20000} {
+			lats := make([]sim.Time, n)
+			for i := range lats {
+				lats[i] = gen(i)
+			}
+			t.Run(name, func(t *testing.T) {
+				checkPercentilesNanoseconds(t, lats, 0, 50, 99, 100)
+				checkPercentilesNanoseconds(t, lats, 12.5, 33.3, 99.9)
+				checkPercentilesNanoseconds(t, lats, 99)
+			})
+		}
+	}
+}
+
+// FuzzPercentileMatchesSort compares PercentilesNanoseconds with a sort for
+// fuzzer-chosen latencies, eight bytes each and optionally masked to a
+// narrow range, at a fuzzer-chosen percentile beside p50 and p99.
+func FuzzPercentileMatchesSort(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(64), 99.0)
+	f.Add(make([]byte, 8*100), uint8(20), 0.0)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80, 7, 0, 0, 0, 0, 0, 0, 0}, uint8(64), 100.0)
+	f.Fuzz(func(t *testing.T, data []byte, bits uint8, p float64) {
+		lats := make([]sim.Time, len(data)/8)
+		if len(lats) == 0 || !(p >= 0 && p <= 100) {
+			return
+		}
+		mask := ^uint64(0)
+		if b := bits % 65; b < 64 {
+			mask = 1<<b - 1
+		}
+		for i := range lats {
+			var v uint64
+			for j := 0; j < 8; j++ {
+				v |= uint64(data[8*i+j]) << (8 * j)
+			}
+			lats[i] = sim.Time(v & mask)
+		}
+		// Repeat short inputs so the bucket passes run too.
+		for len(lats) < 200 {
+			lats = append(lats, lats...)
+		}
+		checkPercentilesNanoseconds(t, lats, p)
+		checkPercentilesNanoseconds(t, lats, 50, 99)
+	})
 }

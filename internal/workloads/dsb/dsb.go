@@ -215,12 +215,12 @@ func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, target
 	lats := make([]sim.Time, 0, requests)
 	saturated := false
 	for i := 0; i < requests; i++ {
-		arrival += sim.FromNanoseconds(rng.Exp(interarrival))
+		arrival += rng.ExpNanoseconds(interarrival)
 		ready := arrival
 		for t := Frontend; t < numTiers; t++ {
 			srv, start := pickServer(t, ready)
 			// Service-time variability: exponential tail on 30% of the work.
-			s := sim.Time(float64(svc[t]) * (0.7 + 0.3*rng.Exp(1)))
+			s := rng.ExpJitter(float64(svc[t]), 0.7, 0.3)
 			done := start + s
 			free[t][srv] = done
 			ready = done
@@ -231,11 +231,11 @@ func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, target
 			saturated = true
 		}
 	}
-	ns := sim.SortedNanoseconds(nil, lats)
+	pct := stats.PercentilesNanoseconds(lats, 50, 99)
 	return Result{
 		TargetQPS: targetQPS,
-		P99:       sim.FromNanoseconds(stats.PercentileSorted(ns, 99)),
-		P50:       sim.FromNanoseconds(stats.PercentileSorted(ns, 50)),
+		P99:       sim.FromNanoseconds(pct[1]),
+		P50:       sim.FromNanoseconds(pct[0]),
 		Saturated: saturated,
 	}
 }

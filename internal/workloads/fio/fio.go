@@ -153,10 +153,9 @@ func Run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int
 		}
 		lats = append(lats, t)
 	}
-	ns := sim.SortedNanoseconds(nil, lats)
 	return Result{
 		BlockBytes: blockBytes,
-		P99:        sim.FromNanoseconds(stats.PercentileSorted(ns, 99)),
+		P99:        sim.FromNanoseconds(stats.PercentilesNanoseconds(lats, 99)[0]),
 		HitRate:    h,
 	}
 }

@@ -186,7 +186,7 @@ func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS f
 	lats := make([]sim.Time, 0, ops)
 	arrival := sim.Time(0)
 	for i := 0; i < ops; i++ {
-		arrival += sim.FromNanoseconds(s.rng.Exp(interarrival))
+		arrival += s.rng.ExpNanoseconds(interarrival)
 		op := gen.Next()
 		svc := s.ServiceTime(op)
 		start := arrival
@@ -205,7 +205,8 @@ func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS f
 // summarize sorts lats (in place) into the result's ascending nanosecond
 // latencies and reduces them to percentiles, mean and utilization.
 func (s *Store) summarize(qps float64, lats []sim.Time, busy, elapsed sim.Time) LatencyResult {
-	ns := sim.SortedNanoseconds(nil, lats)
+	var sorter sim.TimeSorter
+	ns := sorter.SortedNanoseconds(nil, lats)
 	util := 0.0
 	if elapsed > 0 {
 		util = float64(busy) / float64(elapsed)
@@ -287,7 +288,7 @@ func RunWithTPP(sys *topo.System, cfg Config, cxlName string, targetQPS float64,
 	var migrations int64
 	lats := make([]sim.Time, 0, ops)
 	for i := 0; i < ops; i++ {
-		arrival += sim.FromNanoseconds(store.rng.Exp(interarrival))
+		arrival += store.rng.ExpNanoseconds(interarrival)
 		for arrival >= nextScan {
 			migs := engine.Scan()
 			migrations += int64(len(migs))

@@ -124,8 +124,9 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 // overrides, returning the full time series, with taps attached to the
 // scheduler before its first event; only the /v1/trace replay passes any.
 // The experiments driver calls this directly for the timeline dataset; the
-// Workload adapter reduces the same result to summary metrics. A completed
-// run adds its scheduler counters to SimEvents.
+// Workload adapter reduces the same result to summary metrics. A run whose
+// env.Ctx ends stops at the next epoch boundary and returns the context's
+// error. A completed run adds its scheduler counters to SimEvents.
 func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, error) {
 	tc, err := timelineConfigFor(env, cfg)
 	if err != nil {
@@ -134,10 +135,10 @@ func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, err
 	if _, err := devicePath(env, cfg.Device); err != nil {
 		return tpptimeline.Result{}, err
 	}
-	if err := tc.Validate(); err != nil {
+	res, err := tpptimeline.RunContext(env.context(), env.Sys, tc, cfg.Device, taps...)
+	if err != nil {
 		return tpptimeline.Result{}, err
 	}
-	res := tpptimeline.Run(env.Sys, tc, cfg.Device, taps...)
 	simEvents.mu.Lock()
 	simEvents.total.Enqueued += res.Events.Enqueued
 	simEvents.total.Dispatched += res.Events.Dispatched

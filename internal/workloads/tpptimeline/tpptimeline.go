@@ -19,6 +19,7 @@
 package tpptimeline
 
 import (
+	"context"
 	"fmt"
 
 	"cxlmem/internal/mem"
@@ -58,6 +59,10 @@ type Config struct {
 	Seed uint64
 	// Policy is the TPP policy configuration.
 	Policy tpp.Config
+
+	// ctx, set only by RunContext, ends the run at the first epoch boundary
+	// after it is done.
+	ctx context.Context
 }
 
 // DefaultConfig returns a calibrated bursty timeline: a cold start with
@@ -171,9 +176,11 @@ type state struct {
 	penalty     sim.Time
 
 	// Per-epoch accumulators, reset at each boundary. epochNs is the
-	// epoch's latencies sorted and in nanoseconds, reused across epochs.
+	// epoch's latencies sorted and in nanoseconds; it and the sorter's
+	// buffer are reused across epochs.
 	epochLats               []sim.Time
 	epochNs                 []float64
+	sorter                  sim.TimeSorter
 	epochPromos, epochDemos int64
 	epochAccesses           int64
 
@@ -217,7 +224,7 @@ func (a *loadActor) Handle(s *sim.Scheduler, _ sim.Event) {
 	st.epochLats = append(st.epochLats, done-arrival)
 	st.epochAccesses++
 	st.totalAccesses++
-	s.After(sim.FromNanoseconds(s.Rng().Exp(1e9/st.rate())), a, evArrival)
+	s.After(s.Rng().ExpNanoseconds(1e9/st.rate()), a, evArrival)
 }
 
 // phaseActor toggles the on/off burst phase.
@@ -286,7 +293,7 @@ func (a *epochActor) Handle(s *sim.Scheduler, _ sim.Event) {
 			st.cfg.Epoch.Seconds(),
 	}
 	if len(st.epochLats) > 0 {
-		st.epochNs = sim.SortedNanoseconds(st.epochNs[:0], st.epochLats)
+		st.epochNs = st.sorter.SortedNanoseconds(st.epochNs[:0], st.epochLats)
 		es.P99 = stats.PercentileSorted(st.epochNs, 99) / 1e3
 		es.Mean = stats.Mean(st.epochNs) / 1e3
 	}
@@ -310,7 +317,8 @@ const (
 // Run executes the timeline on sys with the far tier on the named CXL
 // device. Any taps are attached to the scheduler before the first event, so
 // they observe the complete trace. Run panics on an invalid config or an
-// unknown device (the workloads adapter validates both first).
+// unknown device (the workloads adapter validates both first). Run is also
+// RunContext's body, so the two cannot drift apart.
 func Run(sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -335,11 +343,18 @@ func Run(sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) Result {
 	st.zipf = sim.NewZipf(s.Rng().Split(), cfg.Pages, cfg.ZipfSkew)
 
 	load := &loadActor{st: st}
-	s.After(sim.FromNanoseconds(s.Rng().Exp(1e9/st.rate())), load, evArrival)
+	s.After(s.Rng().ExpNanoseconds(1e9/st.rate()), load, evArrival)
 	s.Schedule(cfg.OffTime, &phaseActor{st: st}, evPhase)
 	s.Schedule(cfg.ScanEvery, &scanActor{st: st}, evScan)
 	s.Schedule(cfg.Epoch, &epochActor{st: st}, evEpoch)
-	s.RunUntil(sim.Time(cfg.Epochs) * cfg.Epoch)
+	// One epoch at a time, so a context is checked every few thousand
+	// events; splitting the horizon moves no event.
+	for e := 1; e <= cfg.Epochs; e++ {
+		if cfg.ctx != nil && cfg.ctx.Err() != nil {
+			break
+		}
+		s.RunUntil(sim.Time(e) * cfg.Epoch)
+	}
 
 	var promos, demos int64
 	for _, es := range st.timeline {
@@ -354,4 +369,19 @@ func Run(sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) Result {
 		FinalFarFraction: space.Fraction(numa.CXL),
 		Events:           s.Stats(),
 	}
+}
+
+// RunContext is Run under ctx: it checks ctx at every epoch boundary and,
+// once ctx is done, stops there and returns ctx's error instead of a
+// result. An invalid config is an error too, not a panic.
+func RunContext(ctx context.Context, sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	cfg.ctx = ctx
+	res := Run(sys, cfg, cxlName, taps...)
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }

@@ -1,6 +1,8 @@
 package tpptimeline
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -97,4 +99,66 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	Run(sys, cfg, sys.DefaultFarDevice())
+}
+
+// TestRunContextMatchesRun: under a context that never ends, RunContext is
+// Run, tap records included; an invalid config is an error, not a panic.
+func TestRunContextMatchesRun(t *testing.T) {
+	sys := topo.NewSystem(topo.DefaultConfig())
+	cfg := quickCfg()
+	ring, ctxRing := sim.NewTraceRing(1<<20), sim.NewTraceRing(1<<20)
+	want := Run(sys, cfg, "CXL-A", ring)
+	got, err := RunContext(context.Background(), sys, cfg, "CXL-A", ctxRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RunContext's result differs from Run's")
+	}
+	if !reflect.DeepEqual(ctxRing.Snapshot(), ring.Snapshot()) {
+		t.Fatal("RunContext's trace differs from Run's")
+	}
+	cfg.Pages = 0
+	if _, err := RunContext(context.Background(), sys, cfg, "CXL-A"); err == nil {
+		t.Fatal("RunContext accepted an invalid config")
+	}
+}
+
+// TestRunContextStopsAtEpochBoundary cancels the context from a tap at an
+// arbitrary event: the run dispatches no event past the end of the epoch
+// it was in, and returns the context's error and no result.
+func TestRunContextStopsAtEpochBoundary(t *testing.T) {
+	sys := topo.NewSystem(topo.DefaultConfig())
+	cfg := quickCfg()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAt = 5_000
+	var dispatched int
+	var canceledAt, last sim.Time
+	tap := sim.TapFunc(func(te sim.TraceEvent) {
+		if te.Phase != sim.PhaseDispatch {
+			return
+		}
+		if dispatched++; dispatched == cancelAt {
+			cancel()
+			canceledAt = te.At
+		}
+		last = te.At
+	})
+	res, err := RunContext(ctx, sys, cfg, "CXL-A", tap)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext returned %v, want context.Canceled", err)
+	}
+	if len(res.Epochs) != 0 {
+		t.Fatalf("a canceled run returned %d epochs", len(res.Epochs))
+	}
+	boundary := (canceledAt/cfg.Epoch + 1) * cfg.Epoch
+	if canceledAt == 0 || last > boundary || boundary >= sim.Time(cfg.Epochs)*cfg.Epoch {
+		t.Fatalf("canceled at %v, last event at %v: want the run to stop by the epoch boundary %v, before the horizon", canceledAt, last, boundary)
+	}
+	// A context that ended before the run starts stops it at once.
+	dispatched = 0
+	if _, err := RunContext(ctx, sys, cfg, "CXL-A", tap); !errors.Is(err, context.Canceled) || dispatched != 0 {
+		t.Fatalf("a run under a done context dispatched %d events and returned %v", dispatched, err)
+	}
 }

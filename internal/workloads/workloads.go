@@ -18,6 +18,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 
 	"cxlmem/internal/results"
@@ -39,6 +40,18 @@ type Env struct {
 	// Seed perturbs the stochastic components; 0 keeps each workload's
 	// calibrated default.
 	Seed uint64
+	// Ctx, when set, bounds event-driven runs: they check it at every epoch
+	// boundary and return its error once it is done. The steady-state
+	// models run to completion.
+	Ctx context.Context
+}
+
+// context returns the environment's context, Background when none is set.
+func (e *Env) context() context.Context {
+	if e.Ctx == nil {
+		return context.Background()
+	}
+	return e.Ctx
 }
 
 // NewEnv builds an environment over the paper's §5 application setup — the
