@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"cxlmem"
 	"cxlmem/internal/workloads/kvstore"
@@ -28,7 +30,10 @@ func main() {
 		fmt.Printf("%10.0f", qps)
 		for _, r := range ratios {
 			s := kvstore.New(sys, cfg, "CXL-A", r)
-			res := s.RunOpenLoop(ycsb.WorkloadA, ycsb.Uniform, qps, 30000)
+			res, err := s.RunOpenLoop(context.Background(), ycsb.WorkloadA, ycsb.Uniform, qps, 30000)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("  %7.1fus", res.P99.Microseconds())
 		}
 		fmt.Println()

@@ -7,6 +7,7 @@ import (
 	"cxlmem/internal/stats"
 	"cxlmem/internal/telemetry"
 	"cxlmem/internal/topo"
+	"cxlmem/internal/workloads"
 	"cxlmem/internal/workloads/dlrm"
 	"cxlmem/internal/workloads/spec"
 )
@@ -22,7 +23,7 @@ func init() {
 }
 
 func runAblationLLC(o Options) *results.Dataset {
-	samples := o.scale(200000)
+	samples := workloads.ScaleOps(o.Quick, 200000)
 	// Cache-mutating measurements: a private System per sweep point.
 	lats := sweepPoints(o, 2, func(i int) float64 {
 		cfg := topo.DefaultConfig()

@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+
 	"cxlmem/internal/core"
 	"cxlmem/internal/results"
 	"cxlmem/internal/stats"
 	"cxlmem/internal/telemetry"
 	"cxlmem/internal/topo"
+	"cxlmem/internal/workloads"
 	"cxlmem/internal/workloads/dlrm"
-	"cxlmem/internal/workloads/kvstore"
 	"cxlmem/internal/workloads/spec"
-	"cxlmem/internal/workloads/ycsb"
 )
 
 func init() {
@@ -200,16 +201,18 @@ func fig13Cases(sys *topo.System, o Options) []fig13Case {
 
 	// Redis+DLRM: geometric mean of each component's normalized throughput
 	// (the paper's combined metric), with DLRM's counters dominating the
-	// sample (it is the bandwidth-intensive partner).
-	kvCfg := kvConfig(o)
-	samples := o.scale(8000)
+	// sample (it is the bandwidth-intensive partner). Redis's half is the
+	// ycsb:a cell's vs_ddr, its max QPS over the all-DDR one.
+	env := &workloads.Env{Sys: sys, Platform: topo.DefaultPlatform, Quick: o.Quick, Ctx: o.Ctx}
 	dlrmCfg := dlrm.DefaultConfig()
-	redisBase := kvstore.New(sys, kvCfg, "CXL-A", 0).MaxQPS(ycsb.WorkloadA, ycsb.Uniform, samples)
 	dlrmBase := dlrm.Run(sys, dlrmCfg, "CXL-A", 0, 16, dlrm.SNCAlone).QueriesPerSec
 	cases = append(cases, fig13Case{name: "Redis+DLRM", eval: func(r float64) (float64, telemetry.Sample) {
-		redis := kvstore.New(sys, kvCfg, "CXL-A", r).MaxQPS(ycsb.WorkloadA, ycsb.Uniform, samples)
+		redis, err := mustScenarios([]string{fmt.Sprintf("ycsb:a/policy=cxl:%g/ops=8000/seed=11", r)})[0].Run(env)
+		if err != nil {
+			panic(err)
+		}
 		dres := dlrm.Run(sys, dlrmCfg, "CXL-A", r, 16, dlrm.SNCAlone)
-		g := stats.GeoMean([]float64{redis / redisBase, dres.QueriesPerSec / dlrmBase})
+		g := stats.GeoMean([]float64{redis.Items[1].Value, dres.QueriesPerSec / dlrmBase}) // vs_ddr
 		return g, dres.Sample
 	}})
 	return cases

@@ -36,7 +36,8 @@ type Options struct {
 	// Quick reduces sample counts so benchmarks stay fast; the full runs
 	// are the defaults.
 	Quick bool
-	// Seed perturbs the stochastic components.
+	// Seed perturbs the stochastic components; 0 means the default seed,
+	// as in DefaultOptions.
 	Seed uint64
 	// Parallel is the worker count for independent sweep points; 0 uses
 	// every available CPU. Any value produces byte-identical tables — the
@@ -71,24 +72,11 @@ func DefaultOptions() Options { return Options{Seed: 1} }
 func (o Options) Resolve() (Options, error) {
 	o.Platform = strings.ToLower(o.Platform)
 	o.Fidelity = Fidelity(strings.ToLower(string(o.Fidelity)))
-	if o.Seed == 0 {
-		o.Seed = DefaultOptions().Seed
-	}
+	o = o.withDefaultSeed()
 	if err := o.Validate(); err != nil {
 		return Options{}, err
 	}
 	return o, nil
-}
-
-// scale returns n, or a reduced count in quick mode.
-func (o Options) scale(n int) int {
-	if o.Quick {
-		n /= 10
-		if n < 100 {
-			n = 100
-		}
-	}
-	return n
 }
 
 // fingerprint is the options part of every memo key: exactly the knobs that
@@ -195,32 +183,38 @@ func CacheStats() (dataset, cell memo.CacheStats) {
 }
 
 // recoverAsErr converts a recovered driver panic into the dispatcher's
-// error: sweep cancellations become the request's context error (which the
-// memo layer never retains), anything else wraps ErrInternal.
+// error. Drivers have no error return, so a canceled run — a sweep, an mlc
+// warmup, a scenario cell — unwinds by panicking its context's error; that
+// becomes the request's context error, which the memo layer never retains.
+// Anything else wraps ErrInternal.
 func recoverAsErr(id string, err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	switch v := r.(type) {
-	case sweepCancel:
-		*err = fmt.Errorf("experiments: %s: %w", id, v.err)
-	case error:
-		if errors.Is(v, context.Canceled) || errors.Is(v, context.DeadlineExceeded) {
-			*err = fmt.Errorf("experiments: %s: %w", id, v)
-			return
-		}
-		*err = fmt.Errorf("experiments: %s %w: %v", id, ErrInternal, v)
-	default:
-		*err = fmt.Errorf("experiments: %s %w: %v", id, ErrInternal, r)
+	if v, ok := r.(error); ok && (errors.Is(v, context.Canceled) || errors.Is(v, context.DeadlineExceeded)) {
+		*err = fmt.Errorf("experiments: %s: %w", id, v)
+		return
 	}
+	*err = fmt.Errorf("experiments: %s %w: %v", id, ErrInternal, r)
+}
+
+// withDefaultSeed maps a zero seed to the default one, the meaning Resolve
+// gives it, so seed 0 and seed 1 share one key, one provenance and one set
+// of scenario specs on every front door.
+func (o Options) withDefaultSeed() Options {
+	if o.Seed == 0 {
+		o.Seed = DefaultOptions().Seed
+	}
+	return o
 }
 
 // canonicalOptions blanks the option knobs that cannot shape this
 // experiment's bytes, so equivalent runs share one cache entry and an
 // honest provenance. Fixed figures ignore the platform knob (they always
 // measure the Table-1 machine); experiments that never simulate the
-// buffer-latency hot path produce identical bytes at any fidelity.
+// buffer-latency hot path produce identical bytes at any fidelity; a zero
+// seed is the default seed.
 func (e Experiment) canonicalOptions(o Options) Options {
 	if !e.UsesPlatform {
 		o.Platform = ""
@@ -228,7 +222,7 @@ func (e Experiment) canonicalOptions(o Options) Options {
 	if !e.UsesFidelity {
 		o.Fidelity = ""
 	}
-	return o
+	return o.withDefaultSeed()
 }
 
 // datasetKey is the dataset cache's memoization key for a canonicalized
@@ -269,7 +263,7 @@ func RunDataset(id string, o Options) (*results.Dataset, error) {
 	o = e.canonicalOptions(o)
 	v, err := datasetCache.DoCtx(o.context(), datasetKey(id, o), func(cctx context.Context) (out any, err error) {
 		// A panicking driver must become an error, not a poisoned entry;
-		// recoverAsErr also turns sweep cancellation back into ctx.Err().
+		// recoverAsErr also returns a canceled run's context error.
 		defer recoverAsErr(id, &err)
 		ro := o
 		ro.Ctx = cctx // the single-flight context: canceled when every waiter leaves

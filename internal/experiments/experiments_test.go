@@ -288,20 +288,6 @@ func TestFig13CaptionCompetitive(t *testing.T) {
 	}
 }
 
-func TestOptionsScale(t *testing.T) {
-	o := DefaultOptions()
-	if o.scale(5000) != 5000 {
-		t.Error("full mode should not scale")
-	}
-	o.Quick = true
-	if got := o.scale(5000); got != 500 {
-		t.Errorf("quick scale = %d", got)
-	}
-	if got := o.scale(200); got != 100 {
-		t.Errorf("quick floor = %d", got)
-	}
-}
-
 // TestOptionsResolve pins the one mapping from command-line and facade
 // options to run options: platform and fidelity names normalize to the
 // registry's lowercase spelling, a zero seed keeps the default seed 1, and

@@ -18,7 +18,7 @@ import (
 // TestSweepCancelStopsWork proves a canceled sweep stops claiming points:
 // with 4 workers over 10k points and a context canceled almost immediately,
 // the evaluated count must stay far below the grid size and the sweep must
-// panic sweepCancel for the dispatcher to translate.
+// panic the context's error for the dispatcher to return.
 func TestSweepCancelStopsWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	o := Options{Parallel: 4, Ctx: ctx}
@@ -27,12 +27,12 @@ func TestSweepCancelStopsWork(t *testing.T) {
 	func() {
 		defer func() {
 			r := recover()
-			sc, ok := r.(sweepCancel)
+			err, ok := r.(error)
 			if !ok {
-				t.Fatalf("sweep panicked %v, want sweepCancel", r)
+				t.Fatalf("sweep panicked %v, want the context's error", r)
 			}
-			if !errors.Is(sc.err, context.Canceled) {
-				t.Errorf("sweepCancel carries %v, want context.Canceled", sc.err)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("sweep panicked %v, want context.Canceled", err)
 			}
 		}()
 		forEachPoint(o, n, func(i int) {
@@ -53,8 +53,8 @@ func TestSerialSweepCancel(t *testing.T) {
 	o := Options{Parallel: 1, Ctx: ctx}
 	var evaluated int
 	defer func() {
-		if _, ok := recover().(sweepCancel); !ok {
-			t.Fatal("serial sweep did not panic sweepCancel")
+		if err, ok := recover().(error); !ok || !errors.Is(err, context.Canceled) {
+			t.Fatal("serial sweep did not panic context.Canceled")
 		}
 		if evaluated != 3 {
 			t.Errorf("evaluated %d points after cancel at 3", evaluated)

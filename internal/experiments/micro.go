@@ -6,6 +6,7 @@ import (
 	"cxlmem/internal/mlc"
 	"cxlmem/internal/results"
 	"cxlmem/internal/topo"
+	"cxlmem/internal/workloads"
 )
 
 func init() {
@@ -35,7 +36,7 @@ func runTable1(o Options) *results.Dataset {
 func runFig3(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.MicrobenchConfig())
 	cfg := memo.DefaultConfig()
-	cfg.Trials = o.scale(cfg.Trials)
+	cfg.Trials = workloads.ScaleOps(o.Quick, cfg.Trials)
 
 	// Baselines: DDR5-L measured by each tool.
 	mlcBase := sys.DDRLocal.SerialLatency(mem.Load).Nanoseconds()
@@ -107,7 +108,7 @@ func runFig4b(o Options) *results.Dataset {
 
 func runFig5(o Options) *results.Dataset {
 	const buf = 32 << 20
-	samples := o.scale(200000)
+	samples := workloads.ScaleOps(o.Quick, 200000)
 	// Each measurement mutates its system's cache state, so every sweep
 	// point builds a private System.
 	devices := []string{"DDR5-L", "CXL-A"}

@@ -57,14 +57,20 @@ func (o Options) cellKey(sc workloads.Scenario) string {
 	return sc.String() + "|" + o.fingerprint()
 }
 
-// ScenarioKey returns the canonical memo key of one (scenario, options)
-// cell — the unit of distribution for cache sharding (DESIGN.md §14), with
-// the same fidelity blanking the scenario dispatchers apply before caching:
-// scenario cells never simulate the buffer-latency hot path, so the tier
-// cannot fork their keys.
-func ScenarioKey(o Options, sc workloads.Scenario) string {
+// cellOptions canonicalizes the options of scenario cells before any key,
+// provenance or environment is derived from them: cells never simulate the
+// buffer-latency hot path, so the fidelity tier cannot shape them, and a
+// zero seed is the default seed.
+func (o Options) cellOptions() Options {
 	o.Fidelity = ""
-	return o.cellKey(sc)
+	return o.withDefaultSeed()
+}
+
+// ScenarioKey returns the canonical memo key of one (scenario, options)
+// cell — the unit of distribution for cache sharding (DESIGN.md §14), on
+// the canonical options the scenario dispatchers cache under.
+func ScenarioKey(o Options, sc workloads.Scenario) string {
+	return o.cellOptions().cellKey(sc)
 }
 
 // scenarioEnv builds the workload environment for one cell: the cell's own
@@ -104,11 +110,11 @@ func RunScenario(o Options, sc workloads.Scenario) (workloads.Metrics, error) {
 // serial-vs-parallel test passes fresh caches so memoization cannot mask a
 // concurrency bug in cell evaluation.
 func runScenarioCached(cache *memo.Cache, o Options, sc workloads.Scenario) (workloads.Metrics, error) {
+	o = o.cellOptions()
 	v, err := cache.DoCtx(o.context(), o.cellKey(sc), func(ctx context.Context) (any, error) {
 		// Cells are the sweep engine's unit of work: a cell that lost every
-		// waiter before starting is skipped. A started steady-state cell runs
-		// to completion; an event-driven one watches ctx, the single-flight
-		// context, which ends when its last waiter leaves.
+		// waiter before starting is skipped, and a started one watches ctx,
+		// the single-flight context, which ends when its last waiter leaves.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -134,10 +140,6 @@ func ScenarioResult(o Options, sc workloads.Scenario) (*results.Dataset, error) 
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	// Scenario cells never simulate the buffer-latency hot path, so the
-	// fidelity knob cannot shape them: blank it (post-validation) to keep
-	// one cell-cache entry and an unlabeled provenance.
-	o.Fidelity = ""
 	m, err := RunScenario(o, sc)
 	if err != nil {
 		return nil, err
@@ -150,6 +152,7 @@ func ScenarioResult(o Options, sc workloads.Scenario) (*results.Dataset, error) 
 // the cluster coordinator so a remotely fetched cell renders byte-identical
 // to a local run.
 func ScenarioResultFromCell(o Options, sc workloads.Scenario, m workloads.Metrics) *results.Dataset {
+	o = o.cellOptions()
 	d := m.Dataset("scenario", "scenario "+sc.String())
 	d.Prov = results.Provenance{
 		ExperimentID: "scenario",
@@ -183,9 +186,6 @@ func ScenarioDataset(o Options, id, title string, scs []workloads.Scenario) (*re
 
 // scenarioDatasetCached is ScenarioDataset against an explicit cell cache.
 func scenarioDatasetCached(cache *memo.Cache, o Options, id, title string, scs []workloads.Scenario) (*results.Dataset, error) {
-	// As in ScenarioResult: fidelity cannot shape scenario cells, so it
-	// must not fork their cache entries or label their provenance.
-	o.Fidelity = ""
 	type cell struct {
 		m   workloads.Metrics
 		err error
@@ -212,7 +212,7 @@ func scenarioDatasetCached(cache *memo.Cache, o Options, id, title string, scs [
 // to local serial execution (remote values arrive through the lossless JSON
 // wire form, so no precision is lost on the way).
 func ScenarioDatasetFromCells(o Options, id, title string, scs []workloads.Scenario, cells []workloads.Metrics) *results.Dataset {
-	o.Fidelity = ""
+	o = o.cellOptions()
 	d := newDataset(o, id, title,
 		col("Scenario", ""), col("Metric", ""), col("Value", ""), col("Unit", ""), col("Detail", ""))
 	for i, m := range cells {

@@ -27,20 +27,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sweepCancel carries a context error out of a canceled sweep as a panic
-// value: drivers have no error return, so cancellation unwinds like a point
-// panic and the dispatcher (recoverAsErr) converts it back into the
-// request's context error — which the memo layer never retains.
-type sweepCancel struct{ err error }
-
-// ctxErr reports the options' context error, nil when no context is set.
-func (o Options) ctxErr() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Err()
-}
-
 // context returns the options' context, Background when none is set.
 func (o Options) context() context.Context {
 	if o.Ctx == nil {
@@ -53,18 +39,20 @@ func (o Options) context() context.Context {
 // eval must not share mutable state between indices. A panicking point is
 // re-panicked on the caller's goroutine after the pool drains, matching the
 // serial failure mode. When the options carry a context, cancellation stops
-// workers from claiming further points and the sweep panics sweepCancel —
-// in-flight points finish, queued ones never start, and the worker pool is
+// workers from claiming further points and the sweep panics the context's
+// error, which recoverAsErr returns — in-flight points finish (or stop at
+// their own context check), queued ones never start, and the worker pool is
 // freed for other requests.
 func forEachPoint(o Options, n int, eval func(i int)) {
+	ctx := o.context()
 	workers := o.workers()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := o.ctxErr(); err != nil {
-				panic(sweepCancel{err})
+			if err := ctx.Err(); err != nil {
+				panic(err)
 			}
 			eval(i)
 		}
@@ -81,10 +69,10 @@ func forEachPoint(o Options, n int, eval func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				if err := o.ctxErr(); err != nil {
+				if err := ctx.Err(); err != nil {
 					panicMu.Lock()
 					if panicked == nil {
-						panicked = sweepCancel{err}
+						panicked = err
 					}
 					panicMu.Unlock()
 					return

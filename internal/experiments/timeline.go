@@ -9,7 +9,6 @@ import (
 	"cxlmem/internal/results"
 	"cxlmem/internal/sim"
 	"cxlmem/internal/workloads"
-	"cxlmem/internal/workloads/tpptimeline"
 )
 
 func init() {
@@ -18,33 +17,31 @@ func init() {
 		runTppTimeline)
 }
 
-// timelineCell pairs a timeline result with its error through the sweep
-// engine's value slot.
-type timelineCell struct {
-	r   tpptimeline.Result
-	err error
-}
-
-// runTppTimeline executes the event-driven model once (a single scheduler is
-// inherently serial, so any Options.Parallel setting produces the same
-// bytes; the sweep engine wraps the run only for cancellation plumbing) and
-// lays the timeline out one row per epoch. The run checks Options.Ctx at
-// every epoch boundary; its context error is re-panicked here, and
-// recoverAsErr returns it uncached.
+// runTppTimeline runs the default tpp-timeline cell once, on the
+// environment a scenario cell gets (a single scheduler is inherently
+// serial, so any Options.Parallel setting produces the same bytes), and
+// lays the timeline out one row per epoch. The run checks Options.Ctx
+// before and at every epoch boundary; its context error is panicked here,
+// and recoverAsErr returns it uncached.
 func runTppTimeline(o Options) *results.Dataset {
-	res := sweepPoints(o, 1, func(int) timelineCell {
-		r, rerr := timelineRun(o)
-		return timelineCell{r: r, err: rerr}
-	})[0]
-	if res.err != nil {
-		panic(res.err)
+	env, err := o.scenarioEnv("")
+	if err != nil {
+		panic(err)
+	}
+	w, err := workloads.Get("tpp-timeline")
+	if err != nil {
+		panic(err)
+	}
+	res, err := workloads.RunTimeline(env, w.DefaultConfig())
+	if err != nil {
+		panic(err)
 	}
 	d := newDataset(o, "tpp-timeline",
 		"TPP promotion/demotion timeline under bursty open-loop load (event-driven engine)",
 		col("Epoch", ""), col("t", "ms"), col("DDR pages", "pages"), col("CXL pages", "pages"),
 		col("Promo", "pages"), col("Demo", "pages"), col("Migr/s", "1/s"),
 		col("Accesses", "ops"), col("p99", "us"), col("mean", "us"))
-	for _, es := range res.r.Epochs {
+	for _, es := range res.Epochs {
 		d.AddRow(
 			results.Int(int64(es.Index)),
 			results.Num(es.Start.Milliseconds(), 1),
@@ -62,23 +59,11 @@ func runTppTimeline(o Options) *results.Dataset {
 	return d
 }
 
-// timelineRun is the tpp-timeline driver's one run: the workload's default
-// config on the options' environment, with taps attached to its scheduler.
-func timelineRun(o Options, taps ...sim.Tap) (tpptimeline.Result, error) {
-	env, err := o.scenarioEnv("")
-	if err != nil {
-		return tpptimeline.Result{}, err
-	}
-	w, err := workloads.Get("tpp-timeline")
-	if err != nil {
-		return tpptimeline.Result{}, err
-	}
-	return workloads.RunTimeline(env, w.DefaultConfig(), taps...)
-}
-
 // TraceDataset replays the event-driven run behind RunDataset(id, o) with
-// taps attached to its scheduler. A run is a pure function of its memo key
-// and the scheduler is deterministic, so the taps observe exactly the
+// taps attached to its scheduler: the tpp-timeline dataset is the run of
+// the default tpp-timeline cell, so the replay is TraceScenario of that cell
+// on the dataset's canonical options. A run is a pure function of its memo
+// key and the scheduler is deterministic, so the taps observe exactly the
 // events behind the cached dataset. The replay neither reads nor fills the
 // dataset cache. Only tpp-timeline runs on the scheduler: any other
 // registered ID is refused, an unknown one wraps ErrNotFound.
@@ -90,14 +75,12 @@ func TraceDataset(id string, o Options, taps ...sim.Tap) error {
 	if id != "tpp-timeline" {
 		return fmt.Errorf("experiments: %s does not run on the event scheduler, so it has no event trace (only tpp-timeline does)", id)
 	}
+	// Validate before canonicalizing: the canonical options blank the
+	// platform, which must still be a registered name.
 	if err := o.Validate(); err != nil {
 		return err
 	}
-	if err := o.context().Err(); err != nil {
-		return err
-	}
-	_, err = timelineRun(e.canonicalOptions(o), taps...)
-	return err
+	return TraceScenario(e.canonicalOptions(o), workloads.Scenario{Workload: id}, taps...)
 }
 
 // TraceScenario replays the event-driven cell behind ScenarioResult(o, sc)

@@ -105,19 +105,15 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 		warmedHere := false
 		v, err := warmStates.DoCtx(ctx, key, func(cctx context.Context) (any, error) {
 			// The computation warms this caller's own hierarchy — the result
-			// is wanted there anyway, so a miss costs no extra simulation. A
-			// defensive re-invocation (the entry was invalidated mid-flight)
-			// must not re-warm the now-dirty hierarchy; it warms a scratch one.
-			h := hier
-			if warmedHere {
-				h = cache.NewHierarchy(hier.Config())
-			}
-			warmedHere = h == hier
+			// is wanted there anyway, so a miss costs no extra simulation.
+			// DoCtx runs a caller's closure at most once, so it always finds
+			// the hierarchy pristine.
+			warmedHere = true
 			r := sim.NewRng(seed)
-			if err := runWarmup(cctx, h, home, lines, r, o.Workers); err != nil {
+			if err := runWarmup(cctx, hier, home, lines, r, o.Workers); err != nil {
 				return nil, err
 			}
-			return &warmState{snap: h.Capture(), home: home, rng: r.State()}, nil
+			return &warmState{snap: hier.Capture(), home: home, rng: r.State()}, nil
 		})
 		if err == nil {
 			// A warmup that ran on this very hierarchy left it in the

@@ -312,10 +312,25 @@ func TestRequestTimeout(t *testing.T) {
 // and nothing is cached, so the identical request after it is a cell-cache
 // miss again.
 func TestEventDrivenTimeoutCachesNothing(t *testing.T) {
+	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/scenario?spec=tpp-timeline/qps=200000/ops=5000/seed=%d&timeout=100ms", freshSeed()))
+}
+
+// TestSteadyStateTimeoutCachesNothing is the same contract for a
+// steady-state model: a full-mode kvstore cell of a million operations
+// stops within a few thousand of them once its request times out, and
+// caches nothing.
+func TestSteadyStateTimeoutCachesNothing(t *testing.T) {
+	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/scenario?spec=kvstore/policy=cxl:40/qps=150000/ops=1000000/seed=%d&timeout=10ms", freshSeed()))
+}
+
+// checkTimeoutCachesNothing sends q twice to a full-mode server: both
+// answer 504, the cell stops computing within a second of each, and the
+// cell cache counts two misses, no hit and no new entry.
+func checkTimeoutCachesNothing(t *testing.T, q string) {
+	t.Helper()
 	base := experiments.DefaultOptions()
 	base.Parallel = 1
 	_, ts := hardenedServer(t, Config{Base: base})
-	q := fmt.Sprintf("/v1/scenario?spec=tpp-timeline/qps=200000/ops=5000/seed=%d&timeout=100ms", freshSeed())
 	_, before := experiments.CacheStats()
 	for i := 0; i < 2; i++ {
 		if status, _, body := get(t, ts, q); status != http.StatusGatewayTimeout {

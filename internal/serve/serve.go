@@ -51,7 +51,6 @@ import (
 	httppprof "net/http/pprof"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -354,8 +353,8 @@ func writeError(w http.ResponseWriter, err error) {
 		// The request's deadline fired mid-evaluation; the work was
 		// canceled (or survives for another waiter) and nothing was cached:
 		// a sweep stops claiming points, an event-driven run stops at its
-		// next epoch boundary. A steady-state scenario cell that had already
-		// started is the exception: it completes and is cached.
+		// next epoch boundary, a steady-state model within a few thousand
+		// operations.
 		w.Header().Set("Retry-After", retryAfter)
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -400,7 +399,10 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 
 // parseQuery applies a request's option overrides to base and resolves its
 // emitter: platform, fidelity, quick, seed and format. Where a key repeats,
-// its first value counts. Every error is the client's (a 400).
+// its first value counts. The options come back resolved as the CLIs
+// resolve theirs (Options.Resolve): names lowercased and validated, and a
+// zero seed the default seed, so seed=0 and seed=1 are one key with one
+// provenance. Every error is the client's (a 400).
 //
 // fastwarm is the retired warmup knob (DESIGN.md §21): a false value is
 // accepted and ignored, because coordinators before its retirement pin
@@ -408,12 +410,11 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 func parseQuery(q url.Values, base experiments.Options) (experiments.Options, results.Emitter, error) {
 	opts := base
 	if q.Has("platform") {
-		// Platform names are lowercase in the registry; accept the same
-		// spellings the -platform flag does. Presence (not non-emptiness)
-		// triggers the override so a coordinator can pin the default
-		// Table-1 machine with platform= over a replica's -platform base —
-		// the canonical key distinguishes the two.
-		opts.Platform = strings.ToLower(q.Get("platform"))
+		// Presence (not non-emptiness) triggers the override so a
+		// coordinator can pin the default Table-1 machine with platform=
+		// over a replica's -platform base — the canonical key distinguishes
+		// the two.
+		opts.Platform = q.Get("platform")
 	}
 	if v := q.Get("fidelity"); v != "" {
 		f, err := experiments.ParseFidelity(v)
@@ -451,6 +452,9 @@ func parseQuery(q url.Values, base experiments.Options) (experiments.Options, re
 	}
 	em, err := results.Lookup(format)
 	if err != nil {
+		return opts, nil, err
+	}
+	if opts, err = opts.Resolve(); err != nil {
 		return opts, nil, err
 	}
 	return opts, em, nil

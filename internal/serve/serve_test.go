@@ -155,6 +155,62 @@ func TestScenarioEndpoint(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsTheDefaultSeed: seed=0 means the default seed 1 on every
+// endpoint, as -seed 0 does in cxlbench. fig6b answers seed 1's bytes, the
+// same bytes cxlbench -seed 0 -format json prints; tpp-timeline at seed=0,
+// then at seed=1, is one dataset lookup that leaves an entry and then a hit
+// on it; the provenance says seed 1 for datasets and scenario cells alike.
+func TestSeedZeroIsTheDefaultSeed(t *testing.T) {
+	ts := testServer(t)
+	body := func(path string) string {
+		t.Helper()
+		status, _, b := get(t, ts, path)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, status, b)
+		}
+		return b
+	}
+	cli, err := experiments.Options{Quick: true}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := experiments.RunDataset("fig6b", cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := results.Emit(d, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero, one := body("/v1/run?id=fig6b&seed=0"), body("/v1/run?id=fig6b&seed=1"); zero != one || zero != want {
+		t.Errorf("fig6b: seed=0, seed=1 and the resolved seed 0 of the CLI differ:\n%s\n%s\n%s", zero, one, want)
+	}
+
+	before, _ := experiments.CacheStats()
+	zero := body("/v1/run?id=tpp-timeline&seed=0")
+	mid, _ := experiments.CacheStats()
+	one := body("/v1/run?id=tpp-timeline&seed=1")
+	after, _ := experiments.CacheStats()
+	if mid.Hits+mid.Misses != before.Hits+before.Misses+1 || after.Hits != mid.Hits+1 || after.Misses != mid.Misses {
+		t.Errorf("tpp-timeline seed=0 then seed=1: dataset cache %+v → %+v → %+v, want one lookup then a hit on it", before, mid, after)
+	}
+	for _, b := range []string{zero, one, body("/v1/scenario?spec=kvstore/policy=cxl&seed=0")} {
+		p, err := results.ParseJSON([]byte(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Prov.Seed != 1 {
+			t.Errorf("%s provenance seed = %d, want 1", p.ID, p.Prov.Seed)
+		}
+	}
+	if zero != one {
+		t.Error("tpp-timeline: seed=0 and seed=1 bodies differ")
+	}
+	if a, b := body("/v1/scenario?spec=kvstore/policy=cxl&seed=0"), body("/v1/scenario?spec=kvstore/policy=cxl&seed=1"); a != b {
+		t.Error("kvstore cell: seed=0 and seed=1 bodies differ")
+	}
+}
+
 // TestConcurrentRequests exercises the race-tested path of the acceptance
 // criteria: 16 concurrent requests — the same experiment in several
 // formats, a matrix experiment and scenario cells — all funneling into the

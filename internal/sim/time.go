@@ -8,7 +8,10 @@
 // paper-reproduction experiments stable enough to assert on in tests.
 package sim
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Time is a point or duration on the simulated clock, in picoseconds.
 //
@@ -82,4 +85,15 @@ func (c *Clock) AdvanceTo(t Time) Time {
 		c.now = t
 	}
 	return c.now
+}
+
+// Stopped reports ctx's error at every 4096th operation i and nil between.
+// A steady-state model that runs its operations in one loop calls it once
+// per operation, so a canceled run stops within a few thousand operations
+// for one context check per 4096.
+func Stopped(ctx context.Context, i int) error {
+	if i&4095 != 0 {
+		return nil
+	}
+	return ctx.Err()
 }

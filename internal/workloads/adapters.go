@@ -40,8 +40,9 @@ func devicePath(env *Env, name string) (*topo.Path, error) {
 }
 
 // kvConfigFor builds the kvstore config shared by the kvstore and ycsb
-// adapters: quick mode shrinks the default keyspace exactly like the fig6a
-// driver; an explicit size overrides both.
+// adapters, the one place the Redis figures are configured: quick mode
+// shrinks the default keyspace to 100k keys; an explicit size overrides
+// both.
 func kvConfigFor(env *Env, cfg Config) kvstore.Config {
 	kc := kvstore.DefaultConfig()
 	if env.Quick {
@@ -88,7 +89,10 @@ func (w kvstoreWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 		return Metrics{}, err
 	}
 	s := kvstore.New(env.Sys, kvConfigFor(env, cfg), cfg.Device, cfg.CXLPercent)
-	res := s.RunOpenLoop(ycsb.WorkloadA, dist, cfg.TargetQPS, env.ScaleOps(cfg.Ops))
+	res, err := s.RunOpenLoop(env.context(), ycsb.WorkloadA, dist, cfg.TargetQPS, ScaleOps(env.Quick, cfg.Ops))
+	if err != nil {
+		return Metrics{}, err
+	}
 	var m Metrics
 	m.Add("p99_us", res.P99.Microseconds(), "us")
 	m.Add("p50_us", res.P50.Microseconds(), "us")
@@ -131,9 +135,15 @@ func (w ycsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 		return Metrics{}, err
 	}
 	kc := kvConfigFor(env, cfg)
-	samples := env.ScaleOps(cfg.Ops)
-	qps := kvstore.New(env.Sys, kc, cfg.Device, cfg.CXLPercent).MaxQPS(mix, ycsb.Uniform, samples)
-	base := kvstore.New(env.Sys, kc, cfg.Device, 0).MaxQPS(mix, ycsb.Uniform, samples)
+	samples := ScaleOps(env.Quick, cfg.Ops)
+	qps, err := kvstore.New(env.Sys, kc, cfg.Device, cfg.CXLPercent).MaxQPS(env.context(), mix, ycsb.Uniform, samples)
+	if err != nil {
+		return Metrics{}, err
+	}
+	base, err := kvstore.New(env.Sys, kc, cfg.Device, 0).MaxQPS(env.context(), mix, ycsb.Uniform, samples)
+	if err != nil {
+		return Metrics{}, err
+	}
 	var m Metrics
 	m.Add("max_qps", qps, "qps")
 	m.Add("vs_ddr", qps/base, "x")
@@ -209,7 +219,10 @@ func (w dsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 		return Metrics{}, err
 	}
 	onCXL := cfg.CXLPercent > 0
-	res := dsb.Run(env.Sys, dw, cfg.Device, onCXL, cfg.TargetQPS, env.ScaleOps(cfg.Ops), env.seed(cfg, 23))
+	res, err := dsb.Run(env.context(), env.Sys, dw, cfg.Device, onCXL, cfg.TargetQPS, ScaleOps(env.Quick, cfg.Ops), env.seed(cfg, 23))
+	if err != nil {
+		return Metrics{}, err
+	}
 	var m Metrics
 	m.Add("p99_ms", res.P99.Milliseconds(), "ms")
 	m.Add("p50_ms", res.P50.Milliseconds(), "ms")
@@ -265,7 +278,10 @@ func (w fioWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 		fc.PageCacheBytes = cfg.SizeBytes
 	}
 	fc.Seed = env.seed(cfg, fc.Seed)
-	res := fio.Run(env.Sys, path, fc, block, env.ScaleOps(cfg.Ops))
+	res, err := fio.Run(env.context(), env.Sys, path, fc, block, ScaleOps(env.Quick, cfg.Ops))
+	if err != nil {
+		return Metrics{}, err
+	}
 	var m Metrics
 	m.Add("p99_us", res.P99.Microseconds(), "us")
 	m.Add("hit_rate", res.HitRate, "frac")

@@ -14,6 +14,7 @@
 package dsb
 
 import (
+	"context"
 	"fmt"
 
 	"cxlmem/internal/mem"
@@ -154,8 +155,9 @@ type Result struct {
 // Run simulates the workload at targetQPS for the given number of requests,
 // with the caching tier's pages on CXL memory (cachingOnCXL) or on DDR.
 // Frontend and logic always live on DDR (§5.1: instruction-fetch-bound
-// components must stay on low-latency memory).
-func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, targetQPS float64, requests int, seed uint64) Result {
+// components must stay on low-latency memory). Once ctx is done the run
+// stops within a few thousand requests and returns ctx's error.
+func Run(ctx context.Context, sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, targetQPS float64, requests int, seed uint64) (Result, error) {
 	if targetQPS <= 0 || requests <= 0 {
 		panic("dsb: invalid run parameters")
 	}
@@ -215,6 +217,9 @@ func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, target
 	lats := make([]sim.Time, 0, requests)
 	saturated := false
 	for i := 0; i < requests; i++ {
+		if err := sim.Stopped(ctx, i); err != nil {
+			return Result{}, err
+		}
 		arrival += rng.ExpNanoseconds(interarrival)
 		ready := arrival
 		for t := Frontend; t < numTiers; t++ {
@@ -237,5 +242,5 @@ func Run(sys *topo.System, w Workload, cxlName string, cachingOnCXL bool, target
 		P99:       sim.FromNanoseconds(pct[1]),
 		P50:       sim.FromNanoseconds(pct[0]),
 		Saturated: saturated,
-	}
+	}, nil
 }

@@ -1,10 +1,32 @@
 package dsb
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"cxlmem/internal/topo"
 )
+
+// run is Run on a context that never ends, so it cannot fail.
+func run(sys *topo.System, w Workload, cxlName string, onCXL bool, qps float64, reqs int, seed uint64) Result {
+	r, err := Run(context.Background(), sys, w, cxlName, onCXL, qps, reqs, seed)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// TestRunStopsOnCanceledContext: a run whose context is already done
+// returns the context's error instead of a result.
+func TestRunStopsOnCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sys := topo.NewSystem(topo.DefaultConfig())
+	if _, err := Run(ctx, sys, Mixed, "CXL-A", true, 8000, 20000, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run err = %v, want context.Canceled", err)
+	}
+}
 
 func TestSpecsCoverTable2(t *testing.T) {
 	for _, w := range []Workload{ComposePosts, ReadUserTimelines, Mixed} {
@@ -33,8 +55,8 @@ func TestF3MarginalImpact(t *testing.T) {
 		{ReadUserTimelines, 20000},
 	}
 	for _, c := range cases {
-		ddr := Run(sys, c.w, "CXL-A", false, c.qps, 15000, 1)
-		cxl := Run(sys, c.w, "CXL-A", true, c.qps, 15000, 1)
+		ddr := run(sys, c.w, "CXL-A", false, c.qps, 15000, 1)
+		cxl := run(sys, c.w, "CXL-A", true, c.qps, 15000, 1)
 		ratio := float64(cxl.P99) / float64(ddr.P99)
 		if ratio > 1.15 {
 			t.Errorf("%v: CXL/DDR p99 = %.2f, want ~1 (ms-scale app)", c.w, ratio)
@@ -49,14 +71,14 @@ func TestF3MarginalImpact(t *testing.T) {
 // placement beats DDR placement in the mid-QPS window (paper: 5–11 kQPS).
 func TestMixedCXLWindow(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	ddr := Run(sys, Mixed, "CXL-A", false, 9500, 15000, 2)
-	cxl := Run(sys, Mixed, "CXL-A", true, 9500, 15000, 2)
+	ddr := run(sys, Mixed, "CXL-A", false, 9500, 15000, 2)
+	cxl := run(sys, Mixed, "CXL-A", true, 9500, 15000, 2)
 	if cxl.P99 >= ddr.P99 {
 		t.Errorf("mixed at 9.5k: CXL p99 %v should beat DDR p99 %v", cxl.P99, ddr.P99)
 	}
 	// At low QPS the ordering reverts (slightly) to DDR.
-	ddrLo := Run(sys, Mixed, "CXL-A", false, 2000, 15000, 2)
-	cxlLo := Run(sys, Mixed, "CXL-A", true, 2000, 15000, 2)
+	ddrLo := run(sys, Mixed, "CXL-A", false, 2000, 15000, 2)
+	cxlLo := run(sys, Mixed, "CXL-A", true, 2000, 15000, 2)
 	if float64(cxlLo.P99) < float64(ddrLo.P99)*0.98 {
 		t.Errorf("mixed at 2k: CXL p99 %v should not beat DDR p99 %v", cxlLo.P99, ddrLo.P99)
 	}
@@ -64,8 +86,8 @@ func TestMixedCXLWindow(t *testing.T) {
 
 func TestLatencyGrowsWithLoad(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	lo := Run(sys, ComposePosts, "CXL-A", false, 1000, 10000, 3)
-	hi := Run(sys, ComposePosts, "CXL-A", false, 5200, 10000, 3)
+	lo := run(sys, ComposePosts, "CXL-A", false, 1000, 10000, 3)
+	hi := run(sys, ComposePosts, "CXL-A", false, 5200, 10000, 3)
 	if hi.P99 <= lo.P99 {
 		t.Errorf("p99 should grow toward saturation: %v vs %v", lo.P99, hi.P99)
 	}
@@ -76,8 +98,8 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	a := Run(sys, ReadUserTimelines, "CXL-A", true, 10000, 5000, 7)
-	b := Run(sys, ReadUserTimelines, "CXL-A", true, 10000, 5000, 7)
+	a := run(sys, ReadUserTimelines, "CXL-A", true, 10000, 5000, 7)
+	b := run(sys, ReadUserTimelines, "CXL-A", true, 10000, 5000, 7)
 	if a.P99 != b.P99 || a.P50 != b.P50 {
 		t.Error("same-seed runs diverged")
 	}
@@ -86,8 +108,8 @@ func TestDeterminism(t *testing.T) {
 func TestRunPanics(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	for name, fn := range map[string]func(){
-		"qps":  func() { Run(sys, Mixed, "CXL-A", false, 0, 10, 1) },
-		"reqs": func() { Run(sys, Mixed, "CXL-A", false, 100, 0, 1) },
+		"qps":  func() { run(sys, Mixed, "CXL-A", false, 0, 10, 1) },
+		"reqs": func() { run(sys, Mixed, "CXL-A", false, 100, 0, 1) },
 	} {
 		func() {
 			defer func() {

@@ -18,6 +18,7 @@
 package fio
 
 import (
+	"context"
 	"fmt"
 
 	"cxlmem/internal/mem"
@@ -112,8 +113,9 @@ type Result struct {
 }
 
 // Run measures the latency distribution of ios random reads of blockBytes
-// with the page cache on the device behind cachePath.
-func Run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int) Result {
+// with the page cache on the device behind cachePath. Once ctx is done the
+// run stops within a few thousand I/Os and returns ctx's error.
+func Run(ctx context.Context, sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -137,6 +139,9 @@ func Run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int
 
 	lats := make([]sim.Time, 0, ios)
 	for i := 0; i < ios; i++ {
+		if err := sim.Stopped(ctx, i); err != nil {
+			return Result{}, err
+		}
 		var t sim.Time
 		// Kernel cost with modest variability.
 		t = sim.Time(float64(kernel) * (0.85 + 0.3*rng.Float64()))
@@ -157,5 +162,5 @@ func Run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int
 		BlockBytes: blockBytes,
 		P99:        sim.FromNanoseconds(stats.PercentilesNanoseconds(lats, 99)[0]),
 		HitRate:    h,
-	}
+	}, nil
 }

@@ -1,10 +1,32 @@
 package fio
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"cxlmem/internal/topo"
 )
+
+// run is Run on a context that never ends, so it cannot fail.
+func run(sys *topo.System, cachePath *topo.Path, cfg Config, blockBytes, ios int) Result {
+	r, err := Run(context.Background(), sys, cachePath, cfg, blockBytes, ios)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// TestRunStopsOnCanceledContext: a run whose context is already done
+// returns the context's error instead of a result.
+func TestRunStopsOnCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sys := topo.NewSystem(topo.DefaultConfig())
+	if _, err := Run(ctx, sys, sys.DDRLocal, DefaultConfig(), 4096, 40000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Run err = %v, want context.Canceled", err)
+	}
+}
 
 func TestHitRateCalibration(t *testing.T) {
 	cfg := DefaultConfig()
@@ -33,8 +55,8 @@ func TestFig8Shape(t *testing.T) {
 	cfg := DefaultConfig()
 	var ddr, cxl []Result
 	for _, b := range BlockSizes() {
-		ddr = append(ddr, Run(sys, sys.DDRLocal, cfg, b, 40000))
-		cxl = append(cxl, Run(sys, sys.Path("CXL-A"), cfg, b, 40000))
+		ddr = append(ddr, run(sys, sys.DDRLocal, cfg, b, 40000))
+		cxl = append(cxl, run(sys, sys.Path("CXL-A"), cfg, b, 40000))
 	}
 	inc := make([]float64, len(ddr))
 	for i := range ddr {
@@ -62,7 +84,7 @@ func TestP99GrowsWithBlockSize(t *testing.T) {
 	cfg := DefaultConfig()
 	prev := 0.0
 	for _, b := range []int{4 << 10, 64 << 10, 512 << 10} {
-		r := Run(sys, sys.DDRLocal, cfg, b, 20000)
+		r := run(sys, sys.DDRLocal, cfg, b, 20000)
 		if v := r.P99.Microseconds(); v <= prev {
 			t.Errorf("p99 should grow with block size: %v at %d", v, b)
 		} else {
@@ -73,8 +95,8 @@ func TestP99GrowsWithBlockSize(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	a := Run(sys, sys.DDRLocal, DefaultConfig(), 8<<10, 5000)
-	b := Run(sys, sys.DDRLocal, DefaultConfig(), 8<<10, 5000)
+	a := run(sys, sys.DDRLocal, DefaultConfig(), 8<<10, 5000)
+	b := run(sys, sys.DDRLocal, DefaultConfig(), 8<<10, 5000)
 	if a.P99 != b.P99 {
 		t.Error("same-seed runs diverged")
 	}
@@ -83,9 +105,9 @@ func TestDeterminism(t *testing.T) {
 func TestRunPanics(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	for name, fn := range map[string]func(){
-		"block": func() { Run(sys, sys.DDRLocal, DefaultConfig(), 1024, 10) },
-		"ios":   func() { Run(sys, sys.DDRLocal, DefaultConfig(), 4096, 0) },
-		"cfg":   func() { Run(sys, sys.DDRLocal, Config{}, 4096, 10) },
+		"block": func() { run(sys, sys.DDRLocal, DefaultConfig(), 1024, 10) },
+		"ios":   func() { run(sys, sys.DDRLocal, DefaultConfig(), 4096, 0) },
+		"cfg":   func() { run(sys, sys.DDRLocal, Config{}, 4096, 10) },
 	} {
 		func() {
 			defer func() {

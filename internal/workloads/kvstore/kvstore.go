@@ -16,6 +16,7 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 
 	"cxlmem/internal/mem"
@@ -173,7 +174,9 @@ type LatencyResult struct {
 
 // RunOpenLoop offers ops operations at targetQPS with Poisson arrivals and
 // returns the latency distribution (M/G/1 through the single Redis thread).
-func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS float64, ops int) LatencyResult {
+// Once ctx is done the run stops within a few thousand operations and
+// returns ctx's error.
+func (s *Store) RunOpenLoop(ctx context.Context, w ycsb.Workload, dist ycsb.Distribution, targetQPS float64, ops int) (LatencyResult, error) {
 	if targetQPS <= 0 || ops <= 0 {
 		panic("kvstore: invalid open-loop parameters")
 	}
@@ -186,6 +189,9 @@ func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS f
 	lats := make([]sim.Time, 0, ops)
 	arrival := sim.Time(0)
 	for i := 0; i < ops; i++ {
+		if err := sim.Stopped(ctx, i); err != nil {
+			return LatencyResult{}, err
+		}
 		arrival += s.rng.ExpNanoseconds(interarrival)
 		op := gen.Next()
 		svc := s.ServiceTime(op)
@@ -199,7 +205,7 @@ func (s *Store) RunOpenLoop(w ycsb.Workload, dist ycsb.Distribution, targetQPS f
 		clock.AdvanceTo(done)
 		lats = append(lats, done-arrival)
 	}
-	return s.summarize(targetQPS, lats, busy, clock.Now())
+	return s.summarize(targetQPS, lats, busy, clock.Now()), nil
 }
 
 // summarize sorts lats (in place) into the result's ascending nanosecond
@@ -225,18 +231,23 @@ func (s *Store) summarize(qps float64, lats []sim.Time, busy, elapsed sim.Time) 
 }
 
 // MaxQPS estimates the maximum sustainable throughput: the reciprocal of the
-// mean service time of the single-threaded store under the workload.
-func (s *Store) MaxQPS(w ycsb.Workload, dist ycsb.Distribution, samples int) float64 {
+// mean service time of the single-threaded store under the workload. Once
+// ctx is done it stops within a few thousand samples and returns ctx's
+// error.
+func (s *Store) MaxQPS(ctx context.Context, w ycsb.Workload, dist ycsb.Distribution, samples int) (float64, error) {
 	if samples <= 0 {
 		panic("kvstore: non-positive sample count")
 	}
 	gen := ycsb.NewGenerator(w, s.cfg.Keys, dist, s.cfg.Seed+2)
 	var total sim.Time
 	for i := 0; i < samples; i++ {
+		if err := sim.Stopped(ctx, i); err != nil {
+			return 0, err
+		}
 		total += s.ServiceTime(gen.Next())
 	}
 	mean := float64(total) / float64(samples) // ps
-	return 1e12 / mean
+	return 1e12 / mean, nil
 }
 
 // TPPResult compares TPP-managed placement against a static interleave.
@@ -257,7 +268,9 @@ func RunWithTPP(sys *topo.System, cfg Config, cxlName string, targetQPS float64,
 	// Static baseline: 25 % of (random) pages on CXL, uniform keys — the
 	// paper's default distribution.
 	static := New(sys, cfg, cxlName, 25)
-	staticRes := static.RunOpenLoop(ycsb.WorkloadA, ycsb.Uniform, targetQPS, ops)
+	// RunWithTPP takes no context, and a context that never ends cannot
+	// fail the run.
+	staticRes, _ := static.RunOpenLoop(context.TODO(), ycsb.WorkloadA, ycsb.Uniform, targetQPS, ops)
 
 	// TPP run. The paper starts with 100 % of pages on CXL, lets TPP
 	// migrate until 25 % remain there, and measures only afterwards; we

@@ -1,11 +1,45 @@
 package kvstore
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"cxlmem/internal/topo"
 	"cxlmem/internal/workloads/ycsb"
 )
+
+// openLoop is RunOpenLoop on a context that never ends, so it cannot fail.
+func openLoop(s *Store, qps float64, ops int) LatencyResult {
+	r, err := s.RunOpenLoop(context.Background(), ycsb.WorkloadA, ycsb.Uniform, qps, ops)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// maxQPS is MaxQPS on a context that never ends, so it cannot fail.
+func maxQPS(s *Store, w ycsb.Workload) float64 {
+	q, err := s.MaxQPS(context.Background(), w, ycsb.Uniform, 20000)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// TestRunsStopOnCanceledContext: both loops return the context's error
+// once it is done, instead of a result.
+func TestRunsStopOnCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := New(topo.NewSystem(topo.DefaultConfig()), testConfig(), "CXL-A", 40)
+	if _, err := s.RunOpenLoop(ctx, ycsb.WorkloadA, ycsb.Uniform, 150000, 100000); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled RunOpenLoop err = %v, want context.Canceled", err)
+	}
+	if _, err := s.MaxQPS(ctx, ycsb.WorkloadA, ycsb.Uniform, 100000); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled MaxQPS err = %v, want context.Canceled", err)
+	}
+}
 
 func testConfig() Config {
 	c := DefaultConfig()
@@ -52,7 +86,7 @@ func TestFig6aShape(t *testing.T) {
 
 	p99 := func(pct float64, qps float64) float64 {
 		s := New(sys, cfg, "CXL-A", pct)
-		return s.RunOpenLoop(ycsb.WorkloadA, ycsb.Uniform, qps, ops).P99.Microseconds()
+		return openLoop(s, qps, ops).P99.Microseconds()
 	}
 
 	// Monotone in CXL share at a high load point.
@@ -77,8 +111,8 @@ func TestFig6aShape(t *testing.T) {
 func TestMaxQPSMatchesPaperRatios(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	cfg := testConfig()
-	base := New(sys, cfg, "CXL-A", 0).MaxQPS(ycsb.WorkloadA, ycsb.Uniform, 20000)
-	full := New(sys, cfg, "CXL-A", 100).MaxQPS(ycsb.WorkloadA, ycsb.Uniform, 20000)
+	base := maxQPS(New(sys, cfg, "CXL-A", 0), ycsb.WorkloadA)
+	full := maxQPS(New(sys, cfg, "CXL-A", 100), ycsb.WorkloadA)
 	// §5.2: CXL 100% gives ~30% lower throughput than DDR 100% for YCSB-A.
 	drop := 1 - full/base
 	if drop < 0.18 || drop > 0.40 {
@@ -87,7 +121,7 @@ func TestMaxQPSMatchesPaperRatios(t *testing.T) {
 	// Intermediate ratios land in between and in order (Fig. 9b).
 	prev := base
 	for _, pct := range []float64{25, 50, 75} {
-		q := New(sys, cfg, "CXL-A", pct).MaxQPS(ycsb.WorkloadA, ycsb.Uniform, 20000)
+		q := maxQPS(New(sys, cfg, "CXL-A", pct), ycsb.WorkloadA)
 		if q >= prev {
 			t.Errorf("max QPS should fall with CXL share: %.0f at %v%% vs %.0f before", q, pct, prev)
 		}
@@ -102,8 +136,8 @@ func TestReadOnlyWorkloadLessSensitive(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	cfg := testConfig()
 	dropFor := func(w ycsb.Workload) float64 {
-		base := New(sys, cfg, "CXL-A", 0).MaxQPS(w, ycsb.Uniform, 20000)
-		full := New(sys, cfg, "CXL-A", 100).MaxQPS(w, ycsb.Uniform, 20000)
+		base := maxQPS(New(sys, cfg, "CXL-A", 0), w)
+		full := maxQPS(New(sys, cfg, "CXL-A", 100), w)
 		return 1 - full/base
 	}
 	// Workload C (read-only) avoids store latency; drop should be smaller
@@ -136,7 +170,7 @@ func TestFig7TPPWorseThanStatic(t *testing.T) {
 func TestRunOpenLoopUtilization(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	s := New(sys, testConfig(), "CXL-A", 0)
-	light := s.RunOpenLoop(ycsb.WorkloadA, ycsb.Uniform, 10000, 5000)
+	light := openLoop(s, 10000, 5000)
 	if light.Utilization > 0.3 {
 		t.Errorf("light-load utilization = %v", light.Utilization)
 	}
@@ -153,9 +187,9 @@ func TestPanics(t *testing.T) {
 	s := New(sys, testConfig(), "CXL-A", 50)
 	for name, fn := range map[string]func(){
 		"bad cfg":     func() { New(sys, Config{}, "CXL-A", 0) },
-		"bad qps":     func() { s.RunOpenLoop(ycsb.WorkloadA, ycsb.Uniform, 0, 10) },
-		"bad ops":     func() { s.RunOpenLoop(ycsb.WorkloadA, ycsb.Uniform, 100, 0) },
-		"bad samples": func() { s.MaxQPS(ycsb.WorkloadA, ycsb.Uniform, 0) },
+		"bad qps":     func() { openLoop(s, 0, 10) },
+		"bad ops":     func() { openLoop(s, 100, 0) },
+		"bad samples": func() { s.MaxQPS(context.Background(), ycsb.WorkloadA, ycsb.Uniform, 0) },
 	} {
 		func() {
 			defer func() {

@@ -198,6 +198,21 @@ func TestScenarioRunOnPlatform(t *testing.T) {
 
 // TestEnvForPlatform pins the copy-vs-identity contract and that run options
 // travel to the platform copy.
+// TestScaleOps pins the one quick-mode scaling rule adapters and experiment
+// drivers share: full mode keeps the count, quick mode divides it by ten
+// with a floor of 100.
+func TestScaleOps(t *testing.T) {
+	if got := ScaleOps(false, 5000); got != 5000 {
+		t.Errorf("full scale = %d, want 5000", got)
+	}
+	if got := ScaleOps(true, 5000); got != 500 {
+		t.Errorf("quick scale = %d, want 500", got)
+	}
+	if got := ScaleOps(true, 200); got != 100 {
+		t.Errorf("quick floor = %d, want 100", got)
+	}
+}
+
 func TestEnvForPlatform(t *testing.T) {
 	env := NewEnv()
 	env.Quick = true

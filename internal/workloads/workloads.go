@@ -40,9 +40,10 @@ type Env struct {
 	// Seed perturbs the stochastic components; 0 keeps each workload's
 	// calibrated default.
 	Seed uint64
-	// Ctx, when set, bounds event-driven runs: they check it at every epoch
-	// boundary and return its error once it is done. The steady-state
-	// models run to completion.
+	// Ctx, when set, bounds the run: an event-driven run checks it at every
+	// epoch boundary, the kvstore, ycsb, dsb and fio models every few
+	// thousand operations, and each returns its error once it is done. The
+	// closed-form models (dlrm, spec, fluid) have no loop to stop.
 	Ctx context.Context
 }
 
@@ -90,11 +91,11 @@ func (e *Env) ForPlatform(platform string) (*Env, error) {
 	return &ne, nil
 }
 
-// ScaleOps reduces an operation count in quick mode, mirroring
-// experiments.Options.scale so matrix cells stay cheap under the golden
-// corpus and CI.
-func (e *Env) ScaleOps(n int) int {
-	if e != nil && e.Quick {
+// ScaleOps is the one quick-mode scaling rule, for adapters and experiment
+// drivers alike: in quick mode an operation count shrinks tenfold, to no
+// fewer than 100; otherwise it is n.
+func ScaleOps(quick bool, n int) int {
+	if quick {
 		n /= 10
 		if n < 100 {
 			n = 100
