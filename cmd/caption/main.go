@@ -39,15 +39,7 @@ func main() {
 	sys := topo.NewSystem(topo.DefaultConfig())
 
 	// Calibration sweep (§6.1 M2): DLRM at 24 threads across ratios.
-	var sweep []telemetry.Sample
-	var thr []float64
-	cfg := dlrm.DefaultConfig()
-	base := dlrm.Run(sys, cfg, "CXL-A", 0, 24, dlrm.SNCAlone).QueriesPerSec
-	for r := 0.0; r <= 100; r += 5 {
-		res := dlrm.Run(sys, cfg, "CXL-A", r, 24, dlrm.SNCAlone)
-		sweep = append(sweep, res.Sample)
-		thr = append(thr, res.QueriesPerSec/base)
-	}
+	sweep, thr := dlrm.CalibrationSweep(sys, "CXL-A", 5)
 
 	policy := cxlmem.NewPolicy(50)
 	caption, err := cxlmem.NewCaption(sweep, thr, policy)

@@ -1,11 +1,11 @@
 // Command cxlserve is the structured-results query daemon: it serves every
 // registered experiment and any scenario spec over HTTP, rendered by the
 // pluggable emitters (json by default, text and csv on request). Results are
-// memoized process-wide in bounded, hotness-aware caches with single-flight
-// semantics, so concurrent clients asking for the same table share one
-// evaluation and repeats are served from the cache. Every result is a pure
-// function of its memo key, so a cached one stays until -cache-entries
-// evicts it; nothing else expires it.
+// memoized process-wide in bounded, least-recently-used caches with
+// single-flight semantics, so concurrent clients asking for the same table
+// share one evaluation and repeats are served from the cache. Every result
+// is a pure function of its memo key, so a cached one stays until
+// -cache-entries evicts it; nothing else expires it.
 //
 // The daemon is production-hardened (DESIGN.md §11): requests carry a
 // deadline that cancels in-flight sweep work, an admission gate sheds load
@@ -78,7 +78,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline (0 = none; requests may lower it with timeout=)")
 	maxInflight := flag.Int("max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently admitted compute requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 64, "requests allowed to wait for an admission slot before shedding 429")
-	cacheEntries := flag.Int("cache-entries", 1024, "entry budget per memo cache, evicted cold-first (0 = unbounded)")
+	cacheEntries := flag.Int("cache-entries", 1024, "entry budget per memo cache, least recently used evicted first (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (bypasses admission control; trusted networks only)")
 	peers := flag.String("peers", "", "comma-separated replica URLs forming the cache-sharding ring; compute requests proxy one hop to the key's owner")

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"cxlmem"
-	"cxlmem/internal/telemetry"
 	"cxlmem/internal/workloads/dlrm"
 	"cxlmem/internal/workloads/spec"
 )
@@ -18,15 +17,7 @@ func main() {
 	sys := cxlmem.NewSystem()
 
 	// (M2) Fit the estimator from a DLRM calibration sweep.
-	var sweep []telemetry.Sample
-	var thr []float64
-	cfg := dlrm.DefaultConfig()
-	base := dlrm.Run(sys, cfg, "CXL-A", 0, 24, dlrm.SNCAlone).QueriesPerSec
-	for r := 0.0; r <= 100; r += 5 {
-		res := dlrm.Run(sys, cfg, "CXL-A", r, 24, dlrm.SNCAlone)
-		sweep = append(sweep, res.Sample)
-		thr = append(thr, res.QueriesPerSec/base)
-	}
+	sweep, thr := dlrm.CalibrationSweep(sys, "CXL-A", 5)
 
 	// Drive the weighted-interleave mempolicy with a Caption controller.
 	policy := cxlmem.NewPolicy(50) // OS default: even interleave

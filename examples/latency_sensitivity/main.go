@@ -41,7 +41,10 @@ func main() {
 
 	fmt.Println("\nTPP vs static 25% interleave (Fig. 7):")
 	cfg.Keys = 50_000
-	res := kvstore.RunWithTPP(sys, cfg, "CXL-A", 40000, 40000)
+	res, err := kvstore.RunWithTPP(context.Background(), sys, cfg, "CXL-A", 40000, 40000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  static 25%%: p99 = %7.1f us\n", res.Static.P99.Microseconds())
 	fmt.Printf("  TPP       : p99 = %7.1f us  (%d migrations during the run)\n",
 		res.TPP.P99.Microseconds(), res.Migrations)

@@ -86,7 +86,7 @@ func runAblationEstimator(o Options) *results.Dataset {
 	}
 
 	// One DLRM calibration sweep feeds both estimators.
-	samples, thr := dlrmOperatingPoints(o, sys, 5)
+	samples, thr := dlrm.CalibrationSweep(sys, "CXL-A", 5)
 	// Full Table-4 estimator.
 	full, err := core.FitEstimator(samples, thr)
 	if err != nil {

@@ -117,7 +117,10 @@ func runFig7(o Options) *results.Dataset {
 	// at 40 kQPS) for the migration churn to show, so the op count has a
 	// floor even in quick mode.
 	ops := max(workloads.ScaleOps(o.Quick, 40000), 20000)
-	res := kvstore.RunWithTPP(sys, cfg, "CXL-A", 40000, ops)
+	res, err := kvstore.RunWithTPP(o.context(), sys, cfg, "CXL-A", 40000, ops)
+	if err != nil {
+		panic(err)
+	}
 
 	d := newDataset(o, "fig7", "Redis latency: TPP vs statically interleaving 25% of pages to CXL",
 		col("Percentile", ""), col("TPP (us)", "us"), col("Static 25% (us)", "us"))

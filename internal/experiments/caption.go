@@ -32,30 +32,9 @@ func runTable4(o Options) *results.Dataset {
 	return d
 }
 
-// dlrmOperatingPoints sweeps the allocation ratio and returns samples plus
-// normalized throughput — the calibration data Caption's estimator is
-// fitted on (§6.1 M2: "we collect CPU counter values at various DDR:CXL
-// ratios while running DLRM with 24 threads").
-func dlrmOperatingPoints(o Options, sys *topo.System, step float64) (samples []telemetry.Sample, thr []float64) {
-	cfg := dlrm.DefaultConfig()
-	var ratios []float64
-	for r := 0.0; r <= 100; r += step {
-		ratios = append(ratios, r)
-	}
-	res := sweepPoints(o, len(ratios), func(i int) dlrm.Result {
-		return dlrm.Run(sys, cfg, "CXL-A", ratios[i], 24, dlrm.SNCAlone)
-	})
-	base := res[0].QueriesPerSec // ratios[0] == 0: the DDR-only baseline
-	for _, r := range res {
-		samples = append(samples, r.Sample)
-		thr = append(thr, r.QueriesPerSec/base)
-	}
-	return samples, thr
-}
-
 // fitDLRMEstimator builds the paper's estimator.
-func fitDLRMEstimator(o Options, sys *topo.System) *core.Estimator {
-	samples, thr := dlrmOperatingPoints(o, sys, 5)
+func fitDLRMEstimator(sys *topo.System) *core.Estimator {
+	samples, thr := dlrm.CalibrationSweep(sys, "CXL-A", 5)
 	est, err := core.FitEstimator(samples, thr)
 	if err != nil {
 		panic(err)
@@ -65,7 +44,7 @@ func fitDLRMEstimator(o Options, sys *topo.System) *core.Estimator {
 
 func runFig11a(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	samples, thr := dlrmOperatingPoints(o, sys, 10)
+	samples, thr := dlrm.CalibrationSweep(sys, "CXL-A", 10)
 	d := newDataset(o, "fig11a", "DLRM normalized throughput vs consumed system bandwidth",
 		col("CXL %", "%"), col("System BW (GB/s)", "GB/s"), col("Norm. throughput", "x DDR100"))
 	for i, s := range samples {
@@ -77,7 +56,7 @@ func runFig11a(o Options) *results.Dataset {
 
 func runFig11b(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	samples, thr := dlrmOperatingPoints(o, sys, 10)
+	samples, thr := dlrm.CalibrationSweep(sys, "CXL-A", 10)
 	d := newDataset(o, "fig11b", "DLRM normalized throughput vs L1 miss latency",
 		col("CXL %", "%"), col("L1 miss latency (ns)", "ns"), col("Norm. throughput", "x DDR100"))
 	var lats []float64
@@ -91,7 +70,7 @@ func runFig11b(o Options) *results.Dataset {
 
 func runFig12a(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	est := fitDLRMEstimator(o, sys)
+	est := fitDLRMEstimator(sys)
 	cfg := dlrm.DefaultConfig()
 	base := dlrm.Run(sys, cfg, "CXL-A", 0, 24, dlrm.SNCAlone).QueriesPerSec
 
@@ -157,7 +136,7 @@ func steadyMean(xs []float64) float64 {
 
 func runFig12b(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	est := fitDLRMEstimator(o, sys)
+	est := fitDLRMEstimator(sys)
 	mix := []spec.Member{{Profile: spec.Roms, Instances: 8}, {Profile: spec.Mcf, Instances: 8}}
 	base := spec.Run(sys, mix, "CXL-A", 0).GIPS
 
@@ -220,7 +199,7 @@ func fig13Cases(sys *topo.System, o Options) []fig13Case {
 
 func runFig13(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.DefaultConfig())
-	est := fitDLRMEstimator(o, sys)
+	est := fitDLRMEstimator(sys)
 
 	d := newDataset(o, "fig13", "Throughput normalized to the default 50:50 static policy",
 		col("Benchmark", ""), col("DDR 100:0", "x 50:50"), col("50:50", "x 50:50"),

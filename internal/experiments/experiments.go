@@ -167,8 +167,8 @@ func IDs() []string {
 var datasetCache = memo.NewCache()
 
 // ConfigureCaches applies one entry budget to both process-wide memo caches
-// — the dataset cache and the scenario cell cache — evicting cold-first
-// past it; 0 keeps every settled result. cxlserve calls it from its
+// — the dataset cache and the scenario cell cache — evicting the least
+// recently used settled entries past it; 0 keeps every settled result. cxlserve calls it from its
 // -cache-entries flag.
 func ConfigureCaches(maxEntries int) {
 	cfg := memo.CacheConfig{MaxEntries: maxEntries}

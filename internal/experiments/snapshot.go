@@ -70,7 +70,7 @@ func decodeDataset(key string, data []byte) (any, error) {
 }
 
 // ExportDatasetCache serializes the process-wide dataset cache — every
-// settled, successful entry with its key and hotness metadata — as the
+// settled, successful entry with its key, most recently used first — as the
 // schema-versioned snapshot JSON cxlserve's /v1/snapshot serves and its
 // -snapshot-save flag writes.
 func ExportDatasetCache() ([]byte, error) {
@@ -97,9 +97,10 @@ func exportDatasetCache(c *memo.Cache) ([]byte, error) {
 // ImportDatasetCache restores a snapshot produced by ExportDatasetCache
 // into the process-wide dataset cache and reports how many entries were
 // restored. Keys already resident are left untouched, and the configured
-// entry budget still applies — an oversized snapshot restores cold-first
-// evicted like any other overflow. An entry whose key is not its dataset's
-// provenance key fails the import.
+// entry budget still applies — an oversized snapshot keeps its most
+// recently used entries, evicted from the recency tail like any other
+// overflow. An entry whose key is not its dataset's provenance key fails
+// the import.
 func ImportDatasetCache(data []byte) (int, error) {
 	return ImportDatasetCacheInto(datasetCache, data)
 }

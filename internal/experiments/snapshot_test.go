@@ -161,6 +161,48 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
+// TestImportSnapshotWithFreq restores a snapshot written before the memo
+// caches dropped their hit-frequency counters (testdata/snapshot-freq.json,
+// four quick datasets whose entries carry "freq"): every entry restores,
+// serves without recompute, and re-exports to the same envelope with only
+// the freq lines gone.
+func TestImportSnapshotWithFreq(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot-freq.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f snapshotFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Entries) != 4 || bytes.Count(data, []byte(`"freq": `)) != 4 {
+		t.Fatalf("fixture holds %d entries and %d freq fields, want 4 of each", len(f.Entries), bytes.Count(data, []byte(`"freq": `)))
+	}
+	fresh := memo.NewCache()
+	n, err := ImportDatasetCacheInto(fresh, data)
+	if err != nil || n != len(f.Entries) {
+		t.Fatalf("import = %d, %v; want all %d entries", n, err, len(f.Entries))
+	}
+	out, err := exportDatasetCache(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), `"freq": `) {
+			want = append(want, line)
+		}
+	}
+	if string(out) != strings.Join(want, "") {
+		t.Errorf("re-export differs from the fixture without its freq lines:\n%s", out)
+	}
+	for _, e := range f.Entries {
+		if _, err := fresh.Do(e.Key, func() (any, error) { t.Errorf("%s recomputed", e.Key); return nil, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestImportAcceptsEveryProvenanceKey is the other half of the rule: the
 // real entry of every registered ID restores, at options off the defaults
 // too (another seed, a platform, a fidelity tier), because each dataset's

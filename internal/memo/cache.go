@@ -1,4 +1,4 @@
-// Bounded, hotness-aware memoization (DESIGN.md §11).
+// Bounded, least-recently-used memoization (DESIGN.md §11).
 //
 // Cache memoizes expensive measurement results by canonical key with
 // single-flight semantics: concurrent callers of Do/DoCtx with the same key
@@ -9,14 +9,9 @@
 // A Cache has one retention rule: a settled result stays resident until the
 // entry budget evicts it. Every result this repository memoizes is a pure
 // function of its canonical key — the platform registry is fixed once init
-// has run — so nothing ever makes a resident entry stale. Every entry
-// carries hit recency (its position on an LRU list) and a hit-frequency
-// counter, and when a configured entry budget is exceeded the cache evicts
-// cold-first — candidates are sampled from the recency tail and the
-// least-frequently-hit one is dropped, so a hot key that momentarily slid
-// down the list survives a churning scan of one-shot keys. Scanned-but-
-// spared candidates have their frequency halved (classic LFU aging), so
-// formerly-hot keys cannot pin a slot forever.
+// has run — so nothing ever makes a resident entry stale. Entries sit on a
+// recency list, and when a configured entry budget is exceeded the cache
+// evicts the least-recently-used settled entry (DESIGN.md §29).
 //
 // Cancellation: DoCtx computations receive a context that is canceled once
 // every caller waiting on the key has abandoned it, so a timed-out request
@@ -38,18 +33,14 @@ import (
 	"sync"
 )
 
-// evictScan is how many recency-tail candidates one eviction inspects: the
-// least-frequently-hit of the sample is dropped, the spared rest age.
-const evictScan = 8
-
 // CacheConfig bounds a Cache. The zero value — no entry budget — keeps every
 // settled result.
 type CacheConfig struct {
 	// MaxEntries caps the resident entries when positive; the cache evicts
-	// cold-first (recency-tail sample, lowest frequency dropped) to stay at
-	// the budget. 0 disables eviction. In-flight computations are never
-	// evicted, so under heavy concurrency residency can transiently reach
-	// max(MaxEntries, in-flight).
+	// its least-recently-used settled entries to stay at the budget. 0
+	// disables eviction. In-flight computations are never evicted, so under
+	// heavy concurrency residency can transiently reach max(MaxEntries,
+	// in-flight).
 	MaxEntries int
 }
 
@@ -93,8 +84,7 @@ type cacheEntry struct {
 	computed bool
 	cctx     context.Context // the computation's context (for claim's retry test)
 
-	freq    int64 // hit-frequency counter, aged on eviction scans
-	waiters int   // callers currently blocked on this entry
+	waiters int // callers currently blocked on this entry
 	cancel  context.CancelFunc
 }
 
@@ -152,7 +142,6 @@ func (c *Cache) attempt(ctx context.Context, key string, compute func(ctx contex
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		if e.computed {
-			e.freq++
 			c.lru.MoveToFront(e.elem)
 			v, err := e.val, e.err
 			c.mu.Unlock()
@@ -175,7 +164,7 @@ func (c *Cache) attempt(ctx context.Context, key string, compute func(ctx contex
 	c.misses++
 	c.inflight++
 	cctx, cancel := context.WithCancel(context.Background())
-	e := &cacheEntry{key: key, done: make(chan struct{}), cancel: cancel, cctx: cctx, waiters: 1, freq: 1}
+	e := &cacheEntry{key: key, done: make(chan struct{}), cancel: cancel, cctx: cctx, waiters: 1}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.evictLocked()
@@ -215,7 +204,6 @@ func (c *Cache) claim(ctx context.Context, e *cacheEntry) (any, error, bool) {
 		c.mu.Unlock()
 		return nil, nil, true
 	}
-	e.freq++
 	v, err := e.val, e.err
 	c.mu.Unlock()
 	return v, err, false
@@ -254,37 +242,21 @@ func (c *Cache) finish(e *cacheEntry, v any, err error, panicVal any) {
 	c.mu.Unlock()
 }
 
-// evictLocked enforces the entry budget: sample up to evictScan computed
-// entries from the recency tail, evict the least-frequently-hit one and
-// halve the frequency of the spared rest. In-flight entries are skipped —
-// someone is waiting on them. Callers hold c.mu.
+// evictLocked enforces the entry budget: it walks the recency list from
+// its tail and removes settled entries until the cache is back at the
+// budget. In-flight entries are skipped — someone is waiting on them.
+// Callers hold c.mu.
 func (c *Cache) evictLocked() {
 	if c.cfg.MaxEntries <= 0 {
 		return
 	}
-	for len(c.entries) > c.cfg.MaxEntries {
-		var victim *cacheEntry
-		sample := make([]*cacheEntry, 0, evictScan)
-		for el := c.lru.Back(); el != nil && len(sample) < evictScan; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			if !e.computed {
-				continue
-			}
-			sample = append(sample, e)
-			if victim == nil || e.freq < victim.freq {
-				victim = e
-			}
+	for el := c.lru.Back(); el != nil && len(c.entries) > c.cfg.MaxEntries; {
+		e := el.Value.(*cacheEntry)
+		el = el.Prev()
+		if e.computed {
+			c.removeLocked(e)
+			c.evictions++
 		}
-		if victim == nil {
-			return // everything resident is in flight; over-budget transiently
-		}
-		for _, e := range sample {
-			if e != victim && e.freq > 1 {
-				e.freq /= 2
-			}
-		}
-		c.removeLocked(victim)
-		c.evictions++
 	}
 }
 

@@ -11,21 +11,20 @@
 //
 // Only settled successes travel: in-flight computations, cached errors and
 // panics are skipped — a snapshot is a transcript of reusable results, not
-// of failures. Entries are ordered most-recently-used first and carry their
-// hit-frequency counter, so a restored cache inherits the donor's hotness
-// ranking and a bounded restore keeps the hottest keys.
+// of failures. Entries are ordered most-recently-used first, so a restored
+// cache inherits the donor's recency order and a bounded restore keeps the
+// most recent keys. A snapshot written with the per-entry hit-frequency
+// counters of earlier versions restores as well: decoding skips unknown
+// fields.
 package memo
 
 import "encoding/json"
 
-// SnapshotEntry is one serialized cache entry: the canonical key, the
-// encoded value, and the hotness metadata the eviction policy runs on.
+// SnapshotEntry is one serialized cache entry: the canonical key and the
+// encoded value.
 type SnapshotEntry struct {
 	// Key is the entry's canonical memoization key.
 	Key string `json:"key"`
-	// Freq is the entry's hit-frequency counter at snapshot time; Restore
-	// clamps it to at least 1.
-	Freq int64 `json:"freq,omitempty"`
 	// Value is the encoded result, produced by the Snapshot caller's encode
 	// function and handed back to Restore's decode.
 	Value json.RawMessage `json:"value"`
@@ -38,9 +37,8 @@ type SnapshotEntry struct {
 // by the package contract).
 func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]SnapshotEntry, error) {
 	type pending struct {
-		key  string
-		val  any
-		freq int64
+		key string
+		val any
 	}
 	c.mu.Lock()
 	collected := make([]pending, 0, len(c.entries))
@@ -49,7 +47,7 @@ func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]Snap
 		if !e.computed || e.err != nil || e.panicVal != nil {
 			continue
 		}
-		collected = append(collected, pending{key: e.key, val: e.val, freq: e.freq})
+		collected = append(collected, pending{key: e.key, val: e.val})
 	}
 	c.mu.Unlock()
 	out := make([]SnapshotEntry, 0, len(collected))
@@ -58,7 +56,7 @@ func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]Snap
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, SnapshotEntry{Key: p.key, Freq: p.freq, Value: data})
+		out = append(out, SnapshotEntry{Key: p.key, Value: data})
 	}
 	return out, nil
 }
@@ -66,9 +64,10 @@ func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]Snap
 // Restore inserts snapshot entries as computed values, decoding each
 // through decode. Keys already resident (computed or in flight) are left
 // untouched — live state always wins over a snapshot. Restored entries
-// join the recency list in snapshot order (most-recently-used first), keep
-// their clamped frequency, and count toward the entry budget: an
-// over-budget restore evicts cold-first exactly like computed entries do.
+// join the recency list behind the resident ones in snapshot order
+// (most-recently-used first) and count toward the entry budget: an
+// over-budget restore evicts from the recency tail exactly like computed
+// entries do, so it keeps the snapshot's most recent keys.
 // It returns how many entries were actually restored.
 func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []byte) (any, error)) (int, error) {
 	restored := 0
@@ -89,12 +88,11 @@ func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []
 			done:     done,
 			val:      v,
 			computed: true,
-			freq:     max64(se.Freq, 1),
 			cancel:   func() {},
 		}
 		c.entries[se.Key] = e
 		// Entries arrive MRU-first, so appending preserves the donor's
-		// recency order: the first restored entry ends up at the front.
+		// recency order: each restored entry sits ahead of the later ones.
 		e.elem = c.lru.PushBack(e)
 		c.evictLocked()
 		// The entry may have been evicted immediately (budget smaller than
@@ -104,12 +102,4 @@ func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []
 		restored++
 	}
 	return restored, nil
-}
-
-// max64 returns the larger of two int64s.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -123,8 +123,8 @@ func TestRestoreKeepsResident(t *testing.T) {
 }
 
 // TestRestoreHonorsBudget squeezes the target cache below the snapshot size:
-// the restore must not blow the entry budget, and the hottest (earliest,
-// highest-frequency) entries must be the survivors.
+// the restore must not blow the entry budget, and the most recently used
+// (earliest) entries must be the survivors.
 func TestRestoreHonorsBudget(t *testing.T) {
 	src := NewCache()
 	for i := 0; i < 10; i++ {
@@ -133,7 +133,7 @@ func TestRestoreHonorsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Heat k0 so it tops both recency and frequency.
+	// Touch k0 so it tops the recency order.
 	for i := 0; i < 8; i++ {
 		src.Do("k0", func() (any, error) { return nil, nil })
 	}
@@ -157,7 +157,7 @@ func TestRestoreHonorsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v != "vk0" {
-		t.Errorf("hot key k0 = %v after bounded restore, want the restored vk0", v)
+		t.Errorf("most recent key k0 = %v after bounded restore, want the restored vk0", v)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cxlmem/internal/experiments"
+	"cxlmem/internal/memo"
 	"cxlmem/internal/results"
 )
 
@@ -312,7 +313,7 @@ func TestRequestTimeout(t *testing.T) {
 // and nothing is cached, so the identical request after it is a cell-cache
 // miss again.
 func TestEventDrivenTimeoutCachesNothing(t *testing.T) {
-	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/scenario?spec=tpp-timeline/qps=200000/ops=5000/seed=%d&timeout=100ms", freshSeed()))
+	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/scenario?spec=tpp-timeline/qps=200000/ops=5000/seed=%d&timeout=100ms", freshSeed()), cellStats)
 }
 
 // TestSteadyStateTimeoutCachesNothing is the same contract for a
@@ -320,25 +321,37 @@ func TestEventDrivenTimeoutCachesNothing(t *testing.T) {
 // stops within a few thousand of them once its request times out, and
 // caches nothing.
 func TestSteadyStateTimeoutCachesNothing(t *testing.T) {
-	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/scenario?spec=kvstore/policy=cxl:40/qps=150000/ops=1000000/seed=%d&timeout=10ms", freshSeed()))
+	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/scenario?spec=kvstore/policy=cxl:40/qps=150000/ops=1000000/seed=%d&timeout=10ms", freshSeed()), cellStats)
 }
 
+// TestFig7TimeoutCachesNothing is the same contract for a whole
+// experiment: full-mode fig7, whose two Redis runs take about 15 ms, stops
+// within a few thousand operations once its 2 ms request times out, and
+// the dataset cache keeps nothing.
+func TestFig7TimeoutCachesNothing(t *testing.T) {
+	checkTimeoutCachesNothing(t, fmt.Sprintf("/v1/run?id=fig7&seed=%d&timeout=2ms", freshSeed()), datasetStats)
+}
+
+// datasetStats and cellStats read one of the two process-wide caches.
+func datasetStats() memo.CacheStats { d, _ := experiments.CacheStats(); return d }
+func cellStats() memo.CacheStats    { _, c := experiments.CacheStats(); return c }
+
 // checkTimeoutCachesNothing sends q twice to a full-mode server: both
-// answer 504, the cell stops computing within a second of each, and the
-// cell cache counts two misses, no hit and no new entry.
-func checkTimeoutCachesNothing(t *testing.T, q string) {
+// answer 504, the run stops computing within a second of each, and the
+// cache that stats reads counts two misses, no hit and no new entry.
+func checkTimeoutCachesNothing(t *testing.T, q string, stats func() memo.CacheStats) {
 	t.Helper()
 	base := experiments.DefaultOptions()
 	base.Parallel = 1
 	_, ts := hardenedServer(t, Config{Base: base})
-	_, before := experiments.CacheStats()
+	before := stats()
 	for i := 0; i < 2; i++ {
 		if status, _, body := get(t, ts, q); status != http.StatusGatewayTimeout {
 			t.Fatalf("request %d = %d (%s), want 504", i, status, strings.TrimSpace(body))
 		}
 		deadline := time.Now().Add(time.Second)
 		for {
-			if _, c := experiments.CacheStats(); c.InFlight == 0 {
+			if stats().InFlight == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -347,8 +360,8 @@ func checkTimeoutCachesNothing(t *testing.T, q string) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if _, after := experiments.CacheStats(); after.Misses != before.Misses+2 || after.Hits != before.Hits || after.Size != before.Size {
-		t.Fatalf("cell cache %+v → %+v: want two misses, no hit and nothing retained", before, after)
+	if after := stats(); after.Misses != before.Misses+2 || after.Hits != before.Hits || after.Size != before.Size {
+		t.Fatalf("cache %+v → %+v: want two misses, no hit and nothing retained", before, after)
 	}
 }
 

@@ -353,8 +353,8 @@ func writeError(w http.ResponseWriter, err error) {
 		// The request's deadline fired mid-evaluation; the work was
 		// canceled (or survives for another waiter) and nothing was cached:
 		// a sweep stops claiming points, an event-driven run stops at its
-		// next epoch boundary, a steady-state model within a few thousand
-		// operations.
+		// next epoch boundary, a steady-state model or fig7's TPP run
+		// within a few thousand operations.
 		w.Header().Set("Retry-After", retryAfter)
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

@@ -101,6 +101,52 @@ func (m CostModel) SyncCost(copyBandwidthGBs float64) sim.Time {
 	return m.PTEUpdate + sim.FromNanoseconds(float64(m.CopyBytes)/copyBandwidthGBs)
 }
 
+// Charges applies the two penalties of F2 to the accesses that follow each
+// scan, the accounting every model running TPP under load shares: each
+// promotion's SyncCost falls on one later access (the one whose hint fault
+// performs it), and a scan's demotions, copied in the background, add
+// their StallPenalty to every access until the next scan.
+type Charges struct {
+	cost     CostModel
+	window   sim.Time
+	copyGBs  float64
+	syncCost sim.Time
+	pending  int      // promotions not yet charged
+	penalty  sim.Time // the last scan's demotion stall
+}
+
+// NewCharges returns the accounting, under DefaultCostModel, of scans
+// every window that copy pages at copyGBs.
+func NewCharges(window sim.Time, copyGBs float64) *Charges {
+	cost := DefaultCostModel()
+	return &Charges{cost: cost, window: window, copyGBs: copyGBs, syncCost: cost.SyncCost(copyGBs)}
+}
+
+// Scan charges one scan's migrations and returns how many were promotions
+// and how many demotions.
+func (c *Charges) Scan(migs []Migration) (promotions, demotions int) {
+	for _, m := range migs {
+		if m.To == numa.DDR {
+			promotions++
+		}
+	}
+	demotions = len(migs) - promotions
+	c.pending += promotions
+	c.penalty = c.cost.StallPenalty(demotions, c.window, c.copyGBs)
+	return promotions, demotions
+}
+
+// Next returns the charge on the next access: the stall penalty plus, while
+// promotions are pending, one promotion's SyncCost.
+func (c *Charges) Next() sim.Time {
+	t := c.penalty
+	if c.pending > 0 {
+		t += c.syncCost
+		c.pending--
+	}
+	return t
+}
+
 // Engine runs the policy over an address space.
 type Engine struct {
 	cfg   Config

@@ -208,6 +208,38 @@ func TestStallPenalty(t *testing.T) {
 	}
 }
 
+// TestChargesSpreadScans pins the per-access accounting: a scan's
+// promotions each charge SyncCost to one later access, in order, and its
+// demotions' StallPenalty lands on every access until the next scan
+// replaces it; promotions still pending carry over that scan.
+func TestChargesSpreadScans(t *testing.T) {
+	const window, gbs = 100 * sim.Millisecond, 10.0
+	m := DefaultCostModel()
+	sync := m.SyncCost(gbs)
+	c := NewCharges(window, gbs)
+	if got := c.Next(); got != 0 {
+		t.Fatalf("charge before any scan = %v, want 0", got)
+	}
+	promo := Migration{From: numa.CXL, To: numa.DDR}
+	demo := Migration{From: numa.DDR, To: numa.CXL}
+	if p, d := c.Scan([]Migration{promo, demo, promo, demo, demo}); p != 2 || d != 3 {
+		t.Fatalf("Scan counted %d promotions, %d demotions; want 2, 3", p, d)
+	}
+	stall := m.StallPenalty(3, window, gbs)
+	for i, want := range []sim.Time{stall + sync, stall + sync, stall, stall} {
+		if got := c.Next(); got != want {
+			t.Errorf("access %d after the first scan charged %v, want %v", i, got, want)
+		}
+	}
+	c.Scan([]Migration{promo, promo, promo})
+	c.Scan(nil)
+	for i, want := range []sim.Time{sync, sync, sync, 0} {
+		if got := c.Next(); got != want {
+			t.Errorf("access %d after the demotion-free scans charged %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestNewEnginePanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

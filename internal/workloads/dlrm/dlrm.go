@@ -208,6 +208,29 @@ func sampleFrom(eq fluid.Equilibrium, ddr *topo.Path, cxlPercent float64) teleme
 	}
 }
 
+// CalibrationSweep returns the data Caption's estimator is fitted on (§6.1
+// M2: "we collect CPU counter values at various DDR:CXL ratios while
+// running DLRM with 24 threads"): DLRM at 24 threads on the named CXL
+// device with SNC alone, at CXL ratios 0, step, 2·step, … up to 100, each
+// point's counter sample and its throughput normalized to the all-DDR
+// point.
+func CalibrationSweep(sys *topo.System, cxlName string, step float64) (samples []telemetry.Sample, thr []float64) {
+	if step <= 0 {
+		panic("dlrm: non-positive step")
+	}
+	cfg := DefaultConfig()
+	var base float64
+	for r := 0.0; r <= 100; r += step {
+		res := Run(sys, cfg, cxlName, r, 24, SNCAlone)
+		if r == 0 {
+			base = res.QueriesPerSec
+		}
+		samples = append(samples, res.Sample)
+		thr = append(thr, res.QueriesPerSec/base)
+	}
+	return samples, thr
+}
+
 // BestRatio scans CXL percentages 0..100 in steps and returns the
 // throughput-maximizing one.
 func BestRatio(sys *topo.System, cfg Config, cxlName string, threads int, sc Scenario, step float64) (best float64, qps float64) {

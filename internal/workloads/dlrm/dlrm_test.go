@@ -144,12 +144,30 @@ func TestSampleFieldsPopulated(t *testing.T) {
 	}
 }
 
+// TestCalibrationSweep: one point per ratio 0..100, each the 24-thread
+// SNC-alone run at that ratio, its throughput over the all-DDR point's.
+func TestCalibrationSweep(t *testing.T) {
+	sys := topo.NewSystem(topo.DefaultConfig())
+	samples, thr := CalibrationSweep(sys, "CXL-A", 10)
+	if len(samples) != 11 || len(thr) != 11 {
+		t.Fatalf("sweep has %d samples and %d throughputs, want 11 of each", len(samples), len(thr))
+	}
+	base := Run(sys, DefaultConfig(), "CXL-A", 0, 24, SNCAlone).QueriesPerSec
+	for i, s := range samples {
+		r := Run(sys, DefaultConfig(), "CXL-A", float64(10*i), 24, SNCAlone)
+		if s != r.Sample || thr[i] != r.QueriesPerSec/base {
+			t.Errorf("point %d = %+v, %v; want the %v%% run %+v, %v", i, s, thr[i], 10*i, r.Sample, r.QueriesPerSec/base)
+		}
+	}
+}
+
 func TestRunPanics(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	for name, fn := range map[string]func(){
 		"threads": func() { Run(sys, DefaultConfig(), "CXL-A", 0, 0, SNCAlone) },
 		"ratio":   func() { Run(sys, DefaultConfig(), "CXL-A", 150, 8, SNCAlone) },
 		"step":    func() { BestRatio(sys, DefaultConfig(), "CXL-A", 8, SNCAlone, 0) },
+		"sweep":   func() { CalibrationSweep(sys, "CXL-A", 0) },
 	} {
 		func() {
 			defer func() {

@@ -177,10 +177,19 @@ type LatencyResult struct {
 // Once ctx is done the run stops within a few thousand operations and
 // returns ctx's error.
 func (s *Store) RunOpenLoop(ctx context.Context, w ycsb.Workload, dist ycsb.Distribution, targetQPS float64, ops int) (LatencyResult, error) {
+	gen := ycsb.NewGenerator(w, s.cfg.Keys, dist, s.cfg.Seed+1)
+	return s.openLoop(ctx, gen, targetQPS, ops, func(_ sim.Time, op ycsb.Op) sim.Time { return s.ServiceTime(op) })
+}
+
+// openLoop is the store's one M/G/1 loop: ops operations drawn from gen
+// arrive at targetQPS with Poisson interarrivals and queue for the single
+// service thread, and service returns each operation's service time given
+// its arrival. Once ctx is done the loop stops within a few thousand
+// operations and returns ctx's error.
+func (s *Store) openLoop(ctx context.Context, gen *ycsb.Generator, targetQPS float64, ops int, service func(arrival sim.Time, op ycsb.Op) sim.Time) (LatencyResult, error) {
 	if targetQPS <= 0 || ops <= 0 {
 		panic("kvstore: invalid open-loop parameters")
 	}
-	gen := ycsb.NewGenerator(w, s.cfg.Keys, dist, s.cfg.Seed+1)
 	interarrival := 1e9 / targetQPS // ns
 
 	var clock sim.Clock
@@ -193,8 +202,7 @@ func (s *Store) RunOpenLoop(ctx context.Context, w ycsb.Workload, dist ycsb.Dist
 			return LatencyResult{}, err
 		}
 		arrival += s.rng.ExpNanoseconds(interarrival)
-		op := gen.Next()
-		svc := s.ServiceTime(op)
+		svc := service(arrival, gen.Next())
 		start := arrival
 		if serverFree > start {
 			start = serverFree
@@ -261,16 +269,18 @@ type TPPResult struct {
 // RunWithTPP reproduces the Fig. 7 experiment: the store starts with 100 %
 // of pages on CXL; TPP migrates pages toward its 75 % DDR target. Once the
 // warm migration completes, latency is measured while TPP keeps scanning
-// (and, with skewed access, keeps migrating), charging each window the
-// migration stall penalty of §5.1. The baseline statically interleaves 25 %
-// of pages to CXL and never migrates.
-func RunWithTPP(sys *topo.System, cfg Config, cxlName string, targetQPS float64, ops int) TPPResult {
+// (and, with skewed access, keeps migrating), each access paying the
+// migration charges of §5.1 (tpp.Charges). The baseline statically
+// interleaves 25 % of pages to CXL and never migrates. Once ctx is done the
+// run stops within a few thousand operations and returns ctx's error.
+func RunWithTPP(ctx context.Context, sys *topo.System, cfg Config, cxlName string, targetQPS float64, ops int) (TPPResult, error) {
 	// Static baseline: 25 % of (random) pages on CXL, uniform keys — the
 	// paper's default distribution.
 	static := New(sys, cfg, cxlName, 25)
-	// RunWithTPP takes no context, and a context that never ends cannot
-	// fail the run.
-	staticRes, _ := static.RunOpenLoop(context.TODO(), ycsb.WorkloadA, ycsb.Uniform, targetQPS, ops)
+	staticRes, err := static.RunOpenLoop(ctx, ycsb.WorkloadA, ycsb.Uniform, targetQPS, ops)
+	if err != nil {
+		return TPPResult{}, err
+	}
 
 	// TPP run. The paper starts with 100 % of pages on CXL, lets TPP
 	// migrate until 25 % remain there, and measures only afterwards; we
@@ -281,60 +291,25 @@ func RunWithTPP(sys *topo.System, cfg Config, cxlName string, targetQPS float64,
 		store.space.Move(p, 0)
 	}
 	engine := tpp.NewEngine(tpp.DefaultConfig(), store.space)
-	cost := tpp.DefaultCostModel()
 	gen := ycsb.NewGenerator(ycsb.WorkloadA, cfg.Keys, ycsb.Uniform, cfg.Seed+3)
 
-	// Measured phase: open-loop. Promotions are NUMA hint faults — the
-	// unlucky operation that touches the sampled page performs the
-	// migration synchronously (SyncCost); demotions run in the background
-	// and are charged as a controller-occupancy penalty on the window.
+	// Measured phase: the open loop with TPP scanning every window of
+	// arrival time.
 	scanWindow := 100 * sim.Millisecond
-	copyBW := sys.Path(cxlName).Device.EffectiveGBs(0.5)
-	syncCost := cost.SyncCost(copyBW)
-	interarrival := 1e9 / targetQPS
-	var serverFree, busy sim.Time
-	var clock sim.Clock
-	arrival := sim.Time(0)
+	charges := tpp.NewCharges(scanWindow, sys.Path(cxlName).Device.EffectiveGBs(0.5))
 	nextScan := scanWindow
-	var penalty sim.Time
-	var pendingSync int
 	var migrations int64
-	lats := make([]sim.Time, 0, ops)
-	for i := 0; i < ops; i++ {
-		arrival += store.rng.ExpNanoseconds(interarrival)
-		for arrival >= nextScan {
+	res, err := store.openLoop(ctx, gen, targetQPS, ops, func(arrival sim.Time, op ycsb.Op) sim.Time {
+		for ; arrival >= nextScan; nextScan += scanWindow {
 			migs := engine.Scan()
 			migrations += int64(len(migs))
-			promotions := 0
-			for _, m := range migs {
-				if m.To == 0 {
-					promotions++
-				}
-			}
-			pendingSync += promotions
-			penalty = cost.StallPenalty(len(migs)-promotions, scanWindow, copyBW)
-			nextScan += scanWindow
+			charges.Scan(migs)
 		}
-		op := gen.Next()
 		engine.RecordAccess(uint64(store.pageOfKey(op.Key)) * numa.PageBytes)
-		svc := store.ServiceTime(op) + penalty
-		if pendingSync > 0 {
-			svc += syncCost
-			pendingSync--
-		}
-		start := arrival
-		if serverFree > start {
-			start = serverFree
-		}
-		done := start + svc
-		serverFree = done
-		busy += svc
-		clock.AdvanceTo(done)
-		lats = append(lats, done-arrival)
+		return store.ServiceTime(op) + charges.Next()
+	})
+	if err != nil {
+		return TPPResult{}, err
 	}
-	return TPPResult{
-		TPP:        store.summarize(targetQPS, lats, busy, clock.Now()),
-		Static:     staticRes,
-		Migrations: migrations,
-	}
+	return TPPResult{TPP: res, Static: staticRes, Migrations: migrations}, nil
 }

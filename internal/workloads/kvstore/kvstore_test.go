@@ -27,8 +27,8 @@ func maxQPS(s *Store, w ycsb.Workload) float64 {
 	return q
 }
 
-// TestRunsStopOnCanceledContext: both loops return the context's error
-// once it is done, instead of a result.
+// TestRunsStopOnCanceledContext: the open loop, MaxQPS and the Fig. 7 run
+// return the context's error once it is done, instead of a result.
 func TestRunsStopOnCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -38,6 +38,9 @@ func TestRunsStopOnCanceledContext(t *testing.T) {
 	}
 	if _, err := s.MaxQPS(ctx, ycsb.WorkloadA, ycsb.Uniform, 100000); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled MaxQPS err = %v, want context.Canceled", err)
+	}
+	if _, err := RunWithTPP(ctx, topo.NewSystem(topo.DefaultConfig()), testConfig(), "CXL-A", 40000, 20000); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled RunWithTPP err = %v, want context.Canceled", err)
 	}
 }
 
@@ -153,7 +156,10 @@ func TestFig7TPPWorseThanStatic(t *testing.T) {
 	sys := topo.NewSystem(topo.DefaultConfig())
 	cfg := testConfig()
 	cfg.Keys = 50_000
-	res := RunWithTPP(sys, cfg, "CXL-A", 40000, 20000)
+	res, err := RunWithTPP(context.Background(), sys, cfg, "CXL-A", 40000, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Migrations == 0 {
 		t.Fatal("TPP performed no migrations during the measured window")
 	}

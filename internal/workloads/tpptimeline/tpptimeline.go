@@ -160,7 +160,6 @@ type state struct {
 	space  *numa.Space
 	engine *tpp.Engine
 	zipf   *sim.Zipf
-	paths  [2]*topo.Path
 	// hopCost is the per-access memory cost by tier, precomputed.
 	hopCost [2]sim.Time
 
@@ -168,12 +167,8 @@ type state struct {
 	serverFree sim.Time
 	// burst is true during the on phase.
 	burst bool
-	// TPP mechanism costs (kvstore.RunWithTPP's accounting): promotions are
-	// charged synchronously to upcoming accesses, demotions as a stall
-	// penalty on every access in the window.
-	syncCost    sim.Time
-	pendingSync int
-	penalty     sim.Time
+	// TPP mechanism costs, charged to the accesses after each scan.
+	charges *tpp.Charges
 
 	// Per-epoch accumulators, reset at each boundary. epochNs is the
 	// epoch's latencies sorted and in nanoseconds; it and the sorter's
@@ -210,11 +205,7 @@ func (a *loadActor) Handle(s *sim.Scheduler, _ sim.Event) {
 	page := st.zipf.Next()
 	node := st.space.NodeOfPage(page)
 	st.engine.RecordAccess(uint64(page) * numa.PageBytes)
-	svc := st.cfg.CPUPerAccess + st.hopCost[node] + st.penalty
-	if st.pendingSync > 0 {
-		svc += st.syncCost
-		st.pendingSync--
-	}
+	svc := st.cfg.CPUPerAccess + st.hopCost[node] + st.charges.Next()
 	start := arrival
 	if st.serverFree > start {
 		start = st.serverFree
@@ -254,19 +245,9 @@ func (a *scanActor) Name() string { return "tpp-scan" }
 // schedules the next scan.
 func (a *scanActor) Handle(s *sim.Scheduler, _ sim.Event) {
 	st := a.st
-	migs := st.engine.Scan()
-	promos := 0
-	for _, m := range migs {
-		if m.To == numa.DDR {
-			promos++
-		}
-	}
-	demos := len(migs) - promos
+	promos, demos := st.charges.Scan(st.engine.Scan())
 	st.epochPromos += int64(promos)
 	st.epochDemos += int64(demos)
-	st.pendingSync += promos
-	copyBW := st.paths[1].Device.EffectiveGBs(0.5)
-	st.penalty = tpp.DefaultCostModel().StallPenalty(demos, st.cfg.ScanEvery, copyBW)
 	s.After(st.cfg.ScanEvery, a, evScan)
 }
 
@@ -325,16 +306,16 @@ func Run(sys *topo.System, cfg Config, cxlName string, taps ...sim.Tap) Result {
 	}
 	space := numa.NewSpace(numa.NewDDRCXLSplit(cfg.FarPercent))
 	space.Alloc(cfg.Pages)
+	far := sys.Path(cxlName)
 	st := &state{
-		cfg:    cfg,
-		space:  space,
-		engine: tpp.NewEngine(cfg.Policy, space),
-		paths:  [2]*topo.Path{sys.DDRLocal, sys.Path(cxlName)},
+		cfg:     cfg,
+		space:   space,
+		engine:  tpp.NewEngine(cfg.Policy, space),
+		charges: tpp.NewCharges(cfg.ScanEvery, far.Device.EffectiveGBs(0.5)),
 	}
-	for node, p := range st.paths {
+	for node, p := range [2]*topo.Path{sys.DDRLocal, far} {
 		st.hopCost[node] = sim.Time(cfg.AccessHops) * p.SerialLatency(mem.Load)
 	}
-	st.syncCost = tpp.DefaultCostModel().SyncCost(st.paths[1].Device.EffectiveGBs(0.5))
 
 	s := sim.NewScheduler(cfg.Seed)
 	for _, t := range taps {

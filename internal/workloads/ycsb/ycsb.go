@@ -1,6 +1,6 @@
 // Package ycsb generates Yahoo! Cloud Serving Benchmark operation streams
 // (Cooper et al., SoCC'10) for the Redis experiments of §5. It implements
-// the standard core workloads A–F with uniform, zipfian and latest key
+// the standard core workloads A–F with uniform and zipfian key
 // distributions. The paper uses a uniform distribution "ensuring maximum
 // stress on the memory subsystem, unless we explicitly specify" otherwise.
 package ycsb
@@ -56,8 +56,6 @@ const (
 	Uniform Distribution = iota
 	// Zipfian draws keys zipf(0.99), the YCSB default skew.
 	Zipfian
-	// Latest favors recently inserted keys (workload D).
-	Latest
 )
 
 // String names the distribution.
@@ -67,8 +65,6 @@ func (d Distribution) String() string {
 		return "uniform"
 	case Zipfian:
 		return "zipfian"
-	case Latest:
-		return "latest"
 	default:
 		return fmt.Sprintf("Distribution(%d)", int(d))
 	}
@@ -84,8 +80,6 @@ type Workload struct {
 	// ReadP, UpdateP, InsertP, RMWP are the operation proportions; they
 	// must sum to 1.
 	ReadP, UpdateP, InsertP, RMWP float64
-	// DefaultDist is the workload's standard key distribution.
-	DefaultDist Distribution
 }
 
 // Validate reports mix errors.
@@ -100,11 +94,11 @@ func (w Workload) Validate() error {
 // The standard core workloads. E (scans) is omitted: the paper evaluates
 // A, B, C, D and F (Fig. 9b).
 var (
-	WorkloadA = Workload{Name: "A", ReadP: 0.5, UpdateP: 0.5, DefaultDist: Zipfian}
-	WorkloadB = Workload{Name: "B", ReadP: 0.95, UpdateP: 0.05, DefaultDist: Zipfian}
-	WorkloadC = Workload{Name: "C", ReadP: 1.0, DefaultDist: Zipfian}
-	WorkloadD = Workload{Name: "D", ReadP: 0.95, InsertP: 0.05, DefaultDist: Latest}
-	WorkloadF = Workload{Name: "F", ReadP: 0.5, RMWP: 0.5, DefaultDist: Zipfian}
+	WorkloadA = Workload{Name: "A", ReadP: 0.5, UpdateP: 0.5}
+	WorkloadB = Workload{Name: "B", ReadP: 0.95, UpdateP: 0.05}
+	WorkloadC = Workload{Name: "C", ReadP: 1.0}
+	WorkloadD = Workload{Name: "D", ReadP: 0.95, InsertP: 0.05}
+	WorkloadF = Workload{Name: "F", ReadP: 0.5, RMWP: 0.5}
 )
 
 // Workloads returns the evaluated workloads in Fig. 9b order.
@@ -152,9 +146,8 @@ type Generator struct {
 	zipf     *sim.Zipf
 }
 
-// NewGenerator creates a generator over a keyspace of the given size. dist
-// overrides the workload's default distribution (the paper forces Uniform
-// for its latency experiments); pass w.DefaultDist to keep the standard.
+// NewGenerator creates a generator over a keyspace of the given size whose
+// keys follow dist (the paper forces Uniform for its latency experiments).
 func NewGenerator(w Workload, keys int, dist Distribution, seed uint64) *Generator {
 	if err := w.Validate(); err != nil {
 		panic(err)
@@ -164,7 +157,7 @@ func NewGenerator(w Workload, keys int, dist Distribution, seed uint64) *Generat
 	}
 	rng := sim.NewRng(seed)
 	g := &Generator{w: w, dist: dist, inserted: keys, rng: rng}
-	if dist == Zipfian || dist == Latest {
+	if dist == Zipfian {
 		g.zipf = sim.NewZipf(rng, keys, ZipfTheta)
 	}
 	return g
@@ -201,10 +194,6 @@ func (g *Generator) pickKey() int {
 		return g.rng.Intn(g.inserted)
 	case Zipfian:
 		return g.zipf.Next() % g.inserted
-	case Latest:
-		// Latest: rank 0 is the most recent insert.
-		off := g.zipf.Next() % g.inserted
-		return g.inserted - 1 - off
 	default:
 		panic(fmt.Sprintf("ycsb: unknown distribution %v", g.dist))
 	}

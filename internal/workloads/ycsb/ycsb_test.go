@@ -52,7 +52,7 @@ func TestMixProportions(t *testing.T) {
 }
 
 func TestKeysInRange(t *testing.T) {
-	for _, dist := range []Distribution{Uniform, Zipfian, Latest} {
+	for _, dist := range []Distribution{Uniform, Zipfian} {
 		g := NewGenerator(WorkloadC, 5000, dist, 2)
 		for i := 0; i < 50000; i++ {
 			op := g.Next()
@@ -64,7 +64,7 @@ func TestKeysInRange(t *testing.T) {
 }
 
 func TestInsertGrowsKeyspace(t *testing.T) {
-	g := NewGenerator(WorkloadD, 1000, Latest, 3)
+	g := NewGenerator(WorkloadD, 1000, Zipfian, 3)
 	before := g.inserted
 	inserts := 0
 	for i := 0; i < 20000; i++ {
@@ -91,21 +91,6 @@ func TestZipfianSkewsHead(t *testing.T) {
 	}
 	if frac := float64(head) / n; frac < 0.3 {
 		t.Errorf("zipfian head fraction = %v, want substantial", frac)
-	}
-}
-
-func TestLatestFavorsRecent(t *testing.T) {
-	g := NewGenerator(WorkloadD, 100000, Latest, 5)
-	recent := 0
-	const n = 50000
-	for i := 0; i < n; i++ {
-		op := g.Next()
-		if op.Type == Read && op.Key > g.inserted-1000 {
-			recent++
-		}
-	}
-	if frac := float64(recent) / n; frac < 0.25 {
-		t.Errorf("latest distribution read recent keys only %v of the time", frac)
 	}
 }
 
@@ -143,7 +128,7 @@ func TestStrings(t *testing.T) {
 	if Read.String() != "read" || ReadModifyWrite.String() != "rmw" {
 		t.Error("op type strings wrong")
 	}
-	if Uniform.String() != "uniform" || Latest.String() != "latest" {
+	if Uniform.String() != "uniform" || Zipfian.String() != "zipfian" {
 		t.Error("distribution strings wrong")
 	}
 }
