@@ -166,7 +166,7 @@ type ScenarioInfo struct {
 func ScenarioWorkloads() []ScenarioInfo {
 	var out []ScenarioInfo
 	for _, w := range workloads.All() {
-		out = append(out, ScenarioInfo{Name: w.Name(), Desc: w.Desc(), Variants: w.Variants()})
+		out = append(out, ScenarioInfo{Name: w.Name, Desc: w.Desc, Variants: w.Variants})
 	}
 	return out
 }

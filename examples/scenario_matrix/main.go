@@ -1,5 +1,5 @@
 // Scenario matrix: the unified workload engine. Every application model of
-// the paper registers behind one interface, so arbitrary cells of the
+// the paper is an entry of one workload table, so arbitrary cells of the
 // {workload x interleaving policy x working-set size} cross product are a
 // one-line spec string away — no experiment code required.
 package main

@@ -12,16 +12,6 @@ import (
 	"cxlmem/internal/workloads/spec"
 )
 
-// Ablation experiments (DESIGN.md §6): each one disables a single modeled
-// mechanism to show that it — and nothing else — produces the corresponding
-// observation of the paper.
-func init() {
-	register("ablation-llc", "disable the SNC LLC-isolation break for CXL lines (isolates O6)", runAblationLLC)
-	register("ablation-coherence", "disable remote-directory burst congestion (isolates O3)", runAblationCoherence)
-	register("ablation-estimator", "Caption with the full counter set vs IPC only", runAblationEstimator)
-	markFidelity("ablation-llc")
-}
-
 func runAblationLLC(o Options) *results.Dataset {
 	samples := workloads.ScaleOps(o.Quick, 200000)
 	// Cache-mutating measurements: a private System per sweep point.

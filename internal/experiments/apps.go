@@ -16,19 +16,6 @@ import (
 	"cxlmem/internal/workloads/ycsb"
 )
 
-func init() {
-	register("fig6a", "Redis YCSB-A p99 vs target QPS for 5 DDR:CXL ratios (Fig. 6a)", runFig6a)
-	register("fig6b", "DSB compose-posts p99: caching tier on DDR vs CXL (Fig. 6b)", dsbRunner("fig6b", "compose"))
-	register("fig6c", "DSB read-user-timelines p99 (Fig. 6c)", dsbRunner("fig6c", "readuser"))
-	register("fig6d", "DSB mixed-workload p99, incl. the CXL-wins window (Fig. 6d)", dsbRunner("fig6d", "mixed"))
-	register("fig7", "Redis: TPP vs static 25% interleave latency distribution (Fig. 7)", runFig7)
-	register("fig8", "FIO p99 vs block size with page cache on DDR vs CXL (Fig. 8)", runFig8)
-	register("fig9a", "DLRM throughput vs threads for 7 allocation ratios (Fig. 9a)", runFig9a)
-	register("fig9b", "Redis max QPS, YCSB A/B/C/D/F x 5 ratios, normalized (Fig. 9b)", runFig9b)
-	register("table2", "DSB component working sets and placement (Table 2)", runTable2)
-	register("table3", "DLRM: 1 vs 4 SNC nodes, DDR vs CXL 100% (Table 3)", runTable3)
-}
-
 // runCells evaluates an application figure's grid of scenario specs, cell(o,
 // r, c) in row r, column c, on one Table-1 environment without the cell
 // cache (DESIGN.md §28); specs pin the calibrated seed wherever the figure
@@ -181,7 +168,7 @@ func runFig9b(o Options) *results.Dataset {
 	for r, row := range runCells(o, len(ycsb.Workloads()), len(cxlShares), fig9bCell) {
 		cells := []results.Cell{results.Str(ycsb.Workloads()[r].Name)}
 		for _, m := range row {
-			cells = append(cells, results.Num(m.Primary().Value/row[0].Primary().Value, 2)) // over all-DDR
+			cells = append(cells, results.Num(m.Items[1].Value, 2)) // vs_ddr
 		}
 		d.AddRow(cells...)
 	}

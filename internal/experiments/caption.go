@@ -13,15 +13,6 @@ import (
 	"cxlmem/internal/workloads/spec"
 )
 
-func init() {
-	register("table4", "PMU counters Caption monitors (Table 4)", runTable4)
-	register("fig11a", "DLRM throughput vs consumed system bandwidth (Fig. 11a)", runFig11a)
-	register("fig11b", "DLRM throughput vs L1 miss latency (Fig. 11b)", runFig11b)
-	register("fig12a", "Caption estimator vs DLRM throughput over a ratio sweep (Fig. 12a)", runFig12a)
-	register("fig12b", "Caption autotuning SPEC-Mix: timeline and synchrony (Fig. 12b)", runFig12b)
-	register("fig13", "Caption vs static 100:0 and 50:50 across benchmarks (Fig. 13)", runFig13)
-}
-
 func runTable4(o Options) *results.Dataset {
 	d := newDataset(o, "table4", "CPU counters pertinent to memory-subsystem performance",
 		col("Metric", ""), col("Tool", ""), col("Description", ""))

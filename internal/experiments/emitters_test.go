@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -281,12 +282,14 @@ func TestRunDatasetPlatformScope(t *testing.T) {
 // driver becomes a cached error that reports the same way on every revisit
 // instead of a done-but-empty memo entry.
 func TestRunDatasetPanicRecovered(t *testing.T) {
-	// Safe to mutate: top-level tests run sequentially and the registry is
-	// only read during their serial phases.
-	register("test-panic", "panicking driver (test only)", func(Options) *results.Dataset {
+	// Safe to swap: top-level tests run sequentially and the registry is
+	// only read during their serial phases. The driver joins a copy, so
+	// the table itself is never written.
+	saved := registry
+	registry = append(slices.Clone(registry), Experiment{ID: "test-panic", Desc: "panicking driver (test only)", Run: func(Options) *results.Dataset {
 		panic("boom")
-	})
-	defer delete(registry, "test-panic")
+	}})
+	defer func() { registry = saved }()
 	o := quickOpts()
 	for i := 0; i < 2; i++ {
 		if _, err := RunDataset("test-panic", o); err == nil || !strings.Contains(err.Error(), "boom") {

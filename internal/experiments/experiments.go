@@ -14,7 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cxlmem/internal/memo"
@@ -90,7 +90,7 @@ func (o Options) fingerprint() string {
 		o.Quick, o.Seed, o.Platform, o.fidelity())
 }
 
-// Experiment is a registered driver.
+// Experiment is a driver: an entry of the registry table.
 type Experiment struct {
 	// ID is the registry key.
 	ID string
@@ -113,48 +113,62 @@ type Experiment struct {
 	UsesFidelity bool
 }
 
-var registry = map[string]Experiment{}
-
-func register(id, desc string, run func(Options) *results.Dataset) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = Experiment{ID: id, Desc: desc, Run: run}
-}
-
-// registerMatrix registers a platform-sensitive scenario-matrix driver.
-func registerMatrix(id, desc string, run func(Options) *results.Dataset) {
-	register(id, desc, run)
-	e := registry[id]
-	e.UsesPlatform = true
-	registry[id] = e
+// registry lists every experiment, sorted by ID. Each entry sets its own
+// UsesPlatform and UsesFidelity.
+var registry = []Experiment{
+	// Ablation experiments (DESIGN.md §6): each one disables a single
+	// modeled mechanism to show that it — and nothing else — produces the
+	// corresponding observation of the paper.
+	{ID: "ablation-coherence", Desc: "disable remote-directory burst congestion (isolates O3)", Run: runAblationCoherence},
+	{ID: "ablation-estimator", Desc: "Caption with the full counter set vs IPC only", Run: runAblationEstimator},
+	{ID: "ablation-llc", Desc: "disable the SNC LLC-isolation break for CXL lines (isolates O6)", Run: runAblationLLC, UsesFidelity: true},
+	{ID: "fig11a", Desc: "DLRM throughput vs consumed system bandwidth (Fig. 11a)", Run: runFig11a},
+	{ID: "fig11b", Desc: "DLRM throughput vs L1 miss latency (Fig. 11b)", Run: runFig11b},
+	{ID: "fig12a", Desc: "Caption estimator vs DLRM throughput over a ratio sweep (Fig. 12a)", Run: runFig12a},
+	{ID: "fig12b", Desc: "Caption autotuning SPEC-Mix: timeline and synchrony (Fig. 12b)", Run: runFig12b},
+	{ID: "fig13", Desc: "Caption vs static 100:0 and 50:50 across benchmarks (Fig. 13)", Run: runFig13},
+	{ID: "fig3", Desc: "random access latency, MLC + memo, normalized to DDR5-L (Fig. 3)", Run: runFig3},
+	{ID: "fig4a", Desc: "MLC bandwidth efficiency across R/W mixes (Fig. 4a)", Run: runFig4a},
+	{ID: "fig4b", Desc: "memo bandwidth efficiency per instruction type (Fig. 4b)", Run: runFig4b},
+	{ID: "fig5", Desc: "SNC/LLC interaction: 32MB buffer latency (Fig. 5 / §4.3)", Run: runFig5, UsesFidelity: true},
+	{ID: "fig6a", Desc: "Redis YCSB-A p99 vs target QPS for 5 DDR:CXL ratios (Fig. 6a)", Run: runFig6a},
+	{ID: "fig6b", Desc: "DSB compose-posts p99: caching tier on DDR vs CXL (Fig. 6b)", Run: dsbRunner("fig6b", "compose")},
+	{ID: "fig6c", Desc: "DSB read-user-timelines p99 (Fig. 6c)", Run: dsbRunner("fig6c", "readuser")},
+	{ID: "fig6d", Desc: "DSB mixed-workload p99, incl. the CXL-wins window (Fig. 6d)", Run: dsbRunner("fig6d", "mixed")},
+	{ID: "fig7", Desc: "Redis: TPP vs static 25% interleave latency distribution (Fig. 7)", Run: runFig7},
+	{ID: "fig8", Desc: "FIO p99 vs block size with page cache on DDR vs CXL (Fig. 8)", Run: runFig8},
+	{ID: "fig9a", Desc: "DLRM throughput vs threads for 7 allocation ratios (Fig. 9a)", Run: runFig9a},
+	{ID: "fig9b", Desc: "Redis max QPS, YCSB A/B/C/D/F x 5 ratios, normalized (Fig. 9b)", Run: runFig9b},
+	{ID: "matrix-apps", Desc: "scenario matrix: every registered workload x DDR/interleave/CXL placement", Run: runMatrixApps, UsesPlatform: true},
+	{ID: "matrix-platform", Desc: "scenario matrix: representative workloads x every registered platform profile", Run: runMatrixPlatform, UsesPlatform: true},
+	{ID: "matrix-policy", Desc: "scenario matrix: throughput workloads x 5 interleaving policies", Run: runMatrixPolicy, UsesPlatform: true},
+	{ID: "matrix-size", Desc: "scenario matrix: size-aware workloads x working-set sizes", Run: runMatrixSize, UsesPlatform: true},
+	{ID: "table1", Desc: "system and CXL device configurations (Table 1)", Run: runTable1},
+	{ID: "table2", Desc: "DSB component working sets and placement (Table 2)", Run: runTable2},
+	{ID: "table3", Desc: "DLRM: 1 vs 4 SNC nodes, DDR vs CXL 100% (Table 3)", Run: runTable3},
+	{ID: "table4", Desc: "PMU counters Caption monitors (Table 4)", Run: runTable4},
+	{ID: "tpp-timeline", Desc: "event-driven TPP migration timeline: per-epoch residency, migration throughput and latency under bursty load", Run: runTppTimeline},
 }
 
 // Get returns the experiment with the given ID; the failure wraps
 // ErrNotFound.
 func Get(id string) (Experiment, error) {
-	e, ok := registry[id]
-	if !ok {
-		return Experiment{}, fmt.Errorf("experiments: %w %q (try 'list')", ErrNotFound, id)
+	for _, e := range registry {
+		if e.ID == id {
+			return e, nil
+		}
 	}
-	return e, nil
+	return Experiment{}, fmt.Errorf("experiments: %w %q (try 'list')", ErrNotFound, id)
 }
 
 // All returns every experiment sorted by ID.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func All() []Experiment { return slices.Clone(registry) }
 
-// IDs returns the sorted registry keys.
+// IDs returns the experiment IDs, sorted.
 func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.ID
 	}
 	return ids
 }

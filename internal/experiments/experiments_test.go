@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -61,6 +62,34 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Get("fig99"); err == nil {
 		t.Error("unknown id should error")
+	}
+}
+
+// TestRegistryTable holds the table to the rules registration used to check
+// at run time: IDs sorted and unique, and the knob flags on exactly the
+// drivers that consume the knobs — fidelity on the two buffer-latency
+// sweeps, platform on the four scenario matrices.
+func TestRegistryTable(t *testing.T) {
+	var fidelity, platform []string
+	for i, e := range registry {
+		if e.ID == "" || e.Run == nil {
+			t.Errorf("entry %d: empty ID or no Run", i)
+		}
+		if i > 0 && registry[i-1].ID >= e.ID {
+			t.Errorf("entry %d: %q does not sort after %q (IDs must be sorted and unique)", i, e.ID, registry[i-1].ID)
+		}
+		if e.UsesFidelity {
+			fidelity = append(fidelity, e.ID)
+		}
+		if e.UsesPlatform {
+			platform = append(platform, e.ID)
+		}
+	}
+	if want := []string{"ablation-llc", "fig5"}; !slices.Equal(fidelity, want) {
+		t.Errorf("UsesFidelity set on %v, want %v", fidelity, want)
+	}
+	if want := []string{"matrix-apps", "matrix-platform", "matrix-policy", "matrix-size"}; !slices.Equal(platform, want) {
+		t.Errorf("UsesPlatform set on %v, want %v", platform, want)
 	}
 }
 

@@ -77,16 +77,3 @@ func (o Options) bufferLatencyNs(sys *topo.System, path *topo.Path, bufBytes int
 	return mlc.BufferLatencyOpt(sys, path, bufBytes, samples, o.Seed+3,
 		mlc.StreamOptions{Workers: o.workers(), Ctx: o.Ctx}).Nanoseconds()
 }
-
-// markFidelity flags a registered experiment as consuming Options.Fidelity.
-// Every other experiment has RunDataset blank the knob, exactly as
-// UsesPlatform does for Platform: a dataset must never be labeled with a
-// fidelity that could not have shaped its numbers.
-func markFidelity(id string) {
-	e, ok := registry[id]
-	if !ok {
-		panic("experiments: markFidelity on unregistered id " + id)
-	}
-	e.UsesFidelity = true
-	registry[id] = e
-}

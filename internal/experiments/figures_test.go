@@ -64,8 +64,7 @@ func TestFigureWireDigests(t *testing.T) {
 }
 
 // figureGrids are the application figures' cell functions, with the metric
-// each plain grid prints in every cell; fig8 and fig9b derive their
-// columns.
+// each plain grid prints in every cell; fig8 derives its columns.
 var figureGrids = []struct {
 	id     string
 	cell   func(o Options, r, c int) string
@@ -77,7 +76,7 @@ var figureGrids = []struct {
 	{"fig6d", dsbCell("mixed"), "p99_ms"},
 	{"fig8", fig8Cell, ""},
 	{"fig9a", fig9aCell, "mqps"},
-	{"fig9b", fig9bCell, ""},
+	{"fig9b", fig9bCell, "vs_ddr"},
 }
 
 // scenarioValue is the named metric of the /v1/scenario answer for spec;
@@ -108,8 +107,8 @@ func scenarioValue(t *testing.T, o Options, spec, name string) float64 {
 // TestFigureCellsAreScenarioCells: at quick seeds 1 and 7, every value an
 // application figure prints equals, bit for bit, the /v1/scenario answer
 // for the spec its cell function names, so any figure cell reproduces
-// through /v1/scenario. fig9b divides by its row's cxl:0 cell and fig8
-// takes its Increase from whole picoseconds, as the figures do.
+// through /v1/scenario. fig8 takes its Increase from whole picoseconds, as
+// the figure does.
 func TestFigureCellsAreScenarioCells(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		o := Options{Quick: true, Seed: seed, Parallel: 2}
@@ -125,10 +124,6 @@ func TestFigureCellsAreScenarioCells(t *testing.T) {
 				case "fig8":
 					ddr, cxl := v(0, "p99_us"), v(1, "p99_us")
 					want = []float64{ddr, cxl, (math.Round(cxl*1e6)/math.Round(ddr*1e6) - 1) * 100, v(0, "hit_rate") * 100}
-				case "fig9b":
-					for c := 0; c < len(row)-1; c++ {
-						want = append(want, v(c, "max_qps")/v(0, "max_qps"))
-					}
 				default:
 					for c := 0; c < len(row)-1; c++ {
 						want = append(want, v(c, fig.metric))

@@ -9,15 +9,6 @@ import (
 	"cxlmem/internal/workloads"
 )
 
-func init() {
-	register("table1", "system and CXL device configurations (Table 1)", runTable1)
-	register("fig3", "random access latency, MLC + memo, normalized to DDR5-L (Fig. 3)", runFig3)
-	register("fig4a", "MLC bandwidth efficiency across R/W mixes (Fig. 4a)", runFig4a)
-	register("fig4b", "memo bandwidth efficiency per instruction type (Fig. 4b)", runFig4b)
-	register("fig5", "SNC/LLC interaction: 32MB buffer latency (Fig. 5 / §4.3)", runFig5)
-	markFidelity("fig5")
-}
-
 func runTable1(o Options) *results.Dataset {
 	sys := topo.NewSystem(topo.MicrobenchConfig())
 	d := newDataset(o, "table1", "System configurations",

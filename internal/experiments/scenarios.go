@@ -22,13 +22,6 @@ import (
 	"cxlmem/internal/workloads"
 )
 
-func init() {
-	registerMatrix("matrix-apps", "scenario matrix: every registered workload x DDR/interleave/CXL placement", runMatrixApps)
-	registerMatrix("matrix-policy", "scenario matrix: throughput workloads x 5 interleaving policies", runMatrixPolicy)
-	registerMatrix("matrix-size", "scenario matrix: size-aware workloads x working-set sizes", runMatrixSize)
-	registerMatrix("matrix-platform", "scenario matrix: representative workloads x every registered platform profile", runMatrixPlatform)
-}
-
 // cellCache memoizes evaluated matrix cells for the lifetime of the
 // process. Cell values depend only on the canonical spec and the options
 // fingerprint — never on the worker count — so caching preserves the
@@ -256,15 +249,16 @@ var matrixPlacements = []string{"ddr", "interleave", "cxl"}
 // coarse placements at default size. Event-driven workloads are skipped:
 // their output is a timeline, not a placement-comparable scalar, and they
 // have their own dedicated experiment (tpp-timeline) — skipping them also
-// keeps this matrix's golden invariant as event-driven workloads register.
+// keeps this matrix's golden invariant as event-driven workloads join the
+// table.
 func matrixAppsSpecs() []string {
 	var specs []string
 	for _, w := range workloads.All() {
-		if workloads.IsEventDriven(w) {
+		if w.Trace != nil {
 			continue
 		}
 		for _, p := range matrixPlacements {
-			specs = append(specs, fmt.Sprintf("%s/policy=%s", w.Name(), p))
+			specs = append(specs, fmt.Sprintf("%s/policy=%s", w.Name, p))
 		}
 	}
 	return specs

@@ -234,12 +234,9 @@ func TestAllMatrixScenarios(t *testing.T) {
 		seen[key] = true
 		covered[sc.Workload] = true
 	}
-	for _, name := range workloads.Names() {
-		w, err := workloads.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workloads.IsEventDriven(w) {
+	for _, w := range workloads.All() {
+		name := w.Name
+		if w.Trace != nil {
 			// Event-driven workloads are excluded from the steady-state
 			// matrices by design; they have dedicated timeline experiments.
 			if covered[name] {

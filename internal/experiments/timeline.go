@@ -11,12 +11,6 @@ import (
 	"cxlmem/internal/workloads"
 )
 
-func init() {
-	register("tpp-timeline",
-		"event-driven TPP migration timeline: per-epoch residency, migration throughput and latency under bursty load",
-		runTppTimeline)
-}
-
 // runTppTimeline runs the default tpp-timeline cell once, on the
 // environment a scenario cell gets (a single scheduler is inherently
 // serial, so any Options.Parallel setting produces the same bytes), and
@@ -32,7 +26,7 @@ func runTppTimeline(o Options) *results.Dataset {
 	if err != nil {
 		panic(err)
 	}
-	res, err := workloads.RunTimeline(env, w.DefaultConfig())
+	res, err := workloads.RunTimeline(env, w.Defaults)
 	if err != nil {
 		panic(err)
 	}

@@ -8,8 +8,8 @@
 //
 // A Cache has one retention rule: a settled result stays resident until the
 // entry budget evicts it. Every result this repository memoizes is a pure
-// function of its canonical key — the platform registry is fixed once init
-// has run — so nothing ever makes a resident entry stale. Entries sit on a
+// function of its canonical key — the platform registry is a table fixed at
+// compile time — so nothing ever makes a resident entry stale. Entries sit on a
 // recency list, and when a configured entry budget is exceeded the cache
 // evicts the least-recently-used settled entry (DESIGN.md §29).
 //

@@ -1,25 +1,21 @@
 // The platform registry: the single place the scenario engine, the matrix
-// experiments and the cxlbench command discover buildable machines. It
-// mirrors the workload registry (internal/workloads/registry.go):
-// registerPlatform panics on a duplicate or broken profile, PlatformByName
-// and AllPlatforms read it, and PlatformCatalog renders the generated
-// markdown table embedded in EXPERIMENTS.md.
-//
-// The registry is fixed once init has run. Only this package's profiles.go
-// registers profiles, from its init, so every platform a memoized result
-// names is the one it was computed on, and no cache ever holds a stale
-// entry (DESIGN.md §23). A new platform is a new registerPlatform call in
-// profiles.go's init.
+// experiments and the cxlbench command discover buildable machines. Like
+// the workload registry (internal/workloads/registry.go) it is one table,
+// fixed at compile time: PlatformByName and AllPlatforms read it, and
+// PlatformCatalog renders the generated markdown table embedded in
+// EXPERIMENTS.md. Nothing adds a platform at run time, so every platform a
+// memoized result names is the one it was computed on, and no cache ever
+// holds a stale entry (DESIGN.md §23). A new platform is a new entry in
+// the table.
 package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
-// Platform is one registered machine profile: a named, described Spec.
+// Platform is one machine profile: a named, described Spec.
 type Platform struct {
 	// Name is the registry key, referenced by scenario specs as
 	// platform=<name>. Must be non-empty lowercase.
@@ -34,74 +30,52 @@ type Platform struct {
 // every scenario runs on when no platform= key is given.
 const DefaultPlatform = "table1"
 
-var (
-	platformMu sync.RWMutex
-	platforms  = map[string]Platform{}
-)
-
-// registerPlatform adds a platform under its name. It panics on duplicates,
-// invalid names or unbuildable specs — registration happens in init and a
-// broken profile is a programming error, matching the workload registry.
-func registerPlatform(p Platform) {
-	if p.Name == "" || p.Name != strings.ToLower(p.Name) {
-		panic(fmt.Sprintf("topo: invalid platform name %q (must be non-empty lowercase)", p.Name))
-	}
-	if err := p.Spec.Validate(); err != nil {
-		panic(fmt.Sprintf("topo: platform %q does not validate: %v", p.Name, err))
-	}
-	platformMu.Lock()
-	if _, dup := platforms[p.Name]; dup {
-		platformMu.Unlock()
-		panic("topo: duplicate platform " + p.Name)
-	}
-	platforms[p.Name] = p
-	platformMu.Unlock()
+// platforms lists every platform profile in presentation order, the order
+// of every catalog and matrix: the default first, then the rest sorted by
+// name.
+var platforms = []Platform{
+	{
+		Name: DefaultPlatform,
+		Desc: "the paper's dual-socket SPR server: DDR5-R emulation + CXL-A/B/C (Table 1, §5 setup)",
+		Spec: Table1Spec(),
+	},
+	{
+		Name: "fpga-degraded",
+		Desc: "worst-case device study: the Table-1 host with only a degraded soft-IP expander",
+		Spec: FPGADegradedSpec(),
+	},
+	{
+		Name: "snc-off",
+		Desc: "single-socket SNC-off box with one CXL-A-class x8 expander (no UPI, no emulation)",
+		Spec: SNCOffSpec(),
+	},
+	{
+		Name: "x16-quad",
+		Desc: "bandwidth-expansion box: four x16 ASIC expanders behind the full 8-channel DDR5 pool",
+		Spec: X16QuadSpec(),
+	},
 }
 
-// PlatformByName returns the registered platform with the given name.
+// PlatformByName returns the platform with the given name.
 func PlatformByName(name string) (Platform, error) {
-	platformMu.RLock()
-	defer platformMu.RUnlock()
-	p, ok := platforms[name]
-	if !ok {
-		return Platform{}, fmt.Errorf("topo: unknown platform %q (registered: %s)",
-			name, strings.Join(platformNamesLocked(), ", "))
-	}
-	return p, nil
-}
-
-// AllPlatforms returns every registered platform, the default profile first,
-// then the rest sorted by name — the presentation order of every catalog and
-// matrix.
-func AllPlatforms() []Platform {
-	platformMu.RLock()
-	defer platformMu.RUnlock()
-	out := make([]Platform, 0, len(platforms))
-	for _, name := range platformNamesLocked() {
-		out = append(out, platforms[name])
-	}
-	return out
-}
-
-// PlatformNames returns the registry keys in AllPlatforms order.
-func PlatformNames() []string {
-	platformMu.RLock()
-	defer platformMu.RUnlock()
-	return platformNamesLocked()
-}
-
-// platformNamesLocked lists the names, default first then sorted; callers
-// hold platformMu.
-func platformNamesLocked() []string {
-	names := make([]string, 0, len(platforms))
-	for name := range platforms {
-		if name != DefaultPlatform {
-			names = append(names, name)
+	for _, p := range platforms {
+		if p.Name == name {
+			return p, nil
 		}
 	}
-	sort.Strings(names)
-	if _, ok := platforms[DefaultPlatform]; ok {
-		names = append([]string{DefaultPlatform}, names...)
+	return Platform{}, fmt.Errorf("topo: unknown platform %q (registered: %s)",
+		name, strings.Join(PlatformNames(), ", "))
+}
+
+// AllPlatforms returns every platform, the default profile first, then the
+// rest sorted by name.
+func AllPlatforms() []Platform { return slices.Clone(platforms) }
+
+// PlatformNames returns the platform names in AllPlatforms order.
+func PlatformNames() []string {
+	names := make([]string, len(platforms))
+	for i, p := range platforms {
+		names[i] = p.Name
 	}
 	return names
 }
@@ -124,7 +98,7 @@ func PlatformCatalog() string {
 	var b strings.Builder
 	b.WriteString("| Platform | Topology | Far devices | Notes |\n")
 	b.WriteString("|----------|----------|-------------|--------|\n")
-	for _, p := range AllPlatforms() {
+	for _, p := range platforms {
 		sp := p.Spec
 		snc := "SNC off"
 		if sp.SNCNodes > 1 {

@@ -1,37 +1,14 @@
-// Built-in platform profiles. The paper's Table-1 machine is the default;
-// the others explore the device-diversity axes the paper opens (O2: the
-// controller dominates; §1: x8 vs x16 links; Fig. 4: ASIC vs FPGA
-// efficiency) without touching any constructor code — each profile is a few
-// lines of Spec data.
+// Built-in platform profiles, the specs of the platform table. The paper's
+// Table-1 machine is the default; the others explore the device-diversity
+// axes the paper opens (O2: the controller dominates; §1: x8 vs x16 links;
+// Fig. 4: ASIC vs FPGA efficiency) without touching any constructor code —
+// each profile is a few lines of Spec data.
 package topo
 
 import (
 	"cxlmem/internal/link"
 	"cxlmem/internal/mem"
 )
-
-func init() {
-	registerPlatform(Platform{
-		Name: DefaultPlatform,
-		Desc: "the paper's dual-socket SPR server: DDR5-R emulation + CXL-A/B/C (Table 1, §5 setup)",
-		Spec: Table1Spec(),
-	})
-	registerPlatform(Platform{
-		Name: "x16-quad",
-		Desc: "bandwidth-expansion box: four x16 ASIC expanders behind the full 8-channel DDR5 pool",
-		Spec: X16QuadSpec(),
-	})
-	registerPlatform(Platform{
-		Name: "snc-off",
-		Desc: "single-socket SNC-off box with one CXL-A-class x8 expander (no UPI, no emulation)",
-		Spec: SNCOffSpec(),
-	})
-	registerPlatform(Platform{
-		Name: "fpga-degraded",
-		Desc: "worst-case device study: the Table-1 host with only a degraded soft-IP expander",
-		Spec: FPGADegradedSpec(),
-	})
-}
 
 // deviceSpecOf lifts a materialized mem.Device into spec form over the given
 // link.

@@ -2,9 +2,9 @@
 //
 // A Spec describes a machine as data — socket count, SNC mode, local DDR
 // channels, and a list of far-memory devices each carrying its own
-// controller, link and DRAM parameters — and a Builder validates the spec
-// and assembles the System the rest of the simulator runs on. The paper's
-// Table-1 machine is just the default registered profile (Table1Spec);
+// controller, link and DRAM parameters — and Build validates the spec and
+// assembles the System the rest of the simulator runs on. The paper's
+// Table-1 machine is just the default platform profile (Table1Spec);
 // every other platform is the same few lines of data with different
 // numbers, so "many machines × many workloads" needs no new constructor
 // code.
@@ -169,20 +169,10 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Builder assembles a System from a Spec. The zero Builder is not useful —
-// construct one with NewBuilder so the spec travels with it.
-type Builder struct {
-	spec Spec
-}
-
-// NewBuilder returns a builder for the spec.
-func NewBuilder(spec Spec) *Builder { return &Builder{spec: spec} }
-
 // Build validates the spec and assembles the system. Every constraint is
 // checked up front, so a returned System routes every access without
 // tripping the packed-word limits deeper in the cache engine.
-func (b *Builder) Build() (*System, error) {
-	sp := b.spec
+func Build(sp Spec) (*System, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -230,9 +220,6 @@ func (b *Builder) Build() (*System, error) {
 	}
 	return s, nil
 }
-
-// Build is the one-shot form of NewBuilder(spec).Build().
-func Build(spec Spec) (*System, error) { return NewBuilder(spec).Build() }
 
 // MustBuild builds the spec and panics on validation errors — for
 // code-defined specs whose invalidity is a programming error.

@@ -12,7 +12,7 @@ import (
 )
 
 // handAssembledTable1 reproduces the pre-refactor NewSystem body verbatim:
-// the hand-written Table-1 constructor the Builder replaced. The pin test
+// the hand-written Table-1 constructor that Build replaced. The pin test
 // below proves the declarative path assembles the same machine
 // field-for-field.
 func handAssembledTable1(cfg Config) (hier *cache.Hierarchy, paths []*Path) {
@@ -52,7 +52,7 @@ func handAssembledTable1(cfg Config) (hier *cache.Hierarchy, paths []*Path) {
 }
 
 // TestBuilderReproducesTable1 pins that the default profile, built through
-// the declarative Spec/Builder path, is the hand-assembled Table-1 system
+// the declarative Spec/Build path, is the hand-assembled Table-1 system
 // field for field — for both the §5 application config and the §4
 // microbenchmark config.
 func TestBuilderReproducesTable1(t *testing.T) {
@@ -195,7 +195,9 @@ func TestBuildPlatformsAllBuildable(t *testing.T) {
 }
 
 // TestPlatformRegistry covers the registry contract: lookups, unknown
-// names, duplicate registration, and invalid profiles.
+// names, and the table rules registration used to check at run time —
+// names unique and non-empty lowercase, the default first and the rest
+// sorted, every spec valid.
 func TestPlatformRegistry(t *testing.T) {
 	if _, err := PlatformByName("table1"); err != nil {
 		t.Fatal(err)
@@ -203,17 +205,24 @@ func TestPlatformRegistry(t *testing.T) {
 	if _, err := PlatformByName("nope"); err == nil || !strings.Contains(err.Error(), "registered:") {
 		t.Errorf("unknown platform error should list the registry, got %v", err)
 	}
-	expectPanic := func(name string, p Platform) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		registerPlatform(p)
+	if platforms[0].Name != DefaultPlatform {
+		t.Errorf("first platform is %q, want the default %q", platforms[0].Name, DefaultPlatform)
 	}
-	expectPanic("duplicate", Platform{Name: "table1", Spec: Table1Spec()})
-	expectPanic("uppercase", Platform{Name: "Table2", Spec: Table1Spec()})
-	expectPanic("invalid spec", Platform{Name: "broken", Spec: Spec{Name: "broken"}})
+	for i, p := range platforms {
+		if p.Name == "" || p.Name != strings.ToLower(p.Name) {
+			t.Errorf("platform %d: name %q is not non-empty lowercase", i, p.Name)
+		}
+		if i > 1 && platforms[i-1].Name >= p.Name {
+			t.Errorf("platform %d: %q does not sort after %q (names after the default must be sorted and unique)",
+				i, p.Name, platforms[i-1].Name)
+		}
+		if i > 0 && p.Name == DefaultPlatform {
+			t.Errorf("platform %d repeats the default name", i)
+		}
+		if err := p.Spec.Validate(); err != nil {
+			t.Errorf("platform %q does not validate: %v", p.Name, err)
+		}
+	}
 	if len(AllPlatforms()) != len(PlatformNames()) {
 		t.Error("AllPlatforms and PlatformNames disagree")
 	}

@@ -205,7 +205,7 @@ func MicrobenchConfig() Config {
 	}
 }
 
-// System is the assembled machine. Systems are produced by the Builder from
+// System is the assembled machine. Systems are produced by Build from
 // a declarative Spec (spec.go); NewSystem remains as the legacy constructor
 // for the paper's Table-1 machine under a Config.
 type System struct {

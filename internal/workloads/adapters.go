@@ -1,6 +1,8 @@
-// Adapters: one Workload implementation per model subpackage, registered at
-// init. They live here (not in the subpackages) so the models never import
-// their parent — see the package comment's layering rule.
+// Adapters: one Run function per model subpackage, listed in the registry
+// table. They live here (not in the subpackages) so the models never import
+// their parent — see the package comment's layering rule. Each variant list
+// is its own var: a Run that named its variants through its own table entry
+// would make the table's initializer refer to itself.
 package workloads
 
 import (
@@ -17,16 +19,6 @@ import (
 	"cxlmem/internal/workloads/spec"
 	"cxlmem/internal/workloads/ycsb"
 )
-
-func init() {
-	Register(kvstoreWorkload{})
-	Register(ycsbWorkload{})
-	Register(dlrmWorkload{})
-	Register(dsbWorkload{})
-	Register(fioWorkload{})
-	Register(specWorkload{})
-	Register(fluidWorkload{})
-}
 
 // devicePath resolves cfg.Device against the environment's system without
 // panicking on unknown names.
@@ -55,27 +47,11 @@ func kvConfigFor(env *Env, cfg Config) kvstore.Config {
 	return kc
 }
 
-// kvstoreWorkload models Redis open-loop latency (§5.1, Fig. 6a/7).
-type kvstoreWorkload struct{}
+// kvstoreVariants are the key distributions of the kvstore op stream.
+var kvstoreVariants = []string{"uniform", "zipfian"}
 
-// Name implements Workload.
-func (kvstoreWorkload) Name() string { return "kvstore" }
-
-// Desc implements Workload.
-func (kvstoreWorkload) Desc() string {
-	return "Redis under open-loop YCSB-A load: p50/p99 latency and utilization (Fig. 6a)"
-}
-
-// Variants implements Workload: the key distribution of the op stream.
-func (kvstoreWorkload) Variants() []string { return []string{"uniform", "zipfian"} }
-
-// DefaultConfig implements Workload.
-func (kvstoreWorkload) DefaultConfig() Config {
-	return Config{Variant: "uniform", Device: "CXL-A", CXLPercent: 50, TargetQPS: 45000, Ops: 40000}
-}
-
-// Run implements Workload.
-func (w kvstoreWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runKVStore models Redis open-loop latency (§5.1, Fig. 6a/7).
+func runKVStore(env *Env, cfg Config) (Metrics, error) {
 	var dist ycsb.Distribution
 	switch cfg.Variant {
 	case "uniform":
@@ -83,7 +59,7 @@ func (w kvstoreWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	case "zipfian":
 		dist = ycsb.Zipfian
 	default:
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("kvstore", cfg.Variant, kvstoreVariants)
 	}
 	if _, err := devicePath(env, cfg.Device); err != nil {
 		return Metrics{}, err
@@ -101,35 +77,18 @@ func (w kvstoreWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// ycsbWorkload models Redis maximum sustainable throughput across the YCSB
-// core workload mixes (§5.2, Fig. 9b).
-type ycsbWorkload struct{}
+// ycsbVariants are the YCSB letters; descriptive aliases (readmostly=b,
+// readonly=c, updateheavy=a, readlatest=d, rmw=f) resolve to the same
+// mixes.
+var ycsbVariants = []string{"a", "b", "c", "d", "f", "updateheavy", "readmostly", "readonly", "readlatest", "rmw"}
 
-// Name implements Workload.
-func (ycsbWorkload) Name() string { return "ycsb" }
-
-// Desc implements Workload.
-func (ycsbWorkload) Desc() string {
-	return "Redis max sustainable QPS for a YCSB core workload mix (Fig. 9b)"
-}
-
-// Variants implements Workload: the YCSB letters; descriptive aliases
-// (readmostly=b, readonly=c, updateheavy=a, readlatest=d, rmw=f) resolve to
-// the same mixes.
-func (ycsbWorkload) Variants() []string {
-	return []string{"a", "b", "c", "d", "f", "updateheavy", "readmostly", "readonly", "readlatest", "rmw"}
-}
-
-// DefaultConfig implements Workload.
-func (ycsbWorkload) DefaultConfig() Config {
-	return Config{Variant: "a", Device: "CXL-A", CXLPercent: 50, Ops: 20000}
-}
-
-// Run implements Workload.
-func (w ycsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runYCSB models Redis maximum sustainable throughput across the YCSB core
+// workload mixes (§5.2, Fig. 9b). vs_ddr is the throughput over the same
+// store's all-DDR throughput; an all-DDR cell is its own baseline.
+func runYCSB(env *Env, cfg Config) (Metrics, error) {
 	mix, err := ycsb.WorkloadByAlias(cfg.Variant)
 	if err != nil {
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("ycsb", cfg.Variant, ycsbVariants)
 	}
 	if _, err := devicePath(env, cfg.Device); err != nil {
 		return Metrics{}, err
@@ -140,9 +99,11 @@ func (w ycsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	base, err := kvstore.New(env.Sys, kc, cfg.Device, 0).MaxQPS(env.context(), mix, ycsb.Uniform, samples)
-	if err != nil {
-		return Metrics{}, err
+	base := qps
+	if cfg.CXLPercent != 0 {
+		if base, err = kvstore.New(env.Sys, kc, cfg.Device, 0).MaxQPS(env.context(), mix, ycsb.Uniform, samples); err != nil {
+			return Metrics{}, err
+		}
 	}
 	var m Metrics
 	m.Add("max_qps", qps, "qps")
@@ -150,31 +111,15 @@ func (w ycsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// dlrmWorkload models DLRM embedding-reduction throughput (§5.2, Fig. 9a,
+// dlrmVariants are the Table-3 SNC scenarios.
+var dlrmVariants = []string{"alone", "contended", "nosnc"}
+
+// runDLRM models DLRM embedding-reduction throughput (§5.2, Fig. 9a,
 // Table 3).
-type dlrmWorkload struct{}
-
-// Name implements Workload.
-func (dlrmWorkload) Name() string { return "dlrm" }
-
-// Desc implements Workload.
-func (dlrmWorkload) Desc() string {
-	return "DLRM embedding-reduction throughput under an SNC scenario (Fig. 9a, Table 3)"
-}
-
-// Variants implements Workload: the Table-3 SNC scenarios.
-func (dlrmWorkload) Variants() []string { return []string{"alone", "contended", "nosnc"} }
-
-// DefaultConfig implements Workload.
-func (dlrmWorkload) DefaultConfig() Config {
-	return Config{Variant: "alone", Device: "CXL-A", CXLPercent: 63, Threads: 32}
-}
-
-// Run implements Workload.
-func (w dlrmWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+func runDLRM(env *Env, cfg Config) (Metrics, error) {
 	sc, err := dlrm.ScenarioByName(cfg.Variant)
 	if err != nil {
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("dlrm", cfg.Variant, dlrmVariants)
 	}
 	if _, err := devicePath(env, cfg.Device); err != nil {
 		return Metrics{}, err
@@ -188,32 +133,14 @@ func (w dlrmWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// dsbWorkload models the DeathStarBench three-tier pipeline (§5.1, Fig. 6b–d).
-type dsbWorkload struct{}
+// dsbVariants are the evaluated DeathStarBench request types.
+var dsbVariants = []string{"mixed", "compose", "readuser"}
 
-// Name implements Workload.
-func (dsbWorkload) Name() string { return "dsb" }
-
-// Desc implements Workload.
-func (dsbWorkload) Desc() string {
-	return "DeathStarBench request pipeline p99 with the caching tier on DDR or CXL (Fig. 6b-d)"
-}
-
-// Variants implements Workload: the evaluated request types.
-func (dsbWorkload) Variants() []string { return []string{"mixed", "compose", "readuser"} }
-
-// DefaultConfig implements Workload. The caching tier moves to CXL for any
-// positive CXLPercent — the paper evaluates only the all-or-nothing tier
-// placement (Table 2).
-func (dsbWorkload) DefaultConfig() Config {
-	return Config{Variant: "mixed", Device: "CXL-A", CXLPercent: 100, TargetQPS: 8000, Ops: 20000}
-}
-
-// Run implements Workload.
-func (w dsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runDSB models the DeathStarBench three-tier pipeline (§5.1, Fig. 6b–d).
+func runDSB(env *Env, cfg Config) (Metrics, error) {
 	dw, err := dsb.WorkloadByName(cfg.Variant)
 	if err != nil {
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("dsb", cfg.Variant, dsbVariants)
 	}
 	if _, err := devicePath(env, cfg.Device); err != nil {
 		return Metrics{}, err
@@ -234,38 +161,21 @@ func (w dsbWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// fioWorkload models FIO random reads through a page cache on DDR or CXL
-// memory (§5.1, Fig. 8).
-type fioWorkload struct{}
-
-// Name implements Workload.
-func (fioWorkload) Name() string { return "fio" }
-
-// Desc implements Workload.
-func (fioWorkload) Desc() string {
-	return "FIO random-read p99 with the page cache on DDR or CXL memory (Fig. 8)"
-}
-
-// Variants implements Workload: the Fig. 8 block sizes.
-func (fioWorkload) Variants() []string {
+// fioVariants are the Fig. 8 block sizes.
+var fioVariants = func() []string {
 	var out []string
 	for _, b := range fio.BlockSizes() {
 		out = append(out, fmt.Sprintf("%dk", b>>10))
 	}
 	return out
-}
+}()
 
-// DefaultConfig implements Workload. The page cache moves to CXL for any
-// positive CXLPercent; SizeBytes resizes the page cache.
-func (fioWorkload) DefaultConfig() Config {
-	return Config{Variant: "4k", Device: "CXL-A", CXLPercent: 100, Ops: 40000}
-}
-
-// Run implements Workload.
-func (w fioWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runFIO models FIO random reads through a page cache on DDR or CXL memory
+// (§5.1, Fig. 8).
+func runFIO(env *Env, cfg Config) (Metrics, error) {
 	block, err := fio.BlockSizeByName(cfg.Variant)
 	if err != nil {
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("fio", cfg.Variant, fioVariants)
 	}
 	path := env.Sys.DDRLocal
 	if cfg.CXLPercent > 0 {
@@ -288,38 +198,21 @@ func (w fioWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// specWorkload models SPECrate CPU2017 mixes (§5.2, Fig. 13).
-type specWorkload struct{}
-
-// Name implements Workload.
-func (specWorkload) Name() string { return "spec" }
-
-// Desc implements Workload.
-func (specWorkload) Desc() string {
-	return "SPECrate CPU2017 surrogate throughput for a benchmark or the 4-way mix (Fig. 13)"
-}
-
-// Variants implements Workload: individual benchmarks or the 4-way mix.
-// Names are lowercased to match the spec language's normalization.
-func (specWorkload) Variants() []string {
+// specVariants are the individual benchmarks and the 4-way mix. Names are
+// lowercased to match the spec language's normalization.
+var specVariants = func() []string {
 	out := []string{"mix"}
 	for _, p := range spec.Profiles() {
 		out = append(out, strings.ToLower(p.Name))
 	}
 	return out
-}
+}()
 
-// DefaultConfig implements Workload. Threads is the total instance count,
-// split evenly across the mix members.
-func (specWorkload) DefaultConfig() Config {
-	return Config{Variant: "mix", Device: "CXL-A", CXLPercent: 50, Threads: 8}
-}
-
-// Run implements Workload.
-func (w specWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runSPEC models SPECrate CPU2017 mixes (§5.2, Fig. 13).
+func runSPEC(env *Env, cfg Config) (Metrics, error) {
 	members, err := spec.MixByName(cfg.Variant, cfg.Threads)
 	if err != nil {
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("spec", cfg.Variant, specVariants)
 	}
 	if _, err := devicePath(env, cfg.Device); err != nil {
 		return Metrics{}, err
@@ -333,11 +226,8 @@ func (w specWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	return m, nil
 }
 
-// fluidWorkload exposes the bandwidth-equilibrium solver directly as a
-// streaming microbenchmark: a footprint-based access stream split across
-// DDR and a CXL device, reporting the converged operating point (§6,
-// Fig. 11a's throughput/bandwidth feedback).
-type fluidWorkload struct{}
+// fluidVariants has the one stream shape.
+var fluidVariants = []string{"stream"}
 
 // fluidHotFraction and fluidMLP fix the stream shape: half the accesses hit
 // a hot eighth of the working set; each thread sustains 8 outstanding
@@ -347,26 +237,13 @@ const (
 	fluidMLP         = 8.0
 )
 
-// Name implements Workload.
-func (fluidWorkload) Name() string { return "fluid" }
-
-// Desc implements Workload.
-func (fluidWorkload) Desc() string {
-	return "raw bandwidth-equilibrium stream split across DDR and CXL (Fig. 11a feedback loop)"
-}
-
-// Variants implements Workload.
-func (fluidWorkload) Variants() []string { return []string{"stream"} }
-
-// DefaultConfig implements Workload. SizeBytes is the streamed working set.
-func (fluidWorkload) DefaultConfig() Config {
-	return Config{Variant: "stream", Device: "CXL-A", CXLPercent: 50, SizeBytes: 256 << 20, Threads: 16}
-}
-
-// Run implements Workload.
-func (w fluidWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runFluid exposes the bandwidth-equilibrium solver directly as a
+// streaming microbenchmark: a footprint-based access stream split across
+// DDR and a CXL device, reporting the converged operating point (§6,
+// Fig. 11a's throughput/bandwidth feedback).
+func runFluid(env *Env, cfg Config) (Metrics, error) {
 	if cfg.Variant != "stream" {
-		return Metrics{}, errUnknownVariant(w.Name(), cfg.Variant, w.Variants())
+		return Metrics{}, errUnknownVariant("fluid", cfg.Variant, fluidVariants)
 	}
 	cxl, err := devicePath(env, cfg.Device)
 	if err != nil {
@@ -390,14 +267,3 @@ func (w fluidWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	m.Add("avg_lat_ns", eq.AvgLatencyNS, "ns")
 	return m, nil
 }
-
-// ensure the adapters satisfy the interface at compile time.
-var (
-	_ Workload = kvstoreWorkload{}
-	_ Workload = ycsbWorkload{}
-	_ Workload = dlrmWorkload{}
-	_ Workload = dsbWorkload{}
-	_ Workload = fioWorkload{}
-	_ Workload = specWorkload{}
-	_ Workload = fluidWorkload{}
-)

@@ -1,68 +1,109 @@
 // The workload registry: the single place experiment drivers, the scenario
-// engine and the cxlbench command discover runnable application models.
+// engine and the cxlbench command discover runnable application models. It
+// is one table, fixed at compile time; a new workload is a new entry.
 package workloads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Workload{}
-)
-
-// Register adds a workload under its Name. It panics on duplicates or empty
-// names — registration happens in init and a collision is a programming
-// error, matching the experiments registry.
-func Register(w Workload) {
-	name := w.Name()
-	if name == "" || name != strings.ToLower(name) {
-		panic(fmt.Sprintf("workloads: invalid registry name %q (must be non-empty lowercase)", name))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("workloads: duplicate workload " + name)
-	}
-	registry[name] = w
+// registry lists every workload, sorted by name.
+var registry = []Workload{
+	{
+		Name:     "dlrm",
+		Desc:     "DLRM embedding-reduction throughput under an SNC scenario (Fig. 9a, Table 3)",
+		Variants: dlrmVariants,
+		Defaults: Config{Variant: "alone", Device: "CXL-A", CXLPercent: 63, Threads: 32},
+		Run:      runDLRM,
+	},
+	{
+		Name:     "dsb",
+		Desc:     "DeathStarBench request pipeline p99 with the caching tier on DDR or CXL (Fig. 6b-d)",
+		Variants: dsbVariants,
+		// The caching tier moves to CXL for any positive CXLPercent: the
+		// paper evaluates only the all-or-nothing tier placement (Table 2).
+		Defaults: Config{Variant: "mixed", Device: "CXL-A", CXLPercent: 100, TargetQPS: 8000, Ops: 20000},
+		Run:      runDSB,
+	},
+	{
+		Name:     "fio",
+		Desc:     "FIO random-read p99 with the page cache on DDR or CXL memory (Fig. 8)",
+		Variants: fioVariants,
+		// The page cache moves to CXL for any positive CXLPercent; SizeBytes
+		// resizes the page cache.
+		Defaults: Config{Variant: "4k", Device: "CXL-A", CXLPercent: 100, Ops: 40000},
+		Run:      runFIO,
+	},
+	{
+		Name:     "fluid",
+		Desc:     "raw bandwidth-equilibrium stream split across DDR and CXL (Fig. 11a feedback loop)",
+		Variants: fluidVariants,
+		// SizeBytes is the streamed working set.
+		Defaults: Config{Variant: "stream", Device: "CXL-A", CXLPercent: 50, SizeBytes: 256 << 20, Threads: 16},
+		Run:      runFluid,
+	},
+	{
+		Name:     "kvstore",
+		Desc:     "Redis under open-loop YCSB-A load: p50/p99 latency and utilization (Fig. 6a)",
+		Variants: kvstoreVariants,
+		Defaults: Config{Variant: "uniform", Device: "CXL-A", CXLPercent: 50, TargetQPS: 45000, Ops: 40000},
+		Run:      runKVStore,
+	},
+	{
+		Name:     "spec",
+		Desc:     "SPECrate CPU2017 surrogate throughput for a benchmark or the 4-way mix (Fig. 13)",
+		Variants: specVariants,
+		// Threads is the total instance count, split evenly across the mix
+		// members.
+		Defaults: Config{Variant: "mix", Device: "CXL-A", CXLPercent: 50, Threads: 8},
+		Run:      runSPEC,
+	},
+	{
+		Name:     "tpp-timeline",
+		Desc:     "event-driven TPP migration timeline under bursty open-loop load (Fig. 7 mechanism, over time)",
+		Variants: timelineVariants,
+		// CXLPercent is the *initial* far-tier share (the Fig. 7 cold start
+		// puts everything far), TargetQPS the base rate, and Ops the epoch
+		// count on the 5 ms sampling grid. Ops=200 holds in quick mode too:
+		// it overrides the 30 epochs of tpptimeline.Config.Quick, so a quick
+		// run (the tpp-timeline experiment, cxlbench -quick, cxlserve
+		// -quick) keeps Quick's 2048 pages but simulates the full 1 s
+		// horizon, about 150k arrivals, not 150 ms.
+		Defaults: Config{Variant: "bursty", Device: "CXL-A", CXLPercent: 100, TargetQPS: 50_000, Ops: 200},
+		Run:      runTimeline,
+		Trace:    traceTimeline,
+	},
+	{
+		Name:     "ycsb",
+		Desc:     "Redis max sustainable QPS for a YCSB core workload mix (Fig. 9b)",
+		Variants: ycsbVariants,
+		Defaults: Config{Variant: "a", Device: "CXL-A", CXLPercent: 50, Ops: 20000},
+		Run:      runYCSB,
+	},
 }
 
-// Get returns the registered workload with the given name.
+// Get returns the workload with the given name.
 func Get(name string) (Workload, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	w, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown workload %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
-	}
-	return w, nil
-}
-
-// All returns every registered workload sorted by name.
-func All() []Workload {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Workload, 0, len(registry))
 	for _, w := range registry {
-		out = append(out, w)
+		if w.Name == name {
+			return w, nil
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
+	return Workload{}, fmt.Errorf("workloads: unknown workload %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// Names returns the sorted registry keys.
+// All returns every workload sorted by name.
+func All() []Workload { return slices.Clone(registry) }
+
+// Names returns the workload names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(registry))
+	for i, w := range registry {
+		names[i] = w.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -75,8 +116,8 @@ func Catalog() string {
 	var b strings.Builder
 	b.WriteString("| Workload | Variants | Default knobs | Models |\n")
 	b.WriteString("|----------|----------|---------------|--------|\n")
-	for _, w := range All() {
-		cfg := w.DefaultConfig()
+	for _, w := range registry {
+		cfg := w.Defaults
 		knobs := []string{fmt.Sprintf("cxl=%g%%", cfg.CXLPercent)}
 		if cfg.SizeBytes > 0 {
 			knobs = append(knobs, "size="+FormatBytes(cfg.SizeBytes))
@@ -91,7 +132,7 @@ func Catalog() string {
 			knobs = append(knobs, fmt.Sprintf("ops=%d", cfg.Ops))
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | `%s` | %s |\n",
-			w.Name(), strings.Join(w.Variants(), ", "), strings.Join(knobs, " "), w.Desc())
+			w.Name, strings.Join(w.Variants, ", "), strings.Join(knobs, " "), w.Desc)
 	}
 	return b.String()
 }

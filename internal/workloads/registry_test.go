@@ -1,16 +1,17 @@
 package workloads
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// allModels are the registered workloads: the seven per-model subpackages
-// plus the event-driven tpp-timeline, in sorted registry order.
+// allModels are the table's workloads: the seven per-model subpackages plus
+// the event-driven tpp-timeline, in sorted order.
 var allModels = []string{"dlrm", "dsb", "fio", "fluid", "kvstore", "spec", "tpp-timeline", "ycsb"}
 
-// TestAllModelsRegistered asserts every model has a registered adapter and
-// the registry views agree with each other.
+// TestAllModelsRegistered asserts every model has a table entry and the
+// registry views agree with each other.
 func TestAllModelsRegistered(t *testing.T) {
 	names := Names()
 	if len(names) != len(allModels) {
@@ -22,12 +23,12 @@ func TestAllModelsRegistered(t *testing.T) {
 		}
 	}
 	for _, w := range All() {
-		got, err := Get(w.Name())
-		if err != nil || got.Name() != w.Name() {
-			t.Errorf("Get(%q) = %v, %v", w.Name(), got, err)
+		got, err := Get(w.Name)
+		if err != nil || got.Name != w.Name {
+			t.Errorf("Get(%q) = %v, %v", w.Name, got.Name, err)
 		}
-		if w.Desc() == "" || len(w.Variants()) == 0 {
-			t.Errorf("%s: empty description or variant list", w.Name())
+		if w.Desc == "" || len(w.Variants) == 0 || w.Run == nil {
+			t.Errorf("%s: empty description, variant list or Run", w.Name)
 		}
 	}
 	if _, err := Get("nosuchworkload"); err == nil {
@@ -35,27 +36,38 @@ func TestAllModelsRegistered(t *testing.T) {
 	}
 }
 
-// TestDefaultsRunnable runs every registered workload with its unmodified
-// DefaultConfig in a quick environment: no error, at least one metric, a
-// positive primary value, and the default variant listed in Variants.
+// TestRegistryTable holds the table to the rules registration used to check
+// at run time: names sorted, unique and non-empty lowercase; each default
+// variant listed in Variants; and a Trace function on tpp-timeline alone,
+// the one workload on the discrete-event scheduler.
+func TestRegistryTable(t *testing.T) {
+	for i, w := range registry {
+		if w.Name == "" || w.Name != strings.ToLower(w.Name) {
+			t.Errorf("entry %d: name %q is not non-empty lowercase", i, w.Name)
+		}
+		if i > 0 && registry[i-1].Name >= w.Name {
+			t.Errorf("entry %d: %q does not sort after %q (names must be sorted and unique)", i, w.Name, registry[i-1].Name)
+		}
+		if !slices.Contains(w.Variants, w.Defaults.Variant) {
+			t.Errorf("%s: default variant %q not in Variants %v", w.Name, w.Defaults.Variant, w.Variants)
+		}
+		if traced := w.Trace != nil; traced != (w.Name == "tpp-timeline") {
+			t.Errorf("%s: Trace set = %t, want it set on tpp-timeline only", w.Name, traced)
+		}
+	}
+}
+
+// TestDefaultsRunnable runs every workload with its unmodified Defaults in a
+// quick environment: no error, at least one metric and a positive primary
+// value.
 func TestDefaultsRunnable(t *testing.T) {
 	for _, w := range All() {
 		w := w
-		t.Run(w.Name(), func(t *testing.T) {
+		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := w.DefaultConfig()
-			found := false
-			for _, v := range w.Variants() {
-				if v == cfg.Variant {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("default variant %q not in Variants %v", cfg.Variant, w.Variants())
-			}
 			env := NewEnv()
 			env.Quick = true
-			m, err := w.Run(env, cfg)
+			m, err := w.Run(env, w.Defaults)
 			if err != nil {
 				t.Fatalf("default config does not run: %v", err)
 			}
@@ -75,19 +87,19 @@ func TestRunsDeterministic(t *testing.T) {
 	for _, w := range All() {
 		env := NewEnv()
 		env.Quick = true
-		a, err1 := w.Run(env, w.DefaultConfig())
+		a, err1 := w.Run(env, w.Defaults)
 		env2 := NewEnv()
 		env2.Quick = true
-		b, err2 := w.Run(env2, w.DefaultConfig())
+		b, err2 := w.Run(env2, w.Defaults)
 		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: %v / %v", w.Name(), err1, err2)
+			t.Fatalf("%s: %v / %v", w.Name, err1, err2)
 		}
 		if len(a.Items) != len(b.Items) {
-			t.Fatalf("%s: metric counts differ", w.Name())
+			t.Fatalf("%s: metric counts differ", w.Name)
 		}
 		for i := range a.Items {
 			if a.Items[i] != b.Items[i] {
-				t.Errorf("%s: metric %d differs: %+v vs %+v", w.Name(), i, a.Items[i], b.Items[i])
+				t.Errorf("%s: metric %d differs: %+v vs %+v", w.Name, i, a.Items[i], b.Items[i])
 			}
 		}
 	}
@@ -97,10 +109,10 @@ func TestRunsDeterministic(t *testing.T) {
 // helpful error instead of panicking.
 func TestUnknownVariantRejected(t *testing.T) {
 	for _, w := range All() {
-		cfg := w.DefaultConfig()
+		cfg := w.Defaults
 		cfg.Variant = "nosuchvariant"
 		if _, err := w.Run(NewEnv(), cfg); err == nil || !strings.Contains(err.Error(), "variant") {
-			t.Errorf("%s: want unknown-variant error, got %v", w.Name(), err)
+			t.Errorf("%s: want unknown-variant error, got %v", w.Name, err)
 		}
 	}
 }
@@ -108,12 +120,12 @@ func TestUnknownVariantRejected(t *testing.T) {
 // TestUnknownDeviceRejected asserts adapters reject a bogus device name.
 func TestUnknownDeviceRejected(t *testing.T) {
 	for _, w := range All() {
-		cfg := w.DefaultConfig()
+		cfg := w.Defaults
 		cfg.Device = "CXL-Z"
 		env := NewEnv()
 		env.Quick = true
 		if _, err := w.Run(env, cfg); err == nil {
-			t.Errorf("%s: unknown device accepted", w.Name())
+			t.Errorf("%s: unknown device accepted", w.Name)
 		}
 	}
 }

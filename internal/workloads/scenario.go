@@ -101,7 +101,7 @@ const (
 )
 
 // Scenario is one parsed cell spec: a workload, an optional variant, and
-// knob overrides applied on top of the workload's DefaultConfig.
+// knob overrides applied on top of the workload's Defaults.
 type Scenario struct {
 	// Workload is the registry name.
 	Workload string
@@ -296,25 +296,24 @@ func (s Scenario) Trace(env *Env, taps ...sim.Tap) error {
 	if err != nil {
 		return err
 	}
-	ed, ok := w.(EventDriven)
-	if !ok {
+	if w.Trace == nil {
 		return fmt.Errorf("workloads: %s is not event-driven, so it has no event trace", s.Workload)
 	}
 	env, cfg, err := s.resolve(env, w)
 	if err != nil {
 		return err
 	}
-	return ed.Trace(env, cfg, taps...)
+	return w.Trace(env, cfg, taps...)
 }
 
 // resolve builds the environment and config Run hands w: the scenario's
-// platform and overrides on top of w's DefaultConfig.
+// platform and overrides on top of w's Defaults.
 func (s Scenario) resolve(env *Env, w Workload) (*Env, Config, error) {
 	env, err := env.ForPlatform(s.Platform)
 	if err != nil {
 		return nil, Config{}, err
 	}
-	cfg := s.Apply(w.DefaultConfig())
+	cfg := s.Apply(w.Defaults)
 	if s.Device == "" {
 		if d := env.Sys.DefaultFarDevice(); d != "" {
 			cfg.Device = d

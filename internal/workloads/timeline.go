@@ -1,8 +1,7 @@
 // The tpp-timeline adapter: the first event-driven workload, running on the
 // internal/sim discrete-event scheduler instead of a closed-form model. It
-// lives in its own file because it also introduces the EventDriven marker
-// that keeps time-series workloads out of the steady-state matrix
-// experiments.
+// lives in its own file because it is also the one workload with a Trace
+// function, which keeps it out of the steady-state matrix experiments.
 package workloads
 
 import (
@@ -13,62 +12,17 @@ import (
 	"cxlmem/internal/workloads/tpptimeline"
 )
 
-func init() {
-	Register(timelineWorkload{})
-}
-
-// EventDriven is implemented by workloads that execute on the
-// discrete-event scheduler and emit time series rather than steady-state
-// scalars. The matrix experiments (matrix-apps, matrix-platform) skip
-// event-driven workloads — their primary output is a timeline, not a single
-// figure of merit — which keeps the pre-existing matrix goldens invariant as
-// event-driven workloads join the registry.
-type EventDriven interface {
-	Workload
-	// Trace runs the workload exactly as Run does, with taps attached to
-	// its scheduler before the first event. Run attaches none.
-	Trace(env *Env, cfg Config, taps ...sim.Tap) error
-}
-
-// IsEventDriven reports whether w runs on the discrete-event engine.
-func IsEventDriven(w Workload) bool {
-	_, ok := w.(EventDriven)
-	return ok
-}
-
 // timelineEpochCap bounds the epoch count a spec can request, so a fuzzed or
 // hostile ops= knob cannot schedule an unbounded simulation.
 const timelineEpochCap = 5000
 
-// timelineWorkload replays TPP promotion/demotion decisions as scheduled
-// events over a bursty arrival process (ISSUE 8's event-driven proof).
-type timelineWorkload struct{}
+// timelineVariants: bursty keeps the on/off phase modulation, steady holds
+// the offered load flat at the base rate.
+var timelineVariants = []string{"bursty", "steady"}
 
-// Name implements Workload.
-func (timelineWorkload) Name() string { return "tpp-timeline" }
-
-// Desc implements Workload.
-func (timelineWorkload) Desc() string {
-	return "event-driven TPP migration timeline under bursty open-loop load (Fig. 7 mechanism, over time)"
-}
-
-// Variants implements Workload: bursty keeps the on/off phase modulation,
-// steady holds the offered load flat at the base rate.
-func (timelineWorkload) Variants() []string { return []string{"bursty", "steady"} }
-
-// DefaultConfig implements Workload. CXLPercent is the *initial* far-tier
-// share (the Fig. 7 cold start puts everything far), TargetQPS the base
-// rate, and Ops the epoch count on the 5 ms sampling grid. Ops=200 holds in
-// quick mode too: it overrides the 30 epochs of tpptimeline.Config.Quick,
-// so a quick run (the tpp-timeline experiment, cxlbench -quick, cxlserve
-// -quick) keeps Quick's 2048 pages but simulates the full 1 s horizon, about
-// 150k arrivals, not 150 ms.
-func (timelineWorkload) DefaultConfig() Config {
-	return Config{Variant: "bursty", Device: "CXL-A", CXLPercent: 100, TargetQPS: 50_000, Ops: 200}
-}
-
-// Trace implements EventDriven.
-func (timelineWorkload) Trace(env *Env, cfg Config, taps ...sim.Tap) error {
+// traceTimeline runs the timeline exactly as runTimeline does, with taps
+// attached to its scheduler before the first event.
+func traceTimeline(env *Env, cfg Config, taps ...sim.Tap) error {
 	_, err := RunTimeline(env, cfg, taps...)
 	return err
 }
@@ -89,7 +43,7 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 	case "steady":
 		tc.BurstQPS = tc.BaseQPS
 	default:
-		return tpptimeline.Config{}, errUnknownVariant("tpp-timeline", cfg.Variant, timelineWorkload{}.Variants())
+		return tpptimeline.Config{}, errUnknownVariant("tpp-timeline", cfg.Variant, timelineVariants)
 	}
 	tc.FarPercent = cfg.CXLPercent
 	if cfg.SizeBytes > 0 {
@@ -124,7 +78,7 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 // overrides, returning the full time series, with taps attached to the
 // scheduler before its first event; only the /v1/trace replay passes any.
 // The experiments driver calls this directly for the timeline dataset; the
-// Workload adapter reduces the same result to summary metrics. A run whose
+// table entry's Run reduces the same result to summary metrics. A run whose
 // env.Ctx ends stops at the next epoch boundary and returns the context's
 // error. A completed run adds its scheduler counters to SimEvents.
 func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, error) {
@@ -161,9 +115,11 @@ func SimEvents() sim.SchedulerStats {
 	return simEvents.total
 }
 
-// Run implements Workload: the timeline reduced to steady-state summary
-// metrics over the last quarter of the epochs (the post-ramp regime).
-func (w timelineWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runTimeline replays TPP promotion/demotion decisions as scheduled events
+// over a bursty arrival process, and reduces the timeline to steady-state
+// summary metrics over the last quarter of the epochs (the post-ramp
+// regime).
+func runTimeline(env *Env, cfg Config) (Metrics, error) {
 	res, err := RunTimeline(env, cfg)
 	if err != nil {
 		return Metrics{}, err
@@ -194,9 +150,3 @@ func (w timelineWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	m.Add("final_far_frac", res.FinalFarFraction, "frac")
 	return m, nil
 }
-
-// ensure the adapter satisfies both interfaces at compile time.
-var (
-	_ Workload    = timelineWorkload{}
-	_ EventDriven = timelineWorkload{}
-)

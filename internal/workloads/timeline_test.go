@@ -22,9 +22,13 @@ func TestConcurrentRunsCountEvents(t *testing.T) {
 		return env
 	}
 	// 8 epochs (40 ms) keep each run's trace inside one ring.
+	w, err := Get("tpp-timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfgs := make([]Config, 4)
 	for i := range cfgs {
-		cfgs[i] = timelineWorkload{}.DefaultConfig()
+		cfgs[i] = w.Defaults
 		cfgs[i].Ops, cfgs[i].Seed = 8, uint64(11+i)
 	}
 

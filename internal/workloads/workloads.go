@@ -1,11 +1,12 @@
 // Package workloads unifies the paper's seven application models (DLRM,
 // DeathStarBench, fio, the fluid bandwidth solver, the Redis kvstore,
-// SPECrate surrogates, and YCSB) behind one composable interface.
+// SPECrate surrogates, and YCSB), plus the event-driven tpp-timeline, in one
+// table of Workload values.
 //
 // Historically each model under internal/workloads/* exposed its own
 // bespoke entry point and only the hard-coded experiment drivers could run
 // it. This package turns every model into a Workload: a named, describable
-// unit with variants, a default Config, and a uniform Run signature that
+// entry with variants, a default Config, and a uniform Run function that
 // returns ordered Metrics. New scenarios become data — a one-line spec
 // string (see Scenario) — instead of code, matching the uniform workload
 // front-ends of CXL-DMSim and CXLRAMSim.
@@ -13,8 +14,8 @@
 // The layering rule: this parent package may import the per-model
 // subpackages (internal/workloads/dlrm, .../ycsb, ...), never the other way
 // around, so the models stay import-cycle-free and usable on their own.
-// Adapters live in adapters.go; the registry in registry.go; the scenario
-// spec language in scenario.go.
+// The Run functions live in adapters.go and timeline.go; the table in
+// registry.go; the scenario spec language in scenario.go.
 package workloads
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 
 	"cxlmem/internal/results"
+	"cxlmem/internal/sim"
 	"cxlmem/internal/topo"
 )
 
@@ -117,7 +119,7 @@ func (e *Env) seed(cfg Config, fallback uint64) uint64 {
 }
 
 // Config is the generic knob set shared by every workload. A workload's
-// DefaultConfig fills the knobs it honors; Scenario overrides map onto the
+// Defaults fill the knobs it honors; Scenario overrides map onto the
 // same fields. Zero values mean "use the workload default".
 type Config struct {
 	// Variant selects a workload-specific mode: a YCSB letter, a DSB
@@ -208,21 +210,28 @@ func MetricsFromDataset(d *results.Dataset) (Metrics, error) {
 	return m, nil
 }
 
-// Workload is one runnable application model.
-type Workload interface {
+// Workload is one runnable application model: an entry of the registry
+// table.
+type Workload struct {
 	// Name is the registry key ("ycsb", "dlrm", ...).
-	Name() string
+	Name string
 	// Desc is a one-line description with the paper anchor.
-	Desc() string
+	Desc string
 	// Variants lists the accepted Config.Variant values, canonical name
-	// first; aliases are resolved by the workload's Run.
-	Variants() []string
-	// DefaultConfig returns a runnable calibrated configuration.
-	DefaultConfig() Config
+	// first; aliases are resolved by Run.
+	Variants []string
+	// Defaults is a runnable calibrated configuration.
+	Defaults Config
 	// Run executes the workload under env with the given configuration and
-	// returns its metrics. Implementations must be deterministic for a
-	// fixed (env, cfg) and safe for concurrent use with distinct envs.
-	Run(env *Env, cfg Config) (Metrics, error)
+	// returns its metrics. It must be deterministic for a fixed (env, cfg)
+	// and safe for concurrent use with distinct envs.
+	Run func(env *Env, cfg Config) (Metrics, error)
+	// Trace, set only for a workload that runs on the discrete-event
+	// scheduler and emits a time series (tpp-timeline), runs it exactly as
+	// Run does with taps attached to the scheduler before the first event.
+	// The matrix experiments skip such workloads: their primary output is
+	// a timeline, not a placement-comparable scalar.
+	Trace func(env *Env, cfg Config, taps ...sim.Tap) error
 }
 
 // errUnknownVariant formats the shared unknown-variant failure.

@@ -33,9 +33,9 @@ func RandomScenario(rng *sim.Rng) workloads.Scenario {
 	if err != nil {
 		panic(err) // unreachable: the name came from the registry
 	}
-	sc := workloads.Scenario{Workload: w.Name()}
+	sc := workloads.Scenario{Workload: w.Name}
 	if rng.Intn(2) == 0 {
-		variants := w.Variants()
+		variants := w.Variants
 		sc.Variant = variants[rng.Intn(len(variants))]
 	}
 	if rng.Intn(2) == 0 {
