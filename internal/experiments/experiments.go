@@ -111,17 +111,23 @@ type Experiment struct {
 	// blanks the knob before caching and provenance-stamping, for the same
 	// reason UsesPlatform blanks Platform.
 	UsesFidelity bool
+	// UsesSeed marks drivers that consume Options.Seed (the buffer-latency
+	// sweeps, the DSB figures, tpp-timeline and the scenario matrices).
+	// Every other driver pins its own seeds, so RunDataset caches it once,
+	// under the default seed, and stamps only the caller's seed into the
+	// provenance it returns (DESIGN.md §31).
+	UsesSeed bool
 }
 
 // registry lists every experiment, sorted by ID. Each entry sets its own
-// UsesPlatform and UsesFidelity.
+// UsesPlatform, UsesFidelity and UsesSeed.
 var registry = []Experiment{
 	// Ablation experiments (DESIGN.md §6): each one disables a single
 	// modeled mechanism to show that it — and nothing else — produces the
 	// corresponding observation of the paper.
 	{ID: "ablation-coherence", Desc: "disable remote-directory burst congestion (isolates O3)", Run: runAblationCoherence},
 	{ID: "ablation-estimator", Desc: "Caption with the full counter set vs IPC only", Run: runAblationEstimator},
-	{ID: "ablation-llc", Desc: "disable the SNC LLC-isolation break for CXL lines (isolates O6)", Run: runAblationLLC, UsesFidelity: true},
+	{ID: "ablation-llc", Desc: "disable the SNC LLC-isolation break for CXL lines (isolates O6)", Run: runAblationLLC, UsesFidelity: true, UsesSeed: true},
 	{ID: "fig11a", Desc: "DLRM throughput vs consumed system bandwidth (Fig. 11a)", Run: runFig11a},
 	{ID: "fig11b", Desc: "DLRM throughput vs L1 miss latency (Fig. 11b)", Run: runFig11b},
 	{ID: "fig12a", Desc: "Caption estimator vs DLRM throughput over a ratio sweep (Fig. 12a)", Run: runFig12a},
@@ -130,24 +136,24 @@ var registry = []Experiment{
 	{ID: "fig3", Desc: "random access latency, MLC + memo, normalized to DDR5-L (Fig. 3)", Run: runFig3},
 	{ID: "fig4a", Desc: "MLC bandwidth efficiency across R/W mixes (Fig. 4a)", Run: runFig4a},
 	{ID: "fig4b", Desc: "memo bandwidth efficiency per instruction type (Fig. 4b)", Run: runFig4b},
-	{ID: "fig5", Desc: "SNC/LLC interaction: 32MB buffer latency (Fig. 5 / §4.3)", Run: runFig5, UsesFidelity: true},
+	{ID: "fig5", Desc: "SNC/LLC interaction: 32MB buffer latency (Fig. 5 / §4.3)", Run: runFig5, UsesFidelity: true, UsesSeed: true},
 	{ID: "fig6a", Desc: "Redis YCSB-A p99 vs target QPS for 5 DDR:CXL ratios (Fig. 6a)", Run: runFig6a},
-	{ID: "fig6b", Desc: "DSB compose-posts p99: caching tier on DDR vs CXL (Fig. 6b)", Run: dsbRunner("fig6b", "compose")},
-	{ID: "fig6c", Desc: "DSB read-user-timelines p99 (Fig. 6c)", Run: dsbRunner("fig6c", "readuser")},
-	{ID: "fig6d", Desc: "DSB mixed-workload p99, incl. the CXL-wins window (Fig. 6d)", Run: dsbRunner("fig6d", "mixed")},
+	{ID: "fig6b", Desc: "DSB compose-posts p99: caching tier on DDR vs CXL (Fig. 6b)", Run: dsbRunner("fig6b", "compose"), UsesSeed: true},
+	{ID: "fig6c", Desc: "DSB read-user-timelines p99 (Fig. 6c)", Run: dsbRunner("fig6c", "readuser"), UsesSeed: true},
+	{ID: "fig6d", Desc: "DSB mixed-workload p99, incl. the CXL-wins window (Fig. 6d)", Run: dsbRunner("fig6d", "mixed"), UsesSeed: true},
 	{ID: "fig7", Desc: "Redis: TPP vs static 25% interleave latency distribution (Fig. 7)", Run: runFig7},
 	{ID: "fig8", Desc: "FIO p99 vs block size with page cache on DDR vs CXL (Fig. 8)", Run: runFig8},
 	{ID: "fig9a", Desc: "DLRM throughput vs threads for 7 allocation ratios (Fig. 9a)", Run: runFig9a},
 	{ID: "fig9b", Desc: "Redis max QPS, YCSB A/B/C/D/F x 5 ratios, normalized (Fig. 9b)", Run: runFig9b},
-	{ID: "matrix-apps", Desc: "scenario matrix: every registered workload x DDR/interleave/CXL placement", Run: runMatrixApps, UsesPlatform: true},
-	{ID: "matrix-platform", Desc: "scenario matrix: representative workloads x every registered platform profile", Run: runMatrixPlatform, UsesPlatform: true},
-	{ID: "matrix-policy", Desc: "scenario matrix: throughput workloads x 5 interleaving policies", Run: runMatrixPolicy, UsesPlatform: true},
-	{ID: "matrix-size", Desc: "scenario matrix: size-aware workloads x working-set sizes", Run: runMatrixSize, UsesPlatform: true},
+	{ID: "matrix-apps", Desc: "scenario matrix: every registered workload x DDR/interleave/CXL placement", Run: runMatrixApps, UsesPlatform: true, UsesSeed: true},
+	{ID: "matrix-platform", Desc: "scenario matrix: representative workloads x every registered platform profile", Run: runMatrixPlatform, UsesPlatform: true, UsesSeed: true},
+	{ID: "matrix-policy", Desc: "scenario matrix: throughput workloads x 5 interleaving policies", Run: runMatrixPolicy, UsesPlatform: true, UsesSeed: true},
+	{ID: "matrix-size", Desc: "scenario matrix: size-aware workloads x working-set sizes", Run: runMatrixSize, UsesPlatform: true, UsesSeed: true},
 	{ID: "table1", Desc: "system and CXL device configurations (Table 1)", Run: runTable1},
 	{ID: "table2", Desc: "DSB component working sets and placement (Table 2)", Run: runTable2},
 	{ID: "table3", Desc: "DLRM: 1 vs 4 SNC nodes, DDR vs CXL 100% (Table 3)", Run: runTable3},
 	{ID: "table4", Desc: "PMU counters Caption monitors (Table 4)", Run: runTable4},
-	{ID: "tpp-timeline", Desc: "event-driven TPP migration timeline: per-epoch residency, migration throughput and latency under bursty load", Run: runTppTimeline},
+	{ID: "tpp-timeline", Desc: "event-driven TPP migration timeline: per-epoch residency, migration throughput and latency under bursty load", Run: runTppTimeline, UsesSeed: true},
 }
 
 // Get returns the experiment with the given ID; the failure wraps
@@ -227,14 +233,18 @@ func (o Options) withDefaultSeed() Options {
 // experiment's bytes, so equivalent runs share one cache entry and an
 // honest provenance. Fixed figures ignore the platform knob (they always
 // measure the Table-1 machine); experiments that never simulate the
-// buffer-latency hot path produce identical bytes at any fidelity; a zero
-// seed is the default seed.
+// buffer-latency hot path produce identical bytes at any fidelity; drivers
+// that pin their own seeds run at the default seed; a zero seed is the
+// default seed.
 func (e Experiment) canonicalOptions(o Options) Options {
 	if !e.UsesPlatform {
 		o.Platform = ""
 	}
 	if !e.UsesFidelity {
 		o.Fidelity = ""
+	}
+	if !e.UsesSeed {
+		o.Seed = 0
 	}
 	return o.withDefaultSeed()
 }
@@ -261,9 +271,11 @@ func DatasetKey(id string, o Options) (string, error) {
 // RunDataset runs the experiment with the given ID under the options and
 // returns its dataset, memoized process-wide. The returned dataset is shared
 // between callers: treat it as immutable and render it through the results
-// emitters. When the options carry a context, its cancellation aborts the
-// run's sweep work (unless another caller still waits on the same key) and
-// returns the context's error uncached.
+// emitters. Its provenance names the caller's seed even where the driver
+// ignores the seed and every seed shares one entry. When the options carry
+// a context, its cancellation aborts the run's sweep work (unless another
+// caller still waits on the same key) and returns the context's error
+// uncached.
 func RunDataset(id string, o Options) (*results.Dataset, error) {
 	e, err := Get(id)
 	if err != nil {
@@ -274,6 +286,7 @@ func RunDataset(id string, o Options) (*results.Dataset, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	seed := o.withDefaultSeed().Seed
 	o = e.canonicalOptions(o)
 	v, err := datasetCache.DoCtx(o.context(), datasetKey(id, o), func(cctx context.Context) (out any, err error) {
 		// A panicking driver must become an error, not a poisoned entry;
@@ -289,6 +302,12 @@ func RunDataset(id string, o Options) (*results.Dataset, error) {
 	d, ok := v.(*results.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s produced no dataset", id)
+	}
+	if d.Prov.Seed != seed {
+		// A seed-blind entry serves every seed; the copy shares its rows.
+		stamped := *d
+		stamped.Prov.Seed = seed
+		d = &stamped
 	}
 	return d, nil
 }

@@ -68,9 +68,10 @@ func TestRegistryComplete(t *testing.T) {
 // TestRegistryTable holds the table to the rules registration used to check
 // at run time: IDs sorted and unique, and the knob flags on exactly the
 // drivers that consume the knobs — fidelity on the two buffer-latency
-// sweeps, platform on the four scenario matrices.
+// sweeps, platform on the four scenario matrices, the seed on those six
+// plus the three DSB figures and tpp-timeline.
 func TestRegistryTable(t *testing.T) {
-	var fidelity, platform []string
+	var fidelity, platform, seed []string
 	for i, e := range registry {
 		if e.ID == "" || e.Run == nil {
 			t.Errorf("entry %d: empty ID or no Run", i)
@@ -84,12 +85,61 @@ func TestRegistryTable(t *testing.T) {
 		if e.UsesPlatform {
 			platform = append(platform, e.ID)
 		}
+		if e.UsesSeed {
+			seed = append(seed, e.ID)
+		}
 	}
 	if want := []string{"ablation-llc", "fig5"}; !slices.Equal(fidelity, want) {
 		t.Errorf("UsesFidelity set on %v, want %v", fidelity, want)
 	}
 	if want := []string{"matrix-apps", "matrix-platform", "matrix-policy", "matrix-size"}; !slices.Equal(platform, want) {
 		t.Errorf("UsesPlatform set on %v, want %v", platform, want)
+	}
+	if want := []string{"ablation-llc", "fig5", "fig6b", "fig6c", "fig6d", "matrix-apps", "matrix-platform", "matrix-policy", "matrix-size", "tpp-timeline"}; !slices.Equal(seed, want) {
+		t.Errorf("UsesSeed set on %v, want %v", seed, want)
+	}
+}
+
+// TestSeedBlindExperiments holds UsesSeed to what the drivers do, outside
+// the memo cache, so no run can read back another's shared entry: a driver
+// without the flag emits at seeds 7 and 123 the text and csv it emits at
+// seed 1, and json that differs only in the provenance's seed; a driver
+// with it changes its text at one of those seeds at least.
+func TestSeedBlindExperiments(t *testing.T) {
+	emit := func(d *results.Dataset, format string) string {
+		t.Helper()
+		out, err := results.Emit(d, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, e := range All() {
+		o := quickOpts()
+		o.Parallel = 2
+		base := e.Run(o)
+		moved := false
+		for _, seed := range []uint64{7, 123} {
+			o.Seed = seed
+			d := e.Run(o)
+			if e.UsesSeed {
+				moved = moved || emit(d, "text") != emit(base, "text")
+				continue
+			}
+			for _, format := range []string{"text", "csv"} {
+				if emit(d, format) != emit(base, format) {
+					t.Errorf("%s: %s at seed %d differs from seed 1, but UsesSeed is unset", e.ID, format, seed)
+				}
+			}
+			stamped := *base
+			stamped.Prov.Seed = seed
+			if emit(d, "json") != emit(&stamped, "json") {
+				t.Errorf("%s: json at seed %d differs from seed 1 beyond the provenance seed, but UsesSeed is unset", e.ID, seed)
+			}
+		}
+		if e.UsesSeed && !moved {
+			t.Errorf("%s: text identical at seeds 1, 7 and 123, but UsesSeed is set", e.ID)
+		}
 	}
 }
 

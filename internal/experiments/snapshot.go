@@ -51,22 +51,32 @@ func encodeDataset(key string, v any) ([]byte, error) {
 	return []byte(out), nil
 }
 
-// decodeDataset inverts encodeDataset via results.ParseJSON. The key must
-// be the one the dataset's provenance derives through DatasetKey, so a
-// mislabeled entry is refused instead of serving one experiment's bytes
-// under another's key. Only experiments fill the dataset cache, so a
-// scenario provenance never matches.
-func decodeDataset(key string, data []byte) (any, error) {
+// decodeDataset inverts encodeDataset via results.ParseJSON and returns
+// the key to restore the dataset under: the canonical key its provenance
+// derives through DatasetKey. The entry's own key must be that key, or the
+// key a build that kept every seed in the key derived from the same
+// provenance (DESIGN.md §31); such an entry moves to its canonical key,
+// with the default seed in its provenance, as RunDataset caches it. Any
+// other key is refused, so a mislabeled entry never serves one
+// experiment's bytes under another's key. Only experiments fill the
+// dataset cache, so a scenario provenance never matches.
+func decodeDataset(key string, data []byte) (string, any, error) {
 	d, err := results.ParseJSON(data)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: decoding %q: %w", key, err)
+		return "", nil, fmt.Errorf("experiments: decoding %q: %w", key, err)
 	}
 	p := d.Prov
-	want, err := DatasetKey(p.ExperimentID, Options{Quick: p.Quick, Seed: p.Seed, Platform: p.Platform, Fidelity: Fidelity(p.Fidelity)})
-	if err != nil || p.Scenario != "" || want != key {
-		return nil, fmt.Errorf("experiments: snapshot entry %q holds a dataset of another key (experiment %q, scenario %q)", key, p.ExperimentID, p.Scenario)
+	if e, err := Get(p.ExperimentID); err == nil && p.Scenario == "" {
+		o := Options{Quick: p.Quick, Seed: p.Seed, Platform: p.Platform, Fidelity: Fidelity(p.Fidelity)}
+		canonical := e.canonicalOptions(o)
+		perSeed := canonical
+		perSeed.Seed = o.withDefaultSeed().Seed
+		if want := datasetKey(e.ID, canonical); key == want || key == datasetKey(e.ID, perSeed) {
+			d.Prov.Seed = canonical.Seed
+			return want, d, nil
+		}
 	}
-	return d, nil
+	return "", nil, fmt.Errorf("experiments: snapshot entry %q holds a dataset of another key (experiment %q, scenario %q)", key, p.ExperimentID, p.Scenario)
 }
 
 // ExportDatasetCache serializes the process-wide dataset cache — every
@@ -99,8 +109,8 @@ func exportDatasetCache(c *memo.Cache) ([]byte, error) {
 // restored. Keys already resident are left untouched, and the configured
 // entry budget still applies — an oversized snapshot keeps its most
 // recently used entries, evicted from the recency tail like any other
-// overflow. An entry whose key is not its dataset's provenance key fails
-// the import.
+// overflow. An entry whose key is neither its dataset's provenance key nor
+// that key with the provenance's own seed fails the import.
 func ImportDatasetCache(data []byte) (int, error) {
 	return ImportDatasetCacheInto(datasetCache, data)
 }

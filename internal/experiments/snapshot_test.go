@@ -97,9 +97,11 @@ func TestSnapshotRoundTripUnderEviction(t *testing.T) {
 // entry measured under the retired fastwarm warmup (DESIGN.md §21), which
 // would otherwise be re-served labelled exact, and an entry whose key is
 // not the one its dataset's provenance derives (table2's bytes under
-// table1's key, table1's under another seed's key, a scenario cell under an
-// experiment's key), which would serve one result as another. All fail
-// cleanly without touching the cache.
+// table1's key, seed-consuming fig6b's under another seed's key, a
+// scenario cell under an experiment's key), which would serve one result as
+// another. All fail cleanly without touching the cache. A seed-blind
+// dataset under another seed's request key is the positive control: that
+// request shares the default seed's key, so table1's entry restores.
 func TestImportRejectsBadSnapshots(t *testing.T) {
 	o := quickOpts()
 	key := func(id string, o Options) string {
@@ -148,7 +150,7 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		{"fastwarm", `{"schema": 1, "cache": "dataset", "entries": [{"key": "experiment|fig4a|quick=true|fastwarm=true|seed=1|platform=|fidelity=exact",
 			"value": {"schema": 1, "id": "fig4a", "rows": [], "notes": [], "provenance": {"experiment": "fig4a", "quick": true, "fastwarmup": true, "seed": 1}}}]}`},
 		{"table1 keying table2", entry(key("table1", o), run("table2"))},
-		{"seed 7 keying seed 1", entry(key("table1", reseeded), run("table1"))},
+		{"seed 7 keying seed 1", entry(key("fig6b", reseeded), run("fig6b"))},
 		{"table1 keying a scenario cell", entry(key("table1", o), cell)},
 	} {
 		fresh := memo.NewCache()
@@ -158,6 +160,9 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		if size := fresh.Stats().Size; size != 0 {
 			t.Errorf("%s snapshot left %d entries resident", tc.name, size)
 		}
+	}
+	if n, err := ImportDatasetCacheInto(memo.NewCache(), []byte(entry(key("table1", reseeded), run("table1")))); err != nil || n != 1 {
+		t.Errorf("table1 under the seed-7 request's key = %d, %v; want it restored", n, err)
 	}
 }
 
@@ -200,6 +205,60 @@ func TestImportSnapshotWithFreq(t *testing.T) {
 		if _, err := fresh.Do(e.Key, func() (any, error) { t.Errorf("%s recomputed", e.Key); return nil, nil }); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestImportSeededSnapshot restores testdata/snapshot-seeded.json, which
+// the /v1/snapshot of a build that kept every seed in the dataset key wrote
+// after serving quick fig7 at seed 1, fig6b at seed 7 and fig7 at seed 7.
+// fig7's seed-7 entry moves to the key every seed now shares, its seed-1
+// entry drops as a duplicate and fig6b keeps its seed-7 key. The restored
+// cache then serves fig7 at seeds 1 and 7 and fig6b at seed 7 with no
+// recompute, byte-identical to fresh runs.
+func TestImportSeededSnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot-seeded.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Safe to swap: top-level tests run sequentially, and a fresh cache
+	// keeps entries other tests computed from masking a failed restore.
+	saved := datasetCache
+	datasetCache = memo.NewCache()
+	defer func() { datasetCache = saved }()
+	if n, err := ImportDatasetCache(data); err != nil || n != 2 {
+		t.Fatalf("import = %d, %v; want 2 entries restored", n, err)
+	}
+	for _, tc := range []struct {
+		id   string
+		seed uint64
+	}{{"fig7", 1}, {"fig7", 7}, {"fig6b", 7}} {
+		o := quickOpts()
+		o.Seed = tc.seed
+		got, err := RunDataset(tc.id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Get(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := e.Run(o)
+		for _, format := range []string{"text", "json", "csv"} {
+			g, err := results.Emit(got, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := results.Emit(want, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != w {
+				t.Errorf("%s at seed %d: restored %s differs from a fresh run", tc.id, tc.seed, format)
+			}
+		}
+	}
+	if st := datasetCache.Stats(); st.Misses != 0 || st.Size != 2 {
+		t.Errorf("restored cache %+v: want no miss and the 2 restored entries", st)
 	}
 }
 

@@ -5,9 +5,11 @@
 //
 // The memo layer stores opaque `any` values, so serialization is delegated:
 // Snapshot receives an encode function mapping (key, value) to bytes and
-// Restore receives its inverse. The experiment layer wires these to the
-// lossless results JSON wire form, which is what makes a restored dataset
-// serve byte-identical responses with zero recompute.
+// Restore receives its inverse, which also names the key to restore under,
+// so an entry saved under an older spelling of its key lands on the
+// current one. The experiment layer wires these to the lossless results
+// JSON wire form, which is what makes a restored dataset serve
+// byte-identical responses with zero recompute.
 //
 // Only settled successes travel: in-flight computations, cached errors and
 // panics are skipped — a snapshot is a transcript of reusable results, not
@@ -62,35 +64,38 @@ func (c *Cache) Snapshot(encode func(key string, v any) ([]byte, error)) ([]Snap
 }
 
 // Restore inserts snapshot entries as computed values, decoding each
-// through decode. Keys already resident (computed or in flight) are left
-// untouched — live state always wins over a snapshot. Restored entries
+// through decode, which also returns the key to store the value under: the
+// entry's own key, or the canonical key an older spelling of it maps to.
+// Keys already resident (computed or in flight, or restored earlier in the
+// same call) are left untouched — live state always wins over a snapshot,
+// and a newer entry over its older duplicates. Restored entries
 // join the recency list behind the resident ones in snapshot order
 // (most-recently-used first) and count toward the entry budget: an
 // over-budget restore evicts from the recency tail exactly like computed
 // entries do, so it keeps the snapshot's most recent keys.
 // It returns how many entries were actually restored.
-func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []byte) (any, error)) (int, error) {
+func (c *Cache) Restore(entries []SnapshotEntry, decode func(key string, data []byte) (string, any, error)) (int, error) {
 	restored := 0
 	for _, se := range entries {
-		v, err := decode(se.Key, se.Value)
+		key, v, err := decode(se.Key, se.Value)
 		if err != nil {
 			return restored, err
 		}
 		c.mu.Lock()
-		if _, exists := c.entries[se.Key]; exists {
+		if _, exists := c.entries[key]; exists {
 			c.mu.Unlock()
 			continue
 		}
 		done := make(chan struct{})
 		close(done)
 		e := &cacheEntry{
-			key:      se.Key,
+			key:      key,
 			done:     done,
 			val:      v,
 			computed: true,
 			cancel:   func() {},
 		}
-		c.entries[se.Key] = e
+		c.entries[key] = e
 		// Entries arrive MRU-first, so appending preserves the donor's
 		// recency order: each restored entry sits ahead of the later ones.
 		e.elem = c.lru.PushBack(e)

@@ -5,18 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
 // jsonCodec is the test codec: values are plain strings carried as JSON.
 func encodeString(_ string, v any) ([]byte, error) { return json.Marshal(v.(string)) }
 
-func decodeString(_ string, data []byte) (any, error) {
+func decodeString(key string, data []byte) (string, any, error) {
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return s, nil
+	return key, s, nil
 }
 
 // TestSnapshotRoundTrip proves the core warm-start contract: a snapshot of
@@ -119,6 +120,34 @@ func TestRestoreKeepsResident(t *testing.T) {
 	v, _ := dst.Do("k", func() (any, error) { return nil, nil })
 	if v != "live" {
 		t.Errorf("resident value = %v, want live", v)
+	}
+}
+
+// TestRestoreRenamedKeys pins the canonical-key half of Restore: an entry
+// is stored under the key decode returns, and once that key is resident a
+// later entry mapping to it is dropped as a duplicate, not counted.
+func TestRestoreRenamedKeys(t *testing.T) {
+	canonical := func(key string, data []byte) (string, any, error) {
+		_, v, err := decodeString(key, data)
+		return strings.TrimPrefix(key, "old:"), v, err
+	}
+	c := NewCache()
+	n, err := c.Restore([]SnapshotEntry{
+		{Key: "old:k", Value: json.RawMessage(`"newest"`)},
+		{Key: "k", Value: json.RawMessage(`"older"`)},
+		{Key: "old:j", Value: json.RawMessage(`"vj"`)},
+	}, canonical)
+	if err != nil || n != 2 {
+		t.Fatalf("restore = %d, %v; want 2 restored", n, err)
+	}
+	for key, want := range map[string]string{"k": "newest", "j": "vj"} {
+		v, _ := c.Do(key, func() (any, error) { return "recomputed", nil })
+		if v != want {
+			t.Errorf("%s = %v, want %s", key, v, want)
+		}
+	}
+	if size := c.Stats().Size; size != 2 {
+		t.Errorf("cache holds %d entries, want 2 (no entry under an old key)", size)
 	}
 }
 
