@@ -24,17 +24,17 @@ func TestScenarioFuzzMemoKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("canonical spec %q does not re-parse: %v", canon, err)
 		}
-		if got, want := o.cellKey(re), o.cellKey(sc); got != want {
+		if got, want := ScenarioKey(o, re), ScenarioKey(o, sc); got != want {
 			t.Fatalf("re-parsed scenario forks the memo key: %q vs %q", got, want)
 		}
 		op := o
 		op.Parallel = 8
-		if op.cellKey(sc) != o.cellKey(sc) {
+		if ScenarioKey(op, sc) != ScenarioKey(o, sc) {
 			t.Fatalf("Parallel forks the memo key for %q", canon)
 		}
 		oq := o
 		oq.Quick = false
-		if oq.cellKey(sc) == o.cellKey(sc) {
+		if ScenarioKey(oq, sc) == ScenarioKey(o, sc) {
 			t.Fatalf("Quick does not fork the memo key for %q (it changes the bytes)", canon)
 		}
 	}

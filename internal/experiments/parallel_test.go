@@ -49,3 +49,23 @@ func TestSweepPanicPropagates(t *testing.T) {
 		}
 	})
 }
+
+// TestSweepPanicStopsClaims: a panicking point stops the sweep, so one
+// worker evaluates no point after it, as a serial loop stops there too.
+func TestSweepPanicStopsClaims(t *testing.T) {
+	var evaluated int
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected the point's panic to propagate")
+		}
+		if evaluated != 4 {
+			t.Errorf("evaluated %d points, want 4: none after the panic at point 3", evaluated)
+		}
+	}()
+	forEachPoint(Options{Parallel: 1}, 100, func(i int) {
+		evaluated++
+		if i == 3 {
+			panic("boom")
+		}
+	})
+}

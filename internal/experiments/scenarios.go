@@ -3,12 +3,15 @@
 // The matrix experiments take the cross product of {workload × interleaving
 // policy × working-set size × platform profile} from the internal/workloads
 // and internal/topo registries and
-// dispatch every cell through the parallel sweep engine (sweep.go). Cells
-// are memoized process-wide in a memo.Cache keyed by the canonical scenario
-// spec plus an options fingerprint, so cells shared between matrices — and
-// the serial/parallel double runs of the equivalence tests — are computed
-// once. Cell values are structured workloads.Metrics; formatting happens
-// only at the emitter layer (DESIGN.md §10).
+// dispatch every cell through the parallel sweep engine (sweep.go). The
+// options fold into each cell once: the spec's unset platform= and seed=
+// take the options' platform and non-default seed (DESIGN.md §32), and the
+// folded spec is what runs. Cells are memoized process-wide in a memo.Cache
+// keyed by the folded spec plus the fingerprint of quick mode, so cells
+// shared between matrices or requests — and the serial/parallel double runs
+// of the equivalence tests — are computed once. Cell values are structured
+// workloads.Metrics; formatting happens only at the emitter layer
+// (DESIGN.md §10).
 package experiments
 
 import (
@@ -23,9 +26,9 @@ import (
 )
 
 // cellCache memoizes evaluated matrix cells for the lifetime of the
-// process. Cell values depend only on the canonical spec and the options
-// fingerprint — never on the worker count — so caching preserves the
-// byte-identical serial-vs-parallel contract.
+// process. Cell values depend only on the folded spec and quick mode —
+// never on the worker count — so caching preserves the byte-identical
+// serial-vs-parallel contract.
 var cellCache = memo.NewCache()
 
 // Validate reports option errors a dispatching caller can surface cleanly —
@@ -43,50 +46,50 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// cellKey is the memoization key of one (scenario, options) cell. The
-// options' platform joins the fingerprint because a cell without its own
-// platform= key inherits it — cached values must never leak across machines.
-func (o Options) cellKey(sc workloads.Scenario) string {
-	return sc.String() + "|" + o.fingerprint()
+// cell folds the options into one scenario cell: the spec's unset
+// platform= takes the options' platform, and its unset seed= a non-default
+// options seed. The folded spec names every input of the cell's bytes but
+// quick mode, so the cell's key, environment and run derive from it alone,
+// and requests that fold into one spec share one cell.
+func (o Options) cell(sc workloads.Scenario) workloads.Scenario {
+	if sc.Platform == "" {
+		sc.Platform = o.Platform
+	}
+	if sc.Seed == 0 && o.withDefaultSeed().Seed != DefaultOptions().Seed {
+		sc.Seed = o.Seed
+	}
+	return sc
 }
 
-// cellOptions canonicalizes the options of scenario cells before any key,
-// provenance or environment is derived from them: cells never simulate the
-// buffer-latency hot path, so the fidelity tier cannot shape them, and a
-// zero seed is the default seed.
+// cellOptions canonicalizes the options a cell's provenance names: cells
+// never simulate the buffer-latency hot path, so the fidelity tier cannot
+// shape them, and a zero seed is the default seed.
 func (o Options) cellOptions() Options {
 	o.Fidelity = ""
 	return o.withDefaultSeed()
 }
 
-// ScenarioKey returns the canonical memo key of one (scenario, options)
-// cell — the unit of distribution for cache sharding (DESIGN.md §14), on
-// the canonical options the scenario dispatchers cache under.
+// ScenarioKey returns the memo key of one (scenario, options) cell — the
+// unit of distribution for cache sharding (DESIGN.md §14): the folded
+// spec plus the fingerprint of quick mode alone, at the default seed, no
+// platform and exact fidelity. At default options the fold leaves the spec
+// as it is, so the key is the spec plus the options' own fingerprint, which
+// TestCanonicalKeysPinned holds and which keeps every such key's ring
+// owner across builds (DESIGN.md §32).
 func ScenarioKey(o Options, sc workloads.Scenario) string {
-	return o.cellOptions().cellKey(sc)
+	return o.cell(sc).String() + "|" + Options{Quick: o.Quick, Seed: DefaultOptions().Seed}.fingerprint()
 }
 
-// scenarioEnv builds the workload environment for one cell: the cell's own
-// platform when it names one (so Scenario.Run's ForPlatform is a no-op and
-// each cell builds exactly one System), the options' platform otherwise,
-// Table 1 when neither is set — with the cross-cutting run knobs. The
-// default experiment seed keeps each workload's calibrated seed; an
-// explicit -seed override perturbs every cell. The options' context bounds
-// the cell's event-driven runs.
-func (o Options) scenarioEnv(cellPlatform string) (*workloads.Env, error) {
-	platform := cellPlatform
-	if platform == "" {
-		platform = o.Platform
-	}
+// scenarioEnv builds the workload environment for one folded cell on its
+// platform (Table 1 when empty), so Scenario.Run's ForPlatform is a no-op
+// and each cell builds exactly one System, with the options' quick mode
+// and context; the context bounds the cell's run.
+func (o Options) scenarioEnv(platform string) (*workloads.Env, error) {
 	env, err := workloads.NewEnvOn(platform)
 	if err != nil {
 		return nil, err
 	}
-	env.Quick = o.Quick
-	if o.Seed != DefaultOptions().Seed {
-		env.Seed = o.Seed
-	}
-	env.Ctx = o.Ctx
+	env.Quick, env.Ctx = o.Quick, o.Ctx
 	return env, nil
 }
 
@@ -103,8 +106,8 @@ func RunScenario(o Options, sc workloads.Scenario) (workloads.Metrics, error) {
 // serial-vs-parallel test passes fresh caches so memoization cannot mask a
 // concurrency bug in cell evaluation.
 func runScenarioCached(cache *memo.Cache, o Options, sc workloads.Scenario) (workloads.Metrics, error) {
-	o = o.cellOptions()
-	v, err := cache.DoCtx(o.context(), o.cellKey(sc), func(ctx context.Context) (any, error) {
+	cell := o.cell(sc)
+	v, err := cache.DoCtx(o.context(), ScenarioKey(o, sc), func(ctx context.Context) (any, error) {
 		// Cells are the sweep engine's unit of work: a cell that lost every
 		// waiter before starting is skipped, and a started one watches ctx,
 		// the single-flight context, which ends when its last waiter leaves.
@@ -113,11 +116,11 @@ func runScenarioCached(cache *memo.Cache, o Options, sc workloads.Scenario) (wor
 		}
 		co := o
 		co.Ctx = ctx
-		env, err := co.scenarioEnv(sc.Platform)
+		env, err := co.scenarioEnv(cell.Platform)
 		if err != nil {
 			return nil, err
 		}
-		return sc.Run(env)
+		return cell.Run(env)
 	})
 	if err != nil {
 		return workloads.Metrics{}, err
@@ -126,9 +129,10 @@ func runScenarioCached(cache *memo.Cache, o Options, sc workloads.Scenario) (wor
 }
 
 // ScenarioResult evaluates one scenario cell (memoized) and returns its
-// full metric list as a typed dataset — one row per metric, the scenario's
-// canonical spec in the provenance. This is the single-cell structured form
-// served by cxlserve's /v1/scenario and the facade's RunScenarioDataset.
+// full metric list as a typed dataset — one row per metric, the caller's
+// canonical spec and options in the provenance. This is the single-cell
+// structured form served by cxlserve's /v1/scenario and the facade's
+// RunScenarioDataset.
 func ScenarioResult(o Options, sc workloads.Scenario) (*results.Dataset, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err

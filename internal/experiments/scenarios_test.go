@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cxlmem/internal/memo"
+	"cxlmem/internal/results"
 	"cxlmem/internal/workloads"
 )
 
@@ -84,12 +89,12 @@ func TestCellKeyDistinguishesOptions(t *testing.T) {
 	parallel.Parallel = 7
 	keys := map[string]bool{}
 	for _, o := range []Options{base, quick, seeded, platformed} {
-		keys[o.cellKey(sc)] = true
+		keys[ScenarioKey(o, sc)] = true
 	}
 	if len(keys) != 4 {
 		t.Errorf("options collapse onto %d keys, want 4", len(keys))
 	}
-	if base.cellKey(sc) != parallel.cellKey(sc) {
+	if ScenarioKey(base, sc) != ScenarioKey(parallel, sc) {
 		t.Error("worker count must not change the cell key")
 	}
 }
@@ -157,28 +162,30 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestScenarioEnvBuildsCellPlatform pins the one-System-per-cell contract:
-// the env handed to a platformed cell is already on the cell's platform, so
-// Scenario.Run's ForPlatform resolves to the identity.
+// a platformless cell inherits the options' platform through the fold, a
+// cell's own platform beats it, and the env built for the folded cell is
+// already on that platform, so Scenario.Run's ForPlatform resolves to the
+// identity.
 func TestScenarioEnvBuildsCellPlatform(t *testing.T) {
 	o := DefaultOptions()
 	o.Platform = "snc-off"
-	env, err := o.scenarioEnv("fpga-degraded")
-	if err != nil {
-		t.Fatal(err)
+	if cell := o.cell(workloads.Scenario{Workload: "fluid", Platform: "fpga-degraded"}); cell.Platform != "fpga-degraded" {
+		t.Errorf("cell platform should beat the option: %q", cell.Platform)
 	}
-	if env.Platform != "fpga-degraded" {
-		t.Errorf("cell platform should beat the option: %q", env.Platform)
+	cell := o.cell(workloads.Scenario{Workload: "fluid"})
+	if cell.Platform != "snc-off" {
+		t.Errorf("platformless cell should inherit the option: %q", cell.Platform)
 	}
-	same, err := env.ForPlatform("fpga-degraded")
-	if err != nil || same != env {
-		t.Error("ForPlatform on the cell's platform should be the identity")
-	}
-	env, err = o.scenarioEnv("")
+	env, err := o.scenarioEnv(cell.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Platform != "snc-off" {
-		t.Errorf("platformless cell should inherit the option: %q", env.Platform)
+		t.Errorf("env for the folded cell is on %q, want snc-off", env.Platform)
+	}
+	same, err := env.ForPlatform(cell.Platform)
+	if err != nil || same != env {
+		t.Error("ForPlatform on the cell's platform should be the identity")
 	}
 }
 
@@ -272,4 +279,78 @@ func metricValue(t *testing.T, m workloads.Metrics, name string) float64 {
 	}
 	t.Fatalf("cell has no %s metric", name)
 	return 0
+}
+
+// scenarioDigestPath pins the scenario cells' wire bytes under options a
+// cell inherits: a non-default seed, a non-default platform, and both.
+// wire.sha256 covers cells only at quick seed 1 on Table 1, and
+// figures.sha256's figures ignore the platform.
+var scenarioDigestPath = filepath.Join("testdata", "golden", "scenarios.sha256")
+
+// TestScenarioWireDigests holds the json and csv of one spec per workload —
+// bare, with its own seed=, with its own platform=, and with both — under
+// three option sets, plus the -scenario all dataset and the four matrix
+// IDs under the two platformed sets. -update rewrites the file.
+func TestScenarioWireDigests(t *testing.T) {
+	var got strings.Builder
+	digest := func(d *results.Dataset, label string) {
+		for _, format := range []string{"json", "csv"} {
+			out, err := results.Emit(d, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%x  %s.%s\n", sha256.Sum256([]byte(out)), label, format)
+		}
+	}
+	for _, run := range []struct {
+		label    string
+		o        Options
+		matrices bool
+	}{
+		{"quick-seed7", Options{Quick: true, Seed: 7}, false},
+		{"quick-snc-off", Options{Quick: true, Seed: 1, Platform: "snc-off"}, true},
+		{"quick-seed3-x16-quad", Options{Quick: true, Seed: 3, Platform: "x16-quad"}, true},
+	} {
+		for _, w := range workloads.All() {
+			for _, own := range []string{"", "/seed=11", "/platform=fpga-degraded", "/seed=11/platform=fpga-degraded"} {
+				sc, err := workloads.ParseScenario(w.Name + own)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := ScenarioResult(run.o, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				digest(d, sc.String()+"."+run.label)
+			}
+		}
+		if !run.matrices {
+			continue
+		}
+		d, err := ScenarioDataset(run.o, "matrix-all", "full scenario matrix: workload x policy x size", AllMatrixScenarios())
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest(d, "matrix-all."+run.label)
+		for _, id := range []string{"matrix-apps", "matrix-platform", "matrix-policy", "matrix-size"} {
+			d, err := RunDataset(id, run.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest(d, id+"."+run.label)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(scenarioDigestPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(scenarioDigestPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("scenario wire forms diverge from %s:\n--- golden ---\n%s--- got ---\n%s", scenarioDigestPath, want, got.String())
+	}
 }

@@ -35,46 +35,36 @@ func (o Options) context() context.Context {
 	return o.Ctx
 }
 
-// forEachPoint evaluates eval(0..n-1) across the options' worker pool.
-// eval must not share mutable state between indices. A panicking point is
-// re-panicked on the caller's goroutine after the pool drains, matching the
-// serial failure mode. When the options carry a context, cancellation stops
-// workers from claiming further points and the sweep panics the context's
-// error, which recoverAsErr returns — in-flight points finish (or stop at
-// their own context check), queued ones never start, and the worker pool is
-// freed for other requests.
+// forEachPoint evaluates eval(0..n-1) across the options' worker pool;
+// one worker runs the points in index order. eval must not share mutable
+// state between indices. The sweep's first failure — a panicking point, or
+// the options' context ending — stops every worker from claiming another
+// point and is re-panicked on the caller's goroutine once the pool drains:
+// in-flight points finish (or stop at their own context check), queued ones
+// never start, and recoverAsErr returns a context error uncached.
 func forEachPoint(o Options, n int, eval func(i int)) {
 	ctx := o.context()
-	workers := o.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				panic(err)
-			}
-			eval(i)
-		}
-		return
-	}
 	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		failMu  sync.Mutex
+		failure any
 	)
-	for w := 0; w < workers; w++ {
+	fail := func(r any) {
+		failMu.Lock()
+		if failure == nil {
+			failure = r
+		}
+		failMu.Unlock()
+		next.Store(int64(n))
+	}
+	for w := min(o.workers(), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				if err := ctx.Err(); err != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = err
-					}
-					panicMu.Unlock()
+					fail(err)
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -84,11 +74,7 @@ func forEachPoint(o Options, n int, eval func(i int)) {
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicked == nil {
-								panicked = r
-							}
-							panicMu.Unlock()
+							fail(r)
 						}
 					}()
 					eval(i)
@@ -97,8 +83,8 @@ func forEachPoint(o Options, n int, eval func(i int)) {
 		}()
 	}
 	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	if failure != nil {
+		panic(failure)
 	}
 }
 

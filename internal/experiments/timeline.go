@@ -11,22 +11,23 @@ import (
 	"cxlmem/internal/workloads"
 )
 
-// runTppTimeline runs the default tpp-timeline cell once, on the
-// environment a scenario cell gets (a single scheduler is inherently
+// runTppTimeline runs the default tpp-timeline cell once, folded and on
+// the environment a scenario cell gets (a single scheduler is inherently
 // serial, so any Options.Parallel setting produces the same bytes), and
 // lays the timeline out one row per epoch. The run checks Options.Ctx
 // before and at every epoch boundary; its context error is panicked here,
 // and recoverAsErr returns it uncached.
 func runTppTimeline(o Options) *results.Dataset {
-	env, err := o.scenarioEnv("")
+	cell := o.cell(workloads.Scenario{Workload: "tpp-timeline"})
+	env, err := o.scenarioEnv(cell.Platform)
 	if err != nil {
 		panic(err)
 	}
-	w, err := workloads.Get("tpp-timeline")
+	w, err := workloads.Get(cell.Workload)
 	if err != nil {
 		panic(err)
 	}
-	res, err := workloads.RunTimeline(env, w.Defaults)
+	res, err := workloads.RunTimeline(env, cell.Apply(w.Defaults))
 	if err != nil {
 		panic(err)
 	}
@@ -78,9 +79,9 @@ func TraceDataset(id string, o Options, taps ...sim.Tap) error {
 }
 
 // TraceScenario replays the event-driven cell behind ScenarioResult(o, sc)
-// with taps attached to its scheduler, through the environment the cell
-// path builds. It neither reads nor fills the cell cache. A cell whose
-// workload is not event-driven is refused.
+// with taps attached to its scheduler: the same folded cell, on the
+// environment the cell path builds. It neither reads nor fills the cell
+// cache. A cell whose workload is not event-driven is refused.
 func TraceScenario(o Options, sc workloads.Scenario, taps ...sim.Tap) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -88,9 +89,10 @@ func TraceScenario(o Options, sc workloads.Scenario, taps ...sim.Tap) error {
 	if err := o.context().Err(); err != nil {
 		return err
 	}
-	env, err := o.scenarioEnv(sc.Platform)
+	cell := o.cell(sc)
+	env, err := o.scenarioEnv(cell.Platform)
 	if err != nil {
 		return err
 	}
-	return sc.Trace(env, taps...)
+	return cell.Trace(env, taps...)
 }

@@ -20,9 +20,10 @@
 // other error is cached like a value: a failing cell fails the same way on
 // every revisit instead of recomputing.
 //
-// Keys must be canonical (the scenario engine uses Scenario.String plus an
-// options fingerprint): two keys are the same cell if and only if the
-// strings are equal. A Cache is safe for concurrent use; the zero value is
+// Keys must be canonical (the scenario engine uses the Scenario.String of
+// the cell with its options' platform and seed folded in, plus the
+// fingerprint of quick mode; DESIGN.md §32): two keys are the same cell if
+// and only if the strings are equal. A Cache is safe for concurrent use; the zero value is
 // not — use NewCache or NewCacheWith.
 package memo
 

@@ -11,7 +11,7 @@ import (
 // coldBuffer measures one operating point with warm-state caching disabled —
 // the reference cold path — restoring the previous cache configuration
 // afterwards.
-func coldBuffer(cfg topo.Config, device string, bufBytes int64, samples int, seed uint64) float64 {
+func coldBuffer(cfg topo.Spec, device string, bufBytes int64, samples int, seed uint64) float64 {
 	ConfigureWarmStates(-1)
 	defer ConfigureWarmStates(DefaultWarmStateEntries)
 	sys := topo.NewSystem(cfg)
@@ -20,7 +20,7 @@ func coldBuffer(cfg topo.Config, device string, bufBytes int64, samples int, see
 
 // warmPoint measures the same operating point through the warm-state cache
 // on a fresh system.
-func warmPoint(cfg topo.Config, device string, bufBytes int64, samples int, seed uint64) float64 {
+func warmPoint(cfg topo.Spec, device string, bufBytes int64, samples int, seed uint64) float64 {
 	sys := topo.NewSystem(cfg)
 	return BufferLatency(sys, sys.Path(device), bufBytes, samples, seed).Nanoseconds()
 }
@@ -34,7 +34,7 @@ func TestWarmStateByteIdentical(t *testing.T) {
 	noBreak.CXLBreaksSNCIsolation = false
 	points := []struct {
 		name   string
-		cfg    topo.Config
+		cfg    topo.Spec
 		device string
 		buf    int64
 	}{
@@ -80,7 +80,7 @@ func TestWarmStateSharedKey(t *testing.T) {
 	kept.CXLBreaksSNCIsolation = false
 	type point struct {
 		name   string
-		cfg    topo.Config
+		cfg    topo.Spec
 		device string
 	}
 	fig5DDR := point{"fig5 DDR5-L", topo.DefaultConfig(), "DDR5-L"}

@@ -11,6 +11,7 @@ import (
 
 	"cxlmem/internal/experiments"
 	"cxlmem/internal/results"
+	"cxlmem/internal/workloads"
 )
 
 // testServer starts the handler over quick, serial base options.
@@ -208,6 +209,71 @@ func TestSeedZeroIsTheDefaultSeed(t *testing.T) {
 	}
 	if a, b := body("/v1/scenario?spec=kvstore/policy=cxl&seed=0"), body("/v1/scenario?spec=kvstore/policy=cxl&seed=1"); a != b {
 		t.Error("kvstore cell: seed=0 and seed=1 bodies differ")
+	}
+}
+
+// TestRequestsShareTheirCell: a request's seed fills its spec's unset
+// seed= and its platform an unset platform=, so requests that fold into
+// one spec share one cell-cache entry. Each pair below costs one cell miss
+// and one hit, answers identical csv, and answers json that differs only
+// where it names the caller's request: the provenance's seed, platform and
+// scenario, and the title, which carries the scenario too. The test first
+// evicts every cell an earlier test left resident: a one-entry budget
+// keeps only the quick cell run after it.
+func TestRequestsShareTheirCell(t *testing.T) {
+	experiments.ConfigureCaches(1)
+	o := experiments.DefaultOptions()
+	o.Quick = true
+	sc, err := workloads.ParseScenario("spec/policy=cxl")
+	if err == nil {
+		_, err = experiments.ScenarioResult(o, sc)
+	}
+	experiments.ConfigureCaches(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := testServer(t)
+	body := func(q string) string {
+		t.Helper()
+		status, _, b := get(t, ts, "/v1/scenario?"+q)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", q, status, b)
+		}
+		return b
+	}
+	// requestFree blanks what a cell's json names of the request.
+	requestFree := func(js string) string {
+		t.Helper()
+		d, err := results.ParseJSON([]byte(js))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Title, d.Prov.Seed, d.Prov.Platform, d.Prov.Scenario = "", 0, "", ""
+		out, err := results.Emit(d, "json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, pair := range [][2]string{
+		{"spec=kvstore/policy=cxl/seed=11&seed=3", "spec=kvstore/policy=cxl/seed=11&seed=4"},
+		{"spec=fluid/platform=x16-quad&platform=snc-off", "spec=fluid/platform=x16-quad"},
+		{"spec=dsb&seed=5", "spec=dsb/seed=5"},
+	} {
+		before := cellStats()
+		first := body(pair[0] + "&format=csv")
+		mid := cellStats()
+		second := body(pair[1] + "&format=csv")
+		after := cellStats()
+		if mid.Misses != before.Misses+1 || mid.Hits != before.Hits || after.Hits != mid.Hits+1 || after.Misses != mid.Misses {
+			t.Errorf("%s then %s: cell cache %+v → %+v → %+v, want one miss then a hit", pair[0], pair[1], before, mid, after)
+		}
+		if first != second {
+			t.Errorf("%s and %s answer different csv:\n%s\n%s", pair[0], pair[1], first, second)
+		}
+		if a, b := requestFree(body(pair[0])), requestFree(body(pair[1])); a != b {
+			t.Errorf("%s and %s answer json that differs beyond the request:\n%s\n%s", pair[0], pair[1], a, b)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ var platforms = []Platform{
 	{
 		Name: DefaultPlatform,
 		Desc: "the paper's dual-socket SPR server: DDR5-R emulation + CXL-A/B/C (Table 1, §5 setup)",
-		Spec: Table1Spec(),
+		Spec: DefaultConfig(),
 	},
 	{
 		Name: "fpga-degraded",

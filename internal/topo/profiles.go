@@ -10,29 +10,15 @@ import (
 	"cxlmem/internal/mem"
 )
 
-// deviceSpecOf lifts a materialized mem.Device into spec form over the given
-// link.
-func deviceSpecOf(d *mem.Device, l *link.Link, emulated bool) DeviceSpec {
-	return DeviceSpec{
-		Name:          d.Name,
-		Tech:          d.Tech,
-		Channels:      d.Channels,
-		Ctrl:          d.Ctrl,
-		CapacityBytes: d.CapacityBytes,
-		Link:          *l,
-		Emulated:      emulated,
-	}
-}
-
-// Table1Spec returns the paper's evaluated machine in declarative form, in
-// its §5 application configuration (SNC on, two local DDR5 channels) — the
-// same machine DefaultConfig selected from the hand-written constructor.
-// NewSystem layers Config overrides (MicrobenchConfig, the ablations) on
-// top of it.
-func Table1Spec() Spec {
-	devices := []DeviceSpec{deviceSpecOf(mem.DDR5Remote(), link.UPI(), true)}
+// DefaultConfig returns the paper's evaluated machine (Table 1) in its
+// primary application setup: SNC mode on, two local DDR5 channels, and the
+// DDR5-R emulation beside the three CXL devices (§5: "we enable the SNC
+// mode to use only two local DDR5 memory channels along with one CXL
+// memory channel"). It is the default platform profile.
+func DefaultConfig() Spec {
+	devices := []DeviceSpec{{Device: *mem.DDR5Remote(), Link: *link.UPI(), Emulated: true}}
 	for _, d := range mem.AllCXLDevices() {
-		devices = append(devices, deviceSpecOf(d, link.CXLx8(), false))
+		devices = append(devices, DeviceSpec{Device: *d, Link: *link.CXLx8()})
 	}
 	return Spec{
 		Name:                  DefaultPlatform,
@@ -45,6 +31,15 @@ func Table1Spec() Spec {
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
 	}
+}
+
+// MicrobenchConfig returns the Table-1 machine in its §4 characterization
+// setup: SNC off, the full 8-channel local DDR5 pool as the baseline.
+func MicrobenchConfig() Spec {
+	sp := DefaultConfig()
+	sp.SNCNodes = 1
+	sp.LocalDDRChannels = 8
+	return sp
 }
 
 // X16QuadSpec returns a multi-expander bandwidth-expansion platform: SNC
@@ -64,7 +59,7 @@ func X16QuadSpec() Spec {
 		CoherenceCongestion:   true,
 	}
 	for _, name := range []string{"CXL-X0", "CXL-X1", "CXL-X2", "CXL-X3"} {
-		sp.Devices = append(sp.Devices, deviceSpecOf(mem.CXLExpander(name), link.CXLx16(), false))
+		sp.Devices = append(sp.Devices, DeviceSpec{Device: *mem.CXLExpander(name), Link: *link.CXLx16()})
 	}
 	return sp
 }
@@ -80,7 +75,7 @@ func SNCOffSpec() Spec {
 		Sockets:               1,
 		SNCNodes:              1,
 		LocalDDRChannels:      8,
-		Devices:               []DeviceSpec{deviceSpecOf(mem.CXLA(), link.CXLx8(), false)},
+		Devices:               []DeviceSpec{{Device: *mem.CXLA(), Link: *link.CXLx8()}},
 		DefaultFarDevice:      "CXL-A",
 		CXLBreaksSNCIsolation: true,
 		CoherenceCongestion:   true,
@@ -99,8 +94,8 @@ func FPGADegradedSpec() Spec {
 		SNCNodes:         4,
 		LocalDDRChannels: 2,
 		Devices: []DeviceSpec{
-			deviceSpecOf(mem.DDR5Remote(), link.UPI(), true),
-			deviceSpecOf(mem.CXLFPGADegraded("CXL-F"), link.CXLx8(), false),
+			{Device: *mem.DDR5Remote(), Link: *link.UPI(), Emulated: true},
+			{Device: *mem.CXLFPGADegraded("CXL-F"), Link: *link.CXLx8()},
 		},
 		DefaultFarDevice:      "CXL-F",
 		CXLBreaksSNCIsolation: true,

@@ -4,7 +4,7 @@
 // channels, and a list of far-memory devices each carrying its own
 // controller, link and DRAM parameters — and Build validates the spec and
 // assembles the System the rest of the simulator runs on. The paper's
-// Table-1 machine is just the default platform profile (Table1Spec);
+// Table-1 machine is just the default platform profile (DefaultConfig);
 // every other platform is the same few lines of data with different
 // numbers, so "many machines × many workloads" needs no new constructor
 // code.
@@ -19,22 +19,15 @@ import (
 	"cxlmem/internal/mem"
 )
 
-// DeviceSpec describes one far-memory device of a platform: the DRAM behind
-// it, the controller in front of it, and the link it is reached over.
+// DeviceSpec describes one far-memory device of a platform: the device
+// itself and the link it is reached over.
 type DeviceSpec struct {
-	// Name identifies the device in specs and diagnostics ("CXL-A", ...).
-	// Names must be unique within a platform and may not reuse the local
-	// DDR pool's reserved name ("DDR5-L").
-	Name string
-	// Tech is the DRAM technology behind the controller.
-	Tech mem.DRAMTech
-	// Channels is the number of populated DRAM channels.
-	Channels int
-	// Ctrl is the controller profile (kind, port latency, Fig.-4-style
-	// efficiency tables).
-	Ctrl mem.Controller
-	// CapacityBytes is the usable capacity.
-	CapacityBytes int64
+	// Device is the DRAM behind the controller, the controller in front of
+	// it, the channel count and the capacity. Its Name identifies the
+	// device in specs and diagnostics ("CXL-A", ...); names must be unique
+	// within a platform and may not reuse the local DDR pool's reserved
+	// name ("DDR5-L").
+	mem.Device
 	// Link is the device-side interconnect: the CXL/PCIe link for a true
 	// CXL device, or the inter-socket link (UPI) for an emulated device.
 	Link link.Link
@@ -45,19 +38,8 @@ type DeviceSpec struct {
 	Emulated bool
 }
 
-// device materializes the spec's mem.Device.
-func (d DeviceSpec) device() *mem.Device {
-	return &mem.Device{
-		Name:          d.Name,
-		Tech:          d.Tech,
-		Channels:      d.Channels,
-		Ctrl:          d.Ctrl,
-		CapacityBytes: d.CapacityBytes,
-	}
-}
-
 // Spec declaratively describes a whole platform. The zero value is not
-// runnable — start from Table1Spec or a registered platform profile and
+// runnable — start from DefaultConfig or a registered platform profile and
 // override fields.
 type Spec struct {
 	// Name identifies the platform ("table1", "x16-quad", ...).
@@ -154,7 +136,7 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("topo: platform %q: emulated device %q needs a second socket",
 				sp.Name, d.Name)
 		}
-		if err := d.device().Validate(); err != nil {
+		if err := d.Device.Validate(); err != nil {
 			return fmt.Errorf("topo: platform %q: device %q: %w", sp.Name, d.Name, err)
 		}
 		l := d.Link
@@ -185,11 +167,10 @@ func Build(sp Spec) (*System, error) {
 			Links:  []*link.Link{link.Mesh()},
 			Coh:    coherence.LocalCHA(),
 		},
-		CXL: make(map[string]*Path),
 	}
 	s.paths = append(s.paths, s.DDRLocal)
 	for _, d := range sp.Devices {
-		l := d.Link
+		dev, l := d.Device, d.Link
 		var p *Path
 		if d.Emulated {
 			coh := coherence.RemoteDirectory()
@@ -198,33 +179,30 @@ func Build(sp Spec) (*System, error) {
 			}
 			p = &Path{
 				Name:         d.Name,
-				Device:       d.device(),
+				Device:       &dev,
 				Links:        []*link.Link{link.Mesh(), &l, link.Mesh()},
 				Coh:          coh,
 				IsRemoteNUMA: true,
 			}
-			if s.DDRRemote == nil {
-				s.DDRRemote = p
-			}
 		} else {
 			p = &Path{
 				Name:   d.Name,
-				Device: d.device(),
+				Device: &dev,
 				Links:  []*link.Link{link.Mesh(), &l},
 				Coh:    coherence.CXLHomeStructure(),
 				IsCXL:  true,
 			}
-			s.CXL[d.Name] = p
 		}
 		s.paths = append(s.paths, p)
 	}
 	return s, nil
 }
 
-// MustBuild builds the spec and panics on validation errors — for
-// code-defined specs whose invalidity is a programming error.
-func MustBuild(spec Spec) *System {
-	s, err := Build(spec)
+// NewSystem builds the spec and panics on validation errors — for
+// code-defined machines (DefaultConfig, MicrobenchConfig, the ablations'
+// variants of them), whose invalidity is a programming error.
+func NewSystem(sp Spec) *System {
+	s, err := Build(sp)
 	if err != nil {
 		panic(err)
 	}

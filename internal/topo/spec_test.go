@@ -15,7 +15,7 @@ import (
 // the hand-written Table-1 constructor that Build replaced. The pin test
 // below proves the declarative path assembles the same machine
 // field-for-field.
-func handAssembledTable1(cfg Config) (hier *cache.Hierarchy, paths []*Path) {
+func handAssembledTable1(cfg Spec) (hier *cache.Hierarchy, paths []*Path) {
 	hcfg := cache.SPRHierConfig(cfg.SNCNodes)
 	hcfg.CXLBreaksIsolation = cfg.CXLBreaksSNCIsolation
 
@@ -56,10 +56,12 @@ func handAssembledTable1(cfg Config) (hier *cache.Hierarchy, paths []*Path) {
 // field for field — for both the §5 application config and the §4
 // microbenchmark config.
 func TestBuilderReproducesTable1(t *testing.T) {
-	for name, cfg := range map[string]Config{
+	noCongest := MicrobenchConfig()
+	noCongest.CoherenceCongestion = false
+	for name, cfg := range map[string]Spec{
 		"default":    DefaultConfig(),
 		"microbench": MicrobenchConfig(),
-		"no-congest": {SNCNodes: 1, LocalDDRChannels: 8, CXLBreaksSNCIsolation: true},
+		"no-congest": noCongest,
 	} {
 		t.Run(name, func(t *testing.T) {
 			got := NewSystem(cfg)
@@ -76,8 +78,8 @@ func TestBuilderReproducesTable1(t *testing.T) {
 						i, want.Name, got.Paths()[i], want)
 				}
 			}
-			if got.DDRRemote == nil || got.DDRRemote.Name != "DDR5-R" {
-				t.Error("DDR5-R should remain the canonical DDRRemote path")
+			if !got.Path("DDR5-R").IsRemoteNUMA {
+				t.Error("DDR5-R should remain the emulated remote-NUMA path")
 			}
 			if got.DefaultFarDevice() != "CXL-A" {
 				t.Errorf("default far device = %q, want CXL-A", got.DefaultFarDevice())
@@ -90,7 +92,7 @@ func TestBuilderReproducesTable1(t *testing.T) {
 // error naming the offending field.
 func TestBuilderValidation(t *testing.T) {
 	mutate := func(f func(*Spec)) Spec {
-		sp := Table1Spec()
+		sp := DefaultConfig()
 		f(&sp)
 		return sp
 	}
@@ -135,7 +137,7 @@ func TestBuilderValidation(t *testing.T) {
 // inside cache.packWord on the first routed access. SNC-8 is the edge that
 // still fits (node 7 == cache.MaxHomeNode) and must keep building.
 func TestHomeNodeLimitAtBuildTime(t *testing.T) {
-	sp := Table1Spec()
+	sp := DefaultConfig()
 	sp.SNCNodes = 16
 	if _, err := Build(sp); err == nil {
 		t.Fatal("SNC-16 spec must fail validation, not panic later in packWord")

@@ -166,48 +166,8 @@ func (p *Path) HitLatency(level cache.Level) sim.Time {
 	}
 }
 
-// Config selects the system variant to build.
-type Config struct {
-	// SNCNodes is 1 (SNC off) or 4 (SNC on, as in the paper's §5 setup).
-	SNCNodes int
-	// LocalDDRChannels is the number of local DDR5 channels visible to the
-	// workload: 8 for the whole socket, 2 for a single SNC node (§5).
-	LocalDDRChannels int
-	// CXLBreaksSNCIsolation mirrors the measured LLC behaviour (O6);
-	// disable for the ablation.
-	CXLBreaksSNCIsolation bool
-	// CoherenceCongestion keeps the remote directory's burst penalty;
-	// disable for the O3 ablation.
-	CoherenceCongestion bool
-}
-
-// DefaultConfig returns the paper's primary application setup: SNC mode on,
-// two local DDR5 channels, one CXL device (§5: "we enable the SNC mode to
-// use only two local DDR5 memory channels along with one CXL memory
-// channel").
-func DefaultConfig() Config {
-	return Config{
-		SNCNodes:              4,
-		LocalDDRChannels:      2,
-		CXLBreaksSNCIsolation: true,
-		CoherenceCongestion:   true,
-	}
-}
-
-// MicrobenchConfig returns the §4 characterization setup: SNC off, the full
-// 8-channel local DDR5 pool as the baseline.
-func MicrobenchConfig() Config {
-	return Config{
-		SNCNodes:              1,
-		LocalDDRChannels:      8,
-		CXLBreaksSNCIsolation: true,
-		CoherenceCongestion:   true,
-	}
-}
-
-// System is the assembled machine. Systems are produced by Build from
-// a declarative Spec (spec.go); NewSystem remains as the legacy constructor
-// for the paper's Table-1 machine under a Config.
+// System is the assembled machine, produced by Build (or NewSystem) from a
+// declarative Spec (spec.go).
 type System struct {
 	defaultFar string
 	// paths holds every device path in the spec's presentation order,
@@ -217,23 +177,6 @@ type System struct {
 	Hier *cache.Hierarchy
 	// DDRLocal is the socket-local DDR5 path (the baseline device).
 	DDRLocal *Path
-	// DDRRemote is the emulated-CXL path (remote NUMA over UPI); nil on
-	// platforms without an emulated device.
-	DDRRemote *Path
-	// CXL holds the true CXL device paths by name.
-	CXL map[string]*Path
-}
-
-// NewSystem builds the paper's Table-1 system for the configuration. It is
-// Build(Table1Spec overridden by cfg) with the historical panic-on-bad-config
-// contract — experiment drivers pass literal configs.
-func NewSystem(cfg Config) *System {
-	sp := Table1Spec()
-	sp.SNCNodes = cfg.SNCNodes
-	sp.LocalDDRChannels = cfg.LocalDDRChannels
-	sp.CXLBreaksSNCIsolation = cfg.CXLBreaksSNCIsolation
-	sp.CoherenceCongestion = cfg.CoherenceCongestion
-	return MustBuild(sp)
 }
 
 // DefaultFarDevice returns the name of the far-memory device scenarios use

@@ -29,9 +29,13 @@ func TestNewSystemBuilds(t *testing.T) {
 }
 
 func TestNewSystemPanicsOnBadConfig(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"bad snc":      {SNCNodes: 3, LocalDDRChannels: 2},
-		"zero channel": {SNCNodes: 4, LocalDDRChannels: 0},
+	badSNC := DefaultConfig()
+	badSNC.SNCNodes = 3
+	zeroChannel := DefaultConfig()
+	zeroChannel.LocalDDRChannels = 0
+	for name, cfg := range map[string]Spec{
+		"bad snc":      badSNC,
+		"zero channel": zeroChannel,
 	} {
 		func() {
 			defer func() {
@@ -268,7 +272,7 @@ func TestHomeFor(t *testing.T) {
 	if h := s.HomeFor(s.Path("CXL-A"), 1); h.Kind != cache.HomeRemote || h.Node != 1 {
 		t.Errorf("CXL home = %+v", h)
 	}
-	if h := s.HomeFor(s.DDRRemote, 0); h.Kind != cache.HomeRemote {
+	if h := s.HomeFor(s.Path("DDR5-R"), 0); h.Kind != cache.HomeRemote {
 		t.Errorf("remote NUMA home = %+v", h)
 	}
 }

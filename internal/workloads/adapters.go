@@ -43,7 +43,7 @@ func kvConfigFor(env *Env, cfg Config) kvstore.Config {
 	if cfg.SizeBytes > 0 {
 		kc = kc.WithHeapBytes(cfg.SizeBytes)
 	}
-	kc.Seed = env.seed(cfg, kc.Seed)
+	kc.Seed = cfg.seedOr(kc.Seed)
 	return kc
 }
 
@@ -146,7 +146,7 @@ func runDSB(env *Env, cfg Config) (Metrics, error) {
 		return Metrics{}, err
 	}
 	onCXL := cfg.CXLPercent > 0
-	res, err := dsb.Run(env.context(), env.Sys, dw, cfg.Device, onCXL, cfg.TargetQPS, ScaleOps(env.Quick, cfg.Ops), env.seed(cfg, 23))
+	res, err := dsb.Run(env.context(), env.Sys, dw, cfg.Device, onCXL, cfg.TargetQPS, ScaleOps(env.Quick, cfg.Ops), cfg.seedOr(23))
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -187,7 +187,7 @@ func runFIO(env *Env, cfg Config) (Metrics, error) {
 	if cfg.SizeBytes > 0 {
 		fc.PageCacheBytes = cfg.SizeBytes
 	}
-	fc.Seed = env.seed(cfg, fc.Seed)
+	fc.Seed = cfg.seedOr(fc.Seed)
 	res, err := fio.Run(env.context(), env.Sys, path, fc, block, ScaleOps(env.Quick, cfg.Ops))
 	if err != nil {
 		return Metrics{}, err

@@ -70,7 +70,7 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 			tc.Epochs = 200
 		}
 	}
-	tc.Seed = env.seed(cfg, tc.Seed)
+	tc.Seed = cfg.seedOr(tc.Seed)
 	return tc, nil
 }
 

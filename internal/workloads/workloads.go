@@ -39,9 +39,6 @@ type Env struct {
 	// Quick reduces sample counts the same way experiments.Options.Quick
 	// does; adapters scale their operation counts through ScaleOps.
 	Quick bool
-	// Seed perturbs the stochastic components; 0 keeps each workload's
-	// calibrated default.
-	Seed uint64
 	// Ctx, when set, bounds the run: an event-driven run checks it at every
 	// epoch boundary, the kvstore, ycsb, dsb and fio models every few
 	// thousand operations, and each returns its error once it is done. The
@@ -66,8 +63,8 @@ func NewEnv() *Env {
 // NewEnvOn builds an environment over the named platform profile; an empty
 // name selects the default platform.
 func NewEnvOn(platform string) (*Env, error) {
-	if platform == "" || platform == topo.DefaultPlatform {
-		return NewEnv(), nil
+	if platform == "" {
+		platform = topo.DefaultPlatform
 	}
 	sys, err := topo.BuildPlatform(platform)
 	if err != nil {
@@ -78,18 +75,17 @@ func NewEnvOn(platform string) (*Env, error) {
 
 // ForPlatform returns an environment on the named platform carrying e's run
 // options: e itself when the name is empty or already e's platform,
-// otherwise a copy whose system is built fresh from the profile.
+// otherwise a copy whose system NewEnvOn builds fresh from the profile.
 func (e *Env) ForPlatform(platform string) (*Env, error) {
 	if platform == "" || platform == e.Platform {
 		return e, nil
 	}
-	sys, err := topo.BuildPlatform(platform)
+	pe, err := NewEnvOn(platform)
 	if err != nil {
 		return nil, err
 	}
 	ne := *e
-	ne.Sys = sys
-	ne.Platform = platform
+	ne.Sys, ne.Platform = pe.Sys, pe.Platform
 	return &ne, nil
 }
 
@@ -106,14 +102,11 @@ func ScaleOps(quick bool, n int) int {
 	return n
 }
 
-// seed resolves the effective seed: the config's if set, else the env's,
-// else the workload's calibrated fallback.
-func (e *Env) seed(cfg Config, fallback uint64) uint64 {
+// seedOr resolves the effective seed: the config's if set, else the
+// workload's calibrated fallback.
+func (cfg Config) seedOr(fallback uint64) uint64 {
 	if cfg.Seed != 0 {
 		return cfg.Seed
-	}
-	if e != nil && e.Seed != 0 {
-		return e.Seed
 	}
 	return fallback
 }
