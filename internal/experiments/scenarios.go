@@ -50,13 +50,21 @@ func (o Options) Validate() error {
 // platform= takes the options' platform, and its unset seed= a non-default
 // options seed. The folded spec names every input of the cell's bytes but
 // quick mode, so the cell's key, environment and run derive from it alone,
-// and requests that fold into one spec share one cell.
+// and requests that fold into one spec share one cell. It names nothing
+// that cannot change those bytes: the Table-1 platform is the empty one,
+// and a workload that reads no seed gets none.
 func (o Options) cell(sc workloads.Scenario) workloads.Scenario {
 	if sc.Platform == "" {
 		sc.Platform = o.Platform
 	}
+	if sc.Platform == topo.DefaultPlatform {
+		sc.Platform = ""
+	}
 	if sc.Seed == 0 && o.withDefaultSeed().Seed != DefaultOptions().Seed {
 		sc.Seed = o.Seed
+	}
+	if w, err := workloads.Get(sc.Workload); err == nil && !w.UsesSeed {
+		sc.Seed = 0
 	}
 	return sc
 }

@@ -71,10 +71,10 @@ func TestRunScenarioMemoized(t *testing.T) {
 }
 
 // TestCellKeyDistinguishesOptions pins that quick/seed/platform all
-// fingerprint the cell key — cached values must never leak across modes or
-// machines.
+// fingerprint the cell key of a workload that reads its seed — cached
+// values must never leak across modes, seeds or machines.
 func TestCellKeyDistinguishesOptions(t *testing.T) {
-	sc, err := workloads.ParseScenario("dlrm")
+	sc, err := workloads.ParseScenario("kvstore")
 	if err != nil {
 		t.Fatal(err)
 	}

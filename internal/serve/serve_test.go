@@ -213,13 +213,14 @@ func TestSeedZeroIsTheDefaultSeed(t *testing.T) {
 }
 
 // TestRequestsShareTheirCell: a request's seed fills its spec's unset
-// seed= and its platform an unset platform=, so requests that fold into
-// one spec share one cell-cache entry. Each pair below costs one cell miss
-// and one hit, answers identical csv, and answers json that differs only
-// where it names the caller's request: the provenance's seed, platform and
-// scenario, and the title, which carries the scenario too. The test first
-// evicts every cell an earlier test left resident: a one-entry budget
-// keeps only the quick cell run after it.
+// seed= and its platform an unset platform=, the Table-1 platform folds to
+// none, and a workload that reads no seed (dlrm) keeps none, so requests
+// that fold into one spec share one cell-cache entry. Each pair below costs
+// one cell miss and one hit, answers identical csv, and answers json that
+// differs only where it names the caller's request: the provenance's seed,
+// platform and scenario, and the title, which carries the scenario too. The
+// test first evicts every cell an earlier test left resident: a one-entry
+// budget keeps only the quick cell run after it.
 func TestRequestsShareTheirCell(t *testing.T) {
 	experiments.ConfigureCaches(1)
 	o := experiments.DefaultOptions()
@@ -259,6 +260,8 @@ func TestRequestsShareTheirCell(t *testing.T) {
 		{"spec=kvstore/policy=cxl/seed=11&seed=3", "spec=kvstore/policy=cxl/seed=11&seed=4"},
 		{"spec=fluid/platform=x16-quad&platform=snc-off", "spec=fluid/platform=x16-quad"},
 		{"spec=dsb&seed=5", "spec=dsb/seed=5"},
+		{"spec=fluid/policy=interleave", "spec=fluid/policy=interleave/platform=table1"},
+		{"spec=dlrm/policy=cxl:63&seed=3", "spec=dlrm/policy=cxl:63&seed=4"},
 	} {
 		before := cellStats()
 		first := body(pair[0] + "&format=csv")

@@ -54,22 +54,40 @@ type payload struct {
 	ev    Event
 }
 
-// eventQueue is a binary min-heap of scheduled keys ordered by (at, seq):
-// earliest dispatch time first, and FIFO — enqueue order — among events
-// scheduled for the same instant. The seq tie-break is what makes the
-// dispatch order (and therefore every trace and dataset) deterministic.
-// Payloads live in a slot table beside the heap and are recycled through a
+// eventQueue holds scheduled keys ordered by (at, seq): earliest dispatch
+// time first, and FIFO — enqueue order — among events scheduled for the
+// same instant. The seq tie-break is what makes the dispatch order (and
+// therefore every trace and dataset) deterministic.
+//
+// The keys live in a binary min-heap plus a one-entry front lane
+// (DESIGN.md §33). The front, when there is one, orders strictly before
+// every heap key: a push takes the lane when the queue is empty, when its
+// time is strictly below the heap minimum's and the lane is free, or when
+// its time is strictly below the front's, which then moves into the heap.
+// Every other push, a tie with the front's or the heap minimum's time
+// included, goes into the heap behind them by seq. A self-rescheduling
+// actor that stays ahead of every other queued event, such as
+// tpp-timeline's arrivals, so never touches the heap.
+//
+// Payloads live in a slot table beside the keys and are recycled through a
 // free list; a released slot keeps its references until it is reused, so
 // the table retains at most as many stale payloads as the queue's peak
 // length.
 type eventQueue struct {
-	heap  []scheduled
-	slots []payload
-	free  []int32
+	front    scheduled
+	hasFront bool
+	heap     []scheduled
+	slots    []payload
+	free     []int32
 }
 
 // Len returns the number of queued occurrences.
-func (q *eventQueue) Len() int { return len(q.heap) }
+func (q *eventQueue) Len() int {
+	if q.hasFront {
+		return len(q.heap) + 1
+	}
+	return len(q.heap)
+}
 
 // less orders the heap by time, then by enqueue sequence.
 func (q *eventQueue) less(i, j int) bool {
@@ -80,8 +98,8 @@ func (q *eventQueue) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// push stores p in a free slot, adds its key and restores the heap
-// invariant. It returns the slot.
+// push stores p in a free slot and queues its key, in the front lane when
+// it orders strictly before every queued key. It returns the slot.
 func (q *eventQueue) push(at Time, seq uint64, p payload) int32 {
 	var slot int32
 	if n := len(q.free); n > 0 {
@@ -92,7 +110,24 @@ func (q *eventQueue) push(at Time, seq uint64, p payload) int32 {
 		slot = int32(len(q.slots))
 		q.slots = append(q.slots, p)
 	}
-	q.heap = append(q.heap, scheduled{at: at, seq: seq, slot: slot})
+	k := scheduled{at: at, seq: seq, slot: slot}
+	switch {
+	case q.hasFront:
+		if at < q.front.at {
+			k, q.front = q.front, k
+		}
+		q.heapPush(k)
+	case len(q.heap) == 0 || at < q.heap[0].at:
+		q.front, q.hasFront = k, true
+	default:
+		q.heapPush(k)
+	}
+	return slot
+}
+
+// heapPush adds k to the heap and restores the heap invariant.
+func (q *eventQueue) heapPush(k scheduled) {
+	q.heap = append(q.heap, k)
 	h := q.heap
 	i := len(h) - 1
 	for i > 0 {
@@ -103,13 +138,25 @@ func (q *eventQueue) push(at Time, seq uint64, p payload) int32 {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	return slot
 }
 
-// pop removes and returns the earliest key. Its slot stays occupied until
-// the caller hands it back with release. It panics on an empty queue;
-// callers check Len first.
+// peek returns the earliest key without removing it. It panics on an
+// empty queue; callers check Len first.
+func (q *eventQueue) peek() scheduled {
+	if q.hasFront {
+		return q.front
+	}
+	return q.heap[0]
+}
+
+// pop removes and returns the earliest key: the front's, when there is
+// one. Its slot stays occupied until the caller hands it back with release.
+// It panics on an empty queue; callers check Len first.
 func (q *eventQueue) pop() scheduled {
+	if q.hasFront {
+		q.hasFront = false
+		return q.front
+	}
 	h := q.heap
 	top := h[0]
 	last := len(h) - 1

@@ -43,10 +43,11 @@ func checkSortedNanoseconds(t *testing.T, s *TimeSorter, lats []Time) {
 }
 
 // TestSortedNanosecondsMatchesReference covers lengths 0, 1, 2, around the
-// insertion-sort cut-over and large; duplicates, zeros, negative times,
-// values near 2^62 and the int64 extremes; spreads that leave different
-// digits constant. One sorter serves every case, so its buffer is reused
-// across lengths and value shapes.
+// insertion-sort cut-over and large; duplicates, zeros, equal values,
+// negative times, values near 2^62 and the int64 extremes; spreads that
+// leave different digits constant, including values that agree in their
+// low 32 bits and differ only above them. One sorter serves every case, so
+// its buffer is reused across lengths and value shapes.
 func TestSortedNanosecondsMatchesReference(t *testing.T) {
 	var s TimeSorter
 	rng := NewRng(5)
@@ -61,6 +62,9 @@ func TestSortedNanosecondsMatchesReference(t *testing.T) {
 		"extremes":   func(i int) Time { return []Time{math.MinInt64, math.MaxInt64, 0, -1, 1}[i%5] },
 		"descending": func(i int) Time { return Time(1_000_000 - i) },
 		"high-digit": func(int) Time { return Time(rng.Intn(3)) << 56 },
+		"equal":      func(int) Time { return 3*Millisecond + 17 },
+		"high-only":  func(int) Time { return Time(rng.Uint64()&^(1<<32-1) | 0x9abcdef0) },
+		"bit32":      func(int) Time { return Time(rng.Intn(2))<<32 | 0x5eed },
 	}
 	for name, gen := range gens {
 		for _, n := range []int{0, 1, 2, 3, radixMinLen - 1, radixMinLen, radixMinLen + 1, 257, 5000, 100_000} {

@@ -169,7 +169,7 @@ func (s *Scheduler) release(slot int32) {
 // advances the clock to deadline. Events an actor schedules during the run
 // are honored if they also fall within the deadline.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for s.queue.Len() > 0 && s.queue.heap[0].at <= deadline {
+	for s.queue.Len() > 0 && s.queue.peek().at <= deadline {
 		s.Step()
 	}
 	s.clock.AdvanceTo(deadline)

@@ -112,11 +112,54 @@ func (q *refQueue) pop() refScheduled {
 	return top
 }
 
+// The front lane's five cases, by where a push lands (DESIGN.md §33).
+const (
+	pushEmpty      = iota // into an empty queue: takes the lane
+	pushBeforeHeap        // lane free, strictly before the heap minimum: takes the lane
+	pushDisplace          // strictly before the front: takes the lane, the front moves into the heap
+	pushTieFront          // at the front's time: goes into the heap
+	pushTieHeap           // at the heap minimum's time: goes into the heap
+	laneCases
+)
+
+// laneCase classifies a push at time at into q, or returns -1 for a push
+// that goes into the heap behind a strictly earlier key.
+func laneCase(q *eventQueue, at Time) int {
+	switch {
+	case q.Len() == 0:
+		return pushEmpty
+	case q.hasFront && at < q.front.at:
+		return pushDisplace
+	case q.hasFront && at == q.front.at:
+		return pushTieFront
+	case len(q.heap) > 0 && at == q.heap[0].at:
+		return pushTieHeap
+	case !q.hasFront && at < q.heap[0].at:
+		return pushBeforeHeap
+	}
+	return -1
+}
+
+// checkFront requires the front, when there is one, to order strictly
+// before every heap key.
+func checkFront(t *testing.T, seed uint64, q *eventQueue) {
+	t.Helper()
+	if !q.hasFront || len(q.heap) == 0 {
+		return
+	}
+	f, h := q.front, q.heap[0]
+	if f.at > h.at || f.at == h.at && f.seq >= h.seq {
+		t.Fatalf("seed %d: front (%v, %d) does not order before the heap minimum (%v, %d)", seed, f.at, f.seq, h.at, h.seq)
+	}
+}
+
 // compareQueues drives the queue and the reference through the same random
 // pushes and pops, with coarse times for ties, and requires every pop to
 // return the same time, sequence, actor and event. ops encodes the script:
-// each byte pushes when it is even, pops otherwise.
-func compareQueues(t *testing.T, seed uint64, ops []byte) {
+// each byte pushes when it is even, pops otherwise. Every push must land
+// where its lane case says; compareQueues returns how often each case
+// occurred.
+func compareQueues(t *testing.T, seed uint64, ops []byte) (cases [laneCases]int) {
 	t.Helper()
 	rng := NewRng(seed)
 	actors := []Actor{&nopActor{name: "a"}, &nopActor{name: "b"}, &nopActor{name: "c"}}
@@ -133,6 +176,7 @@ func compareQueues(t *testing.T, seed uint64, ops []byte) {
 			t.Fatalf("seed %d: popped (%v, %d, %v, %v), want (%v, %d, %v, %v)",
 				seed, k.at, k.seq, got.actor, got.ev, want.at, want.seq, want.actor, want.ev)
 		}
+		checkFront(t, seed, &q)
 		now = k.at
 	}
 	for _, op := range ops {
@@ -143,8 +187,26 @@ func compareQueues(t *testing.T, seed uint64, ops []byte) {
 		at := now + Time(op>>5)*Microsecond
 		actor := actors[rng.Intn(len(actors))]
 		ev := EventFunc(fmt.Sprintf("e%d", rng.Intn(4)))
+		c, front, hasFront, heapLen := laneCase(&q, at), q.front, q.hasFront, len(q.heap)
 		q.push(at, seq, payload{actor: actor, ev: ev})
 		ref.push(refScheduled{at: at, seq: seq, actor: actor, ev: ev})
+		switch c {
+		case pushEmpty, pushBeforeHeap, pushDisplace:
+			if !q.hasFront || q.front.seq != seq {
+				t.Fatalf("seed %d: push %d (case %d) did not take the front lane", seed, seq, c)
+			}
+			if c == pushDisplace && q.heap[0].seq != front.seq {
+				t.Fatalf("seed %d: push %d displaced front %d, which is not the heap minimum", seed, seq, front.seq)
+			}
+		default:
+			if q.hasFront != hasFront || q.front != front || len(q.heap) != heapLen+1 {
+				t.Fatalf("seed %d: push %d (case %d) moved the front lane", seed, seq, c)
+			}
+		}
+		if c >= 0 {
+			cases[c]++
+		}
+		checkFront(t, seed, &q)
 		seq++
 		if q.Len() != len(ref) {
 			t.Fatalf("seed %d: queue holds %d, reference %d", seed, q.Len(), len(ref))
@@ -156,11 +218,14 @@ func compareQueues(t *testing.T, seed uint64, ops []byte) {
 	if q.Len() != 0 || len(q.free) != len(q.slots) {
 		t.Fatalf("seed %d: drained queue holds %d keys, %d of %d slots free", seed, q.Len(), len(q.free), len(q.slots))
 	}
+	return cases
 }
 
 // TestQueueMatchesReference compares the queue with the reference heap on
-// random interleavings of pushes and pops, with many equal times.
+// random interleavings of pushes and pops, with many equal times, and
+// requires each of the front lane's five cases to occur.
 func TestQueueMatchesReference(t *testing.T) {
+	var cases [laneCases]int
 	for seed := uint64(0); seed < 300; seed++ {
 		rng := NewRng(seed)
 		ops := make([]byte, 1+rng.Intn(600))
@@ -170,7 +235,15 @@ func TestQueueMatchesReference(t *testing.T) {
 				ops[i] &^= 1 // push-only prefix runs, then drain
 			}
 		}
-		compareQueues(t, seed, ops)
+		for c, n := range compareQueues(t, seed, ops) {
+			cases[c] += n
+		}
+	}
+	t.Logf("pushes by lane case: %v", cases)
+	for c, n := range cases {
+		if n == 0 {
+			t.Errorf("lane case %d never occurred: %v", c, cases)
+		}
 	}
 }
 
@@ -477,24 +550,35 @@ func (a tickActor) Handle(s *Scheduler, _ Event) {
 	s.After(Microsecond, a, EventFunc("tick"))
 }
 
+// farFuture is later than any benchmark's ticks reach.
+const farFuture = Time(1) << 60
+
 // BenchmarkSchedulerStep times one dispatch of a self-rescheduling actor
-// with four events pending: untraced, into a TraceRing, and into a
-// counting TapFunc.
+// with four events pending. Four interleaved tickers, untraced, into a
+// TraceRing and into a counting TapFunc, reschedule behind one another,
+// through the heap. In lane, one ticker reschedules itself ahead of three
+// far-future events, as tpp-timeline's arrivals do, through the front lane.
 func BenchmarkSchedulerStep(b *testing.B) {
 	var seen int
 	for _, c := range []struct {
-		name string
-		tap  Tap
+		name    string
+		tap     Tap
+		tickers int
 	}{
-		{"untraced", nil},
-		{"ring", NewTraceRing(4096)},
-		{"tapfunc", TapFunc(func(TraceEvent) { seen++ })},
+		{"untraced", nil, 4},
+		{"ring", NewTraceRing(4096), 4},
+		{"tapfunc", TapFunc(func(TraceEvent) { seen++ }), 4},
+		{"lane", nil, 1},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := NewScheduler(1)
 			s.Tap(c.tap)
 			for i := 0; i < 4; i++ {
-				s.Schedule(Time(i), tickActor{}, EventFunc("tick"))
+				if i < c.tickers {
+					s.Schedule(Time(i), tickActor{}, EventFunc("tick"))
+				} else {
+					s.Schedule(farFuture, &nopActor{name: "far"}, EventFunc("far"))
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

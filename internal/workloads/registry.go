@@ -25,6 +25,7 @@ var registry = []Workload{
 		// The caching tier moves to CXL for any positive CXLPercent: the
 		// paper evaluates only the all-or-nothing tier placement (Table 2).
 		Defaults: Config{Variant: "mixed", Device: "CXL-A", CXLPercent: 100, TargetQPS: 8000, Ops: 20000},
+		UsesSeed: true,
 		Run:      runDSB,
 	},
 	{
@@ -34,6 +35,7 @@ var registry = []Workload{
 		// The page cache moves to CXL for any positive CXLPercent; SizeBytes
 		// resizes the page cache.
 		Defaults: Config{Variant: "4k", Device: "CXL-A", CXLPercent: 100, Ops: 40000},
+		UsesSeed: true,
 		Run:      runFIO,
 	},
 	{
@@ -49,6 +51,7 @@ var registry = []Workload{
 		Desc:     "Redis under open-loop YCSB-A load: p50/p99 latency and utilization (Fig. 6a)",
 		Variants: kvstoreVariants,
 		Defaults: Config{Variant: "uniform", Device: "CXL-A", CXLPercent: 50, TargetQPS: 45000, Ops: 40000},
+		UsesSeed: true,
 		Run:      runKVStore,
 	},
 	{
@@ -72,6 +75,7 @@ var registry = []Workload{
 		// -quick) keeps Quick's 2048 pages but simulates the full 1 s
 		// horizon, about 150k arrivals, not 150 ms.
 		Defaults: Config{Variant: "bursty", Device: "CXL-A", CXLPercent: 100, TargetQPS: 50_000, Ops: 200},
+		UsesSeed: true,
 		Run:      runTimeline,
 		Trace:    traceTimeline,
 	},
@@ -80,6 +84,7 @@ var registry = []Workload{
 		Desc:     "Redis max sustainable QPS for a YCSB core workload mix (Fig. 9b)",
 		Variants: ycsbVariants,
 		Defaults: Config{Variant: "a", Device: "CXL-A", CXLPercent: 50, Ops: 20000},
+		UsesSeed: true,
 		Run:      runYCSB,
 	},
 }

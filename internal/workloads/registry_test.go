@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -41,6 +42,7 @@ func TestAllModelsRegistered(t *testing.T) {
 // variant listed in Variants; and a Trace function on tpp-timeline alone,
 // the one workload on the discrete-event scheduler.
 func TestRegistryTable(t *testing.T) {
+	var seeded []string
 	for i, w := range registry {
 		if w.Name == "" || w.Name != strings.ToLower(w.Name) {
 			t.Errorf("entry %d: name %q is not non-empty lowercase", i, w.Name)
@@ -53,6 +55,42 @@ func TestRegistryTable(t *testing.T) {
 		}
 		if traced := w.Trace != nil; traced != (w.Name == "tpp-timeline") {
 			t.Errorf("%s: Trace set = %t, want it set on tpp-timeline only", w.Name, traced)
+		}
+		if w.UsesSeed {
+			seeded = append(seeded, w.Name)
+		}
+	}
+	// The adapters that resolve their seed with Config.seedOr.
+	if want := []string{"dsb", "fio", "kvstore", "tpp-timeline", "ycsb"}; !slices.Equal(seeded, want) {
+		t.Errorf("UsesSeed set on %v, want %v", seeded, want)
+	}
+}
+
+// TestSeedBlindWorkloads holds UsesSeed to what the adapters do: a
+// workload without it returns identical metrics at seeds 1, 7 and 123, so
+// its cells may share one cache entry whatever seed a request names, and
+// one with it returns different metrics at some seed.
+func TestSeedBlindWorkloads(t *testing.T) {
+	for _, w := range All() {
+		run := func(seed uint64) Metrics {
+			env := NewEnv()
+			env.Quick = true
+			cfg := w.Defaults
+			cfg.Seed = seed
+			m, err := w.Run(env, cfg)
+			if err != nil {
+				t.Fatalf("%s at seed %d: %v", w.Name, seed, err)
+			}
+			return m
+		}
+		base, moved := run(1), false
+		for _, seed := range []uint64{7, 123} {
+			if !reflect.DeepEqual(run(seed), base) {
+				moved = true
+			}
+		}
+		if moved != w.UsesSeed {
+			t.Errorf("%s: metrics move with the seed = %t, but UsesSeed = %t", w.Name, moved, w.UsesSeed)
 		}
 	}
 }

@@ -215,6 +215,9 @@ type Workload struct {
 	Variants []string
 	// Defaults is a runnable calibrated configuration.
 	Defaults Config
+	// UsesSeed marks workloads whose Run reads Config.Seed; the others'
+	// cells are the same at every seed, so their cell keys carry none.
+	UsesSeed bool
 	// Run executes the workload under env with the given configuration and
 	// returns its metrics. It must be deterministic for a fixed (env, cfg)
 	// and safe for concurrent use with distinct envs.
