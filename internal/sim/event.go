@@ -59,15 +59,15 @@ type payload struct {
 // same instant. The seq tie-break is what makes the dispatch order (and
 // therefore every trace and dataset) deterministic.
 //
-// The keys live in a binary min-heap plus a one-entry front lane
+// The keys live in a binary min-heap and a one-entry front lane beside it
 // (DESIGN.md §33). The front, when there is one, orders strictly before
-// every heap key: a push takes the lane when the queue is empty, when its
-// time is strictly below the heap minimum's and the lane is free, or when
-// its time is strictly below the front's, which then moves into the heap.
-// Every other push, a tie with the front's or the heap minimum's time
-// included, goes into the heap behind them by seq. A self-rescheduling
-// actor that stays ahead of every other queued event, such as
-// tpp-timeline's arrivals, so never touches the heap.
+// every heap key. A push takes the lane when the queue is empty, when the
+// lane is free and its time is strictly below the heap minimum's, or when
+// its time is strictly below the front's, which then moves into the heap;
+// any other push, including one that ties the front's or the heap
+// minimum's time, goes into the heap behind them by seq. An actor that
+// reschedules itself ahead of every other queued event, as tpp-timeline's
+// arrivals do, so never touches the heap.
 //
 // Payloads live in a slot table beside the keys and are recycled through a
 // free list; a released slot keeps its references until it is reused, so
@@ -98,8 +98,9 @@ func (q *eventQueue) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// push stores p in a free slot and queues its key, in the front lane when
-// it orders strictly before every queued key. It returns the slot.
+// push stores p in a free slot and queues its key: in the front lane when
+// it orders strictly before every queued key, else in the heap, restoring
+// the heap invariant. It returns the slot.
 func (q *eventQueue) push(at Time, seq uint64, p payload) int32 {
 	var slot int32
 	if n := len(q.free); n > 0 {
@@ -114,19 +115,12 @@ func (q *eventQueue) push(at Time, seq uint64, p payload) int32 {
 	switch {
 	case q.hasFront:
 		if at < q.front.at {
-			k, q.front = q.front, k
+			k, q.front = q.front, k // the displaced front goes into the heap
 		}
-		q.heapPush(k)
 	case len(q.heap) == 0 || at < q.heap[0].at:
 		q.front, q.hasFront = k, true
-	default:
-		q.heapPush(k)
+		return slot
 	}
-	return slot
-}
-
-// heapPush adds k to the heap and restores the heap invariant.
-func (q *eventQueue) heapPush(k scheduled) {
 	q.heap = append(q.heap, k)
 	h := q.heap
 	i := len(h) - 1
@@ -138,6 +132,7 @@ func (q *eventQueue) heapPush(k scheduled) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
+	return slot
 }
 
 // peek returns the earliest key without removing it. It panics on an

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -48,13 +47,10 @@ func insertionSort(ts []Time) {
 // the first value's; a second pass counts the four high digits only when
 // some value differs from the first above bit 31, which latencies below
 // 2^32 ps never do. A digit in which no value differs gets no scatter pass.
+// The uint32 counters hold a digit's count for any ts shorter than 2^32.
 func (s *TimeSorter) sort(ts []Time) {
 	if len(ts) < radixMinLen {
 		insertionSort(ts)
-		return
-	}
-	if uint64(len(ts)) > math.MaxUint32 {
-		slices.Sort(ts) // a digit's count would overflow its uint32
 		return
 	}
 	const flip = 1 << 63
