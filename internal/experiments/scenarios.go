@@ -50,15 +50,12 @@ func (o Options) Validate() error {
 // platform= takes the options' platform, and its unset seed= a non-default
 // options seed. The folded spec names every input of the cell's bytes but
 // quick mode, so the cell's key, environment and run derive from it alone,
-// and requests that fold into one spec share one cell. It names nothing
-// that cannot change those bytes: the Table-1 platform is the empty one,
-// and a workload that reads no seed gets none.
+// and requests that fold into one spec share one cell. A workload that
+// reads no seed gets none. Folding a folded spec again under the same
+// options returns it unchanged.
 func (o Options) cell(sc workloads.Scenario) workloads.Scenario {
 	if sc.Platform == "" {
 		sc.Platform = o.Platform
-	}
-	if sc.Platform == topo.DefaultPlatform {
-		sc.Platform = ""
 	}
 	if sc.Seed == 0 && o.withDefaultSeed().Seed != DefaultOptions().Seed {
 		sc.Seed = o.Seed
@@ -83,9 +80,15 @@ func (o Options) cellOptions() Options {
 // platform and exact fidelity. At default options the fold leaves the spec
 // as it is, so the key is the spec plus the options' own fingerprint, which
 // TestCanonicalKeysPinned holds and which keeps every such key's ring
-// owner across builds (DESIGN.md §32).
+// owner across builds (DESIGN.md §32). The key writes the Table-1 platform
+// as no platform, so a spec that names it shares the cell of one that
+// does not.
 func ScenarioKey(o Options, sc workloads.Scenario) string {
-	return o.cell(sc).String() + "|" + Options{Quick: o.Quick, Seed: DefaultOptions().Seed}.fingerprint()
+	cell := o.cell(sc)
+	if cell.Platform == topo.DefaultPlatform {
+		cell.Platform = ""
+	}
+	return cell.String() + "|" + Options{Quick: o.Quick, Seed: DefaultOptions().Seed}.fingerprint()
 }
 
 // scenarioEnv builds the workload environment for one folded cell on its

@@ -10,6 +10,7 @@ import (
 
 	"cxlmem/internal/memo"
 	"cxlmem/internal/results"
+	"cxlmem/internal/topo"
 	"cxlmem/internal/workloads"
 )
 
@@ -96,6 +97,50 @@ func TestCellKeyDistinguishesOptions(t *testing.T) {
 	}
 	if ScenarioKey(base, sc) != ScenarioKey(parallel, sc) {
 		t.Error("worker count must not change the cell key")
+	}
+}
+
+// TestCellFoldIsIdempotent: folding a folded spec again under the same
+// options returns it unchanged, so a path that forwards or re-folds a cell
+// runs it on the same machine and seed. A spec naming Table 1 keeps it
+// under another options platform; its key drops the name, so it shares the
+// cell of the spec without platform= exactly when the options name no other
+// platform.
+func TestCellFoldIsIdempotent(t *testing.T) {
+	seeded := DefaultOptions()
+	seeded.Seed = 3
+	sncOff := seeded
+	sncOff.Platform = "snc-off"
+	parse := func(spec string) workloads.Scenario {
+		sc, err := workloads.ParseScenario(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	for _, o := range []Options{DefaultOptions(), seeded, sncOff} {
+		for _, spec := range []string{
+			"fluid/policy=interleave",
+			"fluid/policy=interleave/platform=table1",
+			"dlrm/policy=cxl:63/seed=5",
+			"kvstore/policy=cxl",
+			"kvstore/seed=11/platform=x16-quad",
+		} {
+			once := o.cell(parse(spec))
+			if twice := o.cell(once); twice != once {
+				t.Errorf("%s under platform %q, seed %d folds to %s, then to %s", spec, o.Platform, o.Seed, once, twice)
+			}
+		}
+	}
+	pinned, bare := parse("fluid/policy=interleave/platform=table1"), parse("fluid/policy=interleave")
+	if got := sncOff.cell(pinned).Platform; got != topo.DefaultPlatform {
+		t.Errorf("a spec naming %s folds to platform %q under snc-off options", topo.DefaultPlatform, got)
+	}
+	if ScenarioKey(DefaultOptions(), pinned) != ScenarioKey(DefaultOptions(), bare) {
+		t.Errorf("%s and %s should share a key at default options", pinned, bare)
+	}
+	if ScenarioKey(sncOff, pinned) == ScenarioKey(sncOff, bare) {
+		t.Errorf("%s and %s should not share a key under snc-off options", pinned, bare)
 	}
 }
 

@@ -18,7 +18,7 @@ type TimeSorter struct {
 // monotone, so the appended values equal sort.Float64s of the converted
 // latencies bit for bit, and so does every sum or percentile taken over
 // them. Sorting the integer picoseconds instead of the floats lets it use a
-// radix sort: one pass to count the 8-bit digits, then one scatter pass per
+// radix sort: one pass to count every 8-bit digit, then one scatter pass per
 // digit in which the values differ.
 func (s *TimeSorter) SortedNanoseconds(dst []float64, lats []Time) []float64 {
 	s.sort(lats)
@@ -43,48 +43,38 @@ func insertionSort(ts []Time) {
 
 // sort sorts ts ascending: an LSD radix sort over the bits of each value
 // with its sign flipped (so negative times order first). One read pass
-// counts the four low digits and ORs together each value's bits against
-// the first value's; a second pass counts the four high digits only when
-// some value differs from the first above bit 31, which latencies below
-// 2^32 ps never do. A digit in which no value differs gets no scatter pass.
-// The uint32 counters hold a digit's count for any ts shorter than 2^32.
+// counts all eight digits; a digit whose count puts every value in one
+// bucket is the same in every value and gets no scatter pass.
 func (s *TimeSorter) sort(ts []Time) {
 	if len(ts) < radixMinLen {
 		insertionSort(ts)
 		return
 	}
 	const flip = 1 << 63
-	first := uint64(ts[0]) ^ flip
-	var diff uint64
-	var counts [8][256]uint32
+	var counts [8][256]int
 	for _, t := range ts {
 		k := uint64(t) ^ flip
-		diff |= k ^ first
 		counts[0][byte(k)]++
 		counts[1][byte(k>>8)]++
 		counts[2][byte(k>>16)]++
 		counts[3][byte(k>>24)]++
-	}
-	if diff>>32 != 0 {
-		for _, t := range ts {
-			k := (uint64(t) ^ flip) >> 32
-			counts[4][byte(k)]++
-			counts[5][byte(k>>8)]++
-			counts[6][byte(k>>16)]++
-			counts[7][byte(k>>24)]++
-		}
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
 	}
 	if cap(s.buf) < len(ts) {
 		s.buf = make([]Time, len(ts))
 	}
 	src, dst := ts, s.buf[:len(ts)]
+	first := uint64(ts[0]) ^ flip
 	for d := range counts {
 		shift := 8 * uint(d)
-		if byte(diff>>shift) == 0 {
+		c := &counts[d]
+		if c[byte(first>>shift)] == len(ts) {
 			continue
 		}
-		c := &counts[d]
-		var sum uint32
+		sum := 0
 		for i, n := range c {
 			c[i] = sum
 			sum += n
