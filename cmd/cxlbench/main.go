@@ -55,16 +55,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync"
 
 	"cxlmem"
+	"cxlmem/internal/pool"
 )
 
 func main() {
@@ -158,10 +158,12 @@ func main() {
 	}
 }
 
-// runAll regenerates every experiment through a bounded worker pool and
-// prints the datasets in registry order as they complete. The -parallel
-// budget moves to the experiment level: each experiment sweeps serially so
-// the two pools cannot multiply.
+// runAll regenerates every experiment through pool.Run and prints the
+// datasets in registry order as they complete. The -parallel budget moves
+// to the experiment level: each experiment sweeps serially so the two pools
+// cannot multiply. The first failed experiment stops the claims; the ones
+// before it in registry order were claimed first, so each of them finishes
+// and prints before the error returns.
 func runAll(cfg cxlmem.RunConfig, format string) error {
 	infos := cxlmem.Experiments()
 	type result struct {
@@ -173,32 +175,14 @@ func runAll(cfg cxlmem.RunConfig, format string) error {
 	for i := range results {
 		results[i].done = make(chan struct{})
 	}
-
 	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(infos) {
-		workers = len(infos)
-	}
 	cfg.Parallel = 1
-	var next int
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(infos) {
-					return
-				}
-				results[i].d, results[i].err = cxlmem.RunDataset(infos[i].ID, cfg)
-				close(results[i].done)
-			}
-		}()
-	}
+	go pool.Run(context.Background(), workers, len(infos), func(_ context.Context, i int) error {
+		r := &results[i]
+		r.d, r.err = cxlmem.RunDataset(infos[i].ID, cfg)
+		close(r.done)
+		return r.err
+	})
 	for i := range infos {
 		<-results[i].done
 		if results[i].err != nil {

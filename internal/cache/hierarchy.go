@@ -222,17 +222,10 @@ func (h *Hierarchy) sliceFor(addr uint64, home Home) int {
 }
 
 // EffectiveLLCBytes returns the LLC capacity visible to lines with the given
-// home: the whole socket for remote/CXL lines when isolation is broken, a
-// single node's slices otherwise.
+// home: the slices route sends them to — the whole socket for remote/CXL
+// lines when isolation is broken, a single node's slices otherwise.
 func (h *Hierarchy) EffectiveLLCBytes(home Home) int64 {
-	total := int64(h.cfg.Cores) * h.cfg.LLCSliceBytes
-	if h.cfg.SNCNodes == 1 {
-		return total
-	}
-	if home.Kind == HomeRemote && h.cfg.CXLBreaksIsolation {
-		return total
-	}
-	return total / int64(h.cfg.SNCNodes)
+	return int64(h.cfg.route(home).mask+1) * h.cfg.LLCSliceBytes
 }
 
 // PrivateLines returns a core's L1 and L2 capacities in cache lines, from
@@ -249,14 +242,7 @@ func (h *Hierarchy) PrivateLines(core int) (l1Lines, l2Lines int) {
 // EffectiveLLCLines is EffectiveLLCBytes in cache lines, measured from the
 // built slices' actual geometry rather than the configured byte sizes.
 func (h *Hierarchy) EffectiveLLCLines(home Home) int64 {
-	total := int64(h.slices[0].Lines()) * int64(h.cfg.Cores)
-	if h.cfg.SNCNodes == 1 {
-		return total
-	}
-	if home.Kind == HomeRemote && h.cfg.CXLBreaksIsolation {
-		return total
-	}
-	return total / int64(h.cfg.SNCNodes)
+	return int64(h.cfg.route(home).mask+1) * int64(h.slices[0].Lines())
 }
 
 // Access performs one load or store by core to addr (a byte address) whose

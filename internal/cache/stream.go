@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
+
+	"cxlmem/internal/pool"
 )
 
 // Deterministic sharded streaming (DESIGN.md §12).
@@ -178,7 +180,13 @@ func (h *Hierarchy) ReadStreamSharded(core int, addrs []uint64, home Home, count
 	if workers > nShards {
 		workers = nShards
 	}
-	runShards := func(st *streamCounters, w int) {
+	// Shard class w is shards w, w+workers, w+2·workers, …, replayed into
+	// its own counters; the classes are set-disjoint, so they run
+	// concurrently and merge in class order. The jobs return no error and
+	// the context never ends, so Run has no error to return.
+	sts := make([]*streamCounters, workers)
+	_ = pool.Run(context.TODO(), workers, workers, func(_ context.Context, w int) error {
+		sts[w] = newStreamCounters(len(h.slices))
 		for s := w; s < nShards; s += workers {
 			lo := int(off[s])
 			hi := len(buf)
@@ -186,27 +194,11 @@ func (h *Hierarchy) ReadStreamSharded(core int, addrs []uint64, home Home, count
 				hi = int(off[s+1])
 			}
 			if lo < hi {
-				h.streamFused(core, buf[lo:hi], rt, homeBits, st)
+				h.streamFused(core, buf[lo:hi], rt, homeBits, sts[w])
 			}
 		}
-	}
-	if workers == 1 {
-		st := newStreamCounters(len(h.slices))
-		runShards(st, 0)
-		h.flushStream(core, st, counts)
-		return
-	}
-	sts := make([]*streamCounters, workers)
-	var wg sync.WaitGroup
-	for w := range sts {
-		sts[w] = newStreamCounters(len(h.slices))
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			runShards(sts[w], w)
-		}(w)
-	}
-	wg.Wait()
+		return nil
+	})
 	for _, st := range sts {
 		h.flushStream(core, st, counts)
 	}

@@ -5,10 +5,10 @@
 //
 // Each cell is routed to the replica that owns its canonical memo key, so
 // the fleet's bounded caches stay dedicated to disjoint key ranges and a
-// repeated matrix run is served entirely from warm shards. Workers claim
-// cells from a shared index — the PR 1 sweep-engine pattern — and write
-// results into index-addressed slots, so the merge order is the input
-// order regardless of which replica answered first.
+// repeated matrix run is served entirely from warm shards. The cells fan
+// out through pool.Run (DESIGN.md §34) and write results into
+// index-addressed slots, so the merge order is the input order regardless
+// of which replica answered first.
 
 package cluster
 
@@ -19,10 +19,9 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"cxlmem/internal/experiments"
+	"cxlmem/internal/pool"
 	"cxlmem/internal/results"
 	"cxlmem/internal/workloads"
 )
@@ -94,53 +93,21 @@ func (co *Coordinator) fetchCell(ctx context.Context, base string, o experiments
 }
 
 // ScenarioCells evaluates every scenario on the fleet — each cell on the
-// replica owning its canonical key — and returns the metrics in input
-// order. Workers claim cells from a shared index; the first failure cancels
-// the remaining fetches and is returned.
+// replica owning its canonical key, four fetches at a time per replica —
+// and returns the metrics in input order. The first fetch error, or ctx
+// ending before every cell is fetched, cancels the remaining fetches and is
+// returned with no metrics.
 func (co *Coordinator) ScenarioCells(ctx context.Context, o experiments.Options, scs []workloads.Scenario) ([]workloads.Metrics, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	out := make([]workloads.Metrics, len(scs))
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	workers := max(1, min(len(scs), 4*len(co.Ring.Peers())))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(scs) {
-					return
-				}
-				owner := co.Ring.Owner(experiments.ScenarioKey(o, scs[i]))
-				m, err := co.fetchCell(ctx, owner, o, scs[i])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-						cancel()
-					}
-					errMu.Unlock()
-					return
-				}
-				out[i] = m
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := pool.Run(ctx, 4*len(co.Ring.Peers()), len(scs), func(ctx context.Context, i int) error {
+		var err error
+		out[i], err = co.fetchCell(ctx, co.Ring.Owner(experiments.ScenarioKey(o, scs[i])), o, scs[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -157,15 +124,12 @@ func (co *Coordinator) ScenarioDataset(ctx context.Context, o experiments.Option
 	return experiments.ScenarioDatasetFromCells(o, id, title, scs, cells), nil
 }
 
-// ScenarioResult is the distributed ScenarioResult: one cell evaluated on
-// its owning replica, assembled into the single-cell dataset form.
+// ScenarioResult is the distributed ScenarioResult: ScenarioCells of one
+// cell, assembled into the single-cell dataset form.
 func (co *Coordinator) ScenarioResult(ctx context.Context, o experiments.Options, sc workloads.Scenario) (*results.Dataset, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := co.fetchCell(ctx, co.Ring.Owner(experiments.ScenarioKey(o, sc)), o, sc)
+	cells, err := co.ScenarioCells(ctx, o, []workloads.Scenario{sc})
 	if err != nil {
 		return nil, err
 	}
-	return experiments.ScenarioResultFromCell(o, sc, m), nil
+	return experiments.ScenarioResultFromCell(o, sc, cells[0]), nil
 }

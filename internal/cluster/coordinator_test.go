@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"cxlmem/internal/experiments"
@@ -51,5 +52,39 @@ func TestCoordinatorBoundsReplies(t *testing.T) {
 			t.Errorf("%s: matrix fetch error %v, want %v", tc.name, err, tc.want)
 		}
 		replica.Close()
+	}
+}
+
+// TestCoordinatorCanceledContextFailsClosed: a context that has already
+// ended fetches no cell and fails the run with its error, instead of
+// returning blank metrics that merge into a dataset of empty rows.
+func TestCoordinatorCanceledContextFailsClosed(t *testing.T) {
+	var fetched atomic.Int32
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetched.Add(1)
+		http.Error(w, "unexpected fetch", http.StatusInternalServerError)
+	}))
+	defer replica.Close()
+	ring, err := NewRing("", []string{replica.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := &Coordinator{Ring: ring}
+	o := experiments.DefaultOptions()
+	o.Quick = true
+	scs := experiments.AllMatrixScenarios()[:2]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cells, err := co.ScenarioCells(ctx, o, scs)
+	if !errors.Is(err, context.Canceled) || cells != nil {
+		t.Errorf("ScenarioCells = %v, %v; want no metrics and context.Canceled", cells, err)
+	}
+	d, err := co.ScenarioDataset(ctx, o, "matrix-all", "canceled", scs)
+	if !errors.Is(err, context.Canceled) || d != nil {
+		t.Errorf("ScenarioDataset = %v, %v; want no dataset and context.Canceled", d, err)
+	}
+	if n := fetched.Load(); n != 0 {
+		t.Errorf("a canceled run fetched %d cells", n)
 	}
 }

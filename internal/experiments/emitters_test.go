@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"encoding/csv"
-	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -93,30 +90,6 @@ func goldenEmitPath(name, format string) string {
 	return filepath.Join("testdata", "golden", name+"."+format)
 }
 
-// checkGoldenEmit compares one emission against its committed golden file,
-// rewriting it under -update (shared with TestGoldenTables' flag).
-func checkGoldenEmit(t *testing.T, d *results.Dataset, name, format string) {
-	t.Helper()
-	got, err := results.Emit(d, format)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := goldenEmitPath(name, format)
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("%s emission diverges from golden %s:\n--- golden ---\n%s\n--- got ---\n%s", format, path, want, got)
-	}
-}
-
 // TestGoldenEmitters pins the json and csv emissions of a latency figure
 // (fig5), a scenario matrix (matrix-platform) and a single scenario cell —
 // the wire forms downstream dashboards consume must stay byte-stable.
@@ -148,7 +121,11 @@ func TestGoldenEmitters(t *testing.T) {
 	} {
 		for _, format := range []string{"json", "csv"} {
 			t.Run(tc.name+"/"+format, func(t *testing.T) {
-				checkGoldenEmit(t, tc.d, tc.name, format)
+				got, err := results.Emit(tc.d, format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, goldenEmitPath(tc.name, format), got)
 			})
 		}
 	}
@@ -169,27 +146,9 @@ func TestWireDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, format := range []string{"json", "csv"} {
-			out, err := results.Emit(d, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&got, "%x  %s.%s\n", sha256.Sum256([]byte(out)), e.ID, format)
-		}
+		digestWire(t, &got, d, e.ID)
 	}
-	if *updateGolden {
-		if err := os.WriteFile(wireDigestPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(wireDigestPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("wire forms diverge from %s:\n--- golden ---\n%s--- got ---\n%s", wireDigestPath, want, got.String())
-	}
+	checkGolden(t, wireDigestPath, got.String())
 }
 
 // TestRunDatasetMemoized pins the dataset-level cache: the second RunDataset

@@ -75,5 +75,5 @@ func (o Options) bufferLatencyNs(sys *topo.System, path *topo.Path, bufBytes int
 		}
 	}
 	return mlc.BufferLatencyOpt(sys, path, bufBytes, samples, o.Seed+3,
-		mlc.StreamOptions{Workers: o.workers(), Ctx: o.Ctx}).Nanoseconds()
+		mlc.StreamOptions{Workers: o.Parallel, Ctx: o.Ctx}).Nanoseconds()
 }

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"cxlmem/internal/results"
 	"cxlmem/internal/workloads"
 )
 
@@ -39,28 +35,10 @@ func TestFigureWireDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, format := range []string{"json", "csv"} {
-				out, err := results.Emit(d, format)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&got, "%x  %s.%s.%s\n", sha256.Sum256([]byte(out)), id, run.label, format)
-			}
+			digestWire(t, &got, d, id+"."+run.label)
 		}
 	}
-	if *updateGolden {
-		if err := os.WriteFile(figureDigestPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(figureDigestPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("figure wire forms diverge from %s:\n--- golden ---\n%s--- got ---\n%s", figureDigestPath, want, got.String())
-	}
+	checkGolden(t, figureDigestPath, got.String())
 }
 
 // figureGrids are the application figures' cell functions, with the metric

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"cxlmem/internal/results"
 )
 
 // The golden corpus pins the rendered output of every registered experiment
@@ -21,6 +26,42 @@ func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".txt")
 }
 
+// checkGolden compares got byte for byte against the golden file at path,
+// or rewrites the file under -update. Every golden test, text table, wire
+// emission or digest list, goes through it.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output diverges from golden %s:\n--- golden ---\n%s\n--- got ---\n%s", path, want, got)
+	}
+}
+
+// digestWire appends one sha256sum-style line, "digest  label.format", to
+// b for each wire format of d: the digest files' line format.
+func digestWire(t *testing.T, b *strings.Builder, d *results.Dataset, label string) {
+	t.Helper()
+	for _, format := range []string{"json", "csv"} {
+		out, err := results.Emit(d, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(b, "%x  %s.%s\n", sha256.Sum256([]byte(out)), label, format)
+	}
+}
+
 // TestGoldenTables renders each experiment with the default (exact-warmup)
 // options and compares it byte-for-byte against the committed golden file.
 func TestGoldenTables(t *testing.T) {
@@ -31,25 +72,7 @@ func TestGoldenTables(t *testing.T) {
 			o := DefaultOptions()
 			o.Quick = true
 			o.Parallel = 1
-			got := e.Run(o).Render()
-
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(goldenPath(e.ID)), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath(e.ID), []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(goldenPath(e.ID))
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("rendered table diverges from golden %s:\n--- golden ---\n%s\n--- got ---\n%s",
-					goldenPath(e.ID), want, got)
-			}
+			checkGolden(t, goldenPath(e.ID), e.Run(o).Render())
 		})
 	}
 }

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cxlmem/internal/memo"
-	"cxlmem/internal/results"
 	"cxlmem/internal/topo"
 	"cxlmem/internal/workloads"
 )
@@ -338,15 +334,6 @@ var scenarioDigestPath = filepath.Join("testdata", "golden", "scenarios.sha256")
 // IDs under the two platformed sets. -update rewrites the file.
 func TestScenarioWireDigests(t *testing.T) {
 	var got strings.Builder
-	digest := func(d *results.Dataset, label string) {
-		for _, format := range []string{"json", "csv"} {
-			out, err := results.Emit(d, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&got, "%x  %s.%s\n", sha256.Sum256([]byte(out)), label, format)
-		}
-	}
 	for _, run := range []struct {
 		label    string
 		o        Options
@@ -366,7 +353,7 @@ func TestScenarioWireDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				digest(d, sc.String()+"."+run.label)
+				digestWire(t, &got, d, sc.String()+"."+run.label)
 			}
 		}
 		if !run.matrices {
@@ -376,26 +363,14 @@ func TestScenarioWireDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		digest(d, "matrix-all."+run.label)
+		digestWire(t, &got, d, "matrix-all."+run.label)
 		for _, id := range []string{"matrix-apps", "matrix-platform", "matrix-policy", "matrix-size"} {
 			d, err := RunDataset(id, run.o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			digest(d, id+"."+run.label)
+			digestWire(t, &got, d, id+"."+run.label)
 		}
 	}
-	if *updateGolden {
-		if err := os.WriteFile(scenarioDigestPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(scenarioDigestPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("scenario wire forms diverge from %s:\n--- golden ---\n%s--- got ---\n%s", scenarioDigestPath, want, got.String())
-	}
+	checkGolden(t, scenarioDigestPath, got.String())
 }

@@ -13,19 +13,9 @@ package experiments
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
 
-// workers resolves the sweep fan-out: Options.Parallel if positive,
-// otherwise every available CPU.
-func (o Options) workers() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
+	"cxlmem/internal/pool"
+)
 
 // context returns the options' context, Background when none is set.
 func (o Options) context() context.Context {
@@ -35,56 +25,19 @@ func (o Options) context() context.Context {
 	return o.Ctx
 }
 
-// forEachPoint evaluates eval(0..n-1) across the options' worker pool;
-// one worker runs the points in index order. eval must not share mutable
-// state between indices. The sweep's first failure — a panicking point, or
-// the options' context ending — stops every worker from claiming another
-// point and is re-panicked on the caller's goroutine once the pool drains:
-// in-flight points finish (or stop at their own context check), queued ones
-// never start, and recoverAsErr returns a context error uncached.
+// forEachPoint evaluates eval(0..n-1) on Options.Parallel workers (every
+// CPU when not positive) through pool.Run, so one worker runs the points in
+// index order. eval must not share mutable state between indices. The
+// sweep's first failure — a panicking point, or the options' context ending
+// before every point is claimed — stops the claims and is re-panicked on
+// the caller's goroutine once the pool drains, and recoverAsErr returns a
+// context error uncached.
 func forEachPoint(o Options, n int, eval func(i int)) {
-	ctx := o.context()
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		failMu  sync.Mutex
-		failure any
-	)
-	fail := func(r any) {
-		failMu.Lock()
-		if failure == nil {
-			failure = r
-		}
-		failMu.Unlock()
-		next.Store(int64(n))
-	}
-	for w := min(o.workers(), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							fail(r)
-						}
-					}()
-					eval(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if failure != nil {
-		panic(failure)
+	if err := pool.Run(o.context(), o.Parallel, n, func(_ context.Context, i int) error {
+		eval(i)
+		return nil
+	}); err != nil {
+		panic(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -64,17 +63,5 @@ func TestTraceStreamDigests(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%x  %s %d\n", h.Sum(nil), replay.label, records)
 	}
-	if *updateGolden {
-		if err := os.WriteFile(traceDigestPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(traceDigestPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("trace streams diverge from %s:\n--- golden ---\n%s--- got ---\n%s", traceDigestPath, want, got.String())
-	}
+	checkGolden(t, traceDigestPath, got.String())
 }

@@ -2,8 +2,9 @@ package sim
 
 import "fmt"
 
-// SchedulerStats counts event traffic through a Scheduler. All counters are
-// cumulative since construction.
+// SchedulerStats counts event traffic by lifecycle phase, cumulatively:
+// through a Scheduler since construction (Stats), or into a TraceRing
+// (Totals).
 type SchedulerStats struct {
 	// Enqueued is the number of Schedule/After calls accepted.
 	Enqueued uint64
@@ -29,7 +30,7 @@ type Scheduler struct {
 	queue eventQueue
 	seq   uint64
 	rng   *Rng
-	taps  []tap
+	taps  []Tap
 	stats SchedulerStats
 	// labels holds the trace labels of queued occurrences, by queue slot.
 	// Only a traced scheduler fills it: an occurrence is labelled at its
@@ -42,13 +43,6 @@ type Scheduler struct {
 type traceLabel struct {
 	name, kind string
 	set        bool
-}
-
-// tap is one registered tap. A *TraceRing is kept as a concrete pointer so
-// emit calls it without an interface hop; any other Tap goes in other.
-type tap struct {
-	ring  *TraceRing
-	other Tap
 }
 
 // NewScheduler returns a scheduler at time zero whose Rng is seeded with
@@ -70,12 +64,8 @@ func (s *Scheduler) Stats() SchedulerStats { return s.stats }
 // Tap registers a tracing tap. Taps observe every enqueue, dispatch and
 // completion in execution order; registration order is preserved.
 func (s *Scheduler) Tap(t Tap) {
-	switch t := t.(type) {
-	case nil:
-	case *TraceRing:
-		s.taps = append(s.taps, tap{ring: t})
-	default:
-		s.taps = append(s.taps, tap{other: t})
+	if t != nil {
+		s.taps = append(s.taps, t)
 	}
 }
 
@@ -178,12 +168,8 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // emit fans one trace record out to every registered tap, in registration
 // order.
 func (s *Scheduler) emit(phase Phase, at Time, seq uint64, name, kind string) {
-	now := s.clock.Now()
-	for i := range s.taps {
-		if r := s.taps[i].ring; r != nil {
-			r.record(phase, seq, at, now, name, kind)
-		} else {
-			s.taps[i].other.Observe(TraceEvent{Phase: phase, Seq: seq, At: at, Now: now, Actor: name, Kind: kind})
-		}
+	te := TraceEvent{Phase: phase, Seq: seq, At: at, Now: s.clock.Now(), Actor: name, Kind: kind}
+	for _, t := range s.taps {
+		t.Observe(te)
 	}
 }

@@ -463,7 +463,7 @@ func TestRunUntil(t *testing.T) {
 // TestSchedulerStats: counters agree with the trace.
 func TestSchedulerStats(t *testing.T) {
 	trace, _ := runChained(11)
-	var counts TraceCounts
+	var counts SchedulerStats
 	for _, te := range trace {
 		switch te.Phase {
 		case PhaseEnqueue:

@@ -60,16 +60,6 @@ type TapFunc func(TraceEvent)
 // Observe implements Tap.
 func (f TapFunc) Observe(te TraceEvent) { f(te) }
 
-// TraceCounts are cumulative per-phase totals from a TraceRing.
-type TraceCounts struct {
-	// Enqueued counts PhaseEnqueue observations.
-	Enqueued uint64
-	// Dispatched counts PhaseDispatch observations.
-	Dispatched uint64
-	// Completed counts PhaseComplete observations.
-	Completed uint64
-}
-
 // TraceRing is a bounded ring buffer of trace events plus cumulative
 // per-phase totals. It retains the most recent Cap events; older ones are
 // overwritten. Its storage grows on demand up to Cap, so a short run pays
@@ -80,7 +70,7 @@ type TraceRing struct {
 	buf    []TraceEvent
 	max    int
 	next   int // once the ring is full, the oldest event's index
-	counts TraceCounts
+	counts SchedulerStats
 }
 
 // NewTraceRing returns a ring retaining the most recent capacity events.
@@ -92,15 +82,8 @@ func NewTraceRing(capacity int) *TraceRing {
 // Observe implements Tap: the event is appended, overwriting the oldest
 // retained event once the ring is full.
 func (r *TraceRing) Observe(te TraceEvent) {
-	r.record(te.Phase, te.Seq, te.At, te.Now, te.Actor, te.Kind)
-}
-
-// record is Observe with the event's fields passed separately, so a
-// scheduler writes them straight into the ring's slot.
-func (r *TraceRing) record(phase Phase, seq uint64, at, now Time, actor, kind string) {
-	e := r.slot()
-	e.Phase, e.Seq, e.At, e.Now, e.Actor, e.Kind = phase, seq, at, now, actor, kind
-	switch phase {
+	*r.slot() = te
+	switch te.Phase {
 	case PhaseEnqueue:
 		r.counts.Enqueued++
 	case PhaseDispatch:
@@ -135,8 +118,9 @@ func (r *TraceRing) Cap() int { return r.max }
 // Len returns the number of events currently retained.
 func (r *TraceRing) Len() int { return len(r.buf) }
 
-// Totals returns cumulative per-phase counts (not bounded by capacity).
-func (r *TraceRing) Totals() TraceCounts { return r.counts }
+// Totals returns cumulative per-phase counts (not bounded by capacity), in
+// the scheduler's own counter type.
+func (r *TraceRing) Totals() SchedulerStats { return r.counts }
 
 // Snapshot returns the retained events oldest-first as a fresh slice.
 func (r *TraceRing) Snapshot() []TraceEvent {

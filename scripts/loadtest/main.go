@@ -18,16 +18,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"cxlmem/internal/pool"
 	"cxlmem/internal/stats"
 )
 
@@ -68,31 +68,20 @@ func main() {
 	client := &http.Client{Timeout: *reqTimeout}
 
 	results := make([]result, *n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < *c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *n {
-					return
-				}
-				t0 := time.Now()
-				resp, err := client.Get(*url + paths[i%len(paths)])
-				if err != nil {
-					results[i] = result{err: err, latency: time.Since(t0)}
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				results[i] = result{status: resp.StatusCode, latency: time.Since(t0)}
-			}
-		}()
-	}
-	wg.Wait()
+	// Each request records its own outcome, so Run has no error to return.
+	_ = pool.Run(context.Background(), *c, *n, func(_ context.Context, i int) error {
+		t0 := time.Now()
+		resp, err := client.Get(*url + paths[i%len(paths)])
+		if err != nil {
+			results[i] = result{err: err, latency: time.Since(t0)}
+			return nil
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		results[i] = result{status: resp.StatusCode, latency: time.Since(t0)}
+		return nil
+	})
 	wall := time.Since(start)
 
 	var ok2xx, client4xx, server5xx, shed, transport int
